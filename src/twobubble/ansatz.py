@@ -2,20 +2,24 @@
 
 The configuration is symmetric: bubble centers at +-z/2 carry velocities
 +-v/2 and a common scale and phase.  Fields are sampled on the periodic
-grids of nls_core; scalar integrals against the profile use adaptive
-quadrature on the radial samples.
+grids of nls_core; the interaction force H(z) is a composite Gauss-Legendre
+rule on the profile with a coarse/fine convergence check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import simpson
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from .groundstate import GroundState, sphere_area
 from .nls_core import ComplexField, Grid, h1_norm_sq
+
+# Separation below which the two-bubble ansatz, and its force law, is invalid.
+COLLISION_SEP = 5.0
 
 
 @dataclass(frozen=True)
@@ -161,97 +165,95 @@ def interaction_G(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexF
                         - nonlinearity(p2, p))
 
 
-def _quad_piece(f, a, b, scale, quad_tol):
-    val, err = quad(f, a, b, epsabs=quad_tol * scale, epsrel=1e-10, limit=400)
-    if err > 50.0 * max(quad_tol * scale, 1e-13 * abs(val)):
-        raise QuadratureFailure(f"quadrature error {err:.3e} at scale {scale:.3e}")
-    return val
+# Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels of fixed
+# width per dimension, evaluated with a coarse and a fine node count whose
+# disagreement bounds the error.
+_COARSE_NODES = 8
+_FINE_NODES = 12
+_PANEL = {1: 0.25, 2: 0.5}
 
 
-def _force_1d(zlen: float, gs: GroundState, quad_tol: float) -> float:
+@lru_cache(maxsize=None)
+def _leggauss(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _gl_axis(a: float, b: float, nodes: int, step: float):
+    """Nodes and weights of the composite rule on [a, b], panels at most step wide."""
+    x, w = _leggauss(nodes)
+    edges = np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
+
+
+def _force_1d_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
+    """Rule split exactly at y = 0, -|z|/2 and -|z|, cut at |z| + 40."""
     p = gs.p
-    scale = np.exp(-zlen)
-
-    def near(y):
-        # Q^{p-1}(y) dQ(y) Q(y+z) on y > -z/2
-        return gs.q_at(abs(y)) ** (p - 1.0) * gs.dq_at(abs(y)) * np.sign(y) \
-            * gs.q_at(abs(y + zlen))
-
-    def far(y):
-        # Q^{p-1}(y+z) dQ(y) Q(y) on y < -z/2
-        return gs.q_at(abs(y + zlen)) ** (p - 1.0) * gs.dq_at(abs(y)) * np.sign(y) \
-            * gs.q_at(abs(y))
-
     cut = zlen + 40.0
-    total = _quad_piece(near, -0.5 * zlen, 0.0, scale, quad_tol)
-    total += _quad_piece(near, 0.0, cut, scale, quad_tol)
-    total += _quad_piece(far, -cut, -zlen, scale, quad_tol)
-    total += _quad_piece(far, -zlen, -0.5 * zlen, scale, quad_tol)
+    step = _PANEL[1]
+
+    def piece(a, b, near):
+        y, w = _gl_axis(a, b, nodes, step)
+        r, rs = np.abs(y), np.abs(y + zlen)
+        weight = gs.q_at(r if near else rs) ** (p - 1.0)
+        partner = gs.q_at(rs if near else r)
+        return float(w @ (weight * gs.dq_at(r) * np.sign(y) * partner))
+
+    # near: Q^{p-1}(y) Q'(y) Q(y+z) on y > -z/2; far: Q^{p-1}(y+z) Q'(y) Q(y) below
+    total = piece(-0.5 * zlen, 0.0, True) + piece(0.0, cut, True)
+    total += piece(-cut, -zlen, False) + piece(-zlen, -0.5 * zlen, False)
     return p * total
 
 
 def _force_2d_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Tensor Gauss-Legendre rule split exactly at y1 = -|z|/2, z along e1."""
+    """Tensor rule split exactly at y1 = -|z|/2, z along e1."""
     p = gs.p
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    step = _PANEL[2]
+    y2, w2 = _gl_axis(-30.0, 30.0, nodes, step)
 
-    def axis(a, b, step=0.5):
-        edges = np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))
-        pts = np.concatenate([(0.5 * (e1 - e0)) * x + 0.5 * (e0 + e1)
-                              for e0, e1 in zip(edges[:-1], edges[1:])])
-        wts = np.concatenate([(0.5 * (e1 - e0)) * w for _ in [0]
-                              for e0, e1 in zip(edges[:-1], edges[1:])])
-        return pts, wts
-
-    y2, w2 = axis(-30.0, 30.0)
-
-    def block(y1, w1, integrand):
+    def block(a, b, near):
+        y1, w1 = _gl_axis(a, b, nodes, step)
         Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        return float(w1 @ integrand(Y1, Y2) @ w2)
-
-    def near(Y1, Y2):
         r = np.hypot(Y1, Y2)
         rs = np.hypot(Y1 + zlen, Y2)
         with np.errstate(invalid="ignore"):
             grad1 = np.where(r > 0, gs.dq_at(r) * Y1 / np.maximum(r, 1e-300), 0.0)
-        return gs.q_at(r) ** (p - 1.0) * grad1 * gs.q_at(rs)
+        weight = gs.q_at(r if near else rs) ** (p - 1.0)
+        partner = gs.q_at(rs if near else r)
+        return float(w1 @ (weight * grad1 * partner) @ w2)
 
-    def far(Y1, Y2):
-        r = np.hypot(Y1, Y2)
-        rs = np.hypot(Y1 + zlen, Y2)
-        with np.errstate(invalid="ignore"):
-            grad1 = np.where(r > 0, gs.dq_at(r) * Y1 / np.maximum(r, 1e-300), 0.0)
-        return gs.q_at(rs) ** (p - 1.0) * grad1 * gs.q_at(r)
+    return p * (block(-0.5 * zlen, 0.5 * zlen + 30.0, True)
+                + block(-zlen - 30.0, -0.5 * zlen, False))
 
-    y1n, w1n = axis(-0.5 * zlen, 0.5 * zlen + 30.0)
-    y1f, w1f = axis(-zlen - 30.0, -0.5 * zlen)
-    return p * (block(y1n, w1n, near) + block(y1f, w1f, far))
+
+_FORCE_RULES = {1: _force_1d_nodes, 2: _force_2d_nodes}
 
 
 def interaction_force_H(z, gs: GroundState, quad_tol: float = 1e-10,
-                        min_sep: float = 5.0) -> np.ndarray:
+                        min_sep: float = COLLISION_SEP) -> np.ndarray:
     """Half-space-split projection of the interaction onto the translation direction.
 
     Two integrals split exactly at y.(z/|z|) = -|z|/2; the result is parallel
-    to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading order.
+    to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading order.  The
+    composite Gauss-Legendre rule runs with 8 and 12 nodes per panel; they
+    must agree to max(quad_tol |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))
     if zlen < min_sep:
         raise QuadratureFailure(f"|z| = {zlen:.2f} below validity threshold {min_sep}")
-    if gs.d == 1:
-        mag = _force_1d(zlen, gs, quad_tol)
-    elif gs.d == 2:
-        coarse = _force_2d_nodes(zlen, gs, 8)
-        fine = _force_2d_nodes(zlen, gs, 12)
-        scale = zlen ** (-0.5) * np.exp(-zlen)
-        if abs(fine - coarse) > max(quad_tol * scale, 1e-8 * abs(fine)):
-            raise QuadratureFailure(
-                f"2d force rule not converged: {abs(fine - coarse):.3e}")
-        mag = fine
-    else:
+    rule = _FORCE_RULES.get(gs.d)
+    if rule is None:
         raise QuadratureFailure(f"force implemented for d in (1, 2), got {gs.d}")
-    return mag * z / zlen
+    coarse = rule(zlen, gs, _COARSE_NODES)
+    fine = rule(zlen, gs, _FINE_NODES)
+    scale = zlen ** (-0.5 * (gs.d - 1)) * np.exp(-zlen)
+    if abs(fine - coarse) > max(quad_tol * scale, 1e-8 * abs(fine)):
+        raise QuadratureFailure(
+            f"{gs.d}d force rule not converged at |z| = {zlen:.3f}: "
+            f"|fine - coarse| = {abs(fine - coarse):.3e}")
+    return fine * z / zlen
 
 
 def force_asymptotic(z, c_p: float, d: int) -> np.ndarray:

@@ -18,7 +18,7 @@ class WindowTooNoisy(TwoBubbleError):
 
 
 class QuadratureFailure(TwoBubbleError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """Interaction force rule did not converge, or |z| lies outside its domain."""
 
 
 class GridTooSmall(TwoBubbleError):

@@ -21,13 +21,12 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .ansatz import BubbleParams, build_two_bubble, interaction_force_H
-from .errors import (FitLost, IoFailure, NoSignChange, Overflow, WindowTooShort)
+from .ansatz import COLLISION_SEP, BubbleParams, build_two_bubble, interaction_force_H
+from .errors import (FitLost, IoFailure, NoSignChange, Overflow, QuadratureFailure,
+                     WindowTooShort)
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
 from .nls_core import ComplexField, make_grid, observables, propagate
-
-COLLISION_SEP = 5.0
 
 EXIT_REACHED = "reached_s0"
 EXIT_ZETA_HIGH = "exited_zeta_high"
@@ -135,7 +134,10 @@ def separation_of_zeta(zeta: float, c: float, d: int) -> float:
 
 
 class _ForceTable:
-    """Spline of log H(|z|) built once per run; keeps the v-slaving cheap."""
+    """Spline of log H(|z|) on [z_lo, z_hi] built once per run; keeps the v-slaving cheap.
+
+    Calls outside the range raise QuadratureFailure instead of extrapolating.
+    """
 
     def __init__(self, gs: GroundState, z_lo: float, z_hi: float, n: int = 220):
         zz = np.linspace(z_lo, z_hi, n)
@@ -144,8 +146,11 @@ class _ForceTable:
         self.z_lo, self.z_hi = z_lo, z_hi
 
     def __call__(self, zlen: float) -> float:
-        zc = np.clip(zlen, self.z_lo, self.z_hi)
-        return float(np.exp(self._spline(zc)))
+        if not self.z_lo <= zlen <= self.z_hi:
+            raise QuadratureFailure(
+                f"|z| = {zlen:.6g} outside the force table range "
+                f"[{self.z_lo:.6g}, {self.z_hi:.6g}]")
+        return float(np.exp(self._spline(zlen)))
 
 
 def _slave_velocity(z_vec: np.ndarray, v_vec: np.ndarray, s_from: float,

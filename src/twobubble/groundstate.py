@@ -23,6 +23,7 @@ from .errors import InvalidExponent, NonConvergence, QuadratureFailure, WindowTo
 
 _OVERSHOOT = -1
 _UNDERSHOOT = +1
+_SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
 
 
 def sobolev_limit(d: int) -> float:
@@ -49,15 +50,19 @@ def closed_form_profile(p: float, r) -> np.ndarray:
 def decay_shape(d: int, r) -> np.ndarray:
     """Decaying solution r^(1-d/2) K_(d/2-1)(r) of the linearized radial equation.
 
-    Behaves like sqrt(pi/2) r^(-(d-1)/2) e^(-r) for large r.
+    Behaves like sqrt(pi/2) r^(-(d-1)/2) e^(-r) for large r, exactly so for d=1.
     """
     r = np.asarray(r, dtype=float)
+    if d == 1:
+        return _SQRT_HALF_PI * np.exp(-r)
     nu = d / 2.0 - 1.0
     return r ** (1.0 - d / 2.0) * kv(nu, r)
 
 
 def _decay_shape_deriv(d: int, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
+    if d == 1:
+        return -_SQRT_HALF_PI * np.exp(-r)
     nu = d / 2.0 - 1.0
     kp = -0.5 * (kv(nu - 1.0, r) + kv(nu + 1.0, r))
     return (1.0 - d / 2.0) * r ** (-d / 2.0) * kv(nu, r) + r ** (1.0 - d / 2.0) * kp

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ansatz import interaction_force_H
+from .ansatz import COLLISION_SEP, interaction_force_H
 from .errors import CollisionDetected, StepFailure
 from .groundstate import GroundState, StructureConstants
-
-COLLISION_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,8 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
     asymptotic law.
     """
     d = state0.d
-    if float(np.linalg.norm(state0.z)) < COLLISION_THRESHOLD:
-        raise CollisionDetected(f"|z0| = {np.linalg.norm(state0.z):.2f} < 5")
+    if float(np.linalg.norm(state0.z)) < COLLISION_SEP:
+        raise CollisionDetected(f"|z0| = {np.linalg.norm(state0.z):.2f} < {COLLISION_SEP}")
 
     def rhs(s, y):
         z = y[1:1 + d]
@@ -92,7 +90,7 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
                                [1.0 + 0.25 * float(v @ v)], vdot])
 
     def collide(s, y):
-        return float(np.linalg.norm(y[1:1 + d])) - COLLISION_THRESHOLD
+        return float(np.linalg.norm(y[1:1 + d])) - COLLISION_SEP
 
     collide.terminal = True
 
@@ -105,7 +103,7 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
                     dense_output=False)
     if sol.status == 1:
         raise CollisionDetected(
-            f"|z| reached {COLLISION_THRESHOLD} at s = {sol.t_events[0][0]:.3f}")
+            f"|z| reached {COLLISION_SEP} at s = {sol.t_events[0][0]:.3f}")
     if not sol.success:
         raise StepFailure(sol.message)
     y = sol.y

@@ -1,12 +1,17 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the package's own numerics: fixed-step
-classic RK4, plain bisection, no adaptive machinery.
+classic RK4 and plain bisection for the profile, and scipy's adaptive
+quadrature (not the package's fixed Gauss-Legendre rule) for the d=1
+interaction force.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+from scipy.integrate import quad
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -46,6 +51,35 @@ def shoot_q0(p: float, d: int, h: float = 1e-3, bracket_width: float = 1e-8,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:
+    """d=1 force magnitude H(|z|) by adaptive quadrature on four pieces.
+
+    The pieces are split at y = -|z|, -|z|/2 and 0 and cut at |z| + 40; the
+    integrands call the profile one scalar at a time.
+    """
+    p = gs.p
+    scale = math.exp(-zlen)
+
+    def near(y):
+        # Q^{p-1}(y) dQ(y) Q(y+z) on y > -z/2
+        return gs.q_at(abs(y)) ** (p - 1.0) * gs.dq_at(abs(y)) * np.sign(y) \
+            * gs.q_at(abs(y + zlen))
+
+    def far(y):
+        # Q^{p-1}(y+z) dQ(y) Q(y) on y < -z/2
+        return gs.q_at(abs(y + zlen)) ** (p - 1.0) * gs.dq_at(abs(y)) * np.sign(y) \
+            * gs.q_at(abs(y))
+
+    def piece(f, a, b):
+        val, err = quad(f, a, b, epsabs=quad_tol * scale, epsrel=1e-10, limit=400)
+        assert err <= 50.0 * max(quad_tol * scale, 1e-13 * abs(val)), err
+        return val
+
+    cut = zlen + 40.0
+    return p * (piece(near, -0.5 * zlen, 0.0) + piece(near, 0.0, cut)
+                + piece(far, -cut, -zlen) + piece(far, -zlen, -0.5 * zlen))
 
 
 if __name__ == "__main__":

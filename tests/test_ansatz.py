@@ -7,6 +7,8 @@ from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import solve_profile, structure_constants
 
+from oracles import adaptive_force_1d
+
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
     return az.BubbleParams(lam=lam, z=[z], gamma=gamma, v=[v])
@@ -87,6 +89,19 @@ def test_force_asymptotic_law(gs1, sc1):
         devs.append(abs(H / (sc1.c_p * np.exp(-z)) - 1.0))
         assert devs[-1] <= 5.0 / z
     assert all(a > b for a, b in zip(devs, devs[1:]))
+
+
+def test_force_matches_adaptive_oracle(gs1):
+    for z in (2.0, 4.5, 8.0, 12.0, 15.0, 20.0, 25.0):
+        H = az.interaction_force_H([z], gs1, min_sep=2.0)[0]
+        assert H == pytest.approx(adaptive_force_1d(z, gs1), rel=1e-10)
+
+
+def test_force_rule_not_converged(monkeypatch, gs1):
+    # a one-node (midpoint) coarse rule is off by ~4e-7 relative at |z| = 12
+    monkeypatch.setattr(az, "_COARSE_NODES", 1)
+    with pytest.raises(QuadratureFailure, match="not converged"):
+        az.interaction_force_H([12.0], gs1)
 
 
 def test_force_below_threshold(gs1):

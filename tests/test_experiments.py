@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twobubble import experiments as ex
-from twobubble.errors import IoFailure, NoSignChange, WindowTooShort
+from twobubble.errors import IoFailure, NoSignChange, QuadratureFailure, WindowTooShort
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,17 @@ def test_bisect_reaches_small(small_config, gs1, sc1):
     # depth never shrinks as the bracket narrows
     depths = [h[3] for h in out["history"][2:]]
     assert all(a >= b for a, b in zip(depths, depths[1:]))
+
+
+def test_force_table_range(gs1):
+    table = ex._ForceTable(gs1, 8.0, 10.0, n=12)
+    for zlen in (8.0, 9.3, 10.0):
+        H = ex.interaction_force_H([zlen], gs1)[0]
+        assert table(zlen) == pytest.approx(H, rel=1e-6)
+    for zlen in (7.99, 10.01):
+        with pytest.raises(QuadratureFailure, match=r"\[8, 10\]") as err:
+            table(zlen)
+        assert f"{zlen:.6g}" in str(err.value)
 
 
 def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):

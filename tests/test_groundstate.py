@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.special import kv
 
 from twobubble.errors import InvalidExponent, NonConvergence, WindowTooNoisy
-from twobubble.groundstate import (GroundState, asymptotic_constant,
+from twobubble.groundstate import (GroundState, _decay_shape_deriv, asymptotic_constant,
                                    closed_form_profile, closed_form_q0,
                                    decay_shape, interaction_weight,
                                    ode_residual, solve_profile, sphere_area,
@@ -21,6 +22,16 @@ def test_closed_form_p3(gs1):
     assert np.max(np.abs(gs1.q - exact)) < 1e-8
     dq_exact = -np.sqrt(2.0) * np.tanh(gs1.r) / np.cosh(gs1.r)
     assert np.max(np.abs(gs1.dq - dq_exact)) < 1e-8
+
+
+def test_decay_shape_d1_closed_form():
+    # r^(1/2) K_(-1/2)(r) = sqrt(pi/2) e^(-r), and its derivative
+    r = np.geomspace(0.5, 200.0, 400)
+    bessel = np.sqrt(r) * kv(-0.5, r)
+    bessel_deriv = 0.5 / np.sqrt(r) * kv(-0.5, r) \
+        - 0.5 * np.sqrt(r) * (kv(-1.5, r) + kv(0.5, r))
+    assert np.max(np.abs(decay_shape(1, r) / bessel - 1.0)) <= 1e-14
+    assert np.max(np.abs(_decay_shape_deriv(1, r) / bessel_deriv - 1.0)) <= 1e-14
 
 
 def test_closed_form_p2():
