@@ -1,21 +1,21 @@
 """Two-bubble approximate solution and its interaction machinery.
 
 The configuration is symmetric: bubble centers at +-z/2 carry velocities
-+-v/2 and a common scale and phase.  Fields are sampled on the periodic
-grids of nls_core; the interaction force H(z) is a composite Gauss-Legendre
-rule on the profile with a coarse/fine convergence check.
++-v/2 and a common scale and phase.  Every lattice field is built from
+``LatticeBubble``, one lazily evaluated boosted bubble; the interaction
+force H(z) is a composite Gauss-Legendre rule with a coarse/fine check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import GroundState, sphere_area
+from .groundstate import GroundState, smoothstep, sphere_area
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -114,25 +114,94 @@ def _check_grid(params: BubbleParams, grid: Grid):
             f"|z|/2 + 10 = {0.5 * np.linalg.norm(params.z) + 10:.2f} >= L = {grid.L}")
 
 
-def _offsets(grid: Grid, center: np.ndarray) -> list[np.ndarray]:
-    return [x - c for x, c in zip(grid.x_mesh, center)]
+class LatticeBubble:
+    """One boosted bubble e^{i v.(y - z)} Q(y - z) at the given coordinates.
+
+    The offsets y - z and radii are computed at construction, since every
+    caller reads them; every other field is computed on first use, so a
+    caller pays only for what it reads.  Profile values go through
+    ``gs.q_at``/``gs.dq_at`` (a caller reading only the geometry may pass
+    gs=None).  Quotients by r take their r -> 0 limits from
+    q''(0) = (q0 - q0^p)/d.
+    """
+
+    def __init__(self, gs: GroundState, coords, center: np.ndarray, vel: np.ndarray):
+        self.gs = gs
+        self.vel = vel
+        self.offs = [c - zc for c, zc in zip(coords, center)]
+        self.r = np.sqrt(sum(o ** 2 for o in self.offs))
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.gs.q_at(self.r)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return np.exp(1j * sum(vc * o for vc, o in zip(self.vel, self.offs)))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.phase * self.q
+
+    @cached_property
+    def dq(self) -> np.ndarray:
+        return self.gs.dq_at(self.r)
+
+    def _div(self, f: np.ndarray, den: np.ndarray, limit: float) -> np.ndarray:
+        safe = self.r > 1e-12
+        return np.where(safe, f / np.where(safe, den, 1.0), limit)
+
+    @property
+    def _curv0(self) -> float:
+        return (self.gs.q0 - self.gs.q0 ** self.gs.p) / self.gs.d
+
+    @cached_property
+    def dq_over_r(self) -> np.ndarray:
+        return self._div(self.dq, self.r, self._curv0)
+
+    @cached_property
+    def grad_q(self) -> list[np.ndarray]:
+        return [self.dq_over_r * o for o in self.offs]
+
+    @cached_property
+    def lamq(self) -> np.ndarray:
+        """Radial part of the scaling generator, 2/(p-1) q + r q'."""
+        return 2.0 / (self.gs.p - 1.0) * self.q + self.r * self.dq
+
+    @cached_property
+    def d2q(self) -> np.ndarray:
+        """q'' from the profile equation."""
+        return self.q - self.q ** self.gs.p - (self.gs.d - 1.0) * self.dq_over_r
+
+    @cached_property
+    def dlamq_over_r(self) -> np.ndarray:
+        a = 2.0 / (self.gs.p - 1.0)
+        return self._div((a + 1.0) * self.dq + self.r * self.d2q, self.r,
+                         (a + 2.0) * self._curv0)
+
+    @cached_property
+    def hess_factor(self) -> np.ndarray:
+        """(q'' - q'/r)/r^2 with a vanishing limit; multiplies offs_m offs_n."""
+        return self._div(self.d2q - self.dq_over_r, self.r ** 2, 0.0)
 
 
-def single_bubble(params: BubbleParams, gs: GroundState, grid: Grid,
-                  k: int) -> np.ndarray:
-    """Values of one boosted bubble e^{i v_k . (y - z_k)} Q(y - z_k)."""
-    offs = _offsets(grid, params.bubble_center(k))
-    r = np.sqrt(sum(o ** 2 for o in offs))
-    v_k = params.bubble_velocity(k)
-    phase = sum(vc * o for vc, o in zip(v_k, offs))
-    return np.exp(1j * phase) * gs.q_at(r)
+def bubble_pair(params: BubbleParams, gs: GroundState,
+                coords) -> tuple[LatticeBubble, LatticeBubble]:
+    """Both bubbles of the symmetric pair at the given coordinates."""
+    return tuple(LatticeBubble(gs, coords, params.bubble_center(k),
+                               params.bubble_velocity(k)) for k in (1, 2))
+
+
+def ansatz_on_lattice(params: BubbleParams, gs: GroundState, coords) -> np.ndarray:
+    """P = P1 + P2 at the given lattice coordinates (x / lambda for the lab frame)."""
+    b1, b2 = bubble_pair(params, gs, coords)
+    return b1.values + b2.values
 
 
 def build_two_bubble(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexField:
     """Sum of the two boosted, translated copies of the ground state."""
     _check_grid(params, grid)
-    return ComplexField(grid, single_bubble(params, gs, grid, 1)
-                        + single_bubble(params, gs, grid, 2))
+    return ComplexField(grid, ansatz_on_lattice(params, gs, grid.x_mesh))
 
 
 def nonlinearity(values: np.ndarray, p: float) -> np.ndarray:
@@ -155,14 +224,15 @@ def nonlinearity_derivative(P: np.ndarray, eps: np.ndarray, p: float) -> np.ndar
     return 0.5 * (p + 1.0) * a * eps + 0.5 * (p - 1.0) * a * phase_squared(P) * np.conj(eps)
 
 
+def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
+    return (nonlinearity(b1.values + b2.values, p) - nonlinearity(b1.values, p)
+            - nonlinearity(b2.values, p))
+
+
 def interaction_G(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexField:
     """Nonlinear cross term F(P1+P2) - F(P1) - F(P2)."""
     _check_grid(params, grid)
-    p = gs.p
-    p1 = single_bubble(params, gs, grid, 1)
-    p2 = single_bubble(params, gs, grid, 2)
-    return ComplexField(grid, nonlinearity(p1 + p2, p) - nonlinearity(p1, p)
-                        - nonlinearity(p2, p))
+    return ComplexField(grid, _cross_term(*bubble_pair(params, gs, grid.x_mesh), gs.p))
 
 
 # Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels of fixed
@@ -263,90 +333,29 @@ def force_asymptotic(z, c_p: float, d: int) -> np.ndarray:
     return c_p * (z / zlen) * zlen ** (-0.5 * (d - 1)) * np.exp(-zlen)
 
 
-def _pair_fields(params: BubbleParams, gs: GroundState, grid: Grid):
-    """Per-bubble phase factors and radial building blocks."""
-    blocks = []
-    for k in (1, 2):
-        offs = _offsets(grid, params.bubble_center(k))
-        r = np.sqrt(sum(o ** 2 for o in offs))
-        v_k = params.bubble_velocity(k)
-        phase = np.exp(1j * sum(vc * o for vc, o in zip(v_k, offs)))
-        blocks.append((offs, r, v_k, phase))
-    return blocks
-
-
 def ansatz_residual(params: BubbleParams, derivs: ParamDerivs, gs: GroundState,
                     grid: Grid) -> ComplexField:
     """Flow residual assembled from the modulation vectors plus the cross term."""
     _check_grid(params, grid)
-    m1, m2 = modulation_vectors(params, derivs)
+    bubbles = bubble_pair(params, gs, grid.x_mesh)
     total = np.zeros(grid.shape, dtype=complex)
-    for (offs, r, v_k, phase), m in zip(_pair_fields(params, gs, grid), (m1, m2)):
-        q = gs.q_at(r)
-        dq = gs.dq_at(r)
-        with np.errstate(invalid="ignore"):
-            unit = [np.where(r > 0, o / np.maximum(r, 1e-300), 0.0) for o in offs]
-        lam_q = gs.lam_q_at(r)
-        term = m.m_scale * (-1j * lam_q)
-        term = term + sum(mt * (-1j * dq * u) for mt, u in zip(m.m_translation, unit))
-        term = term + m.m_phase * (-q)
-        term = term + sum(mv * (-o * q) for mv, o in zip(m.m_velocity, offs))
-        total += phase * term
-    total += interaction_G(params, gs, grid).values
+    for b, m in zip(bubbles, modulation_vectors(params, derivs)):
+        term = m.m_scale * (-1j * b.lamq)
+        term = term + sum(mt * (-1j * gq) for mt, gq in zip(m.m_translation, b.grad_q))
+        term = term + m.m_phase * (-b.q)
+        term = term + sum(mv * (-o * b.q) for mv, o in zip(m.m_velocity, b.offs))
+        total += b.phase * term
+    total += _cross_term(*bubbles, gs.p)
     return ComplexField(grid, total)
-
-
-def ansatz_residual_direct(params: BubbleParams, derivs: ParamDerivs,
-                           gs: GroundState, grid: Grid) -> ComplexField:
-    """Flow residual evaluated term by term from the renormalized equation.
-
-    Independent of the assembled form; the two must agree to grid accuracy.
-    """
-    _check_grid(params, grid)
-    p = gs.p
-    rel = derivs.lam_dot / params.lam
-    total = np.zeros(grid.shape, dtype=complex)
-    P = np.zeros(grid.shape, dtype=complex)
-    for k, (offs, r, v_k, phase) in enumerate(_pair_fields(params, gs, grid), start=1):
-        sgn = 1.0 if k == 1 else -1.0
-        zd_k = sgn * 0.5 * derivs.z_dot
-        vd_k = sgn * 0.5 * derivs.v_dot
-        q = gs.q_at(r)
-        dq = gs.dq_at(r)
-        with np.errstate(invalid="ignore"):
-            unit = [np.where(r > 0, o / np.maximum(r, 1e-300), 0.0) for o in offs]
-        grad_q = [dq * u for u in unit]
-        pk = phase * q
-        P += pk
-        # i dP_k/ds
-        idot = phase * ((-sum(vd * o for vd, o in zip(vd_k, offs))
-                         + float(v_k @ zd_k)) * q
-                        - 1j * sum(zd * gq for zd, gq in zip(zd_k, grad_q)))
-        # Laplacian through the profile equation
-        lap = phase * ((q - q ** p) + 2j * sum(vc * gq for vc, gq in zip(v_k, grad_q))
-                       - float(v_k @ v_k) * q)
-        grad_pk = [phase * (gq + 1j * vc * q) for gq, vc in zip(grad_q, v_k)]
-        lam_pk = 2.0 / (p - 1.0) * pk + sum(x * gp for x, gp in zip(grid.x_mesh, grad_pk))
-        total += idot + lap - pk - 1j * rel * lam_pk + (1.0 - derivs.gamma_dot) * pk
-    total += nonlinearity(P, p)
-    return ComplexField(grid, total)
-
-
-def smoothstep(x) -> np.ndarray:
-    """Quintic smoothstep: 0 below 0, 1 above 1."""
-    t = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
 
 
 def interaction_cutoff(params: BubbleParams, grid: Grid) -> np.ndarray:
     """Plateau cutoff selecting points within |z| of both bubble centers."""
     zlen = float(np.linalg.norm(params.z))
     out = np.ones(grid.shape)
-    for k in (1, 2):
-        offs = _offsets(grid, params.bubble_center(k))
-        dist = np.sqrt(sum(o ** 2 for o in offs))
-        # psi0 on [-1, 0]: argument |z| - dist, quintic transition
-        out = out * smoothstep(zlen - dist + 1.0)
+    for b in bubble_pair(params, None, grid.x_mesh):
+        # psi0 on [-1, 0]: argument |z| - r, quintic transition
+        out = out * smoothstep(zlen - b.r + 1.0, 0.0, 1.0)[0]
     return out
 
 
@@ -365,15 +374,6 @@ def grad_norm_sq_per_component(gs: GroundState) -> float:
     return sphere_area(gs.d) * simpson(gs.dq ** 2 * gs.r ** (gs.d - 1), x=gs.r) / gs.d
 
 
-def _grad_q_fields(params: BubbleParams, gs: GroundState, grid: Grid,
-                   k: int) -> list[np.ndarray]:
-    offs = _offsets(grid, params.bubble_center(k))
-    r = np.sqrt(sum(o ** 2 for o in offs))
-    dq = gs.dq_at(r)
-    with np.errstate(invalid="ignore"):
-        return [np.where(r > 0, dq * o / np.maximum(r, 1e-300), 0.0) for o in offs]
-
-
 def remove_translation_projections(values: np.ndarray, params: BubbleParams,
                                    gs: GroundState, grid: Grid) -> np.ndarray:
     """Subtract the real-pairing components along grad Q at both centers.
@@ -385,8 +385,8 @@ def remove_translation_projections(values: np.ndarray, params: BubbleParams,
     denom = grad_norm_sq_per_component(gs)
     vol = grid.cell_volume
     out = values.astype(complex).copy()
-    for k in (1, 2):
-        for gq in _grad_q_fields(params, gs, grid, k):
+    for b in bubble_pair(params, gs, grid.x_mesh):
+        for gq in b.grad_q:
             out -= (float(np.sum(values * gq).real) * vol / denom) * gq
     return out
 
@@ -407,12 +407,9 @@ def refined_corrections(params: BubbleParams, gs: GroundState,
     _check_grid(params, grid)
     p = gs.p
     J = correction_count(p)
-    p1 = single_bubble(params, gs, grid, 1)
-    p2 = single_bubble(params, gs, grid, 2)
-    base = p1 + p2
-
-    G = nonlinearity(base, p) - nonlinearity(p1, p) - nonlinearity(p2, p)
-    source = G * interaction_cutoff(params, grid)
+    bubbles = bubble_pair(params, gs, grid.x_mesh)
+    base = bubbles[0].values + bubbles[1].values
+    source = _cross_term(*bubbles, p) * interaction_cutoff(params, grid)
     corrections = []
     accum = np.zeros(grid.shape, dtype=complex)
     for j in range(J + 1):

@@ -95,40 +95,26 @@ class GroundState:
     def _spline_dq(self):
         return make_interp_spline(self.r, self.dq, k=5)
 
-    def q_at(self, rr) -> np.ndarray:
-        """Profile value at arbitrary radii (spline inside, matched tail outside)."""
+    def _eval(self, rr, spline, tail) -> np.ndarray:
         rr = np.asarray(rr, dtype=float)
         out = np.empty_like(rr)
         inside = rr <= self.r_max
-        out[inside] = self._spline_q(rr[inside])
+        out[inside] = spline(rr[inside])
         if not inside.all():
-            out[~inside] = self.tail_amplitude * decay_shape(self.d, rr[~inside])
+            out[~inside] = self.tail_amplitude * tail(self.d, rr[~inside])
         return out
 
+    def q_at(self, rr) -> np.ndarray:
+        """Profile value at arbitrary radii (spline inside, matched tail outside)."""
+        return self._eval(rr, self._spline_q, decay_shape)
+
     def dq_at(self, rr) -> np.ndarray:
-        rr = np.asarray(rr, dtype=float)
-        out = np.empty_like(rr)
-        inside = rr <= self.r_max
-        out[inside] = self._spline_dq(rr[inside])
-        if not inside.all():
-            out[~inside] = self.tail_amplitude * _decay_shape_deriv(self.d, rr[~inside])
-        return out
+        return self._eval(rr, self._spline_dq, _decay_shape_deriv)
 
     def lam_q_at(self, rr) -> np.ndarray:
         """Radial part of the scaling generator, 2/(p-1) q + r q'."""
         rr = np.asarray(rr, dtype=float)
         return 2.0 / (self.p - 1.0) * self.q_at(rr) + rr * self.dq_at(rr)
-
-    def d2q_at(self, rr) -> np.ndarray:
-        """Second derivative from the ODE itself (regularized at r=0)."""
-        rr = np.asarray(rr, dtype=float)
-        q = self.q_at(rr)
-        dq = self.dq_at(rr)
-        out = q - q ** self.p
-        small = rr < 1e-12
-        out = np.where(small, out / self.d, out - np.divide(
-            (self.d - 1.0) * dq, rr, out=np.zeros_like(rr), where=~small))
-        return out
 
 
 @dataclass(frozen=True)
@@ -279,7 +265,7 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
     qb[joinable], dqb[joinable] = vb[0], vb[1]
     qb[~joinable], dqb[~joinable] = qf[~joinable], dqf[~joinable]
 
-    w, dw = _smoothstep(r, r_match - 1.0, r_match)
+    w, dw = smoothstep(r, r_match - 1.0, r_match)
     q = (1.0 - w) * qf + w * qb
     dq = (1.0 - w) * dqf + w * dqb + dw * (qb - qf)
 
@@ -298,8 +284,8 @@ def _pick_match_radius(fwd, q0: float) -> float:
     return float(rr[below[0]])
 
 
-def _smoothstep(x, a: float, b: float):
-    """Quintic smoothstep on [a, b] and its derivative."""
+def smoothstep(x, a: float, b: float):
+    """Quintic smoothstep on [a, b] (0 below a, 1 above b) and its derivative."""
     t = np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
     w = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
     dw = 30.0 * t ** 2 * (1.0 - t) ** 2 / (b - a)
@@ -335,21 +321,6 @@ def asymptotic_constant(gs: GroundState, window: tuple[float, float] | None = No
 def _radial_integral(gs: GroundState, values: np.ndarray) -> float:
     """Simpson integral of values(r) r^(d-1) over the mesh, times the sphere area."""
     return sphere_area(gs.d) * simpson(values * gs.r ** (gs.d - 1), x=gs.r)
-
-
-def interaction_weight(d: int, r) -> np.ndarray:
-    """Integral of e^(-x1) over the sphere of radius r (area element included).
-
-    Reduces the non-radial interaction integral to one dimension; used as an
-    independent cross-check of the Cartesian rule.
-    """
-    r = np.asarray(r, dtype=float)
-    if d == 1:
-        return 2.0 * np.cosh(r)
-    if d == 2:
-        from scipy.special import i0
-        return 2.0 * np.pi * r * i0(r)
-    raise InvalidExponent(f"interaction weight implemented for d in (1, 2), got {d}")
 
 
 def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
@@ -409,6 +380,6 @@ def ode_residual(gs: GroundState) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         geom = np.where(gs.r > 0, (gs.d - 1.0) / gs.r * gs.dq, 0.0)
     res = d2 + geom - gs.q + gs.q ** gs.p
-    # at r=0 the geometric term contributes (d-1) q''(0); use the series value
-    res[0] = gs.d * gs.d2q_at(np.array([0.0]))[0] - gs.q[0] + gs.q[0] ** gs.p
+    # at r=0 the geometric term tends to (d-1) q''(0)
+    res[0] = gs.d * d2[0] - gs.q[0] + gs.q[0] ** gs.p
     return res

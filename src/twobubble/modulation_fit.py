@@ -8,7 +8,8 @@ The fit finds (lambda, z, gamma, v) so that the recentered error of
 is orthogonal to the generalized null directions Q, yQ, i Lambda Q (and
 i grad Q in snapshot mode).  All pairings are evaluated in lab coordinates
 with exact lambda scaling factors, so the Newton loop never resamples the
-input field; the analytic Jacobian keeps convergence quadratic.
+input field; the analytic Jacobian keeps convergence quadratic.  Every
+bubble, test field and derivative comes from ``ansatz.LatticeBubble``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import BubbleParams, smoothstep
+from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair
 from .errors import NoConvergence, OutOfBasin
-from .groundstate import GroundState
-from .nls_core import ComplexField, Grid, laplacian
+from .groundstate import GroundState, smoothstep
+from .nls_core import ComplexField, Grid, h1_norm_sq, laplacian
 
 
 @dataclass(frozen=True)
@@ -36,62 +37,38 @@ class DecompResult:
     step_history: tuple
 
 
-class _Bundle:
-    """Profile data of one bubble evaluated at given coordinates."""
-
-    def __init__(self, gs: GroundState, coords: list[np.ndarray],
-                 center: np.ndarray, vel: np.ndarray):
-        p = gs.p
-        self.offs = [c - zc for c, zc in zip(coords, center)]
-        r = np.sqrt(sum(o ** 2 for o in self.offs))
-        self.r = r
-        self.q = gs.q_at(r)
-        self.dq = gs.dq_at(r)
-        curv0 = (gs.q0 - gs.q0 ** p) / gs.d
-        safe = r > 1e-12
-        self.dq_over_r = np.where(safe, self.dq / np.where(safe, r, 1.0), curv0)
-        self.d2q = self.q - self.q ** p - (gs.d - 1.0) * self.dq_over_r
-        self.lamq = 2.0 / (p - 1.0) * self.q + r * self.dq
-        dlamq = (2.0 / (p - 1.0) + 1.0) * self.dq + r * self.d2q
-        self.dlamq_over_r = np.where(safe, dlamq / np.where(safe, r, 1.0),
-                                     (2.0 / (p - 1.0) + 2.0) * curv0)
-        self.vel = vel
-        self.phase = np.exp(1j * sum(vc * o for vc, o in zip(vel, self.offs)))
-        self.grad_q = [self.dq_over_r * o for o in self.offs]
-        # (q'' - q'/r)/r^2 with a vanishing limit; multiplies offs_m offs_n
-        self.hess_factor = np.where(safe, (self.d2q - self.dq_over_r)
-                                    / np.where(safe, r ** 2, 1.0), 0.0)
-
-
-def _test_fields(b: _Bundle, d: int) -> list[np.ndarray]:
-    """Phase-dressed null directions: Q, y_m Q, i Lambda Q, i d_m Q."""
-    out = [b.phase * b.q]
-    out += [b.phase * (o * b.q) for o in b.offs]
-    out.append(b.phase * (1j * b.lamq))
-    out += [b.phase * (1j * gq) for gq in b.grad_q]
+def _bare_fields(b: LatticeBubble, count: int) -> list[np.ndarray]:
+    """The first count null directions Q, y_m Q, i Lambda Q, i d_m Q, without the boost."""
+    out = [b.q] + [o * b.q for o in b.offs] + [1j * b.lamq]
+    if count > len(out):
+        out += [1j * gq for gq in b.grad_q]
     return out
 
 
-def _test_field_grads(b: _Bundle, d: int) -> list[list[np.ndarray]]:
-    """Argument-gradients of the bare null directions (no phase)."""
-    grads = [[b.grad_q[n] for n in range(d)]]
+def _bare_field_grads(b: LatticeBubble, count: int) -> list[list[np.ndarray]]:
+    """Argument-gradients of the first count bare null directions."""
+    d = len(b.offs)
+    grads = [b.grad_q]
     for m in range(d):
         grads.append([(b.q if n == m else 0.0) + b.offs[m] * b.grad_q[n]
                       for n in range(d)])
     grads.append([1j * b.dlamq_over_r * o for o in b.offs])
-    for m in range(d):
-        grads.append([1j * (b.hess_factor * b.offs[m] * b.offs[n]
-                            + (b.dq_over_r if n == m else 0.0))
-                      for n in range(d)])
+    if count > len(grads):
+        for m in range(d):
+            grads.append([1j * (b.hess_factor * b.offs[m] * b.offs[n]
+                                + (b.dq_over_r if n == m else 0.0))
+                          for n in range(d)])
     return grads
 
 
-def _bare_fields(b: _Bundle, d: int) -> list[np.ndarray]:
-    out = [b.q]
-    out += [o * b.q for o in b.offs]
-    out.append(1j * b.lamq)
-    out += [1j * gq for gq in b.grad_q]
-    return out
+def _d_dz(b: LatticeBubble, f: np.ndarray, grad: list[np.ndarray], m: int) -> np.ndarray:
+    """Derivative of b.phase * f(y - z/2) along z_m; grad is the gradient of f."""
+    return 0.5 * b.phase * (-1j * b.vel[m] * f - grad[m])
+
+
+def _d_dv(b: LatticeBubble, f: np.ndarray, m: int) -> np.ndarray:
+    """Derivative of b.phase * f along v_m (phase e^{i v/2 . (y - z/2)})."""
+    return 0.5 * b.phase * (1j * b.offs[m] * f)
 
 
 class _Workspace:
@@ -100,12 +77,12 @@ class _Workspace:
         self.u = u
         self.g = u.grid
         self.gs = gs
-        self.p = gs.p
         self.d = self.g.d
         self.vol = self.g.cell_volume
         self.mode = mode
         self.v_override = v_override
         self.n_eq = 2 + self.d + (self.d if mode == "snapshot" else 0)
+        self.b_exp = 2.0 / (gs.p - 1.0) - self.d
 
     def _pair(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(f * np.conj(g)).real) * self.vol
@@ -118,103 +95,84 @@ class _Workspace:
         v = theta[2 + d:2 + 2 * d] if self.mode == "snapshot" else self.v_override
         return lam, z, gamma, np.asarray(v, dtype=float)
 
-    def residual_jacobian(self, theta: np.ndarray):
+    def _residual(self, theta: np.ndarray, count: int):
+        """Residuals of the first count pairings and the pieces the Jacobian reuses.
+
+        The u side pairs the rescaled, phase-stripped input with the test
+        fields at x / lambda; the ansatz side pairs P with the test fields of
+        bubble 1 on the unit lattice.
+        """
         lam, z, gamma, v = self.unpack(theta)
-        d, p, g = self.d, self.p, self.g
-        b_exp = 2.0 / (p - 1.0) - d
-        z1, v1 = 0.5 * z, 0.5 * v
-
-        # u-side: test fields at scaled coordinates x / lambda
+        g, gs = self.g, self.gs
         coords_u = [x / lam for x in g.x_mesh]
-        bu = _Bundle(self.gs, coords_u, z1, v1)
-        T_u = _test_fields(bu, d)
-        bare = _bare_fields(bu, d)
-        bare_grads = _test_field_grads(bu, d)
-        upre = np.exp(-1j * gamma) * self.u.values * lam ** b_exp
+        bu = LatticeBubble(gs, coords_u, 0.5 * z, 0.5 * v)
+        upre = np.exp(-1j * gamma) * self.u.values * lam ** self.b_exp
+        bare_u = _bare_fields(bu, count)
+        T_u = [bu.phase * f for f in bare_u]
+        I = np.array([self._pair(upre, t) for t in T_u])
 
-        n_eq = self.n_eq
-        n_un = n_eq
-        res = np.zeros(n_eq)
-        jac = np.zeros((n_eq, n_un))
+        by = (LatticeBubble(gs, g.x_mesh, 0.5 * z, 0.5 * v),
+              LatticeBubble(gs, g.x_mesh, -0.5 * z, -0.5 * v))
+        P = by[0].values + by[1].values
+        bare_y = _bare_fields(by[0], count)
+        Ty = [by[0].phase * f for f in bare_y]
+        res = I - np.array([self._pair(P, t) for t in Ty])
+        return res, (lam, coords_u, bu, upre, bare_u, T_u, I, by, P, bare_y, Ty)
 
-        I = np.array([self._pair(upre, T_u[j]) for j in range(n_eq)])
-        dIdgamma = np.array([self._pair(-1j * upre, T_u[j]) for j in range(n_eq)])
+    def residual_jacobian(self, theta: np.ndarray):
+        d, n_eq = self.d, self.n_eq
+        snapshot = self.mode == "snapshot"
+        res, (lam, coords_u, bu, upre, bare, T_u, I, by, P, bare_y, Ty) = \
+            self._residual(theta, n_eq)
+        jac = np.zeros((n_eq, n_eq))
 
+        # u side
+        bare_grads = _bare_field_grads(bu, n_eq)
         for j in range(n_eq):
             # full gradient of T_j including the boost phase
-            gradT = [bu.phase * (1j * v1[n] * bare[j] + bare_grads[j][n])
+            gradT = [bu.phase * (1j * bu.vel[n] * bare[j] + bare_grads[j][n])
                      for n in range(d)]
             radial = sum(c * gt for c, gt in zip(coords_u, gradT))
-            dIdlam_j = b_exp / lam * I[j] - self._pair(upre, radial) / lam
-            jac[j, 0] = dIdlam_j
-            jac[j, 1 + d] = dIdgamma[j]
+            jac[j, 0] = self.b_exp / lam * I[j] - self._pair(upre, radial) / lam
+            jac[j, 1 + d] = self._pair(-1j * upre, T_u[j])
             for m in range(d):
-                dT_dzm = 0.5 * bu.phase * (-1j * v1[m] * bare[j] - bare_grads[j][m])
-                jac[j, 1 + m] = self._pair(upre, dT_dzm)
-                if self.mode == "snapshot":
-                    dT_dvm = 0.5 * bu.phase * (1j * bu.offs[m] * bare[j])
-                    jac[j, 2 + d + m] = self._pair(upre, dT_dvm)
+                jac[j, 1 + m] = self._pair(upre, _d_dz(bu, bare[j], bare_grads[j], m))
+                if snapshot:
+                    jac[j, 2 + d + m] = self._pair(upre, _d_dv(bu, bare[j], m))
 
-        # ansatz side on the unit lattice
-        by = [_Bundle(self.gs, list(g.x_mesh), 0.5 * z, 0.5 * v),
-              _Bundle(self.gs, list(g.x_mesh), -0.5 * z, -0.5 * v)]
-        P = by[0].phase * by[0].q + by[1].phase * by[1].q
-        Ty = _test_fields(by[0], d)
-        bare_y = _bare_fields(by[0], d)
-        bare_grads_y = _test_field_grads(by[0], d)
-
-        dP_dz = []
-        dP_dv = []
-        for m in range(d):
-            acc_z = np.zeros(g.shape, dtype=complex)
-            acc_v = np.zeros(g.shape, dtype=complex)
-            for sgn, bb in zip((1.0, -1.0), by):
-                acc_z += sgn * 0.5 * bb.phase * (-1j * bb.vel[m] * bb.q
-                                                 - bb.grad_q[m])
-                acc_v += sgn * 0.5 * bb.phase * (1j * bb.offs[m] * bb.q)
-            dP_dz.append(acc_z)
-            dP_dv.append(acc_v)
-
+        # ansatz side: P and the test fields of bubble 1 both move with (z, v)
+        b1 = by[0]
+        bare_grads_y = _bare_field_grads(b1, n_eq)
+        signs = (1.0, -1.0)
+        dP_dz = [sum(sgn * _d_dz(b, b.q, b.grad_q, m) for sgn, b in zip(signs, by))
+                 for m in range(d)]
+        dP_dv = [sum(sgn * _d_dv(b, b.q, m) for sgn, b in zip(signs, by))
+                 for m in range(d)] if snapshot else []
         for j in range(n_eq):
-            res[j] = I[j] - self._pair(P, Ty[j])
             for m in range(d):
-                dTy_dzm = 0.5 * by[0].phase * (-1j * by[0].vel[m] * bare_y[j]
-                                               - bare_grads_y[j][m])
-                jac[j, 1 + m] -= self._pair(dP_dz[m], Ty[j]) + self._pair(P, dTy_dzm)
-                if self.mode == "snapshot":
-                    dTy_dvm = 0.5 * by[0].phase * (1j * by[0].offs[m] * bare_y[j])
+                jac[j, 1 + m] -= (self._pair(dP_dz[m], Ty[j])
+                                  + self._pair(P, _d_dz(b1, bare_y[j], bare_grads_y[j], m)))
+                if snapshot:
                     jac[j, 2 + d + m] -= (self._pair(dP_dv[m], Ty[j])
-                                          + self._pair(P, dTy_dvm))
+                                          + self._pair(P, _d_dv(b1, bare_y[j], m)))
         return res, jac
 
     def projections(self, theta: np.ndarray) -> dict:
         """All four pairing families at theta (also the non-enforced ones)."""
-        lam, z, gamma, v = self.unpack(theta)
-        full = _Workspace(self.u, self.gs, "snapshot", None)
-        res, _ = full.residual_jacobian(np.concatenate([[lam], z, [gamma], v]))
         d = self.d
+        res, _ = self._residual(theta, 2 + 2 * d)
         return {"Q": res[0], "yQ": res[1:1 + d].copy(),
                 "iLamQ": res[1 + d], "igradQ": res[2 + d:2 + 2 * d].copy()}
 
 
-def ansatz_on_lattice(params: BubbleParams, gs: GroundState, grid: Grid,
-                      lam_scaled: bool = False) -> np.ndarray:
-    """P evaluated on the lattice, optionally at the scaled points x/lambda."""
-    coords = [x / params.lam for x in grid.x_mesh] if lam_scaled else list(grid.x_mesh)
-    vals = np.zeros(grid.shape, dtype=complex)
-    for k in (1, 2):
-        b = _Bundle(gs, coords, params.bubble_center(k), params.bubble_velocity(k))
-        vals += b.phase * b.q
-    return vals
+def _lab_error(u: ComplexField, params: BubbleParams, p: float, P: np.ndarray) -> np.ndarray:
+    return u.values - np.exp(1j * params.gamma) * params.lam ** (-2.0 / (p - 1.0)) * P
 
 
-def lab_frame_error(u: ComplexField, params: BubbleParams,
-                    gs: GroundState) -> ComplexField:
+def lab_frame_error(u: ComplexField, params: BubbleParams, gs: GroundState) -> ComplexField:
     """eps_lab = u - e^{i gamma} lam^{-2/(p-1)} P(x / lam) on the lattice."""
-    p = gs.p
-    pref = np.exp(1j * params.gamma) * params.lam ** (-2.0 / (p - 1.0))
-    return ComplexField(u.grid, u.values
-                        - pref * ansatz_on_lattice(params, gs, u.grid, lam_scaled=True))
+    P_scaled = ansatz_on_lattice(params, gs, [x / params.lam for x in u.grid.x_mesh])
+    return ComplexField(u.grid, _lab_error(u, params, gs.p, P_scaled))
 
 
 def renormalized_h1(eps_lab: ComplexField, lam: float, p: float) -> float:
@@ -246,7 +204,7 @@ def recentered_error(u: ComplexField, params: BubbleParams,
     p = gs.p
     w = np.exp(-1j * params.gamma) * params.lam ** (2.0 / (p - 1.0)) \
         * resample_scaled(u, params.lam)
-    eps = w - ansatz_on_lattice(params, gs, g)
+    eps = w - ansatz_on_lattice(params, gs, g.x_mesh)
     # shift by +z1 spectrally, then strip the boost phase
     shift = np.ones(g.shape, dtype=complex)
     z1 = params.bubble_center(1)
@@ -255,8 +213,7 @@ def recentered_error(u: ComplexField, params: BubbleParams,
         shape[ax] = g.N
         shift = shift * np.exp(1j * g.k_axis * z1[ax]).reshape(shape)
     eta1 = np.fft.ifftn(shift * np.fft.fftn(eps))
-    v1 = params.bubble_velocity(1)
-    phase = np.exp(-1j * sum(vc * x for vc, x in zip(v1, g.x_mesh)))
+    phase = LatticeBubble(gs, g.x_mesh, np.zeros(g.d), -params.bubble_velocity(1)).phase
     return ComplexField(g, eps), ComplexField(g, phase * eta1)
 
 
@@ -322,8 +279,8 @@ def apply_linearized(which: str, f: ComplexField, gs: GroundState) -> ComplexFie
     """L+ or L- around the origin-centered profile, spectral Laplacian."""
     coef = gs.p if which == "plus" else 1.0
     g = f.grid
-    r = np.sqrt(sum(x ** 2 for x in g.x_mesh))
-    pot = coef * gs.q_at(r) ** (gs.p - 1.0)
+    q = LatticeBubble(gs, g.x_mesh, np.zeros(g.d), np.zeros(g.d)).q
+    pot = coef * q ** (gs.p - 1.0)
     return ComplexField(g, -laplacian(f) + f.values - pot * f.values)
 
 
@@ -340,8 +297,8 @@ def quadratic_form(eta: ComplexField, gs: GroundState) -> float:
 
 def projection_basis(gs: GroundState, grid: Grid) -> list[np.ndarray]:
     """span{Q, y_m Q, i Lambda Q, i d_m Q} centered at the origin."""
-    b = _Bundle(gs, list(grid.x_mesh), np.zeros(grid.d), np.zeros(grid.d))
-    return _test_fields(b, grid.d)
+    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d))
+    return [b.phase * f for f in _bare_fields(b, 2 + 2 * grid.d)]
 
 
 def project_out(values: np.ndarray, basis: list[np.ndarray], vol: float) -> np.ndarray:
@@ -359,8 +316,6 @@ def project_out(values: np.ndarray, basis: list[np.ndarray], vol: float) -> np.n
 def coercivity_check(gs: GroundState, grid: Grid, n_samples: int = 100,
                      seed: int = 0) -> tuple[float, np.ndarray]:
     """Minimum of the normalized quadratic form over projected random fields."""
-    from .nls_core import h1_norm_sq
-
     rng = np.random.default_rng(seed)
     basis = projection_basis(gs, grid)
     envelope = np.exp(-sum(x ** 2 for x in grid.x_mesh) / (grid.L / 4.0) ** 2)
@@ -375,10 +330,9 @@ def coercivity_check(gs: GroundState, grid: Grid, n_samples: int = 100,
     return float(np.min(ratios)), ratios
 
 
-def momentum_cutoff(y_offsets: list[np.ndarray], radius: float) -> np.ndarray:
-    """Plateau cutoff: 1 inside radius/10, 0 outside radius/8."""
-    rho = np.sqrt(sum(o ** 2 for o in y_offsets)) / radius
-    return 1.0 - smoothstep((rho - 0.1) / (0.125 - 0.1))
+def momentum_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
+    """Plateau cutoff in the distance r: 1 inside radius/10, 0 outside radius/8."""
+    return 1.0 - smoothstep(r / radius, 0.1, 0.125)[0]
 
 
 def energy_functional(u: ComplexField, params: BubbleParams, s: float,
@@ -395,7 +349,10 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
     lam = params.lam
     vol = g.cell_volume
 
-    eps_lab = lab_frame_error(u, params, gs).values
+    # one pair of bubbles at x / lambda gives P, eps_lab and the cutoff radii
+    bubbles = bubble_pair(params, gs, [x / lam for x in g.x_mesh])
+    P_scaled = bubbles[0].values + bubbles[1].values
+    eps_lab = _lab_error(u, params, p, P_scaled)
     a = lam ** (4.0 / (p - 1.0) - g.d)
     eh = np.fft.fftn(eps_lab)
     l2 = float(np.sum(np.abs(eh) ** 2)) * vol / g.N ** g.d
@@ -405,7 +362,6 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
     quad_part = 0.5 * (a * l2 + a * lam ** 2 * grad2)
 
     # potential part: int |P+eps|^{p+1} - |P|^{p+1} - (p+1)|P|^{p-1} Re(eps conj(P))
-    P_scaled = ansatz_on_lattice(params, gs, g, lam_scaled=True)
     w_scaled = np.exp(-1j * params.gamma) * lam ** (2.0 / (p - 1.0)) * u.values
     eps_scaled = w_scaled - P_scaled
     absP = np.abs(P_scaled)
@@ -415,13 +371,10 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
 
     radius = np.log(s) * chi_radius_scale
     J_val = 0.0
-    grads_eps = grads
-    for k in (1, 2):
-        v_k = params.bubble_velocity(k)
-        y_offs = [x / lam - zc for x, zc in zip(g.x_mesh, params.bubble_center(k))]
-        chi = momentum_cutoff(y_offs, radius)
+    for bub in bubbles:
+        chi = momentum_cutoff(bub.r, radius)
         b = lam ** (1.0 + 4.0 / (p - 1.0) - g.d)
-        dens = sum(vc * (gr * np.conj(eps_lab)).imag for vc, gr in zip(v_k, grads_eps))
+        dens = sum(vc * (gr * np.conj(eps_lab)).imag for vc, gr in zip(bub.vel, grads))
         J_val += b * float(np.sum(dens * chi)) * vol
 
     return {"W": H_val - J_val, "H": H_val, "J": J_val,

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the package's own numerics: fixed-step
-classic RK4 and plain bisection for the profile, and scipy's adaptive
+classic RK4 and plain bisection for the profile, scipy's adaptive
 quadrature (not the package's fixed Gauss-Legendre rule) for the d=1
-interaction force.
+interaction force, the angular reduction of the interaction integral, and
+the flow residual written term by term from the profile values.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import i0
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -80,6 +82,58 @@ def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:
     cut = zlen + 40.0
     return p * (piece(near, -0.5 * zlen, 0.0) + piece(near, 0.0, cut)
                 + piece(far, -cut, -zlen) + piece(far, -zlen, -0.5 * zlen))
+
+
+def interaction_weight(d: int, r) -> np.ndarray:
+    """Integral of e^(-x1) over the sphere of radius r (area element included).
+
+    Reduces the non-radial interaction integral to one dimension.
+    """
+    r = np.asarray(r, dtype=float)
+    if d == 1:
+        return 2.0 * np.cosh(r)
+    if d == 2:
+        return 2.0 * np.pi * r * i0(r)
+    raise ValueError(f"interaction weight implemented for d in (1, 2), got {d}")
+
+
+def ansatz_residual_direct(params, derivs, gs, grid) -> np.ndarray:
+    """Flow residual of the two-bubble ansatz, term by term from the renormalized equation.
+
+    Builds each bubble from gs.q_at/gs.dq_at at the lattice offsets, with the
+    Laplacian taken through the profile equation; independent of the
+    assembled modulation-vector form.
+    """
+    p = gs.p
+    rel = derivs.lam_dot / params.lam
+    total = np.zeros(grid.shape, dtype=complex)
+    P = np.zeros(grid.shape, dtype=complex)
+    for k in (1, 2):
+        sgn = 1.0 if k == 1 else -1.0
+        v_k = params.bubble_velocity(k)
+        zd_k = sgn * 0.5 * derivs.z_dot
+        vd_k = sgn * 0.5 * derivs.v_dot
+        offs = [x - c for x, c in zip(grid.x_mesh, params.bubble_center(k))]
+        r = np.sqrt(sum(o ** 2 for o in offs))
+        phase = np.exp(1j * sum(vc * o for vc, o in zip(v_k, offs)))
+        q = gs.q_at(r)
+        dq = gs.dq_at(r)
+        with np.errstate(invalid="ignore"):
+            unit = [np.where(r > 0, o / np.maximum(r, 1e-300), 0.0) for o in offs]
+        grad_q = [dq * u for u in unit]
+        pk = phase * q
+        P += pk
+        # i dP_k/ds
+        idot = phase * ((-sum(vd * o for vd, o in zip(vd_k, offs))
+                         + float(v_k @ zd_k)) * q
+                        - 1j * sum(zd * gq for zd, gq in zip(zd_k, grad_q)))
+        # Laplacian through the profile equation
+        lap = phase * ((q - q ** p) + 2j * sum(vc * gq for vc, gq in zip(v_k, grad_q))
+                       - float(v_k @ v_k) * q)
+        grad_pk = [phase * (gq + 1j * vc * q) for gq, vc in zip(grad_q, v_k)]
+        lam_pk = 2.0 / (p - 1.0) * pk + sum(x * gp for x, gp in zip(grid.x_mesh, grad_pk))
+        total += idot + lap - pk - 1j * rel * lam_pk + (1.0 - derivs.gamma_dot) * pk
+    return total + np.abs(P) ** (p - 1.0) * P
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -6,11 +8,10 @@ from scipy.special import kv
 from twobubble.errors import InvalidExponent, NonConvergence, WindowTooNoisy
 from twobubble.groundstate import (GroundState, _decay_shape_deriv, asymptotic_constant,
                                    closed_form_profile, closed_form_q0,
-                                   decay_shape, interaction_weight,
-                                   ode_residual, solve_profile, sphere_area,
+                                   decay_shape, ode_residual, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import shoot_q0
+from oracles import interaction_weight, shoot_q0
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -68,6 +69,14 @@ def test_profile_monotone_positive(gs1, gs2):
 def test_ode_residual_small(gs1, gs2):
     assert np.max(np.abs(ode_residual(gs1))) < 1e-6
     assert np.max(np.abs(ode_residual(gs2))) < 1e-6
+
+
+def test_ode_residual_sees_the_core(gs1):
+    # a bump in the core samples of q breaks the equation at r = 0 too
+    bump = 1e-5 * np.clip(1.0 - (gs1.r / 0.5) ** 2, 0.0, None) ** 2
+    bent = dataclasses.replace(gs1, q=gs1.q + bump)
+    assert abs(ode_residual(gs1)[0]) < 1e-6
+    assert abs(ode_residual(bent)[0]) > 1e-6
 
 
 def test_pohozaev_weak_residuals(gs1):

@@ -14,8 +14,8 @@ COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 
 def exact_two_bubble(params, gs, grid):
     pref = np.exp(1j * params.gamma) * params.lam ** (-2.0 / (gs.p - 1.0))
-    return nc.ComplexField(grid, pref * mf.ansatz_on_lattice(params, gs, grid,
-                                                             lam_scaled=True))
+    scaled = [x / params.lam for x in grid.x_mesh]
+    return nc.ComplexField(grid, pref * mf.ansatz_on_lattice(params, gs, scaled))
 
 
 def soliton_carrier(gs, grid, values):
@@ -116,6 +116,20 @@ def test_tracking_mode(gs1, grid_2048_64):
     assert abs(res.params.z[0] - 13.0) < 1e-10
     assert abs(res.params.lam - 1.01) < 1e-10
     assert np.array_equal(res.params.v, [0.025])
+
+
+def test_projections_are_snapshot_residual(gs1, grid_2048_64):
+    # a slightly wrong slaved velocity leaves a nonzero i grad Q pairing
+    true = BubbleParams(lam=1.01, z=[13.0], gamma=-0.4, v=[0.025])
+    u = exact_two_bubble(true, gs1, grid_2048_64)
+    res = mf.decompose(u, true, gs1, mode="tracking", v_override=[0.03])
+    fit = res.params
+    theta = np.concatenate([[fit.lam], fit.z, [fit.gamma], fit.v])
+    full = mf._Workspace(u, gs1, "snapshot", None).residual_jacobian(theta)[0]
+    got = np.concatenate([[res.projections["Q"]], res.projections["yQ"],
+                          [res.projections["iLamQ"]], res.projections["igradQ"]])
+    assert np.max(np.abs(got - full)) <= 1e-15
+    assert abs(res.projections["igradQ"][0]) > 1e-6
 
 
 def test_tracking_requires_velocity(gs1, grid_2048_64):
