@@ -387,6 +387,8 @@ def run_sweep(configs: list[ShootConfig], registry_path,
     """Run one shot per config (bracket midpoint), appending to the registry.
 
     Idempotent: configs whose hash already sits in the registry are skipped.
+    The registry is opened for append before the first shot, so an
+    unwritable path fails at once.
     """
     seen = set()
     try:
@@ -398,6 +400,12 @@ def run_sweep(configs: list[ShootConfig], registry_path,
         pass
     except OSError as exc:
         raise IoFailure(f"cannot read registry: {exc}") from exc
+    if not configs:
+        return []
+    try:
+        open(registry_path, "a").close()
+    except OSError as exc:
+        raise IoFailure(f"cannot append to registry: {exc}") from exc
 
     results = []
     for config in configs:

@@ -218,14 +218,15 @@ def recentered_error(u: ComplexField, params: BubbleParams,
 
 
 def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
-              mode: str = "snapshot", v_override=None, with_fields: bool = True,
+              mode: str = "snapshot", v_override=None, with_fields: bool = False,
               max_iter: int = 40, xtol: float = 1e-12,
               trust_radius: float = 5.0) -> DecompResult:
     """Newton solve of the orthogonality conditions around a parameter guess.
 
     tracking mode fits (lambda, z, gamma) with v supplied by the caller;
     snapshot mode promotes the i grad Q condition to an equation and fits v
-    as well.
+    as well.  with_fields=True also returns eta1, through a dense
+    trigonometric resample that costs far more than the fit at large N.
     """
     if mode not in ("snapshot", "tracking"):
         raise NoConvergence(f"unknown mode {mode!r}")
@@ -359,7 +360,8 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
     grads = [np.fft.ifftn(1j * k * eh) for k in g.k_mesh]
     grad2 = sum(float(np.sum(np.abs(gr) ** 2)) * vol for gr in grads)
 
-    quad_part = 0.5 * (a * l2 + a * lam ** 2 * grad2)
+    eps_h1_sq = a * l2 + a * lam ** 2 * grad2
+    quad_part = 0.5 * eps_h1_sq
 
     # potential part: int |P+eps|^{p+1} - |P|^{p+1} - (p+1)|P|^{p-1} Re(eps conj(P))
     w_scaled = np.exp(-1j * params.gamma) * lam ** (2.0 / (p - 1.0)) * u.values
@@ -378,4 +380,4 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
         J_val += b * float(np.sum(dens * chi)) * vol
 
     return {"W": H_val - J_val, "H": H_val, "J": J_val,
-            "eps_h1": renormalized_h1(ComplexField(g, eps_lab), lam, p)}
+            "eps_h1": float(np.sqrt(eps_h1_sq))}

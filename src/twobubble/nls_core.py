@@ -1,17 +1,24 @@
 """Periodic spectral representation and split-step propagator.
 
 Evolves i u_t = -Delta u - |u|^(p-1) u on a uniform periodic box with Strang
-splitting; sign conventions are fixed so that e^(it) Q is stationary.
+splitting; sign conventions are fixed so that e^(it) Q is stationary.  One
+kernel serves both orders, d = 1 and 2 and either sign of dt: each step runs
+in preallocated buffers, transforms in place with scipy.fft, and applies the
+nonlinear phase as cos + i sin of dt (re^2 + im^2)^((p-1)/2).  Snapshots are
+checked on read and replaced atomically on write.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft as sfft
 
-from .errors import Overflow, ResolutionTooLow, StepTooLarge
+from .errors import IoFailure, Overflow, ResolutionTooLow, StepTooLarge
 
 BLOWUP_FACTOR = 1e3
 
@@ -158,35 +165,91 @@ def observables(u: ComplexField, p: float) -> Observables:
 
 
 def write_snapshot(path, u: ComplexField, t: float) -> None:
-    """Flat little-endian snapshot: header (d, N, L, t) then re/im doubles."""
+    """Flat little-endian snapshot: header (d, N, L, t) then re/im doubles.
+
+    The file is written under a temporary name in the same directory and
+    moved into place, so a reader never sees a partial snapshot.
+    """
     header = np.array([u.grid.d, u.grid.N, u.grid.L, t], dtype="<f8")
     flat = u.values.ravel()
     body = np.empty(2 * flat.size, dtype="<f8")
     body[0::2] = flat.real
     body[1::2] = flat.imag
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        body.tofile(fh)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            header.tofile(fh)
+            body.tofile(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise IoFailure(f"cannot write snapshot {path}: {exc}") from exc
 
 
 def read_snapshot(path) -> tuple[ComplexField, float]:
-    raw = np.fromfile(path, dtype="<f8")
-    d, N, L, t = int(raw[0]), int(raw[1]), float(raw[2]), float(raw[3])
-    grid = make_grid(d, N, L)
+    """Read a snapshot, checking its header against the body length."""
+    try:
+        raw = np.fromfile(path, dtype="<f8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read snapshot {path}: {exc}") from exc
+    if raw.size < 4:
+        raise IoFailure(f"snapshot {path}: {raw.size} doubles, shorter than the header")
+    d, N, L, t = raw[:4]
+    if d not in (1.0, 2.0):
+        raise IoFailure(f"snapshot {path}: dimension {d} is not 1 or 2")
+    if not (1.0 <= N <= 2.0 ** 30 and N == int(N) and int(N) & (int(N) - 1) == 0):
+        raise IoFailure(f"snapshot {path}: N = {N} is not a power of two")
+    if not (np.isfinite(L) and L > 0 and np.isfinite(t)):
+        raise IoFailure(f"snapshot {path}: bad header L = {L}, t = {t}")
+    d, N = int(d), int(N)
     body = raw[4:]
+    if body.size != 2 * N ** d:
+        raise IoFailure(f"snapshot {path}: body has {body.size} doubles, "
+                        f"header (d={d}, N={N}) needs {2 * N ** d}")
+    grid = make_grid(d, N, float(L))
     values = (body[0::2] + 1j * body[1::2]).reshape(grid.shape)
-    return ComplexField(grid, values), t
+    return ComplexField(grid, values), float(t)
 
 
-def _strang_chunk(values: np.ndarray, lin_half: np.ndarray, dt: float,
-                  p: float, n_steps: int, sup_guard: float) -> np.ndarray:
-    """n_steps of Strang splitting, drift-first with merged half drifts."""
-    lin_full = lin_half * lin_half
-    v = np.fft.ifftn(lin_half * np.fft.fftn(values))
+def _strang_chunk(values: np.ndarray, k_sq: np.ndarray, dt: float, p: float,
+                  n_steps: int, sup_guard: float,
+                  weights: tuple[float, ...] = (1.0,)) -> np.ndarray:
+    """n_steps of Strang splitting, drift-first with merged half drifts.
+
+    A step is the composition of Strang sub-steps of size w * dt, w in
+    weights; the half drifts that meet between sub-steps and between steps
+    are merged into one linear factor.  The first forward transform writes a
+    new array, so the caller's values are never touched; every later
+    transform and product runs in place on the kernel's own buffers.  The
+    nonlinear phase dt |v|^(p-1) is built from re^2 + im^2 and applied as
+    cos + i sin.  The sup-norm guard is checked every 64 steps.
+    """
+    halves = [np.exp(-0.5j * w * dt * k_sq) for w in weights]
+    joins = [h * halves[(j + 1) % len(halves)] for j, h in enumerate(halves)]
+    fft, ifft = (sfft.fft, sfft.ifft) if values.ndim == 1 else (sfft.fftn, sfft.ifftn)
+    half_power = 0.5 * (p - 1.0)
+    squares = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+    phase = np.empty(values.shape)
+    rot = np.empty(values.shape, dtype=complex)
+    v = fft(np.asarray(values, dtype=complex))
+    v *= halves[0]
+    v = ifft(v, overwrite_x=True)
+    last = len(weights) - 1
     for step in range(n_steps):
-        v = v * np.exp(1j * dt * np.abs(v) ** (p - 1.0))
-        v = np.fft.ifftn((lin_full if step < n_steps - 1 else lin_half)
-                         * np.fft.fftn(v))
+        for j, w in enumerate(weights):
+            # |v|^2 as the pairwise sum of the squared re/im doubles
+            np.square(v.view(np.float64), out=squares)
+            np.add(squares[..., 0::2], squares[..., 1::2], out=phase)
+            if half_power != 1.0:
+                np.power(phase, half_power, out=phase)
+            phase *= w * dt
+            np.cos(phase, out=rot.real)
+            np.sin(phase, out=rot.imag)
+            v *= rot
+            v = fft(v, overwrite_x=True)
+            v *= halves[last] if step == n_steps - 1 and j == last else joins[j]
+            v = ifft(v, overwrite_x=True)
         if not step % 64 or step == n_steps - 1:
             m = np.max(np.abs(v))
             if not np.isfinite(m) or m > sup_guard:
@@ -208,18 +271,12 @@ def propagate(u: ComplexField, dt: float, n_steps: int, p: float,
         raise StepTooLarge(
             f"per-step nonlinear phase {abs(dt) * sup0 ** (p - 1):.3f} >= 1")
     guard = blowup_factor * max(sup0, 1e-300)
-    g = u.grid
     if order == 2:
-        lin = np.exp(-0.5j * dt * g.k_sq)
-        v = _strang_chunk(u.values, lin, dt, p, n_steps, guard)
+        weights = (1.0,)
     elif order == 4:
         w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-        w0 = 1.0 - 2.0 * w1
-        lins = {w: np.exp(-0.5j * w * dt * g.k_sq) for w in (w0, w1)}
-        v = u.values
-        for _ in range(n_steps):
-            for w in (w1, w0, w1):
-                v = _strang_chunk(v, lins[w], w * dt, p, 1, guard)
+        weights = (w1, 1.0 - 2.0 * w1, w1)
     else:
         raise StepTooLarge(f"unsupported order {order}")
-    return ComplexField(g, v)
+    g = u.grid
+    return ComplexField(g, _strang_chunk(u.values, g.k_sq, dt, p, n_steps, guard, weights))

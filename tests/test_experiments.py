@@ -173,7 +173,12 @@ def test_run_sweep(tmp_path, gs1, sc1):
     assert len(registry.read_text().splitlines()) == 3
 
 
-def test_registry_io_failure(tmp_path):
+def test_registry_io_failure(tmp_path, monkeypatch):
+    # an unwritable registry must fail before any shot runs
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a shot ran before the registry was opened")
+
+    monkeypatch.setattr(ex, "backward_shoot", no_shot)
     bad = tmp_path / "no_dir" / "registry.jsonl"
     cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
     with pytest.raises(IoFailure):

@@ -249,3 +249,16 @@ def test_energy_quadratic_scaling(gs1, grid_2048_64):
         ratios.append(mf.energy_functional(u, params, 50.0, gs1)["W"] / t ** 2)
     assert abs(ratios[1] / ratios[2] - 1.0) < 1e-2
     assert abs(ratios[0] / ratios[2] - 1.0) < 2e-1
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.97, 1.04])
+def test_energy_eps_h1_is_renormalized_h1(gs1, grid_2048_64, lam):
+    g = grid_2048_64
+    params = BubbleParams(lam=lam, z=[14.0], gamma=0.4, v=[0.01])
+    rng = np.random.default_rng(5)
+    u = nc.ComplexField(g, exact_two_bubble(params, gs1, g).values
+                        + 1e-3 * random_smooth_field(g, rng, envelope_scale=16.0))
+    out = mf.energy_functional(u, params, 80.0, gs1)
+    ref = mf.renormalized_h1(mf.lab_frame_error(u, params, gs1), lam, gs1.p)
+    assert out["eps_h1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert ref > 1e-4

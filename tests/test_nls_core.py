@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import simpson
 
 from twobubble import nls_core as nc
-from twobubble.errors import Overflow, ResolutionTooLow, StepTooLarge
+from twobubble.errors import IoFailure, Overflow, ResolutionTooLow, StepTooLarge
+
+from oracles import strang_reference
 
 
 def soliton_field(gs, grid, boost=0.0, amp=1.0):
@@ -151,6 +153,35 @@ def test_snapshot_roundtrip(tmp_path, gs1, grid_1024_32):
     assert t == 1.75
     assert v.grid == u.grid
     assert np.array_equal(v.values, u.values)
+    assert [f.name for f in tmp_path.iterdir()] == ["field.snap"]
+
+
+def test_snapshot_truncated(tmp_path, gs1, grid_1024_32):
+    path = tmp_path / "field.snap"
+    nc.write_snapshot(path, soliton_field(gs1, grid_1024_32), 0.5)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    with pytest.raises(IoFailure, match="body"):
+        nc.read_snapshot(path)
+    path.write_bytes(raw[:16])
+    with pytest.raises(IoFailure, match="header"):
+        nc.read_snapshot(path)
+
+
+def test_snapshot_header_not_power_of_two(tmp_path):
+    path = tmp_path / "field.snap"
+    header = np.array([1.0, 1000.0, 32.0, 0.0], dtype="<f8")
+    body = np.zeros(2 * 1000, dtype="<f8")
+    path.write_bytes(header.tobytes() + body.tobytes())
+    with pytest.raises(IoFailure, match="power of two"):
+        nc.read_snapshot(path)
+
+
+def test_snapshot_write_failure(tmp_path, gs1, grid_1024_32):
+    with pytest.raises(IoFailure):
+        nc.write_snapshot(tmp_path / "no_dir" / "field.snap",
+                          soliton_field(gs1, grid_1024_32), 0.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_2d_grid_observables(gs2):
@@ -161,3 +192,40 @@ def test_2d_grid_observables(gs2):
     from twobubble.groundstate import structure_constants
     assert obs.mass == pytest.approx(structure_constants(gs2).l2, rel=1e-8)
     assert np.max(np.abs(obs.momentum)) < 1e-12
+
+
+def reference_propagate(u, dt, n_steps, p, order):
+    """The split-step composition of propagate, on the allocating oracle loop."""
+    def lin(w):
+        return np.exp(-0.5j * w * dt * u.grid.k_sq)
+
+    if order == 2:
+        return strang_reference(u.values, lin(1.0), dt, p, n_steps, np.inf)
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    v = u.values
+    for _ in range(n_steps):
+        for w in (w1, w0, w1):
+            v = strang_reference(v, lin(w), w * dt, p, 1, np.inf)
+    return v
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+@pytest.mark.parametrize("p, d, N, L, gs_name", [
+    (3.0, 1, 2048, 64.0, "gs1"), (1.8, 1, 2048, 64.0, "gs18"), (3.0, 2, 64, 12.0, "gs2")])
+def test_kernel_matches_reference(request, p, d, N, L, gs_name, dt, order):
+    gs = request.getfixturevalue(gs_name)
+    grid = nc.make_grid(d, N, L)
+    # two boosted bubbles of unequal mass, so both flows are nontrivial
+    r1 = np.sqrt(sum((x - (2.0 if m == 0 else 0.0)) ** 2 for m, x in enumerate(grid.x_mesh)))
+    r2 = np.sqrt(sum((x + (2.0 if m == 0 else 0.0)) ** 2 for m, x in enumerate(grid.x_mesh)))
+    vals = (1.1 * gs.q_at(r1) * np.exp(0.3j * grid.x_mesh[0])
+            + 0.9 * gs.q_at(r2) * np.exp(-0.2j * grid.x_mesh[0]))
+    u = nc.field_from_values(grid, vals)
+    before = u.values.copy()
+    out = nc.propagate(u, dt, 250, p, order=order)
+    ref = reference_propagate(u, dt, 250, p, order)
+    assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(u.values, before)
+    assert not np.shares_memory(out.values, u.values)
