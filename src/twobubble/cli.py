@@ -12,10 +12,11 @@ import numpy as np
 
 from . import experiments as ex
 from .ansatz import BubbleParams, build_two_bubble, force_asymptotic, interaction_force_H
+from .errors import InvalidConfig, IoFailure
 from .groundstate import asymptotic_constant, solve_profile, structure_constants
 from .modulation_fit import decompose
 from .nls_core import make_grid, observables, propagate, read_snapshot, \
-    write_snapshot
+    write_atomically, write_snapshot
 from .reduced_dynamics import ReducedState, integrate_reduced, toy_double_pole
 
 
@@ -163,12 +164,28 @@ def cmd_fit(args) -> int:
 
 def _load_shoot_config(path) -> ex.ShootConfig:
     raw = parse_config_file(path)
-    known = {f for f in ex.ShootConfig.__dataclass_fields__}
-    return ex.ShootConfig(**{k: v for k, v in raw.items() if k in known})
+    known = set(ex.ShootConfig.__dataclass_fields__)
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown keys {', '.join(unknown)}; "
+                            f"known keys are {', '.join(sorted(known))}")
+    return ex.ShootConfig(**raw)
+
+
+def _check_out_dirs(*paths) -> None:
+    """Fail before any shot runs when an output file's directory is missing."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise IoFailure(f"cannot write {path}: no directory {Path(path).parent}")
+
+
+def _write_record(path, record: ex.RunRecord) -> None:
+    write_atomically(path, "run record", json.dumps(record.to_dict()).encode())
 
 
 def cmd_shoot(args) -> int:
     config = _load_shoot_config(args.config)
+    _check_out_dirs(args.record_out, args.csv_out)
     zeta = args.zeta_sharp if args.zeta_sharp is not None \
         else 0.5 * (config.zeta_bracket[0] + config.zeta_bracket[1])
     record = ex.backward_shoot(config, zeta)
@@ -177,7 +194,7 @@ def cmd_shoot(args) -> int:
                       "wall_time": record.wall_time,
                       "n_samples": len(record.samples)}, indent=2))
     if args.record_out:
-        Path(args.record_out).write_text(json.dumps(record.to_dict()))
+        _write_record(args.record_out, record)
     if args.csv_out:
         ex.write_trajectory_csv(record, args.csv_out)
     return 0
@@ -185,13 +202,14 @@ def cmd_shoot(args) -> int:
 
 def cmd_bisect(args) -> int:
     config = _load_shoot_config(args.config)
+    _check_out_dirs(args.record_out)
     out = ex.bisect_zeta(config)
     record = out["record"]
     print(json.dumps({"zeta_sharp_star": out["zeta_sharp_star"],
                       "exit": record.exit, "deepest_s": record.deepest_s,
                       "history": out["history"]}, indent=2))
     if args.record_out:
-        Path(args.record_out).write_text(json.dumps(record.to_dict()))
+        _write_record(args.record_out, record)
     return 0
 
 

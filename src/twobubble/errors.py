@@ -70,4 +70,8 @@ class WindowTooShort(TwoBubbleError):
 
 
 class IoFailure(TwoBubbleError):
-    """Registry or snapshot I/O failed."""
+    """Registry, run record or snapshot I/O failed."""
+
+
+class InvalidConfig(TwoBubbleError):
+    """Configuration file names a key the experiment does not know."""

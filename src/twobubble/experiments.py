@@ -388,22 +388,38 @@ def run_sweep(configs: list[ShootConfig], registry_path,
 
     Idempotent: configs whose hash already sits in the registry are skipped.
     The registry is opened for append before the first shot, so an
-    unwritable path fails at once.
+    unwritable path fails at once.  A torn last line (an append cut short:
+    no newline and not JSON) is skipped and cut off before the first
+    append; any other line that does not parse raises ``IoFailure``.
     """
     seen = set()
     try:
-        with open(registry_path) as fh:
-            for line in fh:
-                if line.strip():
-                    seen.add(json.loads(line).get("hash"))
+        with open(registry_path, "rb") as fh:
+            lines = fh.read().split(b"\n")
     except FileNotFoundError:
-        pass
+        lines = []
     except OSError as exc:
         raise IoFailure(f"cannot read registry: {exc}") from exc
+    torn_at = None
+    offset = 0
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                seen.add(json.loads(line).get("hash"))
+            except (ValueError, AttributeError) as exc:
+                if number < len(lines):
+                    raise IoFailure(f"registry {registry_path}: line {number} "
+                                    f"is not a JSON record ({exc})") from exc
+                torn_at = offset
+        offset += len(line) + 1
     if not configs:
         return []
     try:
-        open(registry_path, "a").close()
+        with open(registry_path, "ab") as fh:
+            if torn_at is not None:
+                fh.truncate(torn_at)
+            elif lines and lines[-1]:
+                fh.write(b"\n")
     except OSError as exc:
         raise IoFailure(f"cannot append to registry: {exc}") from exc
 

@@ -6,14 +6,22 @@ Computes the positive decaying solution of
 
 by bisection shooting on q(0), plus the scalar constants the rest of the
 package consumes (tail amplitude, interaction integral, scaling pairings).
+
+q and q' are interpolated on the uniform mesh by k=5 splines, stored as one
+table of Taylor coefficients per mesh cell: on cell j = floor(r/h),
+with t = r/h - j, the value is sum_k c_k[j] t^k.  An evaluation is an
+integer gather and a Horner pass, at the same cost for sorted and shuffled
+radii.  Beyond ``r_max`` the profile follows its matched linear tail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad, simpson, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import gamma as gamma_fn
@@ -24,6 +32,19 @@ from .errors import InvalidExponent, NonConvergence, QuadratureFailure, WindowTo
 _OVERSHOOT = -1
 _UNDERSHOOT = +1
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
+
+# Row k holds the t^k coefficients, on one cell of a uniform knot sequence,
+# of the six cardinal quintic B-splines that are nonzero there (oldest first).
+_CARDINAL_QUINTIC = np.array([[1.0, 26.0, 66.0, 26.0, 1.0, 0.0],
+                              [-5.0, -50.0, 0.0, 50.0, 5.0, 0.0],
+                              [10.0, 20.0, -60.0, 20.0, 10.0, 0.0],
+                              [-10.0, 20.0, 0.0, -20.0, 10.0, 0.0],
+                              [5.0, -20.0, 30.0, -20.0, 5.0, 0.0],
+                              [-1.0, 5.0, -10.0, 10.0, -5.0, 1.0]]) / 120.0
+# cells this close to either end have B-splines on the repeated end knots
+_EDGE_CELLS = 8
+# points per pass of the array evaluator, which bounds its temporaries
+_CHUNK = 1 << 14
 
 
 def sobolev_limit(d: int) -> float:
@@ -72,9 +93,11 @@ def _decay_shape_deriv(d: int, r) -> np.ndarray:
 class GroundState:
     """Sampled radial profile with its shooting metadata.
 
-    Samples live on a uniform mesh in r; values beyond ``r_max`` follow the
-    matched linear tail ``tail_amplitude * decay_shape``.  Instances are
-    immutable and safe to share between threads.
+    Samples live on a uniform mesh in r.  Between samples q and q' are their
+    k=5 interpolating splines, evaluated through per-cell Taylor tables
+    built on first use; values beyond ``r_max`` follow the matched linear
+    tail ``tail_amplitude * decay_shape``.  Instances are immutable and safe
+    to share between threads.
     """
 
     p: float
@@ -88,33 +111,96 @@ class GroundState:
     bracket_width: float
 
     @cached_property
-    def _spline_q(self):
-        return make_interp_spline(self.r, self.q, k=5)
+    def _cell_width(self) -> float:
+        return self.r_max / (self.r.size - 1)
 
     @cached_property
-    def _spline_dq(self):
-        return make_interp_spline(self.r, self.dq, k=5)
+    def _q_cells(self) -> np.ndarray:
+        return _cell_coefficients(self.r, self.q, self._cell_width)
 
-    def _eval(self, rr, spline, tail) -> np.ndarray:
+    @cached_property
+    def _dq_cells(self) -> np.ndarray:
+        return _cell_coefficients(self.r, self.dq, self._cell_width)
+
+    def _eval(self, rr, cells: np.ndarray, tail) -> np.ndarray:
+        """Cell polynomials up to ``r_max``, ``tail_amplitude * tail`` beyond."""
         rr = np.asarray(rr, dtype=float)
-        out = np.empty_like(rr)
+        if rr.ndim == 0:
+            x = float(rr)
+            if x <= self.r_max:
+                return np.array(_horner_scalar(cells, x / self._cell_width))
+            return np.array(self.tail_amplitude * tail(self.d, x))
+        out = np.empty(rr.shape)
+        _horner_cells(cells, np.ravel(rr), self._cell_width, out.reshape(-1))
         inside = rr <= self.r_max
-        out[inside] = spline(rr[inside])
         if not inside.all():
             out[~inside] = self.tail_amplitude * tail(self.d, rr[~inside])
         return out
 
     def q_at(self, rr) -> np.ndarray:
         """Profile value at arbitrary radii (spline inside, matched tail outside)."""
-        return self._eval(rr, self._spline_q, decay_shape)
+        return self._eval(rr, self._q_cells, decay_shape)
 
     def dq_at(self, rr) -> np.ndarray:
-        return self._eval(rr, self._spline_dq, _decay_shape_deriv)
+        return self._eval(rr, self._dq_cells, _decay_shape_deriv)
 
     def lam_q_at(self, rr) -> np.ndarray:
         """Radial part of the scaling generator, 2/(p-1) q + r q'."""
         rr = np.asarray(rr, dtype=float)
         return 2.0 / (self.p - 1.0) * self.q_at(rr) + rr * self.dq_at(rr)
+
+
+def _cell_coefficients(r: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    """Taylor coefficients, one column per cell, of the k=5 interpolant of y.
+
+    Row k holds c_k[j] = s^(k)(r_j) h^k / k! of the spline s through (r, y)
+    on the uniform mesh r, so that s(r_j + t h) = sum_k c_k[j] t^k.  Cells
+    whose B-splines all have uniform knots take the cardinal matrix times
+    their six B-spline coefficients; the cells next to the repeated end
+    knots take the spline's derivatives at r_j.
+    """
+    spline = make_interp_spline(r, y, k=5)
+    n_cells = r.size - 1
+    cells = np.empty((6, n_cells))
+    j = np.arange(n_cells)
+    edge = (j < _EDGE_CELLS) | (j >= n_cells - _EDGE_CELLS)
+    # the B-splines on the knot interval [r_j, r_j+1] are those numbered j-2 .. j+3
+    windows = sliding_window_view(spline.c, 6)[j[~edge] - 2]
+    cells[:, ~edge] = _CARDINAL_QUINTIC @ windows.T
+    for k in range(6):
+        cells[k, edge] = spline(r[:-1][edge], nu=k) * (h ** k / math.factorial(k))
+    return cells
+
+
+def _horner_scalar(cells: np.ndarray, s: float) -> float:
+    """Cell polynomial at s = r/h for one radius; same operations as _horner_cells."""
+    n_cells = cells.shape[1]
+    s = min(s, float(n_cells))
+    j = min(max(int(s), 0), n_cells - 1)
+    t = s - j
+    c0, c1, c2, c3, c4, c5 = cells[:, j].tolist()
+    return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
+
+
+def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Write the cell polynomials at the 1-d radii rr into out, chunk by chunk.
+
+    s = r/h is capped at the cell count, so every r >= r_max reads the last
+    cell at t = 1, and j = floor(s) is clamped to the cell range on both
+    sides, because a negative index would wrap.  Temporaries are at most
+    one chunk long.
+    """
+    n_cells = cells.shape[1]
+    for a in range(0, rr.size, _CHUNK):
+        o = out[a:a + _CHUNK]
+        s = np.fmin(rr[a:a + _CHUNK] / h, n_cells)
+        j = np.fmin(s, n_cells - 1).astype(np.intp)
+        np.maximum(j, 0, out=j)
+        s -= j
+        cells[5].take(j, out=o, mode="clip")
+        for k in (4, 3, 2, 1, 0):
+            o *= s
+            o += cells[k].take(j, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -376,7 +462,13 @@ def structure_constants(gs: GroundState, quad_tol: float = 1e-9,
 
 def ode_residual(gs: GroundState) -> np.ndarray:
     """Pointwise residual q'' + (d-1)/r q' - q + q^p on the mesh."""
-    d2 = gs._spline_dq.derivative()(gs.r)
+    # q'' on cell j is the t-derivative of the q' polynomial over h; the last
+    # mesh point is t = 1 of the last cell
+    cells = gs._dq_cells
+    d2 = np.empty_like(gs.r)
+    d2[:-1] = cells[1]
+    d2[-1] = np.arange(1.0, 6.0) @ cells[1:, -1]
+    d2 /= gs._cell_width
     with np.errstate(divide="ignore", invalid="ignore"):
         geom = np.where(gs.r > 0, (gs.d - 1.0) / gs.r * gs.dq, 0.0)
     res = d2 + geom - gs.q + gs.q ** gs.p

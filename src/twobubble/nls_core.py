@@ -164,27 +164,37 @@ def observables(u: ComplexField, p: float) -> Observables:
                        variance=variance, h1=float(h1))
 
 
+def write_atomically(path, what: str, *chunks) -> None:
+    """Write the byte buffers ``chunks`` (bytes or contiguous arrays) as one file.
+
+    The file is written under a temporary name in the same directory and
+    moved into place, so a reader never sees a partial file.  An ``OSError``
+    removes the temporary file and raises ``IoFailure`` naming ``what``.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
 def write_snapshot(path, u: ComplexField, t: float) -> None:
     """Flat little-endian snapshot: header (d, N, L, t) then re/im doubles.
 
-    The file is written under a temporary name in the same directory and
-    moved into place, so a reader never sees a partial snapshot.
+    Written through ``write_atomically``, so a reader never sees a partial
+    snapshot.
     """
     header = np.array([u.grid.d, u.grid.N, u.grid.L, t], dtype="<f8")
     flat = u.values.ravel()
     body = np.empty(2 * flat.size, dtype="<f8")
     body[0::2] = flat.real
     body[1::2] = flat.imag
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            header.tofile(fh)
-            body.tofile(fh)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise IoFailure(f"cannot write snapshot {path}: {exc}") from exc
+    write_atomically(path, "snapshot", header, body)
 
 
 def read_snapshot(path) -> tuple[ComplexField, float]:

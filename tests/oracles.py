@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the package's own numerics: fixed-step
-classic RK4 and plain bisection for the profile, scipy's adaptive
-quadrature (not the package's fixed Gauss-Legendre rule) for the d=1
-interaction force, the angular reduction of the interaction integral, the
-flow residual written term by term from the profile values, and the
-split-step loop in numpy's allocating array idiom.
+classic RK4 and plain bisection for the profile, scipy's B-spline
+evaluation of the profile interpolants (not the package's per-cell Taylor
+table), scipy's adaptive quadrature (not the package's fixed
+Gauss-Legendre rule) for the d=1 interaction force, the angular reduction
+of the interaction integral, the flow residual written term by term from
+the profile values, and the split-step loop in numpy's allocating array
+idiom.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import make_interp_spline
 from scipy.special import i0
 
 from twobubble.errors import Overflow
+from twobubble.groundstate import _decay_shape_deriv, decay_shape
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -56,6 +60,30 @@ def shoot_q0(p: float, d: int, h: float = 1e-3, bracket_width: float = 1e-8,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def profile_spline_reference(gs):
+    """q and q' of a ground state through scipy's k=5 B-splines, as functions of r.
+
+    The same interpolants the package tabulates per mesh cell, evaluated in
+    B-form (de Boor's recurrence); beyond r_max the matched linear tail.
+    """
+
+    def evaluator(values, tail):
+        spline = make_interp_spline(gs.r, values, k=5)
+
+        def at(rr):
+            rr = np.asarray(rr, dtype=float)
+            out = np.empty_like(rr)
+            inside = rr <= gs.r_max
+            out[inside] = spline(rr[inside])
+            if not inside.all():
+                out[~inside] = gs.tail_amplitude * tail(gs.d, rr[~inside])
+            return out
+
+        return at
+
+    return evaluator(gs.q, decay_shape), evaluator(gs.dq, _decay_shape_deriv)
 
 
 def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from twobubble import experiments as ex
 from twobubble.cli import main, parse_config_file
+from twobubble.errors import InvalidConfig, IoFailure
 
 
 def run_cli(capsys, *argv):
@@ -102,3 +104,42 @@ def test_shoot_verify_sweep_commands(capsys, tmp_path):
     out = run_cli(capsys, "sweep", "--configs", str(sweep_dir),
                   "--registry", str(registry))
     assert json.loads(out.strip().splitlines()[0])["status"] == "ran"
+
+
+def _no_shot(*args, **kwargs):
+    raise AssertionError("a shot ran")
+
+
+def test_unknown_config_key(tmp_path, monkeypatch):
+    # a typo must not run with the default value
+    monkeypatch.setattr(ex, "backward_shoot", _no_shot)
+    monkeypatch.setattr(ex, "bisect_zeta", _no_shot)
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("p = 3.0\ns_0 = 30\nN = 512\n")
+    for command in ("shoot", "bisect"):
+        with pytest.raises(InvalidConfig, match="unknown keys s_0;") as err:
+            main([command, "--config", str(cfg)])
+        assert "s0" in str(err.value).split("known keys are")[1]
+
+
+def test_record_out_is_atomic(tmp_path, monkeypatch):
+    config = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
+    record = ex.RunRecord(config=config, zeta_sharp=0.0, exit="reached_s0", phi=0,
+                          wall_time=0.5, samples=[{"s": 10.0}])
+    monkeypatch.setattr(ex, "backward_shoot", lambda config, zeta: record)
+    cfg = tmp_path / "shoot.cfg"
+    cfg.write_text("s_in = 12.0\ns0 = 10.0\nN = 512\nL = 16.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    main(["shoot", "--config", str(cfg), "--zeta-sharp", "0.0",
+          "--record-out", str(out / "record.json")])
+    assert [f.name for f in out.iterdir()] == ["record.json"]
+    assert ex.RunRecord.from_dict(json.loads((out / "record.json").read_text())) == record
+
+    # a missing output directory fails before the shot
+    monkeypatch.setattr(ex, "backward_shoot", _no_shot)
+    monkeypatch.setattr(ex, "bisect_zeta", _no_shot)
+    for command in ("shoot", "bisect"):
+        with pytest.raises(IoFailure):
+            main([command, "--config", str(cfg),
+                  "--record-out", str(tmp_path / "missing" / "record.json")])

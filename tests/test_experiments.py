@@ -185,6 +185,56 @@ def test_registry_io_failure(tmp_path, monkeypatch):
         ex.run_sweep([cfg], bad)
 
 
+class _FakeShot:
+    """Stands in for backward_shoot: a record that serializes to its hash only."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, config, zeta, gs, sc):
+        self.calls += 1
+        h = ex.config_hash(config, zeta)
+        return type("Record", (), {"to_dict": lambda self: {"hash": h}})()
+
+
+def test_registry_torn_last_line(tmp_path, monkeypatch, gs1, sc1):
+    # an append cut short leaves a last line without newline that is not JSON
+    shot = _FakeShot()
+    monkeypatch.setattr(ex, "backward_shoot", shot)
+    registry = tmp_path / "registry.jsonl"
+    registry.write_text('{"hash": "aaaa"}\n{"hash": "bbbb", "samp')
+    cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
+    assert [r["status"] for r in ex.run_sweep([cfg], registry, gs1, sc1)] == ["ran"]
+    lines = registry.read_text().splitlines()
+    assert registry.read_text().endswith("\n")
+    assert [json.loads(line)["hash"] for line in lines] == \
+        ["aaaa", ex.config_hash(cfg, 0.0)]
+    assert ex.run_sweep([cfg], registry, gs1, sc1)[0]["status"] == "duplicate"
+
+    # a complete last record without its newline is kept; the next starts a line
+    registry.write_text('{"hash": "aaaa"}')
+    ex.run_sweep([cfg], registry, gs1, sc1)
+    assert [json.loads(line)["hash"] for line in registry.read_text().splitlines()] \
+        == ["aaaa", ex.config_hash(cfg, 0.0)]
+    assert shot.calls == 2
+
+
+def test_registry_corrupt_line(tmp_path, monkeypatch):
+    # a line that does not parse is an error unless it is a torn last line
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a shot ran on a corrupt registry")
+
+    monkeypatch.setattr(ex, "backward_shoot", no_shot)
+    registry = tmp_path / "registry.jsonl"
+    registry.write_text('{"hash": "aaaa"}\n{"hash": "bb\n{"hash": "cccc"}\n')
+    cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
+    with pytest.raises(IoFailure, match="line 2"):
+        ex.run_sweep([cfg], registry)
+    registry.write_text('{"hash": "aaaa"}\n{"hash": "bb\n')
+    with pytest.raises(IoFailure, match="line 2"):
+        ex.run_sweep([cfg], registry)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ShootConfig(s_in=10.0, s0=20.0)

@@ -3,15 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.interpolate import BSpline
 from scipy.special import kv
 
 from twobubble.errors import InvalidExponent, NonConvergence, WindowTooNoisy
-from twobubble.groundstate import (GroundState, _decay_shape_deriv, asymptotic_constant,
+from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState,
+                                   _decay_shape_deriv, asymptotic_constant,
                                    closed_form_profile, closed_form_q0,
                                    decay_shape, ode_residual, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import interaction_weight, shoot_q0
+from oracles import interaction_weight, profile_spline_reference, shoot_q0
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -64,6 +66,53 @@ def test_profile_monotone_positive(gs1, gs2):
         assert np.all(gs.q > 0)
         assert np.all(np.diff(gs.q) < 0)
         assert abs(gs.dq[0]) < 1e-12
+
+
+@pytest.fixture(scope="module", params=[(3.0, 1), (1.8, 1), (3.0, 2)], ids=str)
+def any_gs(request, gs1, gs18, gs2):
+    return {(3.0, 1): gs1, (1.8, 1): gs18, (3.0, 2): gs2}[request.param]
+
+
+def test_cardinal_matrix_is_the_quintic_bspline():
+    # column l is the piece of the B-spline with knots l-5 .. l+1 on [0, 1]
+    t = np.linspace(0.0, 1.0, 17)
+    bspline = BSpline.basis_element(np.arange(7.0), extrapolate=False)
+    powers = t[:, None] ** np.arange(6)
+    for l in range(6):
+        assert np.max(np.abs(powers @ _CARDINAL_QUINTIC[:, l] - bspline(t + 5 - l))) < 1e-15
+
+
+def test_profile_matches_spline_oracle(any_gs):
+    gs = any_gs
+    q_ref, dq_ref = profile_spline_reference(gs)
+    bound = 1e-14 * np.max(np.abs(gs.q))
+    h = gs.r[1] - gs.r[0]
+    n_cells = gs.r.size - 1
+    end_cells = np.r_[0:_EDGE_CELLS, n_cells - _EDGE_CELLS:n_cells]
+    radii = np.concatenate([
+        np.random.default_rng(11).uniform(0.0, gs.r_max, 100_000),
+        [0.0, gs.r_max, -0.4 * h, -1.2 * h],
+        gs.r[end_cells], gs.r[end_cells] + 0.37 * h, gs.r[end_cells + 1] - 1e-9 * h,
+        gs.r[_EDGE_CELLS:_EDGE_CELLS + 3] + 0.5 * h])
+    for ours, ref in ((gs.q_at, q_ref), (gs.dq_at, dq_ref)):
+        assert np.max(np.abs(ours(radii) - ref(radii))) <= bound
+        for x in (0.0, 1.7, gs.r_max, gs.r[end_cells[-1]] + 0.5 * h, gs.r_max + 2.0):
+            for arg in (x, np.float64(x), np.array(x)):
+                val = ours(arg)
+                assert val.shape == ()
+                assert abs(val - ref(np.array([x]))[0]) <= bound
+
+
+def test_profile_shuffled_is_permuted_sorted(gs1):
+    sorted_r = np.linspace(0.0, gs1.r_max + 3.0, 50_001)
+    perm = np.random.default_rng(5).permutation(sorted_r.size)
+    for f in (gs1.q_at, gs1.dq_at):
+        assert np.array_equal(f(sorted_r[perm]), f(sorted_r)[perm])
+        # a scalar call and an array call run the same operations
+        assert f(sorted_r[123]) == f(sorted_r[:200])[123]
+    grid = sorted_r[:40_000].reshape(200, 200)
+    assert np.array_equal(gs1.q_at(grid), gs1.q_at(grid.ravel()).reshape(200, 200))
+    assert np.array_equal(gs1.q_at(grid.T), gs1.q_at(grid).T)
 
 
 def test_ode_residual_small(gs1, gs2):
