@@ -3,19 +3,20 @@
 The configuration is symmetric: bubble centers at +-z/2 carry velocities
 +-v/2 and a common scale and phase.  Every lattice field is built from
 ``LatticeBubble``, one lazily evaluated boosted bubble; the interaction
-force H(z) is a composite Gauss-Legendre rule with a coarse/fine check.
+force H(z) is a composite Gauss-Legendre rule with a coarse/fine check,
+which ``ForceLaw`` interpolates once per ground state for the dynamics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import GroundState, smoothstep, sphere_area
+from .groundstate import GroundState, gl_axis, radial_integral, smoothstep
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -70,10 +71,6 @@ class ModulationVector:
     m_translation: np.ndarray
     m_phase: float
     m_velocity: np.ndarray
-
-    def max_abs(self) -> float:
-        return max(abs(self.m_scale), float(np.max(np.abs(self.m_translation))),
-                   abs(self.m_phase), float(np.max(np.abs(self.m_velocity))))
 
 
 @dataclass(frozen=True)
@@ -209,21 +206,6 @@ def nonlinearity(values: np.ndarray, p: float) -> np.ndarray:
     return np.abs(values) ** (p - 1.0) * values
 
 
-def phase_squared(values: np.ndarray) -> np.ndarray:
-    """(u/|u|)^2 with the convention 0 at u = 0; safe for p < 3 weights."""
-    a = np.abs(values)
-    out = np.zeros_like(values)
-    nz = a > 0
-    out[nz] = (values[nz] / a[nz]) ** 2
-    return out
-
-
-def nonlinearity_derivative(P: np.ndarray, eps: np.ndarray, p: float) -> np.ndarray:
-    """First variation F'(P).eps = (p+1)/2 |P|^(p-1) eps + (p-1)/2 |P|^(p-3) P^2 conj(eps)."""
-    a = np.abs(P) ** (p - 1.0)
-    return 0.5 * (p + 1.0) * a * eps + 0.5 * (p - 1.0) * a * phase_squared(P) * np.conj(eps)
-
-
 def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
     return (nonlinearity(b1.values + b2.values, p) - nonlinearity(b1.values, p)
             - nonlinearity(b2.values, p))
@@ -243,58 +225,35 @@ _FINE_NODES = 12
 _PANEL = {1: 0.25, 2: 0.5}
 
 
-@lru_cache(maxsize=None)
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-def _gl_axis(a: float, b: float, nodes: int, step: float):
-    """Nodes and weights of the composite rule on [a, b], panels at most step wide."""
-    x, w = _leggauss(nodes)
-    edges = np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))
-    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    return (half * x + mid).ravel(), (half * w).ravel()
-
-
 def _force_1d_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Rule split exactly at y = 0, -|z|/2 and -|z|, cut at |z| + 40."""
+    """Rule split exactly at y = 0, -|z|/2 and -|z|, cut at |z| + 40; near nodes
+    (y > -|z|/2) weigh Q^{p-1}(y) Q'(y) Q(y+z), far nodes Q^{p-1}(y+z) Q'(y) Q(y)."""
     p = gs.p
     cut = zlen + 40.0
-    step = _PANEL[1]
-
-    def piece(a, b, near):
-        y, w = _gl_axis(a, b, nodes, step)
-        r, rs = np.abs(y), np.abs(y + zlen)
-        weight = gs.q_at(r if near else rs) ** (p - 1.0)
-        partner = gs.q_at(rs if near else r)
-        return float(w @ (weight * gs.dq_at(r) * np.sign(y) * partner))
-
-    # near: Q^{p-1}(y) Q'(y) Q(y+z) on y > -z/2; far: Q^{p-1}(y+z) Q'(y) Q(y) below
-    total = piece(-0.5 * zlen, 0.0, True) + piece(0.0, cut, True)
-    total += piece(-cut, -zlen, False) + piece(-zlen, -0.5 * zlen, False)
-    return p * total
+    y, w = gl_axis((-cut, -zlen, -0.5 * zlen, 0.0, cut), nodes, _PANEL[1])
+    r = np.abs(y)
+    qr, qs = gs.q_at(np.stack([r, np.abs(y + zlen)]))
+    near = y > -0.5 * zlen
+    weight = np.where(near, qr, qs) ** (p - 1.0)
+    return p * float(w @ (weight * gs.dq_at(r) * np.sign(y) * np.where(near, qs, qr)))
 
 
 def _force_2d_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Tensor rule split exactly at y1 = -|z|/2, z along e1."""
+    """Tensor rule split exactly at y1 = -|z|/2, z along e1, with the near/far
+    weights of the 1d rule; each block makes one q_at and one dq_at call."""
     p = gs.p
-    step = _PANEL[2]
-    y2, w2 = _gl_axis(-30.0, 30.0, nodes, step)
-
-    def block(a, b, near):
-        y1, w1 = _gl_axis(a, b, nodes, step)
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        r = np.hypot(Y1, Y2)
-        rs = np.hypot(Y1 + zlen, Y2)
+    y2, w2 = gl_axis((-30.0, 30.0), nodes, _PANEL[2])
+    total = 0.0
+    for a, b, near in ((-0.5 * zlen, 0.5 * zlen + 30.0, True), (-zlen - 30.0, -0.5 * zlen, False)):
+        y1, w1 = gl_axis((a, b), nodes, _PANEL[2])
+        Y1 = y1[:, None]
+        r = np.hypot(Y1, y2)
+        qr, qs = gs.q_at(np.stack([r, np.hypot(Y1 + zlen, y2)]))
         with np.errstate(invalid="ignore"):
             grad1 = np.where(r > 0, gs.dq_at(r) * Y1 / np.maximum(r, 1e-300), 0.0)
-        weight = gs.q_at(r if near else rs) ** (p - 1.0)
-        partner = gs.q_at(rs if near else r)
-        return float(w1 @ (weight * grad1 * partner) @ w2)
-
-    return p * (block(-0.5 * zlen, 0.5 * zlen + 30.0, True)
-                + block(-zlen - 30.0, -0.5 * zlen, False))
+        weight, partner = (qr, qs) if near else (qs, qr)
+        total += float(w1 @ (weight ** (p - 1.0) * grad1 * partner) @ w2)
+    return p * total
 
 
 _FORCE_RULES = {1: _force_1d_nodes, 2: _force_2d_nodes}
@@ -324,6 +283,45 @@ def interaction_force_H(z, gs: GroundState, quad_tol: float = 1e-10,
             f"{gs.d}d force rule not converged at |z| = {zlen:.3f}: "
             f"|fine - coarse| = {abs(fine - coarse):.3e}")
     return fine * z / zlen
+
+
+# Domain in |z| and node count of the cached force law.  |z| = 2 is the
+# relaxed guard below the collision threshold; 40 is s ~ 1e8 on the orbit.
+FORCE_LAW_DOMAIN = (2.0, 40.0)
+FORCE_LAW_NODES = 112
+
+
+class ForceLaw:
+    """|H| as a function of |z|, interpolated once per ground state.
+
+    g = log H + |z| + ((d-1)/2) log |z| tends to log C_p and is smooth in
+    w = 1/|z| for d = 1 and 2, so its Chebyshev interpolant in w on
+    first-kind nodes, each one call of the reference rule
+    ``interaction_force_H``, converges geometrically.
+    """
+
+    def __init__(self, gs: GroundState):
+        lo, hi = FORCE_LAW_DOMAIN
+        e1, self.d = np.eye(gs.d)[0], gs.d
+
+        def g(w):
+            H = [interaction_force_H(e1 / x, gs, min_sep=lo)[0] for x in w]
+            return np.log(H) + 1.0 / w - 0.5 * (gs.d - 1) * np.log(w)
+
+        cheb = np.polynomial.Chebyshev.interpolate(g, FORCE_LAW_NODES - 1, (1 / hi, 1 / lo))
+        self._coef = cheb.coef.tolist()
+        self._off, self._scl = map(float, cheb.mapparms())
+
+    def __call__(self, zlen: float) -> float:
+        lo, hi = FORCE_LAW_DOMAIN
+        if not lo <= zlen <= hi:
+            raise QuadratureFailure(
+                f"|z| = {zlen:.6g} outside the force law domain [{lo:g}, {hi:g}]")
+        x2, b1, b2 = 2.0 * (self._off + self._scl / zlen), 0.0, 0.0
+        for c in reversed(self._coef[1:]):      # Clenshaw, in Python floats
+            b1, b2 = c + x2 * b1 - b2, b1
+        g = self._coef[0] + 0.5 * x2 * b1 - b2
+        return math.exp(g - zlen - 0.5 * (self.d - 1) * math.log(zlen))
 
 
 def force_asymptotic(z, c_p: float, d: int) -> np.ndarray:
@@ -369,11 +367,6 @@ def correction_count(p: float) -> int:
     return j
 
 
-def grad_norm_sq_per_component(gs: GroundState) -> float:
-    """||d_j Q||^2 over R^d per component, from the radial samples."""
-    return sphere_area(gs.d) * simpson(gs.dq ** 2 * gs.r ** (gs.d - 1), x=gs.r) / gs.d
-
-
 def remove_translation_projections(values: np.ndarray, params: BubbleParams,
                                    gs: GroundState, grid: Grid) -> np.ndarray:
     """Subtract the real-pairing components along grad Q at both centers.
@@ -382,7 +375,7 @@ def remove_translation_projections(values: np.ndarray, params: BubbleParams,
     re-orthogonalization), which keeps the result reflection-symmetric; the
     residual cross-projection is of the order of the bubble overlap.
     """
-    denom = grad_norm_sq_per_component(gs)
+    denom = radial_integral(gs, gs.dq ** 2) / gs.d     # ||d_j Q||^2 per component
     vol = grid.cell_volume
     out = values.astype(complex).copy()
     for b in bubble_pair(params, gs, grid.x_mesh):

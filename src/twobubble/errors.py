@@ -73,5 +73,5 @@ class IoFailure(TwoBubbleError):
     """Registry, run record or snapshot I/O failed."""
 
 
-class InvalidConfig(TwoBubbleError):
-    """Configuration file names a key the experiment does not know."""
+class InvalidConfig(TwoBubbleError, ValueError):
+    """Experiment configuration with an unknown key or an invalid value."""

@@ -3,9 +3,10 @@
 A two-bubble configuration is placed at rescaled time s_in with separation
 fixed by the shooting parameter zeta and velocity matched to the marginal
 orbit, evolved backward (conjugation time-reversal plus forward split-step),
-and tracked with the modulation fit; runs terminate on the first violated
-monitoring bound.  Bisection over the final-data parameter exploits the
-opposite exit signs at the bracket endpoints.
+and tracked with the modulation fit, the velocity slaved between fits to the
+ground state's cached force law.  Runs end on the first violated bound;
+bisection over the final-data parameter uses the opposite exit signs at the
+bracket endpoints.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .ansatz import COLLISION_SEP, BubbleParams, build_two_bubble, interaction_force_H
-from .errors import (FitLost, IoFailure, NoSignChange, Overflow, QuadratureFailure,
-                     WindowTooShort)
+from .ansatz import COLLISION_SEP, BubbleParams, build_two_bubble
+from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
+from .errors import FitLost, InvalidConfig, IoFailure, NoSignChange, Overflow, WindowTooShort
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
 from .nls_core import ComplexField, make_grid, observables, propagate
@@ -34,6 +35,10 @@ EXIT_ZETA_LOW = "exited_zeta_low"
 EXIT_EPS = "exited_eps"
 EXIT_COLLISION = "collision"
 EXIT_BLOWUP = "blowup"
+
+# Hashed with every config: raise it when a config's record changes, so that a
+# sweep registry of older records does not count as done (2: cached force law).
+RECORD_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -53,11 +58,22 @@ class ShootConfig:
     newton_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.s_in > self.s0 > 1.0:
-            raise ValueError(f"need s_in > s0 > 1, got {self.s_in}, {self.s0}")
-        if self.C_star <= 1.0:
-            raise ValueError(f"C_star must exceed 1, got {self.C_star}")
-        object.__setattr__(self, "zeta_bracket", tuple(self.zeta_bracket))
+        try:
+            lo, hi = map(float, self.zeta_bracket)
+        except (TypeError, ValueError):
+            lo = hi = math.nan
+        for ok, why in (
+                (self.d in (1, 2), f"d must be 1 or 2 (the force rule's), got {self.d}"),
+                (self.s_in > self.s0 > 1.0, f"need s_in > s0 > 1, got {self.s_in}, {self.s0}"),
+                (self.C_star > 1.0, f"C_star must exceed 1, got {self.C_star}"),
+                (self.dt > 0.0, f"dt must be > 0, got {self.dt}"),
+                (self.fit_interval > 0.0, f"fit_interval must be > 0, got {self.fit_interval}"),
+                (self.newton_tol > 0.0, f"newton_tol must be > 0, got {self.newton_tol}"),
+                (math.isfinite(lo) and math.isfinite(hi) and lo < hi,
+                 f"zeta_bracket must be two finite numbers lo < hi, got {self.zeta_bracket!r}")):
+            if not ok:
+                raise InvalidConfig(why)
+        object.__setattr__(self, "zeta_bracket", (lo, hi))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -68,8 +84,8 @@ class ShootConfig:
 
 
 def config_hash(config: ShootConfig, zeta_sharp: float) -> str:
-    payload = json.dumps({"config": config.to_dict(), "zeta_sharp": zeta_sharp},
-                         sort_keys=True)
+    payload = json.dumps({"config": config.to_dict(), "zeta_sharp": zeta_sharp,
+                          "schema": RECORD_SCHEMA}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -133,35 +149,15 @@ def separation_of_zeta(zeta: float, c: float, d: int) -> float:
                   1e-3, 2.5 * target + 10.0, xtol=1e-13)
 
 
-class _ForceTable:
-    """Spline of log H(|z|) on [z_lo, z_hi] built once per run; keeps the v-slaving cheap.
-
-    Calls outside the range raise QuadratureFailure instead of extrapolating.
-    """
-
-    def __init__(self, gs: GroundState, z_lo: float, z_hi: float, n: int = 220):
-        zz = np.linspace(z_lo, z_hi, n)
-        vals = np.array([interaction_force_H([z], gs, min_sep=2.0)[0] for z in zz])
-        self._spline = CubicSpline(zz, np.log(vals))
-        self.z_lo, self.z_hi = z_lo, z_hi
-
-    def __call__(self, zlen: float) -> float:
-        if not self.z_lo <= zlen <= self.z_hi:
-            raise QuadratureFailure(
-                f"|z| = {zlen:.6g} outside the force table range "
-                f"[{self.z_lo:.6g}, {self.z_hi:.6g}]")
-        return float(np.exp(self._spline(zlen)))
-
-
 def _slave_velocity(z_vec: np.ndarray, v_vec: np.ndarray, s_from: float,
-                    s_to: float, c2: float, table: _ForceTable):
+                    s_to: float, c2: float, force_law):
     """Advance (z, v) by the slaving law z' = 2v, v' = -(2/c2) H(z)."""
     d = z_vec.size
 
     def rhs(s, y):
         z, v = y[:d], y[d:]
         zlen = float(np.linalg.norm(z))
-        return np.concatenate([2.0 * v, -(2.0 / c2) * table(zlen) * z / zlen])
+        return np.concatenate([2.0 * v, -(2.0 / c2) * force_law(zlen) * z / zlen])
 
     sol = solve_ivp(rhs, (s_from, s_to), np.concatenate([z_vec, v_vec]),
                     method="DOP853", rtol=1e-11, atol=1e-13)
@@ -185,8 +181,7 @@ def initial_data(config: ShootConfig, zeta_sharp: float,
 
 def backward_shoot(config: ShootConfig, zeta_sharp: float,
                    gs: GroundState | None = None,
-                   constants: StructureConstants | None = None,
-                   force_table: _ForceTable | None = None) -> RunRecord:
+                   constants: StructureConstants | None = None) -> RunRecord:
     """One backward run with tracking fits and monitored exit bounds."""
     t_start = time.perf_counter()
     if gs is None:
@@ -195,8 +190,6 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         constants = structure_constants(gs)
     grid = make_grid(config.d, config.N, config.L)
     params, _ = initial_data(config, zeta_sharp, constants)
-    table = force_table if force_table is not None else _ForceTable(
-        gs, 4.5, float(np.linalg.norm(params.z)) + 2.0)
 
     u_in = build_two_bubble(params, gs, grid)
     work = u_in.conj()          # evolves forward while u runs backward
@@ -239,7 +232,7 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         s_next = s - ds_actual
 
         z_pred, v_next = _slave_velocity(params.z, params.v, s, s_next,
-                                         constants.c2, table)
+                                         constants.c2, gs.force_law)
         gamma_pred = gamma_track - ds_actual * (1.0 + 0.25 * float(params.v @ params.v))
         guess = BubbleParams(lam=params.lam, z=z_pred, gamma=gamma_pred, v=v_next)
 
@@ -298,10 +291,8 @@ def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
     if constants is None:
         constants = structure_constants(gs)
     lo, hi = config.zeta_bracket
-    widest, _ = initial_data(config, hi, constants)
-    table = _ForceTable(gs, 4.5, float(np.linalg.norm(widest.z)) + 2.0)
-    rec_lo = backward_shoot(config, lo, gs, constants, table)
-    rec_hi = backward_shoot(config, hi, gs, constants, table)
+    rec_lo = backward_shoot(config, lo, gs, constants)
+    rec_hi = backward_shoot(config, hi, gs, constants)
     endpoints = (rec_lo, rec_hi)
     history = [(lo, rec_lo.exit, rec_lo.phi, rec_lo.deepest_s),
                (hi, rec_hi.exit, rec_hi.phi, rec_hi.deepest_s)]
@@ -321,7 +312,7 @@ def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
         if hi - lo < min_width:
             break
         mid = 0.5 * (lo + hi)
-        rec = backward_shoot(config, mid, gs, constants, table)
+        rec = backward_shoot(config, mid, gs, constants)
         history.append((mid, rec.exit, rec.phi, rec.deepest_s))
         if rec.exit == EXIT_REACHED:
             return {"zeta_sharp_star": mid, "record": rec, "history": history,

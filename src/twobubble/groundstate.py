@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -143,6 +143,12 @@ class GroundState:
 
     def dq_at(self, rr) -> np.ndarray:
         return self._eval(rr, self._dq_cells, _decay_shape_deriv)
+
+    @cached_property
+    def force_law(self):
+        """|H(|z|)|, the interaction force, as one cached ``ansatz.ForceLaw``."""
+        from .ansatz import ForceLaw    # here, because ansatz imports this module
+        return ForceLaw(self)
 
     def lam_q_at(self, rr) -> np.ndarray:
         """Radial part of the scaling generator, 2/(p-1) q + r q'."""
@@ -404,25 +410,32 @@ def asymptotic_constant(gs: GroundState, window: tuple[float, float] | None = No
     return float(coef[0]), resid
 
 
-def _radial_integral(gs: GroundState, values: np.ndarray) -> float:
+def radial_integral(gs: GroundState, values: np.ndarray) -> float:
     """Simpson integral of values(r) r^(d-1) over the mesh, times the sphere area."""
     return sphere_area(gs.d) * simpson(values * gs.r ** (gs.d - 1), x=gs.r)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def gl_axis(breaks, nodes: int, step: float):
+    """Nodes and weights of the composite Gauss-Legendre rule over consecutive
+    intervals between breaks, each cut into equal panels at most step wide."""
+    x, w = _leggauss(nodes)
+    edges = np.concatenate([np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))[:-1]
+                            for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
+
+
 def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
-    """Tensor-product Gauss-Legendre rule for the e^(-x1)-weighted integral."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = np.arange(-gs.r_max, gs.r_max + 1e-12, 0.5)
-    # composite nodes/weights along one axis
-    pts = np.concatenate([(0.5 * (b - a)) * x + 0.5 * (a + b)
-                          for a, b in zip(edges[:-1], edges[1:])])
-    wts = np.concatenate([(0.5 * (b - a)) * w for a, b in zip(edges[:-1], edges[1:])])
-    if gs.d == 1:
-        return float(np.sum(wts * gs.q_at(np.abs(pts)) ** gs.p * np.exp(-pts)))
-    X1, X2 = np.meshgrid(pts, pts, indexing="ij")
-    rr = np.hypot(X1, X2)
-    vals = gs.q_at(rr) ** gs.p * np.exp(-X1)
-    return float(wts @ vals @ wts)
+    """Tensor-product Gauss-Legendre rule for the e^(-x1)-weighted integral, d = 2."""
+    pts, wts = gl_axis((-gs.r_max, gs.r_max), nodes_per_panel, 0.5)
+    rr = np.hypot(pts[:, None], pts)
+    return float(wts @ (gs.q_at(rr) ** gs.p * np.exp(-pts)[:, None]) @ wts)
 
 
 def structure_constants(gs: GroundState, quad_tol: float = 1e-9,
@@ -433,11 +446,11 @@ def structure_constants(gs: GroundState, quad_tol: float = 1e-9,
     else:
         c_q_resid = 0.0
 
-    l2 = _radial_integral(gs, gs.q ** 2)
+    l2 = radial_integral(gs, gs.q ** 2)
     # c2 = <-y_j Q, d_j Q> per component; radially -(area/d) * int r^d q q' dr
-    c2 = -_radial_integral(gs, gs.r * gs.q * gs.dq) / gs.d
+    c2 = -radial_integral(gs, gs.r * gs.q * gs.dq) / gs.d
     lam_q = 2.0 / (gs.p - 1.0) * gs.q + gs.r * gs.dq
-    c1 = _radial_integral(gs, lam_q * gs.q)
+    c1 = radial_integral(gs, lam_q * gs.q)
 
     if gs.d == 1:
         val, err = quad(lambda r: gs.q_at(r) ** gs.p * 2.0 * np.cosh(r),

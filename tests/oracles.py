@@ -6,8 +6,8 @@ evaluation of the profile interpolants (not the package's per-cell Taylor
 table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the angular reduction
 of the interaction integral, the flow residual written term by term from
-the profile values, and the split-step loop in numpy's allocating array
-idiom.
+the profile values, the first variation of the nonlinearity, and the
+split-step loop in numpy's allocating array idiom.
 """
 
 from __future__ import annotations
@@ -187,6 +187,17 @@ def strang_reference(values: np.ndarray, lin_half: np.ndarray, dt: float,
     return v
 
 
+def nonlinearity_derivative(P: np.ndarray, eps: np.ndarray, p: float) -> np.ndarray:
+    """First variation F'(P).eps = (p+1)/2 |P|^(p-1) eps + (p-1)/2 |P|^(p-3) P^2 conj(eps),
+    with (P/|P|)^2 taken as 0 where P = 0."""
+    a = np.abs(P)
+    phase_sq = np.zeros_like(P)
+    nz = a > 0
+    phase_sq[nz] = (P[nz] / a[nz]) ** 2
+    a = a ** (p - 1.0)
+    return 0.5 * (p + 1.0) * a * eps + 0.5 * (p - 1.0) * a * phase_sq * np.conj(eps)
+
+
 if __name__ == "__main__":
     import sys
 
@@ -195,3 +206,4 @@ if __name__ == "__main__":
     h = float(sys.argv[3]) if len(sys.argv) > 3 else 1e-5
     width = float(sys.argv[4]) if len(sys.argv) > 4 else 1e-10
     print(f"q0({p=}, {d=}, {h=}) = {shoot_q0(p, d, h=h, bracket_width=width):.12f}")
+

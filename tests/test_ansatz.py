@@ -7,7 +7,7 @@ from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import solve_profile, structure_constants
 
-from oracles import adaptive_force_1d, ansatz_residual_direct
+from oracles import adaptive_force_1d, ansatz_residual_direct, nonlinearity_derivative
 
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
@@ -125,6 +125,15 @@ def test_force_2d_direction_and_law(gs2):
     assert abs(ratio2 - 1.0) < abs(ratio - 1.0)
 
 
+@pytest.mark.slow
+def test_force_law_2d(gs2):
+    # the d=2 law against the rule; building it takes ~6 min of rule calls
+    law = gs2.force_law
+    for z in np.linspace(4.5, 30.0, 5):
+        H = az.interaction_force_H([z, 0.0], gs2, quad_tol=1e-8, min_sep=2.0)[0]
+        assert law(z) == pytest.approx(H, rel=8e-13, abs=0.0)
+
+
 def test_interaction_bound_shapes(gs1, gs18, grid_2048_64):
     # p = 3: sup G * e^{|z|} bounded above and below over |z| in [10, 20]
     vals = []
@@ -171,7 +180,7 @@ def test_expansion_order(p, min_slope, grid_2048_64):
     for t in scales:
         eps = t * noise
         err = az.nonlinearity(P + eps, p) - az.nonlinearity(P, p) \
-            - az.nonlinearity_derivative(P, eps, p)
+            - nonlinearity_derivative(P, eps, p)
         errs.append(np.max(np.abs(err)))
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
     assert slope >= min_slope
@@ -202,7 +211,9 @@ def test_residual_free_flow_equals_G(gs1, grid_2048_64):
     dv = az.ParamDerivs(lam_dot=0.0, z_dot=[2.0 * v],
                         gamma_dot=1.0 + 0.25 * v * v, v_dot=[0.0])
     m1, m2 = az.modulation_vectors(pr, dv)
-    assert m1.max_abs() < 1e-15 and m2.max_abs() < 1e-15
+    for m in (m1, m2):
+        assert max(abs(m.m_scale), np.max(np.abs(m.m_translation)), abs(m.m_phase),
+                   np.max(np.abs(m.m_velocity))) < 1e-15
     res = az.ansatz_residual(pr, dv, gs1, grid_2048_64)
     G = az.interaction_G(pr, gs1, grid_2048_64)
     assert np.max(np.abs(res.values - G.values)) < 1e-14

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twobubble import experiments as ex
-from twobubble.errors import IoFailure, NoSignChange, QuadratureFailure, WindowTooShort
+from twobubble.ansatz import FORCE_LAW_DOMAIN, interaction_force_H
+from twobubble.errors import (InvalidConfig, IoFailure, NoSignChange, QuadratureFailure,
+                              WindowTooShort)
 
 
 @pytest.fixture(scope="module")
@@ -70,24 +72,23 @@ def test_bisect_reaches_small(small_config, gs1, sc1):
     assert all(a >= b for a, b in zip(depths, depths[1:]))
 
 
-def test_force_table_range(gs1):
-    table = ex._ForceTable(gs1, 8.0, 10.0, n=12)
-    for zlen in (8.0, 9.3, 10.0):
-        H = ex.interaction_force_H([zlen], gs1)[0]
-        assert table(zlen) == pytest.approx(H, rel=1e-6)
-    for zlen in (7.99, 10.01):
-        with pytest.raises(QuadratureFailure, match=r"\[8, 10\]") as err:
-            table(zlen)
+def test_force_law(gs1):
+    # the cached law against the reference rule across its whole domain
+    lo, hi = FORCE_LAW_DOMAIN
+    law = gs1.force_law
+    for zlen in np.linspace(lo, hi, 25):
+        H = interaction_force_H([zlen], gs1, min_sep=lo)[0]
+        assert law(zlen) == pytest.approx(H, rel=4e-12, abs=0.0)
+    for zlen in (1.99, 40.01):
+        with pytest.raises(QuadratureFailure, match=r"\[2, 40\]") as err:
+            law(zlen)
         assert f"{zlen:.6g}" in str(err.value)
+    assert gs1.force_law is law
 
 
 def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):
     # stub shooting family: exit side given by sign(zeta - target)
     target = 0.137
-
-    class _StubTable:
-        def __init__(self, *a, **k):
-            pass
 
     def stub_shoot(config, zeta, *a, **k):
         phi = 1 if zeta > target else -1
@@ -96,7 +97,6 @@ def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):
                             exit=ex.EXIT_ZETA_HIGH if phi > 0 else ex.EXIT_ZETA_LOW,
                             phi=phi, wall_time=0.0)
 
-    monkeypatch.setattr(ex, "_ForceTable", _StubTable)
     monkeypatch.setattr(ex, "backward_shoot", stub_shoot)
     out = ex.bisect_zeta(small_config, gs1, sc1, max_iter=20)
     mids = [h[0] for h in out["history"][2:]]
@@ -240,6 +240,28 @@ def test_config_validation():
         ex.ShootConfig(s_in=10.0, s0=20.0)
     with pytest.raises(ValueError):
         ex.ShootConfig(C_star=0.5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"d": 3}, {"d": 0}, {"dt": 0.0}, {"dt": -2e-3}, {"fit_interval": 0.0},
+    {"newton_tol": -1e-12}, {"newton_tol": float("nan")}, {"s_in": 10.0, "s0": 20.0},
+    {"C_star": 1.0}, {"zeta_bracket": (1.0, -1.0)}, {"zeta_bracket": (0.0, 0.0)},
+    {"zeta_bracket": (-1.0, float("inf"))}, {"zeta_bracket": (float("nan"), 1.0)},
+    {"zeta_bracket": (-1.0, 0.0, 1.0)}, {"zeta_bracket": 1.0},
+    {"zeta_bracket": ("a", "b")}])
+def test_config_rejects_bad_fields(bad):
+    # each message names the first field of the bad ones
+    with pytest.raises(InvalidConfig, match=next(iter(bad))):
+        ex.ShootConfig(**bad)
+
+
+def test_config_hash_carries_the_schema(monkeypatch):
+    cfg = ex.ShootConfig(s_in=50.0, s0=30.0)
+    h = ex.config_hash(cfg, 0.25)
+    assert ex.config_hash(ex.ShootConfig(s_in=50.0, s0=30.0), 0.25) == h
+    assert ex.config_hash(cfg, 0.5) != h
+    monkeypatch.setattr(ex, "RECORD_SCHEMA", ex.RECORD_SCHEMA + 1)
+    assert ex.config_hash(cfg, 0.25) != h
 
 
 def test_refined_ansatz_propagation_smoke(gs18):
