@@ -75,3 +75,7 @@ class IoFailure(TwoBubbleError):
 
 class InvalidConfig(TwoBubbleError, ValueError):
     """Experiment configuration with an unknown key or an invalid value."""
+
+
+class WorkerLost(TwoBubbleError):
+    """A shot's propagation worker died before returning its chunk."""

@@ -7,6 +7,19 @@ and tracked with the modulation fit, the velocity slaved between fits to the
 ground state's cached force law.  Runs end on the first violated bound;
 bisection over the final-data parameter uses the opposite exit signs at the
 bracket endpoints.
+
+A shot runs as a two-stage pipeline.  A propagation worker, forked once per
+shot, owns the evolving field and runs its Strang chunks; the parent fits
+each chunk's field, samples its diagnostics and checks the exit bounds.  The
+step count of the next chunk depends on the fitted scale, so while the parent
+fits, the worker already takes steps of the next chunk, and starts it again
+when it took more than the count the parent then sends.  Each chunk does the
+same floating-point operations either way, so the records are bit-identical
+to running the two stages one after the other, which is what a shot does in
+process when fork is missing, fewer than two cores are available, another
+thread runs or the process is a daemonic worker.  A worker's Overflow or
+StepTooLarge reaches the parent with the chunk it belongs to, a worker that
+dies raises WorkerLost, and the worker is ended with its shot.
 """
 
 from __future__ import annotations
@@ -15,6 +28,9 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -24,10 +40,12 @@ from scipy.optimize import brentq
 
 from .ansatz import COLLISION_SEP, BubbleParams, build_two_bubble
 from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
-from .errors import FitLost, InvalidConfig, IoFailure, NoSignChange, Overflow, WindowTooShort
+from .errors import (FitLost, InvalidConfig, IoFailure, NoSignChange, Overflow, StepTooLarge,
+                     WindowTooShort, WorkerLost)
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
-from .nls_core import ComplexField, make_grid, observables, propagate
+from .nls_core import ComplexField, StrangRun, make_grid, observables
+from .nls_core import propagate  # noqa: F401  (the bench tracer wraps this name)
 
 EXIT_REACHED = "reached_s0"
 EXIT_ZETA_HIGH = "exited_zeta_high"
@@ -179,10 +197,152 @@ def initial_data(config: ShootConfig, zeta_sharp: float,
     return BubbleParams(lam=1.0, z=z_in * e1, gamma=0.0, v=v_in * e1), zeta_in
 
 
+# steps the worker takes between looks for the parent's count
+SPECULATION_BATCH = 16
+
+
+class _Chunks:
+    """The field a shot evolves, advanced one Strang chunk at a time.
+
+    ``finish(n)`` returns the field after the next chunk of n steps.  Before
+    the count is known, ``speculate`` takes open steps of that chunk from the
+    last field, up to two short of the last count; ``finish`` keeps them when
+    they are fewer than n, and otherwise starts the chunk again from the last
+    field.  An error raised by a speculative step is kept, and ``finish``
+    raises it only if its step lies inside the n-step chunk.
+    """
+
+    def __init__(self, run: StrangRun, values: np.ndarray, hint: int):
+        self.run = run
+        self.field = values     # the last closed chunk's field
+        self.hint = hint        # the last count
+        self.opened = False
+        self.fault = None       # (step, error) of a speculative step; -1 for open
+
+    def speculate(self, batch: int) -> bool:
+        """Take up to batch open steps; False once no more are wanted."""
+        if self.fault is not None:
+            return False
+        try:
+            if not self.opened:
+                self.run.open(self.field)
+                self.opened = True
+                return True
+            n = min(batch, self.hint - 2 - self.run.steps)
+            if n <= 0:
+                return False
+            self.run.advance(n)
+        except (Overflow, StepTooLarge) as exc:
+            self.fault = (self.run.steps if self.opened else -1, exc)
+            return False
+        return True
+
+    def finish(self, n: int) -> np.ndarray:
+        """Close the chunk after n steps and return its field."""
+        if self.fault is not None:
+            step, exc = self.fault
+            if step < n - 1:
+                raise exc
+        if self.fault is not None or not self.opened or self.run.steps > n - 1:
+            self.run.open(self.field)
+        self.fault = None
+        self.run.advance(n - 1 - self.run.steps)
+        self.field = self.run.close()
+        self.hint, self.opened = n, False
+        return self.field
+
+
+def _serve(conn, chunks: _Chunks) -> None:
+    """Worker loop: answer each count with the chunk's field or its error."""
+    try:
+        while True:
+            while not conn.poll() and chunks.speculate(SPECULATION_BATCH):
+                pass
+            n = conn.recv()
+            try:
+                conn.send((chunks.finish(n), None))
+            except (Overflow, StepTooLarge) as exc:
+                conn.send((None, exc))
+                return
+    except (EOFError, KeyboardInterrupt):
+        return
+
+
+def _pipelined() -> bool:
+    """Fork a propagation worker: fork exists, two cores are ours, and no
+    other thread runs and no daemonic process forks (it may not have children)."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1
+            and not multiprocessing.current_process().daemon)
+
+
+class _Propagation:
+    """The propagation stage of a shot: a forked worker, or in process.
+
+    ``send(n)`` asks for the next chunk of n steps and ``recv()`` returns its
+    field, raising the chunk's Overflow or StepTooLarge.  Without a worker,
+    ``recv`` runs ``_Chunks.finish`` itself.  ``close`` ends the worker.
+    """
+
+    def __init__(self, chunks: _Chunks):
+        self.chunks = chunks
+        self.count = None
+        self.proc = None
+        if _pipelined():
+            ctx = multiprocessing.get_context("fork")
+            self.conn, child = ctx.Pipe()
+            self.proc = ctx.Process(target=_serve, args=(child, chunks), daemon=True)
+            try:
+                self.proc.start()
+            finally:
+                child.close()
+
+    def send(self, n: int) -> None:
+        if self.proc is None:
+            self.count = n
+            return
+        try:
+            self.conn.send(n)
+        except OSError:
+            raise self._lost() from None
+
+    def recv(self) -> np.ndarray:
+        if self.proc is None:
+            return self.chunks.finish(self.count)
+        try:
+            values, exc = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._lost() from None
+        if exc is not None:
+            raise exc
+        return values
+
+    def _lost(self) -> WorkerLost:
+        self.proc.join(1.0)
+        return WorkerLost(f"propagation worker died with exit code {self.proc.exitcode}")
+
+    def close(self) -> None:
+        if self.proc is None:
+            return
+        self.proc.terminate()
+        self.proc.join(1.0)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join()
+        self.proc.close()
+        self.proc = None
+        self.conn.close()
+
+
 def backward_shoot(config: ShootConfig, zeta_sharp: float,
                    gs: GroundState | None = None,
                    constants: StructureConstants | None = None) -> RunRecord:
-    """One backward run with tracking fits and monitored exit bounds."""
+    """One backward run with tracking fits and monitored exit bounds.
+
+    The chunks run in a forked worker when ``_pipelined()`` allows it (see
+    the module docstring); a worker that dies raises WorkerLost.
+    """
     t_start = time.perf_counter()
     if gs is None:
         gs = solve_profile(config.p, config.d)
@@ -192,7 +352,6 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
     params, _ = initial_data(config, zeta_sharp, constants)
 
     u_in = build_two_bubble(params, gs, grid)
-    work = u_in.conj()          # evolves forward while u runs backward
     s = config.s_in
     t_lab = config.s_in         # convention t(s_in) = s_in
 
@@ -218,58 +377,72 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         samples.append(smp)
         return smp
 
-    fit0 = decompose(u_in, params, gs, mode="tracking", v_override=params.v,
-                     with_fields=False, xtol=config.newton_tol)
-    push_sample(u_in, fit0.params, s, t_lab, fit0)
-    params = fit0.params
-    gamma_track = params.gamma
+    def chunk_steps(s_now: float, lam: float) -> int:
+        ds = min(config.fit_interval, s_now - config.s0)
+        return max(1, int(round(lam ** 2 * ds / config.dt)))
 
-    while s > config.s0:
-        ds = min(config.fit_interval, s - config.s0)
-        n_steps = max(1, int(round(params.lam ** 2 * ds / config.dt)))
-        dt_chunk = n_steps * config.dt
-        ds_actual = dt_chunk / params.lam ** 2
-        s_next = s - ds_actual
+    # the work field evolves forward while u runs backward
+    chunks = _Chunks(StrangRun(grid, config.dt, config.p), np.conj(u_in.values),
+                     chunk_steps(s, params.lam))
+    stage = _Propagation(chunks)
+    try:
+        fit0 = decompose(u_in, params, gs, mode="tracking", v_override=params.v,
+                         with_fields=False, xtol=config.newton_tol)
+        params = fit0.params
+        gamma_track = params.gamma
+        n_steps = chunk_steps(s, params.lam)
+        stage.send(n_steps)
+        push_sample(u_in, params, s, t_lab, fit0)
 
-        z_pred, v_next = _slave_velocity(params.z, params.v, s, s_next,
-                                         constants.c2, gs.force_law)
-        gamma_pred = gamma_track - ds_actual * (1.0 + 0.25 * float(params.v @ params.v))
-        guess = BubbleParams(lam=params.lam, z=z_pred, gamma=gamma_pred, v=v_next)
+        while s > config.s0:
+            dt_chunk = n_steps * config.dt
+            ds_actual = dt_chunk / params.lam ** 2
+            s_next = s - ds_actual
 
-        try:
-            work = propagate(work, config.dt, n_steps, config.p)
-        except Overflow:
-            exit_tag = EXIT_BLOWUP
-            break
-        u_now = work.conj()
-        t_lab -= dt_chunk
-        s = s_next
+            z_pred, v_next = _slave_velocity(params.z, params.v, s, s_next,
+                                             constants.c2, gs.force_law)
+            gamma_pred = gamma_track - ds_actual * (1.0 + 0.25 * float(params.v @ params.v))
+            guess = BubbleParams(lam=params.lam, z=z_pred, gamma=gamma_pred, v=v_next)
 
-        try:
-            fit = decompose(u_now, guess, gs, mode="tracking", v_override=v_next,
-                            with_fields=False, xtol=config.newton_tol)
-        except Exception as exc:
-            raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
-        # unwrap the phase onto the predicted branch
-        wrapped = fit.params.gamma
-        gamma_track = gamma_pred + np.angle(np.exp(1j * (wrapped - gamma_pred)))
-        params = BubbleParams(lam=fit.params.lam, z=fit.params.z,
-                              gamma=gamma_track, v=v_next)
+            try:
+                values = stage.recv()
+            except Overflow:
+                exit_tag = EXIT_BLOWUP
+                break
+            u_now = ComplexField(grid, np.conj(values))
+            t_lab -= dt_chunk
+            s = s_next
 
-        smp = push_sample(u_now, params, s, t_lab, fit)
+            try:
+                fit = decompose(u_now, guess, gs, mode="tracking", v_override=v_next,
+                                with_fields=False, xtol=config.newton_tol)
+            except Exception as exc:
+                raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
+            # unwrap the phase onto the predicted branch
+            wrapped = fit.params.gamma
+            gamma_track = gamma_pred + np.angle(np.exp(1j * (wrapped - gamma_pred)))
+            params = BubbleParams(lam=fit.params.lam, z=fit.params.z,
+                                  gamma=gamma_track, v=v_next)
+            if s > config.s0:
+                n_steps = chunk_steps(s, params.lam)
+                stage.send(n_steps)
 
-        if smp["xi"] >= 1.0:
-            exit_tag = EXIT_ZETA_HIGH if smp["zeta"] >= s else EXIT_ZETA_LOW
-            phi = 1 if smp["zeta"] >= s else -1
-            break
-        if smp["eps_h1"] > config.C_star / s:
-            exit_tag = EXIT_EPS
-            phi = 1 if smp["zeta"] >= s else -1
-            break
-        if float(np.linalg.norm(params.z)) < COLLISION_SEP:
-            exit_tag = EXIT_COLLISION
-            phi = -1
-            break
+            smp = push_sample(u_now, params, s, t_lab, fit)
+
+            if smp["xi"] >= 1.0:
+                exit_tag = EXIT_ZETA_HIGH if smp["zeta"] >= s else EXIT_ZETA_LOW
+                phi = 1 if smp["zeta"] >= s else -1
+                break
+            if smp["eps_h1"] > config.C_star / s:
+                exit_tag = EXIT_EPS
+                phi = 1 if smp["zeta"] >= s else -1
+                break
+            if float(np.linalg.norm(params.z)) < COLLISION_SEP:
+                exit_tag = EXIT_COLLISION
+                phi = -1
+                break
+    finally:
+        stage.close()
 
     if exit_tag in (EXIT_BLOWUP,):
         phi = 1 if samples and samples[-1]["zeta"] >= samples[-1]["s"] else -1

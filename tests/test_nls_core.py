@@ -128,6 +128,14 @@ def test_step_too_large(gs1, grid_1024_32):
         nc.propagate(u, 0.2, 10, 3.0)
 
 
+def test_step_too_large_during_a_chunk(grid_1024_32):
+    # the phase bound holds at the start (0.29) and breaks as the pulse focuses
+    g = grid_1024_32
+    u = nc.field_from_values(g, 2.5 / np.cosh(g.axis))
+    with pytest.raises(StepTooLarge, match=r"phase \d\.\d+ >= 1 at step 192"):
+        nc.propagate(u, 3e-4, 6656, 6.0)
+
+
 def test_blowup_guard(grid_1024_32):
     # supercritical focusing pulse trips the sup-norm guard; the factor is
     # tightened so the guard fires before the resolvable range is exhausted
