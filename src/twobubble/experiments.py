@@ -206,9 +206,10 @@ class _Chunks:
 
     ``finish(n)`` returns the field after the next chunk of n steps.  Before
     the count is known, ``speculate`` takes open steps of that chunk from the
-    last field, up to two short of the last count; ``finish`` keeps them when
-    they are fewer than n, and otherwise starts the chunk again from the last
-    field.  An error raised by a speculative step is kept, and ``finish``
+    last field, up to two short of the last count (so a count one below the
+    last, as the fitted scale drifts, needs no restart); ``finish`` keeps
+    them when they are fewer than n, and otherwise starts the chunk again
+    from the last field.  An error raised by a speculative step is kept, and ``finish``
     raises it only if its step lies inside the n-step chunk.
     """
 
