@@ -9,21 +9,24 @@ bisection over the final-data parameter uses the opposite exit signs at the
 bracket endpoints.
 
 A shot runs as a two-stage pipeline.  A propagation worker, forked once per
-shot, owns the evolving field and runs its Strang chunks; the parent fits
-each chunk's field, samples its diagnostics and checks the exit bounds.  The
-step count of the next chunk depends on the fitted scale, so while the parent
-fits, the worker already takes steps of the next chunk, and starts it again
-when it took more than the count the parent then sends.  Each chunk does the
-same floating-point operations either way, so the records are bit-identical
-to running the two stages one after the other, which is what a shot does in
-process when fork is missing, fewer than two cores are available, another
-thread runs or the process is a daemonic worker.  A worker's Overflow or
-StepTooLarge reaches the parent with the chunk it belongs to, a worker that
-dies raises WorkerLost, and the worker is ended with its shot.
+shot, owns the evolving field and runs its Strang chunks with propagate; the
+parent fits each chunk's field, samples its diagnostics and checks the exit
+bounds.  A chunk's step count takes the scale fitted at the start of the
+chunk before it (the initial data's scale, 1, for the first chunk), so the
+parent sends each count right after a fit, while the worker still runs the
+chunk before, and the worker never waits for a count.  The records are
+bit-identical to running the two stages one after the other, which is what a
+shot does in process when fork is missing, fewer than two cores are
+available, another thread runs or the process is a daemonic worker.  A
+worker's Overflow or StepTooLarge reaches the parent with the chunk it
+belongs to, so a chunk the parent never takes cannot change the exit; a
+worker that dies raises WorkerLost, and the worker is ended with its shot.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import hashlib
 import json
@@ -44,8 +47,7 @@ from .errors import (FitLost, InvalidConfig, IoFailure, NoSignChange, Overflow, 
                      WindowTooShort, WorkerLost)
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
-from .nls_core import ComplexField, StrangRun, make_grid, observables
-from .nls_core import propagate  # noqa: F401  (the bench tracer wraps this name)
+from .nls_core import ComplexField, make_grid, observables, propagate
 
 EXIT_REACHED = "reached_s0"
 EXIT_ZETA_HIGH = "exited_zeta_high"
@@ -53,10 +55,13 @@ EXIT_ZETA_LOW = "exited_zeta_low"
 EXIT_EPS = "exited_eps"
 EXIT_COLLISION = "collision"
 EXIT_BLOWUP = "blowup"
+EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP)
 
 # Hashed with every config: raise it when a config's record changes, so that a
-# sweep registry of older records does not count as done (2: cached force law).
-RECORD_SCHEMA = 2
+# sweep registry of older records does not count as done (2: cached force law;
+# 3: a chunk's step count takes the scale fitted one chunk earlier, which moves
+# the acceptance record from sample 532 on).
+RECORD_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -133,10 +138,26 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        return cls(config=ShootConfig.from_dict(data["config"]),
-                   zeta_sharp=data["zeta_sharp"], samples=data["samples"],
-                   exit=data["exit"], phi=data["phi"],
-                   wall_time=data["wall_time"])
+        """The record ``to_dict`` wrote; IoFailure on a missing key, an unknown
+        config key, an unknown exit, or a stored hash that does not match the
+        config and zeta_sharp (an edited record, or one of another schema)."""
+        try:
+            record = cls(config=ShootConfig.from_dict(data["config"]),
+                         zeta_sharp=data["zeta_sharp"], samples=data["samples"],
+                         exit=data["exit"], phi=data["phi"],
+                         wall_time=data["wall_time"])
+            stored = data["hash"]
+        except KeyError as exc:
+            raise IoFailure(f"run record has no key {exc}") from exc
+        except TypeError as exc:
+            raise IoFailure(f"run record config: {exc}") from exc
+        if record.exit not in EXITS:
+            raise IoFailure(f"run record exit {record.exit!r} is not one of {EXITS}")
+        expected = config_hash(record.config, record.zeta_sharp)
+        if stored != expected:
+            raise IoFailure(f"run record hash {stored!r} does not match its config "
+                            f"({expected!r} at schema {RECORD_SCHEMA})")
+        return record
 
 
 def write_trajectory_csv(record: RunRecord, path) -> None:
@@ -197,74 +218,17 @@ def initial_data(config: ShootConfig, zeta_sharp: float,
     return BubbleParams(lam=1.0, z=z_in * e1, gamma=0.0, v=v_in * e1), zeta_in
 
 
-# steps the worker takes between looks for the parent's count
-SPECULATION_BATCH = 16
-
-
-class _Chunks:
-    """The field a shot evolves, advanced one Strang chunk at a time.
-
-    ``finish(n)`` returns the field after the next chunk of n steps.  Before
-    the count is known, ``speculate`` takes open steps of that chunk from the
-    last field, up to two short of the last count (so a count one below the
-    last, as the fitted scale drifts, needs no restart); ``finish`` keeps
-    them when they are fewer than n, and otherwise starts the chunk again
-    from the last field.  An error raised by a speculative step is kept, and ``finish``
-    raises it only if its step lies inside the n-step chunk.
-    """
-
-    def __init__(self, run: StrangRun, values: np.ndarray, hint: int):
-        self.run = run
-        self.field = values     # the last closed chunk's field
-        self.hint = hint        # the last count
-        self.opened = False
-        self.fault = None       # (step, error) of a speculative step; -1 for open
-
-    def speculate(self, batch: int) -> bool:
-        """Take up to batch open steps; False once no more are wanted."""
-        if self.fault is not None:
-            return False
-        try:
-            if not self.opened:
-                self.run.open(self.field)
-                self.opened = True
-                return True
-            n = min(batch, self.hint - 2 - self.run.steps)
-            if n <= 0:
-                return False
-            self.run.advance(n)
-        except (Overflow, StepTooLarge) as exc:
-            self.fault = (self.run.steps if self.opened else -1, exc)
-            return False
-        return True
-
-    def finish(self, n: int) -> np.ndarray:
-        """Close the chunk after n steps and return its field."""
-        if self.fault is not None:
-            step, exc = self.fault
-            if step < n - 1:
-                raise exc
-        if self.fault is not None or not self.opened or self.run.steps > n - 1:
-            self.run.open(self.field)
-        self.fault = None
-        self.run.advance(n - 1 - self.run.steps)
-        self.field = self.run.close()
-        self.hint, self.opened = n, False
-        return self.field
-
-
-def _serve(conn, chunks: _Chunks) -> None:
+def _serve(conn, u: ComplexField, dt: float, p: float) -> None:
     """Worker loop: answer each count with the chunk's field or its error."""
     try:
         while True:
-            while not conn.poll() and chunks.speculate(SPECULATION_BATCH):
-                pass
             n = conn.recv()
             try:
-                conn.send((chunks.finish(n), None))
+                u = propagate(u, dt, n, p)
             except (Overflow, StepTooLarge) as exc:
                 conn.send((None, exc))
                 return
+            conn.send((u.values, None))
     except (EOFError, KeyboardInterrupt):
         return
 
@@ -281,19 +245,20 @@ def _pipelined() -> bool:
 class _Propagation:
     """The propagation stage of a shot: a forked worker, or in process.
 
-    ``send(n)`` asks for the next chunk of n steps and ``recv()`` returns its
-    field, raising the chunk's Overflow or StepTooLarge.  Without a worker,
-    ``recv`` runs ``_Chunks.finish`` itself.  ``close`` ends the worker.
+    ``send(n)`` queues a chunk of n steps and ``recv()`` returns the field
+    after the oldest queued chunk, raising its Overflow or StepTooLarge.
+    Without a worker, ``recv`` runs that chunk itself.  ``close`` ends the
+    worker.
     """
 
-    def __init__(self, chunks: _Chunks):
-        self.chunks = chunks
-        self.count = None
+    def __init__(self, u: ComplexField, dt: float, p: float):
+        self.u, self.dt, self.p = u, dt, p
+        self.counts = collections.deque()
         self.proc = None
         if _pipelined():
             ctx = multiprocessing.get_context("fork")
             self.conn, child = ctx.Pipe()
-            self.proc = ctx.Process(target=_serve, args=(child, chunks), daemon=True)
+            self.proc = ctx.Process(target=_serve, args=(child, u, dt, p), daemon=True)
             try:
                 self.proc.start()
             finally:
@@ -301,16 +266,17 @@ class _Propagation:
 
     def send(self, n: int) -> None:
         if self.proc is None:
-            self.count = n
+            self.counts.append(n)
             return
-        try:
+        # a worker that ended after an error left that error for recv, and a
+        # dead one leaves recv its end of the pipe
+        with contextlib.suppress(OSError):
             self.conn.send(n)
-        except OSError:
-            raise self._lost() from None
 
     def recv(self) -> np.ndarray:
         if self.proc is None:
-            return self.chunks.finish(self.count)
+            self.u = propagate(self.u, self.dt, self.counts.popleft(), self.p)
+            return self.u.values
         try:
             values, exc = self.conn.recv()
         except (EOFError, OSError):
@@ -370,10 +336,9 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         smp = {"s": s_now, "t": t_now, "lam": pars.lam,
                "z": [float(x) for x in pars.z], "gamma": pars.gamma,
                "v": [float(x) for x in pars.v],
-               "eps_h1": fit.eps_h1 if fit is not None else 0.0,
+               "eps_h1": fit.eps_h1,
                "zeta": float(zeta), "xi": float(xi), "W": energy["W"],
-               "proj_igradq": float(np.max(np.abs(fit.projections["igradQ"])))
-               if fit is not None else 0.0,
+               "proj_igradq": float(np.max(np.abs(fit.projections["igradQ"]))),
                "mass": obs.mass, "momentum": [float(m) for m in obs.momentum]}
         samples.append(smp)
         return smp
@@ -383,22 +348,40 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         return max(1, int(round(lam ** 2 * ds / config.dt)))
 
     # the work field evolves forward while u runs backward
-    chunks = _Chunks(StrangRun(grid, config.dt, config.p), np.conj(u_in.values),
-                     chunk_steps(s, params.lam))
-    stage = _Propagation(chunks)
+    stage = _Propagation(ComplexField(grid, np.conj(u_in.values)), config.dt, config.p)
     try:
-        fit0 = decompose(u_in, params, gs, mode="tracking", v_override=params.v,
-                         with_fields=False, xtol=config.newton_tol)
-        params = fit0.params
-        gamma_track = params.gamma
-        n_steps = chunk_steps(s, params.lam)
+        n_steps = chunk_steps(s, params.lam)    # the initial data's scale, 1
         stage.send(n_steps)
-        push_sample(u_in, params, s, t_lab, fit0)
-
-        while s > config.s0:
+        fit = decompose(u_in, params, gs, mode="tracking", v_override=params.v,
+                        with_fields=False, xtol=config.newton_tol)
+        params = fit.params
+        gamma_track = params.gamma
+        u_now = u_in
+        while True:
+            # the running chunk ends at s_next; the next one takes this fit's
+            # scale too, so its count is sent before the worker needs it
             dt_chunk = n_steps * config.dt
             ds_actual = dt_chunk / params.lam ** 2
             s_next = s - ds_actual
+            n_steps = chunk_steps(s_next, params.lam)
+            if s_next > config.s0:
+                stage.send(n_steps)
+
+            smp = push_sample(u_now, params, s, t_lab, fit)
+            side = 1 if smp["zeta"] >= s else -1
+            # the initial sample is not checked: at zeta# = +-1 it sits on xi = 1
+            if u_now is not u_in:
+                if smp["xi"] >= 1.0:
+                    exit_tag, phi = (EXIT_ZETA_HIGH if side > 0 else EXIT_ZETA_LOW), side
+                    break
+                if smp["eps_h1"] > config.C_star / s:
+                    exit_tag, phi = EXIT_EPS, side
+                    break
+                if float(np.linalg.norm(params.z)) < COLLISION_SEP:
+                    exit_tag, phi = EXIT_COLLISION, -1
+                    break
+            if s <= config.s0:
+                break
 
             z_pred, v_next = _slave_velocity(params.z, params.v, s, s_next,
                                              constants.c2, gs.force_law)
@@ -408,7 +391,7 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             try:
                 values = stage.recv()
             except Overflow:
-                exit_tag = EXIT_BLOWUP
+                exit_tag, phi = EXIT_BLOWUP, side
                 break
             u_now = ComplexField(grid, np.conj(values))
             t_lab -= dt_chunk
@@ -424,29 +407,9 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             gamma_track = gamma_pred + np.angle(np.exp(1j * (wrapped - gamma_pred)))
             params = BubbleParams(lam=fit.params.lam, z=fit.params.z,
                                   gamma=gamma_track, v=v_next)
-            if s > config.s0:
-                n_steps = chunk_steps(s, params.lam)
-                stage.send(n_steps)
-
-            smp = push_sample(u_now, params, s, t_lab, fit)
-
-            if smp["xi"] >= 1.0:
-                exit_tag = EXIT_ZETA_HIGH if smp["zeta"] >= s else EXIT_ZETA_LOW
-                phi = 1 if smp["zeta"] >= s else -1
-                break
-            if smp["eps_h1"] > config.C_star / s:
-                exit_tag = EXIT_EPS
-                phi = 1 if smp["zeta"] >= s else -1
-                break
-            if float(np.linalg.norm(params.z)) < COLLISION_SEP:
-                exit_tag = EXIT_COLLISION
-                phi = -1
-                break
     finally:
         stage.close()
 
-    if exit_tag in (EXIT_BLOWUP,):
-        phi = 1 if samples and samples[-1]["zeta"] >= samples[-1]["s"] else -1
     return RunRecord(config=config, zeta_sharp=zeta_sharp, samples=samples,
                      exit=exit_tag, phi=phi,
                      wall_time=time.perf_counter() - t_start)

@@ -4,10 +4,8 @@ Evolves i u_t = -Delta u - |u|^(p-1) u on a uniform periodic box with Strang
 splitting; sign conventions are fixed so that e^(it) Q is stationary.  One
 kernel serves both orders, d = 1 and 2 and either sign of dt: each step runs
 in preallocated buffers, transforms in place with scipy.fft, and applies the
-nonlinear phase as cos + i sin of dt (re^2 + im^2)^((p-1)/2).  The kernel is
-a resumable run, StrangRun, that can stop and go on within a chunk;
-propagate runs one chunk of it.  Snapshots are checked on read and replaced
-atomically on write.
+nonlinear phase as cos + i sin of dt (re^2 + im^2)^((p-1)/2).  Snapshots are
+checked on read and replaced atomically on write.
 """
 
 from __future__ import annotations
@@ -224,101 +222,56 @@ def read_snapshot(path) -> tuple[ComplexField, float]:
     return ComplexField(grid, values), float(t)
 
 
-class StrangRun:
-    """Strang chunks on one grid, run as a resumable sequence of steps.
+def _strang_chunk(values: np.ndarray, k_sq: np.ndarray, dt: float, p: float,
+                  n_steps: int, guard: float, weights: tuple[float, ...]) -> np.ndarray:
+    """n_steps of Strang splitting, drift-first with merged half drifts.
 
-    A chunk of n steps is ``open(values)``, ``advance(n - 1)``, ``close()``,
-    and ``advance`` may be called any number of times in between.  ``open``
-    checks the per-step phase bound on values, sets the sup-norm guard to
-    blowup_factor times their sup norm and applies the first half drift; the
-    first forward transform writes a new array, so values are never touched.
-    Each step composes Strang sub-steps of size w * dt, w in the order's
-    weights, drift-first; the half drifts that meet between sub-steps and
-    between steps are merged into one linear factor, and ``close`` takes the
-    chunk's last step, whose final factor is the closing half drift.  The
-    nonlinear phase dt |v|^(p-1) is built from re^2 + im^2 and applied as
-    cos + i sin; every later transform and product runs in place on the
-    run's own buffers.  ``steps`` counts the chunk's steps; the guard is
-    checked after every 64th step and after the last, and a check raises
-    Overflow past the guard and StepTooLarge once dt sup^(p-1) reaches 1.
+    A step is the composition of Strang sub-steps of size w * dt, w in
+    weights; the half drifts that meet between sub-steps and between steps
+    are merged into one linear factor, and the last step ends on the closing
+    half drift.  The first forward transform writes a new array, so the
+    caller's values are never touched; every later transform and product
+    runs in place on the kernel's own buffers.  The nonlinear phase
+    dt |v|^(p-1) is built from re^2 + im^2 and applied as cos + i sin.  The
+    guard is checked after every 64th step and after the last; a check
+    raises Overflow past the sup-norm guard and StepTooLarge once
+    dt sup^(p-1) reaches 1.
     """
-
-    def __init__(self, grid: Grid, dt: float, p: float, order: int = 2,
-                 blowup_factor: float = BLOWUP_FACTOR):
-        if order == 2:
-            weights = (1.0,)
-        elif order == 4:
-            w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-            weights = (w1, 1.0 - 2.0 * w1, w1)
-        else:
-            raise StepTooLarge(f"unsupported order {order}")
-        self.dt, self.p, self.weights = dt, p, weights
-        self.blowup_factor = blowup_factor
-        self.halves = [np.exp(-0.5j * w * dt * grid.k_sq) for w in weights]
-        self.joins = [h * self.halves[(j + 1) % len(self.halves)]
-                      for j, h in enumerate(self.halves)]
-        self.fft, self.ifft = (sfft.fft, sfft.ifft) if grid.d == 1 else (sfft.fftn, sfft.ifftn)
-        self.squares = np.empty(grid.shape[:-1] + (2 * grid.N,))
-        self.phase = np.empty(grid.shape)
-        self.rot = np.empty(grid.shape, dtype=complex)
-        self.steps = 0
-        self.guard = 0.0
-        self.v = None
-
-    def open(self, values: np.ndarray) -> None:
-        """Start a chunk from values."""
-        sup0 = float(np.max(np.abs(values)))
-        phase = abs(self.dt) * sup0 ** (self.p - 1.0)
-        if phase >= 1.0:
-            raise StepTooLarge(f"per-step nonlinear phase {phase:.3f} >= 1")
-        self.guard = self.blowup_factor * max(sup0, 1e-300)
-        self.steps = 0
-        v = self.fft(np.asarray(values, dtype=complex))
-        v *= self.halves[0]
-        self.v = self.ifft(v, overwrite_x=True)
-
-    def advance(self, n: int) -> None:
-        """Take n steps of the open chunk, leaving it open."""
-        self._steps(n, self.joins[-1], False)
-
-    def close(self) -> np.ndarray:
-        """Take the chunk's last step and return the field it ends on."""
-        self._steps(1, self.halves[-1], True)
-        v, self.v = self.v, None
-        return v
-
-    def _steps(self, n: int, last_factor: np.ndarray, closing: bool) -> None:
-        fft, ifft, joins = self.fft, self.ifft, self.joins
-        squares, phase, rot = self.squares, self.phase, self.rot
-        half_power = 0.5 * (self.p - 1.0)
-        last = len(self.weights) - 1
-        v = self.v
-        for _ in range(n):
-            for j, w in enumerate(self.weights):
-                # |v|^2 as the pairwise sum of the squared re/im doubles
-                np.square(v.view(np.float64), out=squares)
-                np.add(squares[..., 0::2], squares[..., 1::2], out=phase)
-                if half_power != 1.0:
-                    np.power(phase, half_power, out=phase)
-                phase *= w * self.dt
-                np.cos(phase, out=rot.real)
-                np.sin(phase, out=rot.imag)
-                v *= rot
-                v = fft(v, overwrite_x=True)
-                v *= last_factor if j == last else joins[j]
-                v = ifft(v, overwrite_x=True)
-            self.v = v
-            if not self.steps % 64 or closing:
-                self._check(float(np.max(np.abs(v))))
-            self.steps += 1
-
-    def _check(self, m: float) -> None:
-        if not np.isfinite(m) or m > self.guard:
-            raise Overflow(f"sup-norm {m:.3e} exceeded blow-up guard {self.guard:.3e} "
-                           f"at step {self.steps}")
-        phase = abs(self.dt) * m ** (self.p - 1.0)
-        if phase >= 1.0:
-            raise StepTooLarge(f"per-step nonlinear phase {phase:.3f} >= 1 at step {self.steps}")
+    halves = [np.exp(-0.5j * w * dt * k_sq) for w in weights]
+    joins = [h * halves[(j + 1) % len(halves)] for j, h in enumerate(halves)]
+    fft, ifft = (sfft.fft, sfft.ifft) if values.ndim == 1 else (sfft.fftn, sfft.ifftn)
+    half_power = 0.5 * (p - 1.0)
+    squares = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+    phase = np.empty(values.shape)
+    rot = np.empty(values.shape, dtype=complex)
+    v = fft(np.asarray(values, dtype=complex))
+    v *= halves[0]
+    v = ifft(v, overwrite_x=True)
+    last = len(weights) - 1
+    for step in range(n_steps):
+        closing = step == n_steps - 1
+        for j, w in enumerate(weights):
+            # |v|^2 as the pairwise sum of the squared re/im doubles
+            np.square(v.view(np.float64), out=squares)
+            np.add(squares[..., 0::2], squares[..., 1::2], out=phase)
+            if half_power != 1.0:
+                np.power(phase, half_power, out=phase)
+            phase *= w * dt
+            np.cos(phase, out=rot.real)
+            np.sin(phase, out=rot.imag)
+            v *= rot
+            v = fft(v, overwrite_x=True)
+            v *= halves[last] if closing and j == last else joins[j]
+            v = ifft(v, overwrite_x=True)
+        if not step % 64 or closing:
+            m = float(np.max(np.abs(v)))
+            if not np.isfinite(m) or m > guard:
+                raise Overflow(f"sup-norm {m:.3e} exceeded blow-up guard {guard:.3e} "
+                               f"at step {step}")
+            bound = abs(dt) * m ** (p - 1.0)
+            if bound >= 1.0:
+                raise StepTooLarge(f"per-step nonlinear phase {bound:.3f} >= 1 at step {step}")
+    return v
 
 
 def propagate(u: ComplexField, dt: float, n_steps: int, p: float,
@@ -326,11 +279,21 @@ def propagate(u: ComplexField, dt: float, n_steps: int, p: float,
     """Advance the field by n_steps * dt; dt may be negative.
 
     order=2 is plain Strang; order=4 is the triple-jump composition of Strang
-    steps, for convergence studies.  One chunk of a StrangRun.
+    steps, for convergence studies.
     """
     if n_steps <= 0:
         return u.copy()
-    run = StrangRun(u.grid, dt, p, order, blowup_factor)
-    run.open(u.values)
-    run.advance(n_steps - 1)
-    return ComplexField(u.grid, run.close())
+    sup0 = float(np.max(np.abs(u.values)))
+    bound = abs(dt) * sup0 ** (p - 1.0)
+    if bound >= 1.0:
+        raise StepTooLarge(f"per-step nonlinear phase {bound:.3f} >= 1")
+    guard = blowup_factor * max(sup0, 1e-300)
+    if order == 2:
+        weights = (1.0,)
+    elif order == 4:
+        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        weights = (w1, 1.0 - 2.0 * w1, w1)
+    else:
+        raise StepTooLarge(f"unsupported order {order}")
+    g = u.grid
+    return ComplexField(g, _strang_chunk(u.values, g.k_sq, dt, p, n_steps, guard, weights))

@@ -1,9 +1,18 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from twobubble.experiments import ShootConfig, bisect_zeta
 from twobubble.groundstate import solve_profile, structure_constants
 from twobubble.nls_core import make_grid
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    # every shot ends its propagation worker, whatever way it ends
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

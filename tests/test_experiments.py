@@ -10,14 +10,7 @@ from twobubble import experiments as ex
 from twobubble import nls_core as nc
 from twobubble.ansatz import FORCE_LAW_DOMAIN, interaction_force_H
 from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoSignChange,
-                              QuadratureFailure, StepTooLarge, WindowTooShort, WorkerLost)
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_workers():
-    # every shot ends its propagation worker, whatever way it ends
-    yield
-    assert multiprocessing.active_children() == []
+                              QuadratureFailure, WindowTooShort, WorkerLost)
 
 
 @pytest.fixture(scope="module")
@@ -340,49 +333,21 @@ def path(request, monkeypatch):
     return request.param
 
 
-def run_counts(run, values, counts, hint):
-    """Chunks of the given counts, each after as much speculation as is wanted."""
-    chunks = ex._Chunks(run, values, hint)
-    fields, speculated = [], []
-    for n in counts:
-        while chunks.speculate(ex.SPECULATION_BATCH):
-            pass
-        speculated.append(chunks.run.steps)
-        fields.append(chunks.finish(n).copy())
-    return fields, speculated
+def overflow_from(call):
+    """A propagate whose calls from the given one on trip the sup-norm guard.
 
+    Each process counts its own calls, so in a forked worker it counts the
+    worker's chunks.
+    """
+    calls = []
 
-@pytest.mark.parametrize("d, N, L, gs_name", [(1, 2048, 64.0, "gs1"), (2, 64, 12.0, "gs2")])
-def test_chunks_match_chained_propagate(request, d, N, L, gs_name):
-    gs = request.getfixturevalue(gs_name)
-    grid = nc.make_grid(d, N, L)
-    r = np.sqrt(sum((x - (1.5 if m == 0 else 0.0)) ** 2 for m, x in enumerate(grid.x_mesh)))
-    u = nc.field_from_values(grid, gs.q_at(r) * np.exp(0.3j * grid.x_mesh[0]))
-    counts = [250, 251, 1, 250]
-    fields, speculated = run_counts(nc.StrangRun(grid, 2e-3, 3.0), u.values, counts, 250)
-    # speculation stops two short of the last count, so the 1-step chunk,
-    # whose only step is its close, starts again from the last field
-    assert speculated == [248, 248, 249, 0]
-    for n, field in zip(counts, fields):
-        u = nc.propagate(u, 2e-3, n, 3.0)
-        assert np.array_equal(field, u.values)
+    def propagate(u, dt, n_steps, p, **kwargs):
+        calls.append(n_steps)
+        if len(calls) >= call:
+            kwargs["blowup_factor"] = 0.0
+        return nc.propagate(u, dt, n_steps, p, **kwargs)
 
-
-def test_chunks_raise_speculative_errors_in_order(grid_1024_32):
-    # the phase bound of this pulse breaks at the guard check of step 192
-    g = grid_1024_32
-    u = nc.field_from_values(g, 2.5 / np.cosh(g.axis))
-    chunks = ex._Chunks(nc.StrangRun(g, 3e-4, 6.0), u.values, 1000)
-    while chunks.speculate(ex.SPECULATION_BATCH):
-        pass
-    assert chunks.fault[0] == 192
-    # a chunk that ends before that step drops the error and starts again
-    assert np.array_equal(chunks.finish(100), nc.propagate(u, 3e-4, 100, 6.0).values)
-    chunks = ex._Chunks(nc.StrangRun(g, 3e-4, 6.0), u.values, 1000)
-    while chunks.speculate(ex.SPECULATION_BATCH):
-        pass
-    with pytest.raises(StepTooLarge, match="at step 192"):
-        chunks.finish(400)
+    return propagate
 
 
 def test_pipelined_shot_matches_in_process(monkeypatch, short_config, gs1, sc1):
@@ -393,8 +358,7 @@ def test_pipelined_shot_matches_in_process(monkeypatch, short_config, gs1, sc1):
     piped, inline = records
     assert piped.exit == inline.exit == ex.EXIT_REACHED
     assert piped.phi == inline.phi == 0
-    # six chunks of 250 steps end 1e-6 short of s0, and a 1-step chunk
-    # follows, which the worker starts again after speculating
+    # six chunks of 250 steps end 1e-6 short of s0, and a 1-step chunk follows
     assert len(piped.samples) == 8
     assert piped.samples[-2]["s"] - piped.samples[-1]["s"] == pytest.approx(2e-3, rel=1e-3)
     assert piped.samples == inline.samples
@@ -424,28 +388,16 @@ def test_worker_ends_with_its_shot(monkeypatch, short_config, gs1, sc1):
 
 def test_dead_worker_is_an_error(monkeypatch, short_config, gs1, sc1):
     monkeypatch.setattr(ex, "_pipelined", lambda: True)
-    monkeypatch.setattr(ex, "_serve", lambda conn, chunks: os._exit(3))
+    monkeypatch.setattr(ex, "_serve", lambda conn, u, dt, p: os._exit(3))
     t0 = time.perf_counter()
     with pytest.raises(WorkerLost, match="exit code 3"):
         ex.backward_shoot(short_config, 0.0, gs1, sc1)
     assert time.perf_counter() - t0 < 1.0
 
 
-class _GuardFromThirdChunk(nc.StrangRun):
-    """A run whose sup-norm guard is 0 from its third chunk on."""
-
-    opens = 0
-
-    def open(self, values):
-        super().open(values)
-        self.opens += 1
-        if self.opens >= 3:
-            self.guard = 0.0
-
-
 @pytest.mark.parametrize("zeta_sharp, phi", [(0.5, 1), (-0.5, -1)])
 def test_shot_blowup_exit(monkeypatch, path, gs1, sc1, zeta_sharp, phi):
-    monkeypatch.setattr(ex, "StrangRun", _GuardFromThirdChunk)
+    monkeypatch.setattr(ex, "propagate", overflow_from(3))
     cfg = ex.ShootConfig(s_in=300.0, s0=290.0, N=2048, L=64.0, dt=2e-3)
     rec = ex.backward_shoot(cfg, zeta_sharp, gs1, sc1)
     assert rec.exit == ex.EXIT_BLOWUP
@@ -453,3 +405,45 @@ def test_shot_blowup_exit(monkeypatch, path, gs1, sc1, zeta_sharp, phi):
     assert len(rec.samples) == 3
     last = rec.samples[-1]
     assert rec.phi == phi == (1 if last["zeta"] >= last["s"] else -1)
+
+
+def test_unconsumed_chunk_cannot_change_the_exit(monkeypatch, path, short_config, gs1, sc1):
+    # at zeta# = +1 the shot exits at its first check, s = 299.5, while the
+    # worker already runs the next chunk; that chunk and every later one
+    # overflow, and the parent never takes them
+    monkeypatch.setattr(ex, "propagate", overflow_from(2))
+    rec = ex.backward_shoot(short_config, 1.0, gs1, sc1)
+    assert rec.exit == ex.EXIT_ZETA_HIGH and rec.phi == 1
+    assert len(rec.samples) == 2
+    assert rec.deepest_s == pytest.approx(299.5, abs=1e-6)
+
+
+def test_counts_go_out_one_chunk_ahead(monkeypatch, short_config, gs1, sc1):
+    monkeypatch.setattr(ex, "_pipelined", lambda: False)
+    queued = []
+
+    class Logged(ex._Propagation):
+        def recv(self):
+            queued.append(len(self.counts))
+            return super().recv()
+
+    monkeypatch.setattr(ex, "_Propagation", Logged)
+    rec = ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    assert rec.exit == ex.EXIT_REACHED and len(rec.samples) == 8
+    # each recv but the last finds the next chunk's count already sent; the
+    # last chunk ends at s0, so no count follows it
+    assert queued == [2] * 6 + [1]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda data: data.pop("phi"), "no key 'phi'"),
+    (lambda data: data["config"].update(grid="fine"), "unexpected keyword argument 'grid'"),
+    (lambda data: data["config"].update(dt=1e-3), "hash .* does not match"),
+    (lambda data: data.update(exit="escaped"), "exit 'escaped' is not one of"),
+], ids=["missing-key", "unknown-config-key", "edited-config", "unknown-exit"])
+def test_record_read_is_checked(small_endpoints, edit, match):
+    data = json.loads(json.dumps(small_endpoints[0].to_dict()))
+    assert ex.RunRecord.from_dict(data).samples == small_endpoints[0].samples
+    edit(data)
+    with pytest.raises(IoFailure, match=match):
+        ex.RunRecord.from_dict(data)
