@@ -3,8 +3,10 @@
 The configuration is symmetric: bubble centers at +-z/2 carry velocities
 +-v/2 and a common scale and phase.  Every lattice field is built from
 ``LatticeBubble``, one lazily evaluated boosted bubble; the interaction
-force H(z) is a composite Gauss-Legendre rule with a coarse/fine check,
-which ``ForceLaw`` interpolates once per ground state for the dynamics.
+force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
+d = 2 (the transverse axis is a single node for d = 1) with a coarse/fine
+check, which ``ForceLaw`` interpolates once per ground state for the
+dynamics.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import GroundState, gl_axis, radial_integral, smoothstep
+from .groundstate import GroundState, gl_axis, radial_integral, smoothstep, transverse_axis
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -219,66 +221,47 @@ def interaction_G(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexF
 
 # Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels of fixed
 # width per dimension, evaluated with a coarse and a fine node count whose
-# disagreement bounds the error.
+# disagreement, against FORCE_TOL times the leading-order size of H, bounds
+# the error.
 _COARSE_NODES = 8
 _FINE_NODES = 12
 _PANEL = {1: 0.25, 2: 0.5}
+FORCE_TOL = 1e-10
 
 
-def _force_1d_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Rule split exactly at y = 0, -|z|/2 and -|z|, cut at |z| + 40; near nodes
-    (y > -|z|/2) weigh Q^{p-1}(y) Q'(y) Q(y+z), far nodes Q^{p-1}(y+z) Q'(y) Q(y)."""
-    p = gs.p
-    cut = zlen + 40.0
-    y, w = gl_axis((-cut, -zlen, -0.5 * zlen, 0.0, cut), nodes, _PANEL[1])
-    r = np.abs(y)
-    qr, qs = gs.q_at(np.stack([r, np.abs(y + zlen)]))
-    near = y > -0.5 * zlen
+def _force_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
+    """Cartesian rule with z along e1, split exactly at y1 = -|z|, -|z|/2 and 0
+    and cut 30 beyond both bubbles; near nodes (y1 > -|z|/2) weigh
+    Q^{p-1}(y) d_1Q(y) Q(y+z), far nodes Q^{p-1}(y+z) d_1Q(y) Q(y).  The
+    transverse axis is ``transverse_axis`` (one node for d = 1)."""
+    p, step = gs.p, _PANEL.get(gs.d)    # transverse_axis rejects any other d
+    y2, w2 = transverse_axis(gs.d, 30.0, nodes, step)
+    y1, w1 = gl_axis((-zlen - 30.0, -zlen, -0.5 * zlen, 0.0, 0.5 * zlen + 30.0), nodes, step)
+    Y1 = y1[:, None]
+    r = np.hypot(Y1, y2)        # > 0: y1 = 0 is a break, so no node lies on it
+    qr, qs = gs.q_at(np.stack([r, np.hypot(Y1 + zlen, y2)]))
+    near = Y1 > -0.5 * zlen
     weight = np.where(near, qr, qs) ** (p - 1.0)
-    return p * float(w @ (weight * gs.dq_at(r) * np.sign(y) * np.where(near, qs, qr)))
+    partner = np.where(near, qs, qr)
+    return p * float(w1 @ (weight * gs.dq_at(r) * (Y1 / r) * partner) @ w2)
 
 
-def _force_2d_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Tensor rule split exactly at y1 = -|z|/2, z along e1, with the near/far
-    weights of the 1d rule; each block makes one q_at and one dq_at call."""
-    p = gs.p
-    y2, w2 = gl_axis((-30.0, 30.0), nodes, _PANEL[2])
-    total = 0.0
-    for a, b, near in ((-0.5 * zlen, 0.5 * zlen + 30.0, True), (-zlen - 30.0, -0.5 * zlen, False)):
-        y1, w1 = gl_axis((a, b), nodes, _PANEL[2])
-        Y1 = y1[:, None]
-        r = np.hypot(Y1, y2)
-        qr, qs = gs.q_at(np.stack([r, np.hypot(Y1 + zlen, y2)]))
-        with np.errstate(invalid="ignore"):
-            grad1 = np.where(r > 0, gs.dq_at(r) * Y1 / np.maximum(r, 1e-300), 0.0)
-        weight, partner = (qr, qs) if near else (qs, qr)
-        total += float(w1 @ (weight ** (p - 1.0) * grad1 * partner) @ w2)
-    return p * total
-
-
-_FORCE_RULES = {1: _force_1d_nodes, 2: _force_2d_nodes}
-
-
-def interaction_force_H(z, gs: GroundState, quad_tol: float = 1e-10,
-                        min_sep: float = COLLISION_SEP) -> np.ndarray:
+def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> np.ndarray:
     """Half-space-split projection of the interaction onto the translation direction.
 
     Two integrals split exactly at y.(z/|z|) = -|z|/2; the result is parallel
     to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading order.  The
     composite Gauss-Legendre rule runs with 8 and 12 nodes per panel; they
-    must agree to max(quad_tol |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).
+    must agree to max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))
     if zlen < min_sep:
         raise QuadratureFailure(f"|z| = {zlen:.2f} below validity threshold {min_sep}")
-    rule = _FORCE_RULES.get(gs.d)
-    if rule is None:
-        raise QuadratureFailure(f"force implemented for d in (1, 2), got {gs.d}")
-    coarse = rule(zlen, gs, _COARSE_NODES)
-    fine = rule(zlen, gs, _FINE_NODES)
+    coarse = _force_nodes(zlen, gs, _COARSE_NODES)
+    fine = _force_nodes(zlen, gs, _FINE_NODES)
     scale = zlen ** (-0.5 * (gs.d - 1)) * np.exp(-zlen)
-    if abs(fine - coarse) > max(quad_tol * scale, 1e-8 * abs(fine)):
+    if abs(fine - coarse) > max(FORCE_TOL * scale, 1e-8 * abs(fine)):
         raise QuadratureFailure(
             f"{gs.d}d force rule not converged at |z| = {zlen:.3f}: "
             f"|fine - coarse| = {abs(fine - coarse):.3e}")

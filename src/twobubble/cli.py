@@ -214,7 +214,11 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    record = ex.RunRecord.from_dict(json.loads(Path(args.record).read_text()))
+    try:
+        data = json.loads(Path(args.record).read_text())
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read run record {args.record}: {exc}") from exc
+    record = ex.RunRecord.from_dict(data)
     gs = solve_profile(record.config.p, record.config.d)
     sc = structure_constants(gs)
     print(json.dumps(ex.verify_regime(record, sc), indent=2))

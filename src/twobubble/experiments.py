@@ -3,8 +3,10 @@
 A two-bubble configuration is placed at rescaled time s_in with separation
 fixed by the shooting parameter zeta and velocity matched to the marginal
 orbit, evolved backward (conjugation time-reversal plus forward split-step),
-and tracked with the modulation fit, the velocity slaved between fits to the
-ground state's cached force law.  Runs end on the first violated bound;
+and tracked with the modulation fit.  Each fit starts from the reduced
+system's prediction (``reduced_dynamics.integrate_reduced`` on the ground
+state's cached force law), whose velocity it keeps; a collision that the
+prediction reaches ends the run.  Runs end on the first violated bound;
 bisection over the final-data parameter uses the opposite exit signs at the
 bracket endpoints.
 
@@ -38,16 +40,16 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .ansatz import COLLISION_SEP, BubbleParams, build_two_bubble
 from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
-from .errors import (FitLost, InvalidConfig, IoFailure, NoSignChange, Overflow, StepTooLarge,
-                     WindowTooShort, WorkerLost)
+from .errors import (CollisionDetected, FitLost, InvalidConfig, IoFailure, NoSignChange,
+                     Overflow, StepTooLarge, WindowTooShort, WorkerLost)
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
 from .nls_core import ComplexField, make_grid, observables, propagate
+from .reduced_dynamics import ReducedState, integrate_reduced
 
 EXIT_REACHED = "reached_s0"
 EXIT_ZETA_HIGH = "exited_zeta_high"
@@ -56,12 +58,15 @@ EXIT_EPS = "exited_eps"
 EXIT_COLLISION = "collision"
 EXIT_BLOWUP = "blowup"
 EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP)
+# the sample keys that verify_regime and write_trajectory_csv read
+SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 
 # Hashed with every config: raise it when a config's record changes, so that a
 # sweep registry of older records does not count as done (2: cached force law;
 # 3: a chunk's step count takes the scale fitted one chunk earlier, which moves
-# the acceptance record from sample 532 on).
-RECORD_SCHEMA = 3
+# the acceptance record from sample 532 on; 4: the reduced system predicts each
+# fit, and a collision it predicts ends the shot).
+RECORD_SCHEMA = 4
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,10 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        """The record ``to_dict`` wrote; IoFailure on a missing key, an unknown
-        config key, an unknown exit, or a stored hash that does not match the
-        config and zeta_sharp (an edited record, or one of another schema)."""
+        """The record ``to_dict`` wrote; IoFailure on a missing key, a sample
+        without one of ``SAMPLE_KEYS``, an unknown config key, an unknown exit,
+        or a stored hash that does not match the config and zeta_sharp (an
+        edited record, or one of another schema)."""
         try:
             record = cls(config=ShootConfig.from_dict(data["config"]),
                          zeta_sharp=data["zeta_sharp"], samples=data["samples"],
@@ -151,6 +157,10 @@ class RunRecord:
             raise IoFailure(f"run record has no key {exc}") from exc
         except TypeError as exc:
             raise IoFailure(f"run record config: {exc}") from exc
+        for i, smp in enumerate(record.samples):
+            missing = [k for k in SAMPLE_KEYS if not isinstance(smp, dict) or k not in smp]
+            if missing:
+                raise IoFailure(f"run record sample {i} has no key {', '.join(missing)}")
         if record.exit not in EXITS:
             raise IoFailure(f"run record exit {record.exit!r} is not one of {EXITS}")
         expected = config_hash(record.config, record.zeta_sharp)
@@ -186,23 +196,6 @@ def separation_of_zeta(zeta: float, c: float, d: int) -> float:
         return 2.0 * target
     return brentq(lambda z: 0.25 * (d - 1) * np.log(z) + 0.5 * z - target,
                   1e-3, 2.5 * target + 10.0, xtol=1e-13)
-
-
-def _slave_velocity(z_vec: np.ndarray, v_vec: np.ndarray, s_from: float,
-                    s_to: float, c2: float, force_law):
-    """Advance (z, v) by the slaving law z' = 2v, v' = -(2/c2) H(z)."""
-    d = z_vec.size
-
-    def rhs(s, y):
-        z, v = y[:d], y[d:]
-        zlen = float(np.linalg.norm(z))
-        return np.concatenate([2.0 * v, -(2.0 / c2) * force_law(zlen) * z / zlen])
-
-    sol = solve_ivp(rhs, (s_from, s_to), np.concatenate([z_vec, v_vec]),
-                    method="DOP853", rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise FitLost(f"velocity slaving failed: {sol.message}")
-    return sol.y[:d, -1], sol.y[d:, -1]
 
 
 def initial_data(config: ShootConfig, zeta_sharp: float,
@@ -355,14 +348,12 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         fit = decompose(u_in, params, gs, mode="tracking", v_override=params.v,
                         with_fields=False, xtol=config.newton_tol)
         params = fit.params
-        gamma_track = params.gamma
         u_now = u_in
         while True:
             # the running chunk ends at s_next; the next one takes this fit's
             # scale too, so its count is sent before the worker needs it
             dt_chunk = n_steps * config.dt
-            ds_actual = dt_chunk / params.lam ** 2
-            s_next = s - ds_actual
+            s_next = s - dt_chunk / params.lam ** 2
             n_steps = chunk_steps(s_next, params.lam)
             if s_next > config.s0:
                 stage.send(n_steps)
@@ -383,10 +374,16 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             if s <= config.s0:
                 break
 
-            z_pred, v_next = _slave_velocity(params.z, params.v, s, s_next,
-                                             constants.c2, gs.force_law)
-            gamma_pred = gamma_track - ds_actual * (1.0 + 0.25 * float(params.v @ params.v))
-            guess = BubbleParams(lam=params.lam, z=z_pred, gamma=gamma_pred, v=v_next)
+            # the reduced system predicts the next fit; |z| reaching the
+            # collision threshold on the way ends the shot here
+            try:
+                pred = integrate_reduced(
+                    ReducedState(s, params.lam, params.z, params.gamma, params.v), s_next,
+                    gs, constants, tol=1e-11, mode="quadrature", n_samples=2).state(-1)
+            except CollisionDetected:
+                exit_tag, phi = EXIT_COLLISION, -1
+                break
+            guess = BubbleParams(lam=pred.lam, z=pred.z, gamma=pred.gamma, v=pred.v)
 
             try:
                 values = stage.recv()
@@ -398,15 +395,13 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             s = s_next
 
             try:
-                fit = decompose(u_now, guess, gs, mode="tracking", v_override=v_next,
+                fit = decompose(u_now, guess, gs, mode="tracking", v_override=guess.v,
                                 with_fields=False, xtol=config.newton_tol)
             except Exception as exc:
                 raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
             # unwrap the phase onto the predicted branch
-            wrapped = fit.params.gamma
-            gamma_track = gamma_pred + np.angle(np.exp(1j * (wrapped - gamma_pred)))
-            params = BubbleParams(lam=fit.params.lam, z=fit.params.z,
-                                  gamma=gamma_track, v=v_next)
+            gamma = guess.gamma + np.angle(np.exp(1j * (fit.params.gamma - guess.gamma)))
+            params = BubbleParams(lam=fit.params.lam, z=fit.params.z, gamma=gamma, v=guess.v)
     finally:
         stage.close()
 

@@ -6,6 +6,9 @@ Computes the positive decaying solution of
 
 by bisection shooting on q(0), plus the scalar constants the rest of the
 package consumes (tail amplitude, interaction integral, scaling pairings).
+The interaction integral I_Q and the force H(z) of ``ansatz`` run on the
+same Cartesian Gauss-Legendre axes, ``gl_axis`` along e1 and
+``transverse_axis`` across it, for d = 1 and d = 2 alike.
 
 q and q' are interpolated on the uniform mesh by k=5 splines, stored as one
 table of Taylor coefficients per mesh cell: on cell j = floor(r/h),
@@ -22,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad, simpson, solve_ivp
+from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -431,16 +434,33 @@ def gl_axis(breaks, nodes: int, step: float):
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
+def transverse_axis(d: int, half_width: float, nodes: int, step: float):
+    """Nodes and weights across the first axis of a Cartesian rule: the one
+    node y2 = 0 of weight 1 for d = 1, the composite Gauss-Legendre rule over
+    [-half_width, half_width] for d = 2.  QuadratureFailure for any other d."""
+    if d == 1:
+        return np.zeros(1), np.ones(1)
+    if d == 2:
+        return gl_axis((-half_width, half_width), nodes, step)
+    raise QuadratureFailure(f"Cartesian rules cover d in (1, 2), got {d}")
+
+
+# Absolute floor of the coarse/fine check on I_Q; the relative one is 1e-9.
+I_Q_TOL = 1e-9
+
+
 def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
-    """Tensor-product Gauss-Legendre rule for the e^(-x1)-weighted integral, d = 2."""
-    pts, wts = gl_axis((-gs.r_max, gs.r_max), nodes_per_panel, 0.5)
-    rr = np.hypot(pts[:, None], pts)
-    return float(wts @ (gs.q_at(rr) ** gs.p * np.exp(-pts)[:, None]) @ wts)
+    """Cartesian Gauss-Legendre rule for the e^(-x1)-weighted integral over
+    [-r_max, r_max]^d."""
+    y1, w1 = gl_axis((-gs.r_max, gs.r_max), nodes_per_panel, 0.5)
+    y2, w2 = transverse_axis(gs.d, gs.r_max, nodes_per_panel, 0.5)
+    rr = np.hypot(y1[:, None], y2)
+    return float(w1 @ (gs.q_at(rr) ** gs.p * np.exp(-y1)[:, None]) @ w2)
 
 
-def structure_constants(gs: GroundState, quad_tol: float = 1e-9,
-                        c_q: float | None = None) -> StructureConstants:
-    """All scalar constants by quadrature over the sampled profile."""
+def structure_constants(gs: GroundState, c_q: float | None = None) -> StructureConstants:
+    """All scalar constants by quadrature over the sampled profile; I_Q comes
+    from the Cartesian rule with 8 and 12 nodes per panel, which must agree."""
     if c_q is None:
         c_q, c_q_resid = asymptotic_constant(gs)
     else:
@@ -452,19 +472,10 @@ def structure_constants(gs: GroundState, quad_tol: float = 1e-9,
     lam_q = 2.0 / (gs.p - 1.0) * gs.q + gs.r * gs.dq
     c1 = radial_integral(gs, lam_q * gs.q)
 
-    if gs.d == 1:
-        val, err = quad(lambda r: gs.q_at(r) ** gs.p * 2.0 * np.cosh(r),
-                        0.0, gs.r_max, epsabs=quad_tol, epsrel=1e-12, limit=400)
-        if err > max(quad_tol, 1e-10 * abs(val)):
-            raise QuadratureFailure(f"interaction integral error estimate {err:.3e}")
-        i_q = val
-    else:
-        coarse = _i_q_cartesian(gs, 8)
-        fine = _i_q_cartesian(gs, 12)
-        if abs(fine - coarse) > max(quad_tol, 1e-9 * abs(fine)):
-            raise QuadratureFailure(
-                f"Cartesian rule not converged: {abs(fine - coarse):.3e}")
-        i_q = fine
+    coarse = _i_q_cartesian(gs, 8)
+    i_q = _i_q_cartesian(gs, 12)
+    if abs(i_q - coarse) > max(I_Q_TOL, 1e-9 * abs(i_q)):
+        raise QuadratureFailure(f"Cartesian rule not converged: {abs(i_q - coarse):.3e}")
 
     c_p = c_q * i_q
     c = 2.0 * c_p / c2

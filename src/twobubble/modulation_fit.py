@@ -337,13 +337,13 @@ def momentum_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
 
 
 def energy_functional(u: ComplexField, params: BubbleParams, s: float,
-                      gs: GroundState, chi_radius_scale: float = 1.0) -> dict:
+                      gs: GroundState) -> dict:
     """Localized almost-conserved energy of the error: W = H - J.
 
     H is the nonlinear energy of the error relative to the two-bubble ansatz;
     J localizes the momentum around each bubble with a plateau cutoff of
-    radius log(s) * chi_radius_scale.  Everything is evaluated in lab
-    coordinates with exact scale factors.
+    radius log(s).  Everything is evaluated in lab coordinates with exact
+    scale factors.
     """
     g = u.grid
     p = gs.p
@@ -371,7 +371,7 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
            - (p + 1.0) * absP ** (p - 1.0) * (eps_scaled * np.conj(P_scaled)).real)
     H_val = quad_part - lam ** (-g.d) * float(np.sum(pot)) * vol / (p + 1.0)
 
-    radius = np.log(s) * chi_radius_scale
+    radius = np.log(s)
     J_val = 0.0
     for bub in bubbles:
         chi = momentum_cutoff(bub.r, radius)

@@ -132,11 +132,6 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(values).real) * grid.cell_volume
 
 
-def inner(f: ComplexField, g: ComplexField) -> float:
-    """Real L2 pairing Re int f conj(g)."""
-    return float(np.sum(f.values * np.conj(g.values)).real) * f.grid.cell_volume
-
-
 def l2_norm_sq(u: ComplexField) -> float:
     return integrate(u.grid, np.abs(u.values) ** 2)
 

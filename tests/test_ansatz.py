@@ -109,18 +109,27 @@ def test_force_below_threshold(gs1):
         az.interaction_force_H([3.0], gs1)
 
 
+def test_cartesian_rules_reject_d3():
+    # H(z) and I_Q share the transverse axis, which covers d = 1 and 2 only
+    gs3 = solve_profile(3.0, 3)
+    with pytest.raises(QuadratureFailure, match="got 3"):
+        structure_constants(gs3)
+    with pytest.raises(QuadratureFailure, match="got 3"):
+        az.interaction_force_H([8.0, 0.0, 0.0], gs3)
+
+
 def test_force_2d_direction_and_law(gs2):
     sc2 = structure_constants(gs2)
     theta = 0.7
     zvec = 9.0 * np.array([np.cos(theta), np.sin(theta)])
-    H = az.interaction_force_H(zvec, gs2, quad_tol=1e-8)
+    H = az.interaction_force_H(zvec, gs2)
     # parallel to z
     cross = H[0] * zvec[1] - H[1] * zvec[0]
     assert abs(cross) < 1e-12 * np.linalg.norm(H)
     ratio = np.linalg.norm(H) / (sc2.c_p * 9.0 ** -0.5 * np.exp(-9.0))
     assert abs(ratio - 1.0) < 5.0 / 9.0
     # deviation shrinks with separation
-    ratio2 = np.linalg.norm(az.interaction_force_H([12.0, 0.0], gs2, quad_tol=1e-8)) \
+    ratio2 = np.linalg.norm(az.interaction_force_H([12.0, 0.0], gs2)) \
         / (sc2.c_p * 12.0 ** -0.5 * np.exp(-12.0))
     assert abs(ratio2 - 1.0) < abs(ratio - 1.0)
 
@@ -130,7 +139,7 @@ def test_force_law_2d(gs2):
     # the d=2 law against the rule; building it takes ~6 min of rule calls
     law = gs2.force_law
     for z in np.linspace(4.5, 30.0, 5):
-        H = az.interaction_force_H([z, 0.0], gs2, quad_tol=1e-8, min_sep=2.0)[0]
+        H = az.interaction_force_H([z, 0.0], gs2, min_sep=2.0)[0]
         assert law(z) == pytest.approx(H, rel=8e-13, abs=0.0)
 
 

@@ -122,10 +122,14 @@ def test_unknown_config_key(tmp_path, monkeypatch):
         assert "s0" in str(err.value).split("known keys are")[1]
 
 
-def test_record_out_is_atomic(tmp_path, monkeypatch):
+def _stub_record() -> ex.RunRecord:
     config = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
-    record = ex.RunRecord(config=config, zeta_sharp=0.0, exit="reached_s0", phi=0,
-                          wall_time=0.5, samples=[{"s": 10.0}])
+    return ex.RunRecord(config=config, zeta_sharp=0.0, exit="reached_s0", phi=0,
+                        wall_time=0.5, samples=[dict.fromkeys(ex.SAMPLE_KEYS, 10.0)])
+
+
+def test_record_out_is_atomic(tmp_path, monkeypatch):
+    record = _stub_record()
     monkeypatch.setattr(ex, "backward_shoot", lambda config, zeta: record)
     cfg = tmp_path / "shoot.cfg"
     cfg.write_text("s_in = 12.0\ns0 = 10.0\nN = 512\nL = 16.0\n")
@@ -143,3 +147,13 @@ def test_record_out_is_atomic(tmp_path, monkeypatch):
         with pytest.raises(IoFailure):
             main([command, "--config", str(cfg),
                   "--record-out", str(tmp_path / "missing" / "record.json")])
+
+
+def test_verify_read_errors_are_typed(tmp_path):
+    # a torn record file and a missing one are IoFailure, before any solve
+    torn = tmp_path / "torn.json"
+    torn.write_text(json.dumps(_stub_record().to_dict())[:100])
+    with pytest.raises(IoFailure, match="cannot read run record"):
+        main(["verify", "--record", str(torn)])
+    with pytest.raises(IoFailure, match="cannot read run record"):
+        main(["verify", "--record", str(tmp_path / "missing.json")])

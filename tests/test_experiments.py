@@ -76,6 +76,14 @@ def test_bisect_reaches_small(small_config, gs1, sc1):
     assert all(a >= b for a, b in zip(depths, depths[1:]))
 
 
+def test_predicted_collision_ends_the_shot(gs1, sc1):
+    # at s_in = 3.2 the pair starts at |z| = 5.1, and the reduced system
+    # reaches the collision threshold within the first chunk
+    config = ex.ShootConfig(s_in=3.2, s0=1.5, N=512, L=16.0)
+    rec = ex.backward_shoot(config, 0.0, gs1, sc1)
+    assert (rec.exit, rec.phi, len(rec.samples)) == (ex.EXIT_COLLISION, -1, 1)
+
+
 def test_force_law(gs1):
     # the cached law against the reference rule across its whole domain
     lo, hi = FORCE_LAW_DOMAIN
@@ -440,7 +448,10 @@ def test_counts_go_out_one_chunk_ahead(monkeypatch, short_config, gs1, sc1):
     (lambda data: data["config"].update(grid="fine"), "unexpected keyword argument 'grid'"),
     (lambda data: data["config"].update(dt=1e-3), "hash .* does not match"),
     (lambda data: data.update(exit="escaped"), "exit 'escaped' is not one of"),
-], ids=["missing-key", "unknown-config-key", "edited-config", "unknown-exit"])
+    (lambda data: data["samples"][1].pop("lam"), "sample 1 has no key lam"),
+    (lambda data: data["samples"][0].pop("W"), "sample 0 has no key W"),
+], ids=["missing-key", "unknown-config-key", "edited-config", "unknown-exit",
+        "sample-without-lam", "sample-without-W"])
 def test_record_read_is_checked(small_endpoints, edit, match):
     data = json.loads(json.dumps(small_endpoints[0].to_dict()))
     assert ex.RunRecord.from_dict(data).samples == small_endpoints[0].samples
