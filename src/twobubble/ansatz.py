@@ -4,9 +4,9 @@ The configuration is symmetric: bubble centers at +-z/2 carry velocities
 +-v/2 and a common scale and phase.  Every lattice field is built from
 ``LatticeBubble``, one lazily evaluated boosted bubble; the interaction
 force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
-d = 2 (the transverse axis is a single node for d = 1) with a coarse/fine
-check, which ``ForceLaw`` interpolates once per ground state for the
-dynamics.
+d = 2 (the transverse axis is a single node for d = 1), cut where its
+integrand falls below double precision against H, with a coarse/fine check;
+``ForceLaw`` interpolates it once per ground state for the dynamics.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import GroundState, gl_axis, radial_integral, smoothstep, transverse_axis
+from .groundstate import (FORCE_CUT, GroundState, gl_axis, radial_integral, smoothstep,
+                          transverse_axis)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -230,13 +231,19 @@ FORCE_TOL = 1e-10
 
 
 def _force_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Cartesian rule with z along e1, split exactly at y1 = -|z|, -|z|/2 and 0
-    and cut 30 beyond both bubbles; near nodes (y1 > -|z|/2) weigh
-    Q^{p-1}(y) d_1Q(y) Q(y+z), far nodes Q^{p-1}(y+z) d_1Q(y) Q(y).  The
-    transverse axis is ``transverse_axis`` (one node for d = 1)."""
-    p, step = gs.p, _PANEL.get(gs.d)    # transverse_axis rejects any other d
-    y2, w2 = transverse_axis(gs.d, 30.0, nodes, step)
-    y1, w1 = gl_axis((-zlen - 30.0, -zlen, -0.5 * zlen, 0.0, 0.5 * zlen + 30.0), nodes, step)
+    """Cartesian rule with z along e1, split exactly at y1 = -|z|, -|z|/2 and 0;
+    near nodes (y1 > -|z|/2) weigh Q^{p-1}(y) d_1Q(y) Q(y+z), far nodes
+    Q^{p-1}(y+z) d_1Q(y) Q(y).  At a distance b beyond either bubble, or
+    across the pair axis, the integrand is below e^(-p b) of H, so both axes
+    stop at b = FORCE_CUT/p rounded up to whole panels: y1 runs over
+    [-|z| - b, b] and the transverse axis, ``transverse_axis`` (one node for
+    d = 1), over [-b, b].  Whole panels keep the edges of [0, b] on the
+    multiples of the panel width, as r_max = 25, where ``q_at`` passes from
+    the spline to the tail, is by default."""
+    p, step = gs.p, _PANEL.get(gs.d, 1.0)    # transverse_axis rejects any other d
+    cut = step * math.ceil(FORCE_CUT / (p * step))
+    y2, w2 = transverse_axis(gs.d, cut, nodes, step)
+    y1, w1 = gl_axis((-zlen - cut, -zlen, -0.5 * zlen, 0.0, cut), nodes, step)
     Y1 = y1[:, None]
     r = np.hypot(Y1, y2)        # > 0: y1 = 0 is a break, so no node lies on it
     qr, qs = gs.q_at(np.stack([r, np.hypot(Y1 + zlen, y2)]))
@@ -251,8 +258,10 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
 
     Two integrals split exactly at y.(z/|z|) = -|z|/2; the result is parallel
     to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading order.  The
-    composite Gauss-Legendre rule runs with 8 and 12 nodes per panel; they
-    must agree to max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).
+    composite Gauss-Legendre rule stops FORCE_CUT/p beyond both bubbles and
+    across the pair axis, where the integrand has fallen below e^-FORCE_CUT
+    of H, and runs with 8 and 12 nodes per panel; they must agree to
+    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))

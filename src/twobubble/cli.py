@@ -245,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("groundstate", help="radial profile and constants")
     g.add_argument("--p", type=float, required=True)
-    g.add_argument("--d", type=int, required=True)
+    g.add_argument("--d", type=int, choices=(1, 2), required=True)
     g.add_argument("--tol", type=float, default=1e-10)
     g.add_argument("--profile-csv")
     g.set_defaults(func=cmd_groundstate)
 
     i = sub.add_parser("interaction", help="force law vs asymptotic")
     i.add_argument("--p", type=float, required=True)
-    i.add_argument("--d", type=int, required=True)
+    i.add_argument("--d", type=int, choices=(1, 2), required=True)
     i.add_argument("--z", type=float, nargs="+", required=True)
     i.add_argument("--out")
     i.set_defaults(func=cmd_interaction)
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reduced", help="modulation system or toy equation")
     r.add_argument("--mode", choices=("full", "asymptotic", "toy"), required=True)
     r.add_argument("--p", type=float, default=3.0)
-    r.add_argument("--d", type=int, default=1)
+    r.add_argument("--d", type=int, choices=(1, 2), default=1)
     r.add_argument("--s0", type=float, default=10.0)
     r.add_argument("--s-end", type=float, default=100.0)
     r.add_argument("--z0", type=float, default=10.0)

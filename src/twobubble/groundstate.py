@@ -8,7 +8,8 @@ by bisection shooting on q(0), plus the scalar constants the rest of the
 package consumes (tail amplitude, interaction integral, scaling pairings).
 The interaction integral I_Q and the force H(z) of ``ansatz`` run on the
 same Cartesian Gauss-Legendre axes, ``gl_axis`` along e1 and
-``transverse_axis`` across it, for d = 1 and d = 2 alike.
+``transverse_axis`` across it, for d = 1 and d = 2 alike; each rule stops
+where its integrand has fallen by e^-FORCE_CUT.
 
 q and q' are interpolated on the uniform mesh by k=5 splines, stored as one
 table of Taylor coefficients per mesh cell: on cell j = floor(r/h),
@@ -447,15 +448,26 @@ def transverse_axis(d: int, half_width: float, nodes: int, step: float):
 
 # Absolute floor of the coarse/fine check on I_Q; the relative one is 1e-9.
 I_Q_TOL = 1e-9
+# Decay, as an exponent, past which an integrand is below double precision
+# against its integral (e^-40 ~ 4e-18).  The I_Q rule here and the force
+# rule of ``ansatz`` stop their axes where their integrands have fallen that
+# far, so both domains follow p.
+FORCE_CUT = 40.0
 
 
 def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
-    """Cartesian Gauss-Legendre rule for the e^(-x1)-weighted integral over
-    [-r_max, r_max]^d."""
-    y1, w1 = gl_axis((-gs.r_max, gs.r_max), nodes_per_panel, 0.5)
+    """Cartesian Gauss-Legendre rule for the e^(-x1)-weighted integral.
+
+    Along e1 the integrand Q^p e^(-y1) decays like e^(-(p-1)|y1|) behind
+    and e^(-(p+1)y1) ahead, so the e1 axis is [-FORCE_CUT/(p-1),
+    FORCE_CUT/(p+1)], split at 0; past r_max ``q_at`` supplies the matched
+    tail.  The transverse axis spans [-r_max, r_max].
+    """
+    p = gs.p
+    y1, w1 = gl_axis((-FORCE_CUT / (p - 1.0), 0.0, FORCE_CUT / (p + 1.0)), nodes_per_panel, 0.5)
     y2, w2 = transverse_axis(gs.d, gs.r_max, nodes_per_panel, 0.5)
     rr = np.hypot(y1[:, None], y2)
-    return float(w1 @ (gs.q_at(rr) ** gs.p * np.exp(-y1)[:, None]) @ w2)
+    return float(w1 @ (gs.q_at(rr) ** p * np.exp(-y1)[:, None]) @ w2)
 
 
 def structure_constants(gs: GroundState, c_q: float | None = None) -> StructureConstants:

@@ -97,6 +97,22 @@ def test_force_matches_adaptive_oracle(gs1):
         assert H == pytest.approx(adaptive_force_1d(z, gs1), rel=1e-10)
 
 
+def test_force_cut_drops_nothing(monkeypatch, gs1, gs18, gs2):
+    # past the cut the integrand is below e^-FORCE_CUT of H, so a rule cut
+    # twice as far moves H by rounding only
+    cases = [(gs, z) for gs in (gs1, gs18) for z in (2.0, 8.0, 25.0, 40.0)]
+    cases += [(gs2, 8.0), (gs2, 15.0)]
+
+    def forces():
+        return [az.interaction_force_H(np.eye(gs.d)[0] * z, gs, min_sep=2.0)[0]
+                for gs, z in cases]
+
+    base = forces()
+    monkeypatch.setattr(az, "FORCE_CUT", 2.0 * az.FORCE_CUT)
+    for (gs, z), h, wide in zip(cases, base, forces()):
+        assert abs(wide / h - 1.0) <= 3e-14, (gs.p, gs.d, z)
+
+
 def test_force_rule_not_converged(monkeypatch, gs1):
     # a one-node (midpoint) coarse rule is off by ~4e-7 relative at |z| = 12
     monkeypatch.setattr(az, "_COARSE_NODES", 1)
@@ -136,7 +152,7 @@ def test_force_2d_direction_and_law(gs2):
 
 @pytest.mark.slow
 def test_force_law_2d(gs2):
-    # the d=2 law against the rule; building it takes ~6 min of rule calls
+    # the d=2 law against the rule; building it takes ~25 s of rule calls
     law = gs2.force_law
     for z in np.linspace(4.5, 30.0, 5):
         H = az.interaction_force_H([z, 0.0], gs2, min_sep=2.0)[0]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from twobubble import cli
 from twobubble import experiments as ex
 from twobubble.cli import main, parse_config_file
 from twobubble.errors import InvalidConfig, IoFailure
@@ -108,6 +109,21 @@ def test_shoot_verify_sweep_commands(capsys, tmp_path):
 
 def _no_shot(*args, **kwargs):
     raise AssertionError("a shot ran")
+
+
+def test_dimension_rejected_before_compute(capsys, monkeypatch):
+    # only d = 1 and 2 have structure constants and a force rule
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_profile ran")
+
+    monkeypatch.setattr(cli, "solve_profile", no_solve)
+    for argv in (["groundstate", "--p", "3", "--d", "3"],
+                 ["interaction", "--p", "3", "--d", "3", "--z", "8"],
+                 ["reduced", "--mode", "full", "--d", "3"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "invalid choice: 3" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, monkeypatch):

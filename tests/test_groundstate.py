@@ -195,6 +195,19 @@ def test_i_q_d2_against_radial_reduction(gs1, gs2):
         assert abs(sc.i_q - val) < rel * abs(val)
 
 
+def test_i_q_includes_tail_past_r_max(gs18):
+    # the rule's e1 axis runs past r_max on the matched tail q = a e^(-r), so
+    # the oracle adds that tail's closed-form integral (7e-9 of I_Q at p = 1.8)
+    for gs in (gs18, solve_profile(2.0, 1)):
+        p, R = gs.p, gs.r_max
+        val, err = quad(lambda r: gs.q_at(r) ** p * interaction_weight(1, r),
+                        0.0, R, epsabs=0.0, epsrel=1e-13, limit=400)
+        a = gs.tail_amplitude * decay_shape(1, 0.0)
+        tail = a ** p * (np.exp(-(p - 1.0) * R) / (p - 1.0) + np.exp(-(p + 1.0) * R) / (p + 1.0))
+        assert err < 1e-13 * val
+        assert abs(structure_constants(gs).i_q / (val + tail) - 1.0) < 1e-12
+
+
 def test_tail_matches_decay_shape(gs1):
     # beyond r_max the profile continues with the matched linear tail
     rr = np.array([gs1.r_max + 0.5, gs1.r_max + 3.0])
