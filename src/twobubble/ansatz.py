@@ -4,9 +4,11 @@ The configuration is symmetric: bubble centers at +-z/2 carry velocities
 +-v/2 and a common scale and phase.  Every lattice field is built from
 ``LatticeBubble``, one lazily evaluated boosted bubble; the interaction
 force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
-d = 2 (the transverse axis is a single node for d = 1), cut where its
-integrand falls below double precision against H, with a coarse/fine check;
-``ForceLaw`` interpolates it once per ground state for the dynamics.
+d = 2 (the transverse axis is a single node for d = 1) over the near
+half-space, onto which the reflection y -> -y - z folds the far one, cut
+where its integrand falls below double precision against H, with a
+coarse/fine check; ``ForceLaw`` interpolates it once per ground state for
+the dynamics.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import (FORCE_CUT, GroundState, gl_axis, radial_integral, smoothstep,
-                          transverse_axis)
+from .groundstate import (FORCE_CUT, GroundState, gl_panels, panel_edges, radial_integral,
+                          smoothstep, transverse_axis, transverse_edges)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -230,45 +232,64 @@ _PANEL = {1: 0.25, 2: 0.5}
 FORCE_TOL = 1e-10
 
 
-def _force_nodes(zlen: float, gs: GroundState, nodes: int) -> float:
-    """Cartesian rule with z along e1, split exactly at y1 = -|z|, -|z|/2 and 0;
-    near nodes (y1 > -|z|/2) weigh Q^{p-1}(y) d_1Q(y) Q(y+z), far nodes
-    Q^{p-1}(y+z) d_1Q(y) Q(y).  At a distance b beyond either bubble, or
-    across the pair axis, the integrand is below e^(-p b) of H, so both axes
-    stop at b = FORCE_CUT/p rounded up to whole panels: y1 runs over
-    [-|z| - b, b] and the transverse axis, ``transverse_axis`` (one node for
-    d = 1), over [-b, b].  Whole panels keep the edges of [0, b] on the
-    multiples of the panel width, as r_max = 25, where ``q_at`` passes from
-    the spline to the tail, is by default."""
-    p, step = gs.p, _PANEL.get(gs.d, 1.0)    # transverse_axis rejects any other d
+def _force_panels(zlen: float, d: int, p: float):
+    """Panel edges of the folded rule, with z along e1: y1 over [-|z|/2, b],
+    split at 0, and the transverse axis over [-b, b] (one node for d = 1).
+
+    At a distance b beyond either bubble, or across the pair axis, the
+    integrand is below e^(-p b) of H, so both axes stop at b = FORCE_CUT/p
+    rounded up to whole panels.  Whole panels keep the edges of [0, b] on
+    the multiples of the panel width, as r_max = 25, where ``q_at`` passes
+    from the spline to the tail, is by default."""
+    step = _PANEL.get(d, 1.0)               # transverse_edges rejects any other d
     cut = step * math.ceil(FORCE_CUT / (p * step))
-    y2, w2 = transverse_axis(gs.d, cut, nodes, step)
-    y1, w1 = gl_axis((-zlen - cut, -zlen, -0.5 * zlen, 0.0, cut), nodes, step)
-    Y1 = y1[:, None]
-    r = np.hypot(Y1, y2)        # > 0: y1 = 0 is a break, so no node lies on it
-    qr, qs = gs.q_at(np.stack([r, np.hypot(Y1 + zlen, y2)]))
-    near = Y1 > -0.5 * zlen
-    weight = np.where(near, qr, qs) ** (p - 1.0)
-    partner = np.where(near, qs, qr)
-    return p * float(w1 @ (weight * gs.dq_at(r) * (Y1 / r) * partner) @ w2)
+    return panel_edges((-0.5 * zlen, 0.0, cut), step), transverse_edges(d, cut, step)
+
+
+def _force_nodes(zlen: float, gs: GroundState, nodes: int, panels) -> float:
+    """One pass of the folded rule on ``_force_panels``.
+
+    The reflection y -> -y - z swaps the bubbles and maps the far half-space
+    y1 < -|z|/2 onto the near one, so H is the near integral of
+    p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second term being the far
+    half folded on.  It maps the two-sided rule's nodes onto these, so the
+    folded rule is that rule with each node pair summed.  The profile is
+    evaluated once per pass on the stacked radii (|y|, |y+z|), both > 0:
+    y1 = 0 is a break, so no node lies on it, and y1 > -|z|/2."""
+    p = gs.p
+    y1, w1 = gl_panels(panels[0], nodes)
+    y2, w2 = transverse_axis(panels[1], nodes)
+    shifted = np.stack([y1, y1 + zlen])[:, :, None]     # (y1, y1 + |z|)
+    r = np.hypot(shifted, y2)
+    q = gs.q_at(r)
+    pull = gs.dq_at(r)
+    pull *= shifted / r                 # (d_1Q(y), d_1Q(y + z))
+    integrand = q[0] ** (p - 1.0) * q[1] * (pull[0] - pull[1])
+    return p * float(w1 @ integrand @ w2)
 
 
 def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> np.ndarray:
     """Half-space-split projection of the interaction onto the translation direction.
 
-    Two integrals split exactly at y.(z/|z|) = -|z|/2; the result is parallel
-    to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading order.  The
-    composite Gauss-Legendre rule stops FORCE_CUT/p beyond both bubbles and
-    across the pair axis, where the integrand has fallen below e^-FORCE_CUT
-    of H, and runs with 8 and 12 nodes per panel; they must agree to
-    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).
+    The integral is split exactly at y.(z/|z|) = -|z|/2 and its far half is
+    folded onto the near one by y -> -y - z (``_force_nodes``); the result is
+    parallel to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading
+    order.  The composite Gauss-Legendre rule stops FORCE_CUT/p beyond the
+    near bubble and across the pair axis, where the integrand has fallen
+    below e^-FORCE_CUT of H, and runs with 8 and 12 nodes per panel on the
+    same panels; they must agree to
+    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).  A non-finite z, or
+    |z| below min_sep, is a QuadratureFailure.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))
+    if not math.isfinite(zlen):
+        raise QuadratureFailure(f"non-finite separation z = {z}")
     if zlen < min_sep:
         raise QuadratureFailure(f"|z| = {zlen:.2f} below validity threshold {min_sep}")
-    coarse = _force_nodes(zlen, gs, _COARSE_NODES)
-    fine = _force_nodes(zlen, gs, _FINE_NODES)
+    panels = _force_panels(zlen, gs.d, gs.p)
+    coarse = _force_nodes(zlen, gs, _COARSE_NODES, panels)
+    fine = _force_nodes(zlen, gs, _FINE_NODES, panels)
     scale = zlen ** (-0.5 * (gs.d - 1)) * np.exp(-zlen)
     if abs(fine - coarse) > max(FORCE_TOL * scale, 1e-8 * abs(fine)):
         raise QuadratureFailure(

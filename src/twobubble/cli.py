@@ -5,13 +5,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as ex
-from .ansatz import BubbleParams, build_two_bubble, force_asymptotic, interaction_force_H
+from .ansatz import (COLLISION_SEP, BubbleParams, build_two_bubble, force_asymptotic,
+                     interaction_force_H)
 from .errors import InvalidConfig, IoFailure
 from .groundstate import asymptotic_constant, solve_profile, structure_constants
 from .modulation_fit import decompose
@@ -53,6 +55,15 @@ def _emit_csv(rows, header, out=None):
     finally:
         if out:
             fh.close()
+
+
+def _separation(text: str) -> float:
+    """A finite z with |z| at or above the collision threshold, checked at parse time."""
+    z = float(text)
+    if not (math.isfinite(z) and abs(z) >= COLLISION_SEP):
+        raise argparse.ArgumentTypeError(
+            f"separation must be finite with |z| >= {COLLISION_SEP}, got {text}")
+    return z
 
 
 def cmd_groundstate(args) -> int:
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("interaction", help="force law vs asymptotic")
     i.add_argument("--p", type=float, required=True)
     i.add_argument("--d", type=int, choices=(1, 2), required=True)
-    i.add_argument("--z", type=float, nargs="+", required=True)
+    i.add_argument("--z", type=_separation, nargs="+", required=True)
     i.add_argument("--out")
     i.set_defaults(func=cmd_interaction)
 

@@ -7,9 +7,9 @@ Computes the positive decaying solution of
 by bisection shooting on q(0), plus the scalar constants the rest of the
 package consumes (tail amplitude, interaction integral, scaling pairings).
 The interaction integral I_Q and the force H(z) of ``ansatz`` run on the
-same Cartesian Gauss-Legendre axes, ``gl_axis`` along e1 and
-``transverse_axis`` across it, for d = 1 and d = 2 alike; each rule stops
-where its integrand has fallen by e^-FORCE_CUT.
+same composite Gauss-Legendre panels, ``gl_panels`` on ``panel_edges``
+along e1 and ``transverse_axis`` across it, for d = 1 and d = 2 alike;
+each rule stops where its integrand has fallen by e^-FORCE_CUT.
 
 q and q' are interpolated on the uniform mesh by k=5 splines, stored as one
 table of Taylor coefficients per mesh cell: on cell j = floor(r/h),
@@ -424,26 +424,46 @@ def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def gl_axis(breaks, nodes: int, step: float):
-    """Nodes and weights of the composite Gauss-Legendre rule over consecutive
-    intervals between breaks, each cut into equal panels at most step wide."""
+def panel_edges(breaks, step: float) -> np.ndarray:
+    """Edges of the panels that cut each interval between consecutive breaks
+    into equal parts at most step wide."""
+    return np.concatenate([np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))[:-1]
+                           for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
+
+
+def gl_panels(edges: np.ndarray, nodes: int):
+    """Nodes and weights of the composite Gauss-Legendre rule on the panels
+    between consecutive edges."""
     x, w = _leggauss(nodes)
-    edges = np.concatenate([np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))[:-1]
-                            for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
     mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def transverse_axis(d: int, half_width: float, nodes: int, step: float):
-    """Nodes and weights across the first axis of a Cartesian rule: the one
-    node y2 = 0 of weight 1 for d = 1, the composite Gauss-Legendre rule over
-    [-half_width, half_width] for d = 2.  QuadratureFailure for any other d."""
+def gl_axis(breaks, nodes: int, step: float):
+    """Nodes and weights of the composite Gauss-Legendre rule over consecutive
+    intervals between breaks, each cut into equal panels at most step wide."""
+    return gl_panels(panel_edges(breaks, step), nodes)
+
+
+def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | None:
+    """Panel edges across the first axis of a Cartesian rule: None for d = 1,
+    whose transverse axis is one node, and [-half_width, half_width] cut into
+    panels at most step wide for d = 2.  QuadratureFailure for any other d."""
     if d == 1:
-        return np.zeros(1), np.ones(1)
+        return None
     if d == 2:
-        return gl_axis((-half_width, half_width), nodes, step)
+        return panel_edges((-half_width, half_width), step)
     raise QuadratureFailure(f"Cartesian rules cover d in (1, 2), got {d}")
+
+
+def transverse_axis(edges: np.ndarray | None, nodes: int):
+    """Nodes and weights across the first axis on ``transverse_edges``: the
+    one node y2 = 0 of weight 1 for d = 1 (edges None), the composite
+    Gauss-Legendre rule on the panels for d = 2."""
+    if edges is None:
+        return np.zeros(1), np.ones(1)
+    return gl_panels(edges, nodes)
 
 
 # Absolute floor of the coarse/fine check on I_Q; the relative one is 1e-9.
@@ -465,7 +485,7 @@ def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
     """
     p = gs.p
     y1, w1 = gl_axis((-FORCE_CUT / (p - 1.0), 0.0, FORCE_CUT / (p + 1.0)), nodes_per_panel, 0.5)
-    y2, w2 = transverse_axis(gs.d, gs.r_max, nodes_per_panel, 0.5)
+    y2, w2 = transverse_axis(transverse_edges(gs.d, gs.r_max, 0.5), nodes_per_panel)
     rr = np.hypot(y1[:, None], y2)
     return float(w1 @ (gs.q_at(rr) ** p * np.exp(-y1)[:, None]) @ w2)
 

@@ -11,6 +11,7 @@ of the rescaled time s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +57,22 @@ class ReducedTrajectory:
                             z=self.z[i], gamma=float(self.gamma[i]), v=self.v[i])
 
 
-def _force(z: np.ndarray, gs: GroundState | None, constants: StructureConstants,
-           mode: str, c_override: float | None) -> np.ndarray:
-    """v' = -(2/c2) H(z) from the ground state's cached force law, or its
-    leading-order law -c zhat |z|^(-(d-1)/2) e^(-|z|)."""
+def _force(gs: GroundState | None, constants: StructureConstants, mode: str,
+           c_override: float | None):
+    """v' = -(2/c2) H(z) as a function of (z, |z|): the ground state's cached
+    force law, or its leading-order law -c zhat |z|^(-(d-1)/2) e^(-|z|)."""
     if mode == "asymptotic":
-        return -force_asymptotic(z, constants.c if c_override is None else c_override, gs.d)
+        c = constants.c if c_override is None else c_override
+        return lambda z, zlen: (-force_asymptotic(z, c, gs.d)).tolist()
     if mode == "quadrature":
         # the law's domain starts at |z| = 2, below the collision threshold,
         # since trial stages may dip below it before the terminal event is located
-        zlen = float(np.linalg.norm(z))
-        return -(2.0 / constants.c2) * gs.force_law(zlen) * (z / zlen)
+        law, gain = gs.force_law, -(2.0 / constants.c2)
+
+        def force(z, zlen):
+            a = gain * law(zlen)
+            return [a * (c / zlen) for c in z.tolist()]
+        return force
     raise StepFailure(f"unknown interaction mode {mode!r}")
 
 
@@ -79,25 +85,30 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
     mode selects the interaction force: "quadrature" reads the ground state's
     cached force law, defined for |z| in [2, 40] (QuadratureFailure
     outside), and "asymptotic" the leading-order exponential law, whose
-    constant c_override pins.
+    constant c_override pins.  A non-finite state or end time is a
+    StepFailure.
     """
     d = state0.d
+    y0 = np.concatenate([[state0.lam], state0.z, [state0.gamma], state0.v])
+    if not (np.isfinite(y0).all() and math.isfinite(state0.s) and math.isfinite(s_end)):
+        raise StepFailure(f"non-finite reduced state {y0} at s = {state0.s} or end {s_end}")
     if float(np.linalg.norm(state0.z)) < COLLISION_SEP:
         raise CollisionDetected(f"|z0| = {np.linalg.norm(state0.z):.2f} < {COLLISION_SEP}")
+    force = _force(gs, constants, mode, c_override)
 
     def rhs(s, y):
-        z = y[1:1 + d]
-        v = y[2 + d:]
-        vdot = _force(z, gs, constants, mode, c_override)
-        return np.concatenate([[0.0], 2.0 * v,
-                               [1.0 + 0.25 * float(v @ v)], vdot])
+        # one new vector per call, filled from Python floats: the solver keeps
+        # the returned array as the step's derivative, so it cannot be shared
+        z, v = y[1:1 + d], y[2 + d:]
+        return np.array([0.0, *[2.0 * c for c in v.tolist()],
+                         1.0 + 0.25 * float(v @ v), *force(z, math.sqrt(z @ z))])
 
     def collide(s, y):
-        return float(np.linalg.norm(y[1:1 + d])) - COLLISION_SEP
+        z = y[1:1 + d]
+        return math.sqrt(z @ z) - COLLISION_SEP
 
     collide.terminal = True
 
-    y0 = np.concatenate([[state0.lam], state0.z, [state0.gamma], state0.v])
     s_eval = np.linspace(state0.s, s_end, n_samples)
     span = abs(s_end - state0.s)
     sol = solve_ivp(rhs, (state0.s, s_end), y0, method="DOP853",

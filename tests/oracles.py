@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own numerics: fixed-step
 classic RK4 and plain bisection for the profile, scipy's B-spline
 evaluation of the profile interpolants (not the package's per-cell Taylor
 table), scipy's adaptive quadrature (not the package's fixed
-Gauss-Legendre rule) for the d=1 interaction force, the angular reduction
-of the interaction integral, the flow residual written term by term from
+Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
+rule that the package folds onto one half-space, the angular reduction of
+the interaction integral, the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, and the
 split-step loop in numpy's allocating array idiom.
 """
@@ -19,8 +20,10 @@ from scipy.integrate import quad
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0
 
+from twobubble.ansatz import _PANEL
 from twobubble.errors import Overflow
-from twobubble.groundstate import _decay_shape_deriv, decay_shape
+from twobubble.groundstate import (FORCE_CUT, _decay_shape_deriv, decay_shape, gl_axis,
+                                   transverse_axis, transverse_edges)
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -113,6 +116,28 @@ def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:
     cut = zlen + 40.0
     return p * (piece(near, -0.5 * zlen, 0.0) + piece(near, 0.0, cut)
                 + piece(far, -cut, -zlen) + piece(far, -zlen, -0.5 * zlen))
+
+
+def two_sided_force(zlen: float, gs, nodes: int) -> float:
+    """Force magnitude H(|z|) by the Cartesian rule over both half-spaces.
+
+    z lies along e1 and y1 runs over [-|z| - b, b], split exactly at -|z|,
+    -|z|/2 and 0, with b = FORCE_CUT/p in whole panels; near nodes
+    (y1 > -|z|/2) weigh Q^{p-1}(y) d_1Q(y) Q(y+z), far nodes
+    Q^{p-1}(y+z) d_1Q(y) Q(y).  The package's rule folds the far half onto
+    the near one and must agree with this one node pair by node pair.
+    """
+    p, step = gs.p, _PANEL[gs.d]
+    cut = step * math.ceil(FORCE_CUT / (p * step))
+    y2, w2 = transverse_axis(transverse_edges(gs.d, cut, step), nodes)
+    y1, w1 = gl_axis((-zlen - cut, -zlen, -0.5 * zlen, 0.0, cut), nodes, step)
+    Y1 = y1[:, None]
+    r = np.hypot(Y1, y2)
+    qr, qs = gs.q_at(np.stack([r, np.hypot(Y1 + zlen, y2)]))
+    near = Y1 > -0.5 * zlen
+    weight = np.where(near, qr, qs) ** (p - 1.0)
+    partner = np.where(near, qs, qr)
+    return p * float(w1 @ (weight * gs.dq_at(r) * (Y1 / r) * partner) @ w2)
 
 
 def interaction_weight(d: int, r) -> np.ndarray:

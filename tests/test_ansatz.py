@@ -7,7 +7,8 @@ from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import solve_profile, structure_constants
 
-from oracles import adaptive_force_1d, ansatz_residual_direct, nonlinearity_derivative
+from oracles import (adaptive_force_1d, ansatz_residual_direct, nonlinearity_derivative,
+                     two_sided_force)
 
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
@@ -97,6 +98,45 @@ def test_force_matches_adaptive_oracle(gs1):
         assert H == pytest.approx(adaptive_force_1d(z, gs1), rel=1e-10)
 
 
+def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
+    # the fold y -> -y - z maps the two-sided rule's nodes onto the folded
+    # rule's, so the two sum the same terms in another order
+    for gs in (gs1, gs18, gs2):
+        for z in (2.0, 8.0, 25.0, 40.0):
+            panels = az._force_panels(z, gs.d, gs.p)
+            for nodes in (az._COARSE_NODES, az._FINE_NODES):
+                folded = az._force_nodes(z, gs, nodes, panels)
+                assert abs(folded / two_sided_force(z, gs, nodes) - 1.0) <= 1e-14, \
+                    (gs.p, gs.d, z, nodes)
+
+
+def test_force_profile_work(monkeypatch, gs1):
+    # at p = 3, |z| = 16 the folded rule has 86 panels of y1 in [-8, 13.5];
+    # each node needs q and q' at |y| and |y + z|: 4 (8 + 12) 86 = 6880
+    # radii, against 3 (8 + 12) 172 = 10320 for the two-sided rule
+    work = {"calls": 0, "points": 0}
+
+    def counted(fn):
+        def wrapper(self, rr):
+            work["calls"] += 1
+            work["points"] += np.size(rr)
+            return fn(self, rr)
+        return wrapper
+
+    GS = type(gs1)
+    for name in ("q_at", "dq_at"):
+        monkeypatch.setattr(GS, name, counted(getattr(GS, name)))
+    az.interaction_force_H([16.0], gs1)
+    assert work["points"] == 6880
+    assert work["calls"] <= 4
+
+
+def test_force_rejects_non_finite(gs1):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            az.interaction_force_H([bad], gs1)
+
+
 def test_force_cut_drops_nothing(monkeypatch, gs1, gs18, gs2):
     # past the cut the integrand is below e^-FORCE_CUT of H, so a rule cut
     # twice as far moves H by rounding only
@@ -152,7 +192,7 @@ def test_force_2d_direction_and_law(gs2):
 
 @pytest.mark.slow
 def test_force_law_2d(gs2):
-    # the d=2 law against the rule; building it takes ~25 s of rule calls
+    # the d=2 law against the rule; building it takes 18 s of rule calls on a 2-core host
     law = gs2.force_law
     for z in np.linspace(4.5, 30.0, 5):
         H = az.interaction_force_H([z, 0.0], gs2, min_sep=2.0)[0]

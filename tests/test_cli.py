@@ -126,6 +126,19 @@ def test_dimension_rejected_before_compute(capsys, monkeypatch):
         assert "invalid choice: 3" in capsys.readouterr().err
 
 
+def test_separation_rejected_before_compute(capsys, monkeypatch):
+    # H(z) needs a finite |z| at or above the collision threshold
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_profile ran")
+
+    monkeypatch.setattr(cli, "solve_profile", no_solve)
+    for z in ("nan", "inf", "3", "-4.9"):
+        with pytest.raises(SystemExit) as err:
+            main(["interaction", "--p", "3", "--d", "1", "--z", "10", z])
+        assert err.value.code == 2
+        assert "separation must be finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key(tmp_path, monkeypatch):
     # a typo must not run with the default value
     monkeypatch.setattr(ex, "backward_shoot", _no_shot)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from twobubble import reduced_dynamics as rd
@@ -63,6 +64,35 @@ def test_collision_guard_on_start(gs1, sc1):
     st = rd.ReducedState(s=10.0, lam=1.0, z=[4.0], gamma=0.0, v=[0.1])
     with pytest.raises(CollisionDetected):
         rd.integrate_reduced(st, 20.0, gs1, sc1)
+
+
+def test_quadrature_rhs_is_textbook(gs1, sc1):
+    # the benchmark's force orbit: the lean right-hand side must take the same
+    # steps, to the bit, as the system written out with numpy arrays
+    st = marginal_state(15.0, sc1.c)
+    tol, s_eval = 1e-9, np.linspace(15.0, 19.0, 30)
+    tr = rd.integrate_reduced(st, 19.0, gs1, sc1, tol=tol, mode="quadrature", n_samples=30)
+
+    def rhs(s, y):
+        z, v = y[1:2], y[3:]
+        zlen = np.linalg.norm(z)
+        vdot = -(2.0 / sc1.c2) * gs1.force_law(zlen) * (z / zlen)
+        return np.concatenate([[0.0], 2.0 * v, [1.0 + 0.25 * (v @ v)], vdot])
+
+    y0 = np.concatenate([[st.lam], st.z, [st.gamma], st.v])
+    ref = solve_ivp(rhs, (15.0, 19.0), y0, method="DOP853", rtol=tol, atol=1e-13,
+                    t_eval=s_eval, max_step=1.0)
+    assert np.array_equal(tr.s, ref.t)
+    assert np.array_equal(tr.z[:, 0], ref.y[1])
+    assert np.array_equal(tr.gamma, ref.y[2])
+    assert np.array_equal(tr.v[:, 0], ref.y[3])
+
+
+def test_non_finite_state(gs1, sc1):
+    for z, v in (([np.nan], [0.1]), ([np.inf], [0.1]), ([10.0], [np.nan])):
+        st = rd.ReducedState(s=10.0, lam=1.0, z=z, gamma=0.0, v=v)
+        with pytest.raises(StepFailure, match="non-finite"):
+            rd.integrate_reduced(st, 20.0, gs1, sc1, mode="quadrature")
 
 
 def test_toy_log_orbit():
