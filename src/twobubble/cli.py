@@ -57,13 +57,30 @@ def _emit_csv(rows, header, out=None):
             fh.close()
 
 
+def _separation_error(z: float) -> str | None:
+    """Why z cannot be a separation (not finite, or inside the collision threshold)."""
+    if math.isfinite(z) and abs(z) >= COLLISION_SEP:
+        return None
+    return f"separation must be finite with |z| >= {COLLISION_SEP}, got {z}"
+
+
 def _separation(text: str) -> float:
     """A finite z with |z| at or above the collision threshold, checked at parse time."""
     z = float(text)
-    if not (math.isfinite(z) and abs(z) >= COLLISION_SEP):
-        raise argparse.ArgumentTypeError(
-            f"separation must be finite with |z| >= {COLLISION_SEP}, got {text}")
+    problem = _separation_error(z)
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
     return z
+
+
+def _reduced_start_error(args) -> str | None:
+    """Why a full or asymptotic reduced run cannot start; the toy equation takes any z0."""
+    if args.mode == "toy":
+        return None
+    if not (math.isfinite(args.s0) and math.isfinite(args.s_end)):
+        return f"--s0 and --s-end must be finite, got {args.s0} and {args.s_end}"
+    problem = _separation_error(args.z0)
+    return f"argument --z0: {problem}" if problem else None
 
 
 def cmd_groundstate(args) -> int:
@@ -114,8 +131,20 @@ def cmd_reduced(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
+    missing = sorted({"d", "N", "L", "p", "dt", "t_end"} - set(cfg))
+    if missing:
+        raise InvalidConfig(f"{args.config}: missing keys {', '.join(missing)}")
     grid = make_grid(int(cfg["d"]), int(cfg["N"]), float(cfg["L"]))
     p = float(cfg["p"])
+    dt = float(cfg["dt"])
+    t_end = float(cfg["t_end"])
+    every = int(cfg.get("observables_every", 100))
+    # checked before the profile solve or snapshot read
+    if not (math.isfinite(dt) and dt != 0.0 and math.isfinite(t_end) and t_end * dt >= 0.0):
+        raise InvalidConfig(f"{args.config}: dt = {dt}, t_end = {t_end}; dt must be finite, "
+                            "nonzero and of the sign of t_end")
+    if every < 1:
+        raise InvalidConfig(f"{args.config}: observables_every = {every}, must be at least 1")
     initial = cfg.get("initial", "ansatz")
     if initial == "ansatz":
         gs = solve_profile(p, grid.d)
@@ -129,9 +158,6 @@ def cmd_simulate(args) -> int:
         u = build_two_bubble(params, gs, grid)
     else:
         u, _ = read_snapshot(initial)
-    dt = float(cfg["dt"])
-    t_end = float(cfg["t_end"])
-    every = int(cfg.get("observables_every", 100))
     n_total = int(round(t_end / dt))
 
     rows = []
@@ -321,7 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "reduced":
+        problem = _reduced_start_error(args)
+        if problem:
+            parser.error(problem)
     return args.func(args)
 
 

@@ -3,24 +3,39 @@
 Evolves i u_t = -Delta u - |u|^(p-1) u on a uniform periodic box with Strang
 splitting; sign conventions are fixed so that e^(it) Q is stationary.  One
 kernel serves both orders, d = 1 and 2 and either sign of dt: each step runs
-in preallocated buffers, transforms in place with scipy.fft, and applies the
-nonlinear phase as cos + i sin of dt (re^2 + im^2)^((p-1)/2).  Snapshots are
+in preallocated buffers on the field's flat view and transforms in place.
+The transforms call the pocketfft binding that scipy.fft ends in,
+``scipy.fft._pocketfft.pypocketfft.c2c``, directly and with the same
+arguments, which skips scipy.fft's per-call argument handling.  That module
+is private, so a scipy that changes it is caught by the test that holds the
+kernel equal, element for element, to the scipy.fft kernel kept in the
+tests.  The nonlinear phase theta = dt (re^2 + im^2)^((p-1)/2) is applied as
+cos + i sin, with cos and sin evaluated only on the index range between the
+first and last point where |theta| may reach TRIG_CUT; outside it the factor
+is 1 + i theta, which is what cos and sin return there.  Snapshots are
 checked on read and replaced atomically on write.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
+from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 from .errors import IoFailure, Overflow, ResolutionTooLow, StepTooLarge
 
 BLOWUP_FACTOR = 1e3
+# Below this |theta|, cos(theta) rounds to 1.0 (theta^2/2 stays under half
+# the spacing 2^-53 of doubles below 1 up to |theta| ~ 1.05e-8) and
+# sin(theta) to theta (theta^3/6 stays under half an ulp of theta up to
+# ~1.8e-8) in double precision, so the phase factor there is exactly
+# 1 + i theta and the Strang kernel skips the trig calls.
+TRIG_CUT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -226,38 +241,58 @@ def _strang_chunk(values: np.ndarray, k_sq: np.ndarray, dt: float, p: float,
     are merged into one linear factor, and the last step ends on the closing
     half drift.  The first forward transform writes a new array, so the
     caller's values are never touched; every later transform and product
-    runs in place on the kernel's own buffers.  The nonlinear phase
-    dt |v|^(p-1) is built from re^2 + im^2 and applied as cos + i sin.  The
-    guard is checked after every 64th step and after the last; a check
-    raises Overflow past the sup-norm guard and StepTooLarge once
+    runs in place on the kernel's own buffers.  The transforms call
+    pocketfft's ``c2c`` directly, with the arguments that scipy.fft's
+    fft/ifft/fftn/ifftn pass it (inorm 0 forward, 2 = 1/n backward, one
+    thread).  The nonlinear phase theta = w dt |v|^(p-1) is built from
+    re^2 + im^2 on the flat view and applied as cos + i sin.  cos and sin
+    run only on [lo, hi), from the first to the last point where
+    |v|^(p-1) >= TRIG_CUT / |w dt|.  Every other point has |theta| below
+    TRIG_CUT, up to the two roundings of the cut and of theta, where cos
+    and sin return 1 and theta, so its factor is written as 1 + i theta.
+    The guard is checked after every 64th step and after the last;
+    a check raises Overflow past the sup-norm guard and StepTooLarge once
     dt sup^(p-1) reaches 1.
     """
-    halves = [np.exp(-0.5j * w * dt * k_sq) for w in weights]
+    halves = [np.exp(-0.5j * w * dt * k_sq).ravel() for w in weights]
     joins = [h * halves[(j + 1) % len(halves)] for j, h in enumerate(halves)]
-    fft, ifft = (sfft.fft, sfft.ifft) if values.ndim == 1 else (sfft.fftn, sfft.ifftn)
+    # dt = 0 leaves every theta at 0, so no point needs the trig calls
+    cuts = [TRIG_CUT / abs(w * dt) if dt else np.inf for w in weights]
+    axes = tuple(range(values.ndim))
     half_power = 0.5 * (p - 1.0)
-    squares = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
-    phase = np.empty(values.shape)
-    rot = np.empty(values.shape, dtype=complex)
-    v = fft(np.asarray(values, dtype=complex))
-    v *= halves[0]
-    v = ifft(v, overwrite_x=True)
+    n = values.size
+    squares = np.empty(2 * n)
+    phase = np.empty(n)
+    trig = np.empty(n, dtype=bool)
+    rot = np.ones(n, dtype=complex)
+    cos_part, sin_part = rot.real, rot.imag
+    v = _c2c(np.asarray(values, dtype=complex), axes, True, 0, None, 1)
+    flat = v.reshape(-1)
+    flat *= halves[0]
+    _c2c(v, axes, False, 2, v, 1)
     last = len(weights) - 1
     for step in range(n_steps):
         closing = step == n_steps - 1
         for j, w in enumerate(weights):
             # |v|^2 as the pairwise sum of the squared re/im doubles
-            np.square(v.view(np.float64), out=squares)
-            np.add(squares[..., 0::2], squares[..., 1::2], out=phase)
+            np.square(flat.view(np.float64), out=squares)
+            np.add(squares[0::2], squares[1::2], out=phase)
             if half_power != 1.0:
                 np.power(phase, half_power, out=phase)
-            phase *= w * dt
-            np.cos(phase, out=rot.real)
-            np.sin(phase, out=rot.imag)
-            v *= rot
-            v = fft(v, overwrite_x=True)
-            v *= halves[last] if closing and j == last else joins[j]
-            v = ifft(v, overwrite_x=True)
+            # theta goes to the imaginary part everywhere, cos and sin
+            # overwrite [lo, hi), and the real part stays 1 off that span
+            np.greater_equal(phase, cuts[j], out=trig)
+            mask = trig.tobytes()
+            lo, hi = max(mask.find(1), 0), mask.rfind(1) + 1
+            np.multiply(phase, w * dt, out=sin_part)
+            np.multiply(phase[lo:hi], w * dt, out=phase[lo:hi])
+            np.cos(phase[lo:hi], out=cos_part[lo:hi])
+            np.sin(phase[lo:hi], out=sin_part[lo:hi])
+            flat *= rot
+            cos_part[lo:hi] = 1.0  # the next sub-step's span may be narrower
+            _c2c(v, axes, True, 0, v, 1)
+            flat *= halves[last] if closing and j == last else joins[j]
+            _c2c(v, axes, False, 2, v, 1)
         if not step % 64 or closing:
             m = float(np.max(np.abs(v)))
             if not np.isfinite(m) or m > guard:
@@ -274,8 +309,11 @@ def propagate(u: ComplexField, dt: float, n_steps: int, p: float,
     """Advance the field by n_steps * dt; dt may be negative.
 
     order=2 is plain Strang; order=4 is the triple-jump composition of Strang
-    steps, for convergence studies.
+    steps, for convergence studies.  A non-finite dt raises StepTooLarge
+    before any step.
     """
+    if not math.isfinite(dt):
+        raise StepTooLarge(f"dt must be finite, got {dt}")
     if n_steps <= 0:
         return u.copy()
     sup0 = float(np.max(np.abs(u.values)))

@@ -7,8 +7,10 @@ table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
 rule that the package folds onto one half-space, the angular reduction of
 the interaction integral, the flow residual written term by term from
-the profile values, the first variation of the nonlinearity, and the
-split-step loop in numpy's allocating array idiom.
+the profile values, the first variation of the nonlinearity, the
+split-step loop in numpy's allocating array idiom, and the in-place
+split-step kernel on scipy.fft with cos and sin on every point, which the
+package's kernel must equal element for element.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0
 
 from twobubble.ansatz import _PANEL
-from twobubble.errors import Overflow
+from twobubble.errors import Overflow, StepTooLarge
 from twobubble.groundstate import (FORCE_CUT, _decay_shape_deriv, decay_shape, gl_axis,
                                    transverse_axis, transverse_edges)
 
@@ -209,6 +212,58 @@ def strang_reference(values: np.ndarray, lin_half: np.ndarray, dt: float,
             m = np.max(np.abs(v))
             if not np.isfinite(m) or m > sup_guard:
                 raise Overflow(f"sup-norm {m:.3e} exceeded blow-up guard {sup_guard:.3e}")
+    return v
+
+
+def strang_chunk_reference(values: np.ndarray, k_sq: np.ndarray, dt: float, p: float,
+                           n_steps: int, guard: float, weights: tuple[float, ...]) -> np.ndarray:
+    """n_steps of Strang splitting, drift-first with merged half drifts.
+
+    A step is the composition of Strang sub-steps of size w * dt, w in
+    weights; the half drifts that meet between sub-steps and between steps
+    are merged into one linear factor, and the last step ends on the closing
+    half drift.  The first forward transform writes a new array, so the
+    caller's values are never touched; every later transform and product
+    runs in place on the kernel's own buffers.  The nonlinear phase
+    dt |v|^(p-1) is built from re^2 + im^2 and applied as cos + i sin.  The
+    guard is checked after every 64th step and after the last; a check
+    raises Overflow past the sup-norm guard and StepTooLarge once
+    dt sup^(p-1) reaches 1.
+    """
+    halves = [np.exp(-0.5j * w * dt * k_sq) for w in weights]
+    joins = [h * halves[(j + 1) % len(halves)] for j, h in enumerate(halves)]
+    fft, ifft = (sfft.fft, sfft.ifft) if values.ndim == 1 else (sfft.fftn, sfft.ifftn)
+    half_power = 0.5 * (p - 1.0)
+    squares = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+    phase = np.empty(values.shape)
+    rot = np.empty(values.shape, dtype=complex)
+    v = fft(np.asarray(values, dtype=complex))
+    v *= halves[0]
+    v = ifft(v, overwrite_x=True)
+    last = len(weights) - 1
+    for step in range(n_steps):
+        closing = step == n_steps - 1
+        for j, w in enumerate(weights):
+            # |v|^2 as the pairwise sum of the squared re/im doubles
+            np.square(v.view(np.float64), out=squares)
+            np.add(squares[..., 0::2], squares[..., 1::2], out=phase)
+            if half_power != 1.0:
+                np.power(phase, half_power, out=phase)
+            phase *= w * dt
+            np.cos(phase, out=rot.real)
+            np.sin(phase, out=rot.imag)
+            v *= rot
+            v = fft(v, overwrite_x=True)
+            v *= halves[last] if closing and j == last else joins[j]
+            v = ifft(v, overwrite_x=True)
+        if not step % 64 or closing:
+            m = float(np.max(np.abs(v)))
+            if not np.isfinite(m) or m > guard:
+                raise Overflow(f"sup-norm {m:.3e} exceeded blow-up guard {guard:.3e} "
+                               f"at step {step}")
+            bound = abs(dt) * m ** (p - 1.0)
+            if bound >= 1.0:
+                raise StepTooLarge(f"per-step nonlinear phase {bound:.3f} >= 1 at step {step}")
     return v
 
 

@@ -111,12 +111,13 @@ def _no_shot(*args, **kwargs):
     raise AssertionError("a shot ran")
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve_profile ran")
+
+
 def test_dimension_rejected_before_compute(capsys, monkeypatch):
     # only d = 1 and 2 have structure constants and a force rule
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_profile ran")
-
-    monkeypatch.setattr(cli, "solve_profile", no_solve)
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
     for argv in (["groundstate", "--p", "3", "--d", "3"],
                  ["interaction", "--p", "3", "--d", "3", "--z", "8"],
                  ["reduced", "--mode", "full", "--d", "3"]):
@@ -128,15 +129,68 @@ def test_dimension_rejected_before_compute(capsys, monkeypatch):
 
 def test_separation_rejected_before_compute(capsys, monkeypatch):
     # H(z) needs a finite |z| at or above the collision threshold
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_profile ran")
-
-    monkeypatch.setattr(cli, "solve_profile", no_solve)
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
     for z in ("nan", "inf", "3", "-4.9"):
         with pytest.raises(SystemExit) as err:
             main(["interaction", "--p", "3", "--d", "1", "--z", "10", z])
         assert err.value.code == 2
         assert "separation must be finite" in capsys.readouterr().err
+
+
+def test_reduced_start_rejected_before_compute(capsys, monkeypatch):
+    # the full and asymptotic modes need a finite separation outside the
+    # collision threshold and finite s bounds; the toy equation takes any z0
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    for mode in ("full", "asymptotic"):
+        for extra, message in ((["--z0", "nan"], "separation must be finite"),
+                               (["--z0", "3"], "separation must be finite"),
+                               (["--s0", "inf"], "must be finite"),
+                               (["--s-end", "nan"], "must be finite")):
+            with pytest.raises(SystemExit) as err:
+                main(["reduced", "--mode", mode, *extra])
+            assert err.value.code == 2
+            assert message in capsys.readouterr().err
+    out = run_cli(capsys, "reduced", "--mode", "toy", "--z0", "3", "--t-end", "2")
+    assert out.splitlines()[0] == "t,z,zdot,first_integral"
+
+
+def _simulate_config(tmp_path, **overrides):
+    keys = {"d": 1, "N": 1024, "L": 32, "p": 3, "dt": 1e-3, "t_end": 0.1,
+            "initial": "ansatz", "z": 15, "v": 0}
+    keys.update(overrides)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return str(cfg)
+
+
+def test_simulate_rejects_zero_observables_every(tmp_path, monkeypatch):
+    # 0 used to loop forever, appending rows without bound
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    with pytest.raises(InvalidConfig, match="observables_every = 0"):
+        main(["simulate", "--config", _simulate_config(tmp_path, observables_every=0)])
+
+
+def test_simulate_rejects_zero_dt(tmp_path, monkeypatch):
+    # dt = 0 used to end in a raw ZeroDivisionError after the profile solve
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    with pytest.raises(InvalidConfig, match="dt must be finite, nonzero"):
+        main(["simulate", "--config", _simulate_config(tmp_path, dt=0.0)])
+
+
+def test_simulate_rejects_dt_against_t_end(tmp_path, monkeypatch):
+    # a negative dt with t_end > 0 used to write one row at t = 0 and stop
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    with pytest.raises(InvalidConfig, match="of the sign of t_end"):
+        main(["simulate", "--config", _simulate_config(tmp_path, dt=-1e-3)])
+
+
+def test_simulate_rejects_missing_key(tmp_path, monkeypatch):
+    # a missing dt used to end in a raw KeyError
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("d = 1\nN = 1024\nL = 32\np = 3\nt_end = 0.1\n")
+    with pytest.raises(InvalidConfig, match="missing keys dt"):
+        main(["simulate", "--config", str(cfg)])
 
 
 def test_unknown_config_key(tmp_path, monkeypatch):

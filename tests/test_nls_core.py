@@ -5,7 +5,7 @@ from scipy.integrate import simpson
 from twobubble import nls_core as nc
 from twobubble.errors import IoFailure, Overflow, ResolutionTooLow, StepTooLarge
 
-from oracles import strang_reference
+from oracles import strang_chunk_reference, strang_reference
 
 
 def soliton_field(gs, grid, boost=0.0, amp=1.0):
@@ -202,6 +202,12 @@ def test_2d_grid_observables(gs2):
     assert np.max(np.abs(obs.momentum)) < 1e-12
 
 
+KERNEL_CASES = [(3.0, 1, 2048, 64.0, "gs1"), (1.8, 1, 2048, 64.0, "gs18"),
+                (3.0, 2, 64, 12.0, "gs2")]
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+WEIGHTS = {2: (1.0,), 4: (W1, 1.0 - 2.0 * W1, W1)}
+
+
 def reference_propagate(u, dt, n_steps, p, order):
     """The split-step composition of propagate, on the allocating oracle loop."""
     def lin(w):
@@ -209,31 +215,96 @@ def reference_propagate(u, dt, n_steps, p, order):
 
     if order == 2:
         return strang_reference(u.values, lin(1.0), dt, p, n_steps, np.inf)
-    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    w0 = 1.0 - 2.0 * w1
     v = u.values
     for _ in range(n_steps):
-        for w in (w1, w0, w1):
+        for w in WEIGHTS[4]:
             v = strang_reference(v, lin(w), w * dt, p, 1, np.inf)
     return v
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("dt", [1e-3, -1e-3])
-@pytest.mark.parametrize("p, d, N, L, gs_name", [
-    (3.0, 1, 2048, 64.0, "gs1"), (1.8, 1, 2048, 64.0, "gs18"), (3.0, 2, 64, 12.0, "gs2")])
-def test_kernel_matches_reference(request, p, d, N, L, gs_name, dt, order):
-    gs = request.getfixturevalue(gs_name)
-    grid = nc.make_grid(d, N, L)
-    # two boosted bubbles of unequal mass, so both flows are nontrivial
+def two_bubble_field(gs, grid):
+    """Two boosted bubbles of unequal mass, so both flows are nontrivial."""
     r1 = np.sqrt(sum((x - (2.0 if m == 0 else 0.0)) ** 2 for m, x in enumerate(grid.x_mesh)))
     r2 = np.sqrt(sum((x + (2.0 if m == 0 else 0.0)) ** 2 for m, x in enumerate(grid.x_mesh)))
     vals = (1.1 * gs.q_at(r1) * np.exp(0.3j * grid.x_mesh[0])
             + 0.9 * gs.q_at(r2) * np.exp(-0.2j * grid.x_mesh[0]))
-    u = nc.field_from_values(grid, vals)
+    return nc.field_from_values(grid, vals)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+@pytest.mark.parametrize("p, d, N, L, gs_name", KERNEL_CASES)
+def test_kernel_matches_reference(request, p, d, N, L, gs_name, dt, order):
+    gs = request.getfixturevalue(gs_name)
+    u = two_bubble_field(gs, nc.make_grid(d, N, L))
     before = u.values.copy()
     out = nc.propagate(u, dt, 250, p, order=order)
     ref = reference_propagate(u, dt, 250, p, order)
     assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(u.values, before)
     assert not np.shares_memory(out.values, u.values)
+
+
+def kernel_pair(u, dt, p, order):
+    """250 steps of the kernel and of its scipy.fft reference, on the same arguments."""
+    guard = nc.BLOWUP_FACTOR * float(np.max(np.abs(u.values)))
+    args = (u.values, u.grid.k_sq, dt, p, 250, guard, WEIGHTS[order])
+    return nc._strang_chunk(*args), strang_chunk_reference(*args)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+@pytest.mark.parametrize("p, d, N, L, gs_name", KERNEL_CASES)
+def test_kernel_equals_scipy_fft_kernel(request, p, d, N, L, gs_name, dt, order):
+    # the direct pocketfft calls and the trig index range change no bit
+    gs = request.getfixturevalue(gs_name)
+    out, ref = kernel_pair(two_bubble_field(gs, nc.make_grid(d, N, L)), dt, p, order)
+    assert np.array_equal(out, ref)
+
+
+def max_min_theta(values, dt, p, order):
+    """The largest and smallest |theta| = |w dt| |v|^(p-1) over the weights."""
+    a = np.abs(values) ** (p - 1.0)
+    wdt = [abs(w * dt) for w in WEIGHTS[order]]
+    return max(wdt) * np.max(a), min(wdt) * np.min(a)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+@pytest.mark.parametrize("amp, bg", [(1e-6, 0.0), (0.5, 1.0)], ids=["empty", "whole"])
+def test_kernel_equals_scipy_fft_kernel_at_range_ends(gs1, grid_1024_32, amp, bg, dt, order):
+    # a faint field puts every |theta| below TRIG_CUT, so no point takes the
+    # trig calls; a field on a background of 1 puts every point in the range
+    g = grid_1024_32
+    u = nc.field_from_values(g, bg + amp * gs1.q_at(np.abs(g.axis)) * np.exp(0.3j * g.axis))
+    out, ref = kernel_pair(u, dt, 3.0, order)
+    assert np.array_equal(out, ref)
+    for vals in (u.values, out):
+        big, small = max_min_theta(vals, dt, 3.0, order)
+        assert big < nc.TRIG_CUT if bg == 0.0 else small >= nc.TRIG_CUT
+
+
+def test_trig_rounds_to_one_and_theta_below_cut():
+    # the premise of the kernel's trig range: below TRIG_CUT (and the few
+    # doubles past it that the scaled cut can round to), cos and sin written
+    # into a complex factor's parts return 1 and theta exactly
+    theta = np.concatenate([np.linspace(0.0, nc.TRIG_CUT, 100001),
+                            np.geomspace(np.nextafter(0.0, 1.0), nc.TRIG_CUT, 2001)])
+    past = [nc.TRIG_CUT]
+    for _ in range(8):
+        past.append(np.nextafter(past[-1], 1.0))
+    theta = np.concatenate([theta, past])
+    theta = np.concatenate([theta, -theta])
+    assert np.any(theta[theta > 0] < np.finfo(float).tiny)
+    rot = np.empty(theta.size, dtype=complex)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    assert np.all(rot.real == 1.0) and np.all(rot.imag == theta)
+    assert np.all(np.cos(theta) == 1.0) and np.all(np.sin(theta) == theta)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_non_finite_dt_rejected_before_a_step(gs1, grid_1024_32, dt):
+    u = soliton_field(gs1, grid_1024_32)
+    with pytest.raises(StepTooLarge, match="dt must be finite"):
+        nc.propagate(u, dt, 10, 3.0)
