@@ -123,19 +123,26 @@ class LatticeBubble:
     caller reads them; every other field is computed on first use, so a
     caller pays only for what it reads.  Profile values go through
     ``gs.q_at``/``gs.dq_at`` (a caller reading only the geometry may pass
-    gs=None).  Quotients by r take their r -> 0 limits from
-    q''(0) = (q0 - q0^p)/d.
+    gs=None); a caller that reads q' as well as q passes with_dq=True, and
+    then both come from one ``gs.q_dq_at`` on the first read of either.
+    Quotients by r take their r -> 0 limits from q''(0) = (q0 - q0^p)/d.
     """
 
-    def __init__(self, gs: GroundState, coords, center: np.ndarray, vel: np.ndarray):
+    def __init__(self, gs: GroundState, coords, center: np.ndarray, vel: np.ndarray,
+                 with_dq: bool = False):
         self.gs = gs
         self.vel = vel
+        self.with_dq = with_dq
         self.offs = [c - zc for c, zc in zip(coords, center)]
         self.r = np.sqrt(sum(o ** 2 for o in self.offs))
 
     @cached_property
+    def _q_dq(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.gs.q_dq_at(self.r)
+
+    @cached_property
     def q(self) -> np.ndarray:
-        return self.gs.q_at(self.r)
+        return self._q_dq[0] if self.with_dq else self.gs.q_at(self.r)
 
     @cached_property
     def phase(self) -> np.ndarray:
@@ -147,7 +154,7 @@ class LatticeBubble:
 
     @cached_property
     def dq(self) -> np.ndarray:
-        return self.gs.dq_at(self.r)
+        return self._q_dq[1] if self.with_dq else self.gs.dq_at(self.r)
 
     def _div(self, f: np.ndarray, den: np.ndarray, limit: float) -> np.ndarray:
         safe = self.r > 1e-12
@@ -187,11 +194,11 @@ class LatticeBubble:
         return self._div(self.d2q - self.dq_over_r, self.r ** 2, 0.0)
 
 
-def bubble_pair(params: BubbleParams, gs: GroundState,
-                coords) -> tuple[LatticeBubble, LatticeBubble]:
+def bubble_pair(params: BubbleParams, gs: GroundState, coords,
+                with_dq: bool = False) -> tuple[LatticeBubble, LatticeBubble]:
     """Both bubbles of the symmetric pair at the given coordinates."""
     return tuple(LatticeBubble(gs, coords, params.bubble_center(k),
-                               params.bubble_velocity(k)) for k in (1, 2))
+                               params.bubble_velocity(k), with_dq) for k in (1, 2))
 
 
 def ansatz_on_lattice(params: BubbleParams, gs: GroundState, coords) -> np.ndarray:
@@ -246,26 +253,37 @@ def _force_panels(zlen: float, d: int, p: float):
     return panel_edges((-0.5 * zlen, 0.0, cut), step), transverse_edges(d, cut, step)
 
 
-def _force_nodes(zlen: float, gs: GroundState, nodes: int, panels) -> float:
-    """One pass of the folded rule on ``_force_panels``.
+def _force_nodes(zlen: float, gs: GroundState, panels, node_counts) -> list[float]:
+    """The folded rule on ``_force_panels``, one pass per node count.
 
     The reflection y -> -y - z swaps the bubbles and maps the far half-space
     y1 < -|z|/2 onto the near one, so H is the near integral of
     p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second term being the far
     half folded on.  It maps the two-sided rule's nodes onto these, so the
-    folded rule is that rule with each node pair summed.  The profile is
-    evaluated once per pass on the stacked radii (|y|, |y+z|), both > 0:
-    y1 = 0 is a break, so no node lies on it, and y1 > -|z|/2."""
+    folded rule is that rule with each node pair summed.  q and q' are
+    evaluated once, jointly, on the stacked radii (|y|, |y+z|) of every
+    pass, all > 0: y1 = 0 is a break, so no node lies on it, and
+    y1 > -|z|/2.  Each pass then works in place on its share of them."""
     p = gs.p
-    y1, w1 = gl_panels(panels[0], nodes)
-    y2, w2 = transverse_axis(panels[1], nodes)
-    shifted = np.stack([y1, y1 + zlen])[:, :, None]     # (y1, y1 + |z|)
-    r = np.hypot(shifted, y2)
-    q = gs.q_at(r)
-    pull = gs.dq_at(r)
-    pull *= shifted / r                 # (d_1Q(y), d_1Q(y + z))
-    integrand = q[0] ** (p - 1.0) * q[1] * (pull[0] - pull[1])
-    return p * float(w1 @ integrand @ w2)
+    passes = []
+    for nodes in node_counts:
+        y1, w1 = gl_panels(panels[0], nodes)
+        y2, w2 = transverse_axis(panels[1], nodes)
+        passes.append((np.stack([y1, y1 + zlen])[:, :, None], y2, w1, w2))   # (y1, y1 + |z|)
+    r = np.concatenate([np.hypot(shifted, y2).ravel() for shifted, y2, *_ in passes])
+    q, dq = gs.q_dq_at(r)
+    out, a = [], 0
+    for shifted, y2, w1, w2 in passes:
+        b = a + 2 * w1.size * w2.size
+        rs, qs, pull = (v[a:b].reshape(2, w1.size, w2.size) for v in (r, q, dq))
+        pull *= np.divide(shifted, rs, out=rs)          # (d_1Q(y), d_1Q(y + z))
+        integrand = qs[0]
+        integrand **= p - 1.0
+        integrand *= qs[1]
+        integrand *= np.subtract(pull[0], pull[1], out=pull[0])
+        out.append(p * float(w1 @ integrand @ w2))
+        a = b
+    return out
 
 
 def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> np.ndarray:
@@ -287,9 +305,8 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
         raise QuadratureFailure(f"non-finite separation z = {z}")
     if zlen < min_sep:
         raise QuadratureFailure(f"|z| = {zlen:.2f} below validity threshold {min_sep}")
-    panels = _force_panels(zlen, gs.d, gs.p)
-    coarse = _force_nodes(zlen, gs, _COARSE_NODES, panels)
-    fine = _force_nodes(zlen, gs, _FINE_NODES, panels)
+    coarse, fine = _force_nodes(zlen, gs, _force_panels(zlen, gs.d, gs.p),
+                                (_COARSE_NODES, _FINE_NODES))
     scale = zlen ** (-0.5 * (gs.d - 1)) * np.exp(-zlen)
     if abs(fine - coarse) > max(FORCE_TOL * scale, 1e-8 * abs(fine)):
         raise QuadratureFailure(
@@ -322,7 +339,8 @@ class ForceLaw:
             return np.log(H) + 1.0 / w - 0.5 * (gs.d - 1) * np.log(w)
 
         cheb = np.polynomial.Chebyshev.interpolate(g, FORCE_LAW_NODES - 1, (1 / hi, 1 / lo))
-        self._coef = cheb.coef.tolist()
+        self._c0, *rest = cheb.coef.tolist()
+        self._clenshaw = tuple(reversed(rest))      # c_n .. c_1, the order Clenshaw reads
         self._off, self._scl = map(float, cheb.mapparms())
 
     def __call__(self, zlen: float) -> float:
@@ -331,9 +349,9 @@ class ForceLaw:
             raise QuadratureFailure(
                 f"|z| = {zlen:.6g} outside the force law domain [{lo:g}, {hi:g}]")
         x2, b1, b2 = 2.0 * (self._off + self._scl / zlen), 0.0, 0.0
-        for c in reversed(self._coef[1:]):      # Clenshaw, in Python floats
+        for c in self._clenshaw:                # Clenshaw, in Python floats
             b1, b2 = c + x2 * b1 - b2, b1
-        g = self._coef[0] + 0.5 * x2 * b1 - b2
+        g = self._c0 + 0.5 * x2 * b1 - b2
         return math.exp(g - zlen - 0.5 * (self.d - 1) * math.log(zlen))
 
 
@@ -348,7 +366,7 @@ def ansatz_residual(params: BubbleParams, derivs: ParamDerivs, gs: GroundState,
                     grid: Grid) -> ComplexField:
     """Flow residual assembled from the modulation vectors plus the cross term."""
     _check_grid(params, grid)
-    bubbles = bubble_pair(params, gs, grid.x_mesh)
+    bubbles = bubble_pair(params, gs, grid.x_mesh, with_dq=True)
     total = np.zeros(grid.shape, dtype=complex)
     for b, m in zip(bubbles, modulation_vectors(params, derivs)):
         term = m.m_scale * (-1j * b.lamq)

@@ -11,11 +11,15 @@ same composite Gauss-Legendre panels, ``gl_panels`` on ``panel_edges``
 along e1 and ``transverse_axis`` across it, for d = 1 and d = 2 alike;
 each rule stops where its integrand has fallen by e^-FORCE_CUT.
 
-q and q' are interpolated on the uniform mesh by k=5 splines, stored as one
-table of Taylor coefficients per mesh cell: on cell j = floor(r/h),
-with t = r/h - j, the value is sum_k c_k[j] t^k.  An evaluation is an
-integer gather and a Horner pass, at the same cost for sorted and shuffled
-radii.  Beyond ``r_max`` the profile follows its matched linear tail.
+q and q' are interpolated on the uniform mesh by k=5 splines, stored in one
+table with a row per mesh cell: the six Taylor coefficients of q, then the
+six of q'.  On cell j = floor(r/h), with t = r/h - j, a value is
+sum_k c_k[j] t^k.  An evaluation masks its radii once per chunk: up to
+``r_max`` it gathers one row per radius (half a row for q or q' alone) and
+runs a Horner pass per field, beyond ``r_max`` it takes the matched linear
+tail.  ``q_dq_at`` gives q and q' from one gather; ``q_at`` and ``dq_at``
+run the same code for one field.  The cost is the same for sorted and
+shuffled radii.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ _CARDINAL_QUINTIC = np.array([[1.0, 26.0, 66.0, 26.0, 1.0, 0.0],
 _EDGE_CELLS = 8
 # points per pass of the array evaluator, which bounds its temporaries
 _CHUNK = 1 << 14
+# the fields of the profile evaluator: q, and q'
+_Q, _DQ = 0, 1
 
 
 def sobolev_limit(d: int) -> float:
@@ -88,9 +94,14 @@ def _decay_shape_deriv(d: int, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if d == 1:
         return -_SQRT_HALF_PI * np.exp(-r)
+    if d == 2:
+        return -kv(1.0, r)          # K_0' = -K_1
     nu = d / 2.0 - 1.0
     kp = -0.5 * (kv(nu - 1.0, r) + kv(nu + 1.0, r))
     return (1.0 - d / 2.0) * r ** (-d / 2.0) * kv(nu, r) + r ** (1.0 - d / 2.0) * kp
+
+
+_TAILS = {_Q: decay_shape, _DQ: _decay_shape_deriv}
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class GroundState:
     """Sampled radial profile with its shooting metadata.
 
     Samples live on a uniform mesh in r.  Between samples q and q' are their
-    k=5 interpolating splines, evaluated through per-cell Taylor tables
+    k=5 interpolating splines, evaluated through one per-cell Taylor table
     built on first use; values beyond ``r_max`` follow the matched linear
     tail ``tail_amplitude * decay_shape``.  Instances are immutable and safe
     to share between threads.
@@ -119,34 +130,56 @@ class GroundState:
         return self.r_max / (self.r.size - 1)
 
     @cached_property
-    def _q_cells(self) -> np.ndarray:
-        return _cell_coefficients(self.r, self.q, self._cell_width)
+    def _cells(self) -> np.ndarray:
+        """Row j: the t^0 .. t^5 coefficients of q, then those of q', on cell j."""
+        # q and q' share the collocation matrix, so one solve gives both splines
+        spline = make_interp_spline(self.r, np.column_stack([self.q, self.dq]), k=5)
+        cells = np.empty((self.r.size - 1, 12))
+        _cell_coefficients(spline, self.r, self._cell_width, cells.reshape(-1, 2, 6))
+        return cells
 
-    @cached_property
-    def _dq_cells(self) -> np.ndarray:
-        return _cell_coefficients(self.r, self.dq, self._cell_width)
-
-    def _eval(self, rr, cells: np.ndarray, tail) -> np.ndarray:
-        """Cell polynomials up to ``r_max``, ``tail_amplitude * tail`` beyond."""
+    def _evaluate(self, rr, fields) -> list[np.ndarray]:
+        """One array per field (``_Q``, ``_DQ`` or both): cell polynomials up
+        to ``r_max``, ``tail_amplitude`` times the field's tail beyond."""
         rr = np.asarray(rr, dtype=float)
+        tails = [_TAILS[f] for f in fields]
         if rr.ndim == 0:
             x = float(rr)
             if x <= self.r_max:
-                return np.array(_horner_scalar(cells, x / self._cell_width))
-            return np.array(self.tail_amplitude * tail(self.d, x))
-        out = np.empty(rr.shape)
-        _horner_cells(cells, np.ravel(rr), self._cell_width, out.reshape(-1))
-        inside = rr <= self.r_max
-        if not inside.all():
-            out[~inside] = self.tail_amplitude * tail(self.d, rr[~inside])
-        return out
+                return [np.array(v) for v in
+                        _horner_scalar(self._cells, x / self._cell_width, fields)]
+            return [np.array(self.tail_amplitude * tail(self.d, x)) for tail in tails]
+        outs = [np.empty(rr.shape) for _ in fields]
+        flat = np.ravel(rr)
+        flat_outs = [o.reshape(-1) for o in outs]
+        for a in range(0, flat.size, _CHUNK):
+            x = flat[a:a + _CHUNK]
+            chunk = [o[a:a + _CHUNK] for o in flat_outs]
+            inside = x <= self.r_max
+            if inside.all():
+                _horner_cells(self._cells, x, self._cell_width, fields, chunk)
+                continue
+            near = x[inside]
+            vals = [np.empty(near.size) for _ in fields]
+            _horner_cells(self._cells, near, self._cell_width, fields, vals)
+            far = ~inside
+            beyond = x[far]
+            for o, v, tail in zip(chunk, vals, tails):
+                o[inside] = v
+                o[far] = self.tail_amplitude * tail(self.d, beyond)
+        return outs
 
     def q_at(self, rr) -> np.ndarray:
         """Profile value at arbitrary radii (spline inside, matched tail outside)."""
-        return self._eval(rr, self._q_cells, decay_shape)
+        return self._evaluate(rr, (_Q,))[0]
 
     def dq_at(self, rr) -> np.ndarray:
-        return self._eval(rr, self._dq_cells, _decay_shape_deriv)
+        return self._evaluate(rr, (_DQ,))[0]
+
+    def q_dq_at(self, rr) -> tuple[np.ndarray, np.ndarray]:
+        """q and q' at the same radii from one evaluation, each equal to
+        ``q_at`` and ``dq_at``: one cell index and one gather per radius."""
+        return tuple(self._evaluate(rr, (_Q, _DQ)))
 
     @cached_property
     def force_law(self):
@@ -157,60 +190,73 @@ class GroundState:
     def lam_q_at(self, rr) -> np.ndarray:
         """Radial part of the scaling generator, 2/(p-1) q + r q'."""
         rr = np.asarray(rr, dtype=float)
-        return 2.0 / (self.p - 1.0) * self.q_at(rr) + rr * self.dq_at(rr)
+        q, dq = self.q_dq_at(rr)
+        return 2.0 / (self.p - 1.0) * q + rr * dq
 
 
-def _cell_coefficients(r: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """Taylor coefficients, one column per cell, of the k=5 interpolant of y.
+def _cell_coefficients(spline, r: np.ndarray, h: float, cells: np.ndarray) -> None:
+    """Write the Taylor coefficients of the k=5 splines on the uniform mesh r
+    into the (n_cells, n_splines, 6) array cells.
 
-    Row k holds c_k[j] = s^(k)(r_j) h^k / k! of the spline s through (r, y)
-    on the uniform mesh r, so that s(r_j + t h) = sum_k c_k[j] t^k.  Cells
-    whose B-splines all have uniform knots take the cardinal matrix times
-    their six B-spline coefficients; the cells next to the repeated end
-    knots take the spline's derivatives at r_j.
+    cells[j, f, k] gets c_k[j] = s^(k)(r_j) h^k / k! of the spline s through
+    column f of the data, so that s(r_j + t h) = sum_k c_k[j] t^k.  Cells
+    whose B-splines all have uniform knots take their six B-spline
+    coefficients times the cardinal matrix, written in place; the cells next
+    to the repeated end knots take the spline's derivatives at r_j.
     """
-    spline = make_interp_spline(r, y, k=5)
     n_cells = r.size - 1
-    cells = np.empty((6, n_cells))
-    j = np.arange(n_cells)
-    edge = (j < _EDGE_CELLS) | (j >= n_cells - _EDGE_CELLS)
+    inner = slice(_EDGE_CELLS, n_cells - _EDGE_CELLS)
+    edge = np.r_[0:_EDGE_CELLS, inner.stop:n_cells]
     # the B-splines on the knot interval [r_j, r_j+1] are those numbered j-2 .. j+3
-    windows = sliding_window_view(spline.c, 6)[j[~edge] - 2]
-    cells[:, ~edge] = _CARDINAL_QUINTIC @ windows.T
+    windows = sliding_window_view(spline.c, 6, axis=0)[inner.start - 2:inner.stop - 2]
+    for f in range(cells.shape[1]):
+        np.matmul(windows[:, f], _CARDINAL_QUINTIC.T, out=cells[inner, f])
     for k in range(6):
-        cells[k, edge] = spline(r[:-1][edge], nu=k) * (h ** k / math.factorial(k))
-    return cells
+        cells[edge, :, k] = spline(r[edge], nu=k) * (h ** k / math.factorial(k))
 
 
-def _horner_scalar(cells: np.ndarray, s: float) -> float:
-    """Cell polynomial at s = r/h for one radius; same operations as _horner_cells."""
-    n_cells = cells.shape[1]
+def _horner_scalar(cells: np.ndarray, s: float, fields) -> list[float]:
+    """Each field's cell polynomial at s = r/h for one radius; same operations
+    as _horner_cells."""
+    n_cells = cells.shape[0]
     s = min(s, float(n_cells))
     j = min(max(int(s), 0), n_cells - 1)
     t = s - j
-    c0, c1, c2, c3, c4, c5 = cells[:, j].tolist()
-    return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
+    row = cells[j].tolist()
+    out = []
+    for f in fields:
+        c0, c1, c2, c3, c4, c5 = row[6 * f:6 * f + 6]
+        out.append(((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0)
+    return out
 
 
-def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, out: np.ndarray) -> None:
-    """Write the cell polynomials at the 1-d radii rr into out, chunk by chunk.
+def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, fields, outs) -> None:
+    """Write each field's cell polynomial at the 1-d radii rr into its out.
 
-    s = r/h is capped at the cell count, so every r >= r_max reads the last
-    cell at t = 1, and j = floor(s) is clamped to the cell range on both
-    sides, because a negative index would wrap.  Temporaries are at most
-    one chunk long.
+    s = r/h is capped at the cell count, so r_max reads the last cell at
+    t = 1, and j = floor(s) is clamped to the cell range on both sides,
+    because a negative index would wrap.  One gather fetches the
+    coefficients of each radius's cell, and each field's Horner pass reads
+    its six of them: both fields gather row j of cells, one field only its
+    half, row 2j + field of the (2 n_cells, 6) view.
     """
-    n_cells = cells.shape[1]
-    for a in range(0, rr.size, _CHUNK):
-        o = out[a:a + _CHUNK]
-        s = np.fmin(rr[a:a + _CHUNK] / h, n_cells)
-        j = np.fmin(s, n_cells - 1).astype(np.intp)
-        np.maximum(j, 0, out=j)
-        s -= j
-        cells[5].take(j, out=o, mode="clip")
-        for k in (4, 3, 2, 1, 0):
+    n_cells = cells.shape[0]
+    s = np.fmin(rr / h, n_cells)
+    j = np.fmin(s, n_cells - 1).astype(np.intp)
+    np.maximum(j, 0, out=j)
+    s -= j
+    if len(fields) == 1:
+        j *= 2
+        j += fields[0]
+        c, starts = cells.reshape(-1, 6).take(j, axis=0), (0,)
+    else:
+        c, starts = cells.take(j, axis=0), [6 * f for f in fields]
+    for a, o in zip(starts, outs):
+        np.multiply(c[:, a + 5], s, out=o)
+        for k in (4, 3, 2, 1):
+            o += c[:, a + k]
             o *= s
-            o += cells[k].take(j, mode="clip")
+        o += c[:, a]
 
 
 @dataclass(frozen=True)
@@ -520,10 +566,10 @@ def ode_residual(gs: GroundState) -> np.ndarray:
     """Pointwise residual q'' + (d-1)/r q' - q + q^p on the mesh."""
     # q'' on cell j is the t-derivative of the q' polynomial over h; the last
     # mesh point is t = 1 of the last cell
-    cells = gs._dq_cells
+    cells = gs._cells[:, 6 * _DQ:6 * _DQ + 6]
     d2 = np.empty_like(gs.r)
-    d2[:-1] = cells[1]
-    d2[-1] = np.arange(1.0, 6.0) @ cells[1:, -1]
+    d2[:-1] = cells[:, 1]
+    d2[-1] = np.arange(1.0, 6.0) @ cells[-1, 1:]
     d2 /= gs._cell_width
     with np.errstate(divide="ignore", invalid="ignore"):
         geom = np.where(gs.r > 0, (gs.d - 1.0) / gs.r * gs.dq, 0.0)

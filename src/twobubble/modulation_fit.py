@@ -105,14 +105,14 @@ class _Workspace:
         lam, z, gamma, v = self.unpack(theta)
         g, gs = self.g, self.gs
         coords_u = [x / lam for x in g.x_mesh]
-        bu = LatticeBubble(gs, coords_u, 0.5 * z, 0.5 * v)
+        bu = LatticeBubble(gs, coords_u, 0.5 * z, 0.5 * v, with_dq=True)
         upre = np.exp(-1j * gamma) * self.u.values * lam ** self.b_exp
         bare_u = _bare_fields(bu, count)
         T_u = [bu.phase * f for f in bare_u]
         I = np.array([self._pair(upre, t) for t in T_u])
 
-        by = (LatticeBubble(gs, g.x_mesh, 0.5 * z, 0.5 * v),
-              LatticeBubble(gs, g.x_mesh, -0.5 * z, -0.5 * v))
+        by = (LatticeBubble(gs, g.x_mesh, 0.5 * z, 0.5 * v, with_dq=True),
+              LatticeBubble(gs, g.x_mesh, -0.5 * z, -0.5 * v, with_dq=True))
         P = by[0].values + by[1].values
         bare_y = _bare_fields(by[0], count)
         Ty = [by[0].phase * f for f in bare_y]
@@ -298,7 +298,7 @@ def quadratic_form(eta: ComplexField, gs: GroundState) -> float:
 
 def projection_basis(gs: GroundState, grid: Grid) -> list[np.ndarray]:
     """span{Q, y_m Q, i Lambda Q, i d_m Q} centered at the origin."""
-    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d))
+    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d), with_dq=True)
     return [b.phase * f for f in _bare_fields(b, 2 + 2 * grid.d)]
 
 

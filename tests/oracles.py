@@ -8,9 +8,11 @@ Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
 rule that the package folds onto one half-space, the angular reduction of
 the interaction integral, the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, the
-split-step loop in numpy's allocating array idiom, and the in-place
-split-step kernel on scipy.fft with cos and sin on every point, which the
-package's kernel must equal element for element.
+package's earlier profile evaluator (one row-layout table per field, the
+tail written over the cell polynomials) with the three-call Bessel form
+of the tail's derivative, the split-step loop in numpy's allocating array
+idiom, and the in-place split-step kernel on scipy.fft with cos and sin on
+every point, which the package's kernel must equal element for element.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.interpolate import make_interp_spline
-from scipy.special import i0
+from scipy.special import i0, kv
 
 from twobubble.ansatz import _PANEL
 from twobubble.errors import Overflow, StepTooLarge
-from twobubble.groundstate import (FORCE_CUT, _decay_shape_deriv, decay_shape, gl_axis,
-                                   transverse_axis, transverse_edges)
+from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
+                                   decay_shape, gl_axis, transverse_axis, transverse_edges)
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -90,6 +92,73 @@ def profile_spline_reference(gs):
         return at
 
     return evaluator(gs.q, decay_shape), evaluator(gs.dq, _decay_shape_deriv)
+
+
+def decay_shape_deriv_bessel(d: int, r) -> np.ndarray:
+    """d/dr of r^(1-d/2) K_nu(r), nu = d/2 - 1, with K_nu' = -(K_(nu-1) + K_(nu+1))/2."""
+    r = np.asarray(r, dtype=float)
+    nu = d / 2.0 - 1.0
+    kp = -0.5 * (kv(nu - 1.0, r) + kv(nu + 1.0, r))
+    return (1.0 - d / 2.0) * r ** (-d / 2.0) * kv(nu, r) + r ** (1.0 - d / 2.0) * kp
+
+
+def row_layout_profile(gs):
+    """q and q' of a ground state through one (6, n_cells) table each, as functions of r.
+
+    The package's earlier evaluator: row k of a table holds the t^k
+    coefficient of every cell; each call runs one field over all its radii
+    in chunks (six row gathers and one Horner pass), past r_max too, and
+    then overwrites those radii with the matched tail.  The package's joint
+    evaluator must equal it value for value.
+    """
+    h = gs.r_max / (gs.r.size - 1)
+
+    def horner_scalar(cells, s):
+        n_cells = cells.shape[1]
+        s = min(s, float(n_cells))
+        j = min(max(int(s), 0), n_cells - 1)
+        t = s - j
+        c0, c1, c2, c3, c4, c5 = cells[:, j].tolist()
+        return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
+
+    def horner_cells(cells, rr, out):
+        n_cells = cells.shape[1]
+        for a in range(0, rr.size, _CHUNK):
+            o = out[a:a + _CHUNK]
+            s = np.fmin(rr[a:a + _CHUNK] / h, n_cells)
+            j = np.fmin(s, n_cells - 1).astype(np.intp)
+            np.maximum(j, 0, out=j)
+            s -= j
+            cells[5].take(j, out=o, mode="clip")
+            for k in (4, 3, 2, 1, 0):
+                o *= s
+                o += cells[k].take(j, mode="clip")
+
+    def evaluator(values, tail):
+        rows = np.empty((gs.r.size - 1, 1, 6))
+        _cell_coefficients(make_interp_spline(gs.r, values[:, None], k=5), gs.r, h, rows)
+        cells = np.ascontiguousarray(rows[:, 0].T)
+
+        def at(rr):
+            rr = np.asarray(rr, dtype=float)
+            if rr.ndim == 0:
+                x = float(rr)
+                if x <= gs.r_max:
+                    return np.array(horner_scalar(cells, x / h))
+                return np.array(gs.tail_amplitude * tail(gs.d, x))
+            out = np.empty(rr.shape)
+            horner_cells(cells, np.ravel(rr), out.reshape(-1))
+            inside = rr <= gs.r_max
+            if not inside.all():
+                out[~inside] = gs.tail_amplitude * tail(gs.d, rr[~inside])
+            return out
+
+        return at
+
+    def dq_tail(d, r):
+        return _decay_shape_deriv(d, r) if d == 1 else decay_shape_deriv_bessel(d, r)
+
+    return evaluator(gs.q, decay_shape), evaluator(gs.dq, dq_tail)
 
 
 def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from twobubble import ansatz as az
 from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from twobubble.groundstate import solve_profile, structure_constants
+from twobubble.groundstate import _DQ, _Q, solve_profile, structure_constants
 
 from oracles import (adaptive_force_1d, ansatz_residual_direct, nonlinearity_derivative,
                      two_sided_force)
@@ -101,34 +101,61 @@ def test_force_matches_adaptive_oracle(gs1):
 def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
     # the fold y -> -y - z maps the two-sided rule's nodes onto the folded
     # rule's, so the two sum the same terms in another order
+    nodes = (az._COARSE_NODES, az._FINE_NODES)
     for gs in (gs1, gs18, gs2):
         for z in (2.0, 8.0, 25.0, 40.0):
             panels = az._force_panels(z, gs.d, gs.p)
-            for nodes in (az._COARSE_NODES, az._FINE_NODES):
-                folded = az._force_nodes(z, gs, nodes, panels)
-                assert abs(folded / two_sided_force(z, gs, nodes) - 1.0) <= 1e-14, \
-                    (gs.p, gs.d, z, nodes)
+            both = az._force_nodes(z, gs, panels, nodes)
+            for n, folded in zip(nodes, both):
+                assert abs(folded / two_sided_force(z, gs, n) - 1.0) <= 1e-14, \
+                    (gs.p, gs.d, z, n)
+                # a pass run alone sums the same values as beside the other
+                assert az._force_nodes(z, gs, panels, (n,)) == [folded]
 
 
 def test_force_profile_work(monkeypatch, gs1):
     # at p = 3, |z| = 16 the folded rule has 86 panels of y1 in [-8, 13.5];
-    # each node needs q and q' at |y| and |y + z|: 4 (8 + 12) 86 = 6880
-    # radii, against 3 (8 + 12) 172 = 10320 for the two-sided rule
-    work = {"calls": 0, "points": 0}
-
-    def counted(fn):
-        def wrapper(self, rr):
-            work["calls"] += 1
-            work["points"] += np.size(rr)
-            return fn(self, rr)
-        return wrapper
-
+    # each node needs q and q' at |y| and |y + z|, so the two passes need
+    # 2 (8 + 12) 86 = 3440 radii, and one joint evaluation gives both at
+    # all of them; the two-sided rule needs 3 (8 + 12) 172 = 10320
+    calls = []
     GS = type(gs1)
-    for name in ("q_at", "dq_at"):
-        monkeypatch.setattr(GS, name, counted(getattr(GS, name)))
+    evaluate = GS._evaluate
+
+    def counted(self, rr, fields):
+        calls.append((np.size(rr), tuple(fields)))
+        return evaluate(self, rr, fields)
+
+    monkeypatch.setattr(GS, "_evaluate", counted)
     az.interaction_force_H([16.0], gs1)
-    assert work["points"] == 6880
-    assert work["calls"] <= 4
+    assert calls == [(3440, (_Q, _DQ))]
+
+
+def test_lattice_bubble_joint_fields(monkeypatch, gs1, gs2, grid_2048_64):
+    # with_dq=True takes q and q' from one joint evaluation on the first read
+    # of either, and every field equals that of separate q_at and dq_at
+    # calls bit for bit; a q-only read stays one evaluation of q alone
+    calls = []
+    GS = type(gs1)
+    evaluate = GS._evaluate
+
+    def counted(self, rr, fields):
+        calls.append(tuple(fields))
+        return evaluate(self, rr, fields)
+
+    monkeypatch.setattr(GS, "_evaluate", counted)
+    for gs, grid in ((gs1, grid_2048_64), (gs2, nc.make_grid(2, 128, 24.0))):
+        center, vel = np.full(gs.d, 3.7), np.full(gs.d, 0.1)
+        alone = az.LatticeBubble(gs, grid.x_mesh, center, vel)
+        joint = az.LatticeBubble(gs, grid.x_mesh, center, vel, with_dq=True)
+        calls.clear()
+        assert np.array_equal(joint.values, alone.values)
+        assert calls == [(_Q, _DQ), (_Q,)]
+        for name in ("dq", "lamq", "dq_over_r", "d2q", "dlamq_over_r", "hess_factor"):
+            assert np.array_equal(getattr(joint, name), getattr(alone, name)), name
+        for a, b in zip(joint.grad_q, alone.grad_q):
+            assert np.array_equal(a, b)
+        assert calls == [(_Q, _DQ), (_Q,), (_DQ,)]
 
 
 def test_force_rejects_non_finite(gs1):

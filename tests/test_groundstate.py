@@ -13,7 +13,8 @@ from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState,
                                    decay_shape, ode_residual, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import interaction_weight, profile_spline_reference, shoot_q0
+from oracles import (decay_shape_deriv_bessel, interaction_weight, profile_spline_reference,
+                     row_layout_profile, shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -35,6 +36,14 @@ def test_decay_shape_d1_closed_form():
         - 0.5 * np.sqrt(r) * (kv(-1.5, r) + kv(0.5, r))
     assert np.max(np.abs(decay_shape(1, r) / bessel - 1.0)) <= 1e-14
     assert np.max(np.abs(_decay_shape_deriv(1, r) / bessel_deriv - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_decay_shape_deriv_bessel_form(d):
+    # d = 2 takes K_0' = -K_1 in one kv call, other d the general form; both
+    # equal the three-call form -(K_(nu-1) + K_(nu+1))/2 bit for bit
+    r = np.geomspace(1e-3, 750.0, 200_000)
+    assert np.array_equal(_decay_shape_deriv(d, r), decay_shape_deriv_bessel(d, r))
 
 
 def test_closed_form_p2():
@@ -113,6 +122,28 @@ def test_profile_shuffled_is_permuted_sorted(gs1):
     grid = sorted_r[:40_000].reshape(200, 200)
     assert np.array_equal(gs1.q_at(grid), gs1.q_at(grid.ravel()).reshape(200, 200))
     assert np.array_equal(gs1.q_at(grid.T), gs1.q_at(grid).T)
+
+
+def test_joint_evaluator_matches_row_layout_oracle(any_gs):
+    # the one-table evaluator (one gather per radius, the polynomials only up
+    # to r_max, the tail only beyond) equals the earlier row-layout one
+    # value for value, through q_at, dq_at, q_dq_at and lam_q_at alike
+    gs = any_gs
+    q_ref, dq_ref = row_layout_profile(gs)
+    edge = [gs.r_max, np.nextafter(gs.r_max, 0.0), np.nextafter(gs.r_max, np.inf), -1e-4]
+    # 70_004 radii: chunks all inside, mixed and all beyond r_max
+    sorted_r = np.sort(np.concatenate([np.linspace(0.0, gs.r_max + 15.0, 70_000), edge]))
+    shuffled = np.random.default_rng(17).permutation(sorted_r)
+    inputs = [sorted_r, shuffled, shuffled[:40_000].reshape(200, 200).T,
+              np.empty(0), np.empty((0, 3))] + [np.array(x) for x in edge + [1.7, 40.0]]
+    for rr in inputs:
+        q, dq = gs.q_dq_at(rr)
+        expect = q_ref(rr), dq_ref(rr)
+        for ours, ref in ((q, expect[0]), (dq, expect[1]),
+                          (gs.q_at(rr), expect[0]), (gs.dq_at(rr), expect[1]),
+                          (gs.lam_q_at(rr), 2.0 / (gs.p - 1.0) * expect[0] + rr * expect[1])):
+            assert ours.shape == rr.shape
+            assert np.array_equal(ours, ref)
 
 
 def test_ode_residual_small(gs1, gs2):
