@@ -73,6 +73,14 @@ def _separation(text: str) -> float:
     return z
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive tolerance, checked at parse time."""
+    tol = float(text)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 def _reduced_start_error(args) -> str | None:
     """Why a full or asymptotic reduced run cannot start; the toy equation takes any z0."""
     if args.mode == "toy":
@@ -87,9 +95,9 @@ def cmd_groundstate(args) -> int:
     gs = solve_profile(args.p, args.d, tol=args.tol)
     c_q, resid = asymptotic_constant(gs)
     sc = structure_constants(gs, c_q=c_q)
-    print(json.dumps({"p": gs.p, "d": gs.d, "q0": gs.q0, "r_max": gs.r_max,
-                      "c_Q": sc.c_q, "c_Q_fit_residual": resid, "I_Q": sc.i_q,
-                      "c1": sc.c1, "c2": sc.c2, "C_p": sc.c_p, "c": sc.c,
+    print(json.dumps({"p": gs.p, "d": gs.d, "q0": gs.q0, "shots": gs.shots,
+                      "r_max": gs.r_max, "c_Q": sc.c_q, "c_Q_fit_residual": resid,
+                      "I_Q": sc.i_q, "c1": sc.c1, "c2": sc.c2, "C_p": sc.c_p, "c": sc.c,
                       "l2_norm_sq": sc.l2}, indent=2))
     if args.profile_csv:
         _emit_csv(zip(gs.r, gs.q, gs.dq), ["r", "q", "dq"], args.profile_csv)
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("groundstate", help="radial profile and constants")
     g.add_argument("--p", type=float, required=True)
     g.add_argument("--d", type=int, choices=(1, 2), required=True)
-    g.add_argument("--tol", type=float, default=1e-10)
+    g.add_argument("--tol", type=_tolerance, default=1e-10)
     g.add_argument("--profile-csv")
     g.set_defaults(func=cmd_groundstate)
 
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gamma0", type=float, default=0.0)
     r.add_argument("--lam0", type=float, default=1.0)
     r.add_argument("--t-end", type=float, default=100.0)
-    r.add_argument("--tol", type=float, default=1e-10)
+    r.add_argument("--tol", type=_tolerance, default=1e-10)
     r.add_argument("--out")
     r.set_defaults(func=cmd_reduced)
 

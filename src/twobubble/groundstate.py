@@ -6,6 +6,14 @@ Computes the positive decaying solution of
 
 by bisection shooting on q(0), plus the scalar constants the rest of the
 package consumes (tail amplitude, interaction integral, scaling pairings).
+
+Each shot of the bisection drives a bare DOP853 stepper and stops at the
+first sign change of q (overshoot) or of q' (undershoot), deciding as
+``solve_ivp`` with those terminal events would.  The decisions must stay
+bit-identical: the last few, within ulps of q0*, fix the bisected q0, and
+one ulp of q0 moves the tail amplitude and the force constant c by about
+1e-7 relative, hence every profile, force law and record built on it.
+
 The interaction integral I_Q and the force H(z) of ``ansatz`` run on the
 same composite Gauss-Legendre panels, ``gl_panels`` on ``panel_edges``
 along e1 and ``transverse_axis`` across it, for d = 1 and d = 2 alike;
@@ -30,16 +38,20 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import DOP853, simpson, solve_ivp
 from scipy.interpolate import make_interp_spline
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .errors import InvalidExponent, NonConvergence, QuadratureFailure, WindowTooNoisy
+from .errors import (InvalidConfig, InvalidExponent, NonConvergence, QuadratureFailure,
+                     WindowTooNoisy)
 
 _OVERSHOOT = -1
 _UNDERSHOOT = +1
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
+# brentq's xtol and rtol on an event root, as solve_ivp sets them
+_EVENT_XTOL = 4.0 * np.finfo(float).eps
 
 # Row k holds the t^k coefficients, on one cell of a uniform knot sequence,
 # of the six cardinal quintic B-splines that are nonzero there (oldest first).
@@ -124,6 +136,7 @@ class GroundState:
     dq: np.ndarray
     tail_amplitude: float
     bracket_width: float
+    shots: int              # classification integrations the bisection ran
 
     @cached_property
     def _cell_width(self) -> float:
@@ -283,9 +296,15 @@ class StructureConstants:
 
 
 def _rhs(d: int, p: float):
+    """y' for y = (q, q') as Python floats, for the bisection's shots and the
+    final passes alike: (w, q - sign(q) |q|^p - (d-1)/r w), with the
+    operations in the order of its numpy-scalar form, so the values agree
+    to the bit."""
     def rhs(r, y):
-        q, w = y
-        return (w, q - np.sign(q) * np.abs(q) ** p - (d - 1.0) / r * w)
+        q, w = y.tolist()
+        a = abs(q) ** p
+        s = a if q > 0.0 else -a if q < 0.0 else 0.0 * a
+        return (w, q - s - (d - 1.0) / r * w)
 
     return rhs
 
@@ -297,30 +316,43 @@ def _series_start(q0: float, p: float, d: int, r0: float) -> tuple[float, float]
 
 
 def _classify(q0: float, p: float, d: int, r_max: float):
-    """Integrate one shot; overshoot = crosses zero, undershoot = turns upward.
+    """Integrate one shot; overshoot = q crosses zero, undershoot = q' turns upward.
 
-    Tolerances must match the final profile pass so the bisected q0 sits on
-    the same numerical manifold.
+    Drives a bare DOP853 stepper and reads, after each step, the sign
+    changes ``solve_ivp`` checks for its terminal events: q from >= 0 to
+    <= 0 (overshoot) and q' from <= 0 to >= 0 (undershoot).  When both fire
+    in one step, the one whose root on the step's dense output comes first
+    decides; the roots are ``solve_ivp``'s (``brentq``, xtol = rtol = 4 eps)
+    and a tie goes to the crossing, as its stable sort orders it.  A failed
+    step, or reaching r_max, is an undershoot.
+
+    Every decision must equal that of ``solve_ivp`` with these events: the
+    bisected q0 is fixed by the last few decisions near q0*, and one ulp of
+    q0 moves c by about 1e-7.  Tolerances match the final profile pass, so
+    the bisected q0 sits on the same numerical manifold.
     """
     r0 = 1e-6
-    y0 = _series_start(q0, p, d, r0)
+    q, w = _series_start(q0, p, d, r0)
+    stepper = DOP853(_rhs(d, p), r0, (q, w), float(r_max), rtol=1e-12, atol=1e-16)
+    while stepper.status == "running":
+        stepper.step()
+        if stepper.status == "failed":
+            break
+        q_new, w_new = stepper.y.tolist()
+        cross = q >= 0.0 and q_new <= 0.0
+        turn = w <= 0.0 and w_new >= 0.0
+        if cross and turn:
+            sol = stepper.dense_output()
 
-    def cross(r, y):
-        return y[0]
-
-    cross.terminal = True
-    cross.direction = -1
-
-    def turn(r, y):
-        return y[1]
-
-    turn.terminal = True
-    turn.direction = 1
-
-    sol = solve_ivp(_rhs(d, p), (r0, r_max), y0, method="DOP853",
-                    events=(cross, turn), rtol=1e-12, atol=1e-16)
-    if sol.t_events[0].size:
-        return _OVERSHOOT
+            def root(k):
+                return brentq(lambda r: sol(r)[k], stepper.t_old, stepper.t,
+                              xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+            return _OVERSHOOT if root(0) <= root(1) else _UNDERSHOOT
+        if cross:
+            return _OVERSHOOT
+        if turn:
+            return _UNDERSHOOT
+        q, w = q_new, w_new
     return _UNDERSHOOT
 
 
@@ -337,34 +369,48 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
         raise InvalidExponent(f"dimension must be a positive integer, got {d}")
     if not (1.0 < p < sobolev_limit(d)):
         raise InvalidExponent(f"p={p} outside (1, {sobolev_limit(d)})")
-    if tol <= 0:
-        raise NonConvergence("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise NonConvergence(f"tol must be finite and positive, got {tol}")
+    if not (r_max > 0.0 and math.isfinite(r_max)):
+        raise InvalidConfig(f"r_max must be finite and positive, got {r_max}")
+    if not (mesh_step > 0.0 and math.isfinite(mesh_step)):
+        raise InvalidConfig(f"mesh_step must be finite and positive, got {mesh_step}")
 
     # extend the truncation radius until the tail value can sit below 10*tol
     r_max = max(r_max, -np.log(10.0 * tol) + 4.0)
+    n = int(round(r_max / mesh_step)) + 1
+    if n - 1 < 2 * _EDGE_CELLS:
+        raise InvalidConfig(f"mesh_step {mesh_step} leaves {n - 1} cells on [0, {r_max:.4g}], "
+                            f"fewer than {2 * _EDGE_CELLS}")
 
-    # bracket around the d=1 closed form scaled by a dimension heuristic
+    shots = 0
+
+    def shoot(q0: float) -> int:
+        nonlocal shots
+        shots += 1
+        return _classify(q0, p, d, r_max)
+
+    # bracket around the d=1 closed form scaled by a dimension heuristic: the
+    # guess is classified once, then the search steps away from it by 1.25
+    # until the class flips
     guess = closed_form_q0(p) * 1.5 ** (d - 1)
-    lo = hi = guess
-    for _ in range(200):
-        if _classify(hi, p, d, r_max) == _OVERSHOOT:
+    side = shoot(guess)
+    end = guess
+    for _ in range(199):
+        end = end * 1.25 if side == _UNDERSHOOT else end / 1.25
+        if shoot(end) != side:
             break
-        hi *= 1.25
     else:
-        raise NonConvergence("no overshoot endpoint found")
-    for _ in range(200):
-        if _classify(lo, p, d, r_max) == _UNDERSHOOT:
-            break
-        lo /= 1.25
-    else:
-        raise NonConvergence("no undershoot endpoint found")
+        raise NonConvergence(f"no {'overshoot' if side == _UNDERSHOOT else 'undershoot'} "
+                             "endpoint found")
+    lo, hi = (guess, end) if side == _UNDERSHOOT else (end, guess)
 
     width_goal = min(tol, 8.0 * np.spacing(guess))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= max(width_goal, 2.0 * np.spacing(mid)):
             break
-        if _classify(mid, p, d, r_max) == _OVERSHOOT:
+        if shoot(mid) == _OVERSHOOT:
             hi = mid
         else:
             lo = mid
@@ -392,7 +438,6 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
                          method="DOP853", dense_output=True, rtol=1e-12, atol=1e-300)
         amp *= float(np.mean(q_window / back.sol(window)[0]))
 
-    n = int(round(r_max / mesh_step)) + 1
     r = np.linspace(0.0, r_max, n)
     qf = np.empty(n)
     dqf = np.empty(n)
@@ -412,7 +457,8 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
     dq = (1.0 - w) * dqf + w * dqb + dw * (qb - qf)
 
     return GroundState(p=float(p), d=int(d), r_max=float(r_max), q0=float(q0),
-                       r=r, q=q, dq=dq, tail_amplitude=amp, bracket_width=width)
+                       r=r, q=q, dq=dq, tail_amplitude=amp, bracket_width=width,
+                       shots=shots)
 
 
 def _pick_match_radius(fwd, q0: float) -> float:

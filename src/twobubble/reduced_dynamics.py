@@ -57,6 +57,12 @@ class ReducedTrajectory:
                             z=self.z[i], gamma=float(self.gamma[i]), v=self.v[i])
 
 
+def _check_tol(tol: float) -> None:
+    """StepFailure for a tolerance no adaptive step can meet."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise StepFailure(f"tol must be finite and positive, got {tol}")
+
+
 def _force(gs: GroundState | None, constants: StructureConstants, mode: str,
            c_override: float | None):
     """v' = -(2/c2) H(z) as a function of (z, |z|): the ground state's cached
@@ -85,9 +91,10 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
     mode selects the interaction force: "quadrature" reads the ground state's
     cached force law, defined for |z| in [2, 40] (QuadratureFailure
     outside), and "asymptotic" the leading-order exponential law, whose
-    constant c_override pins.  A non-finite state or end time is a
-    StepFailure.
+    constant c_override pins.  A non-finite state or end time, or a tol
+    that is not finite and positive, is a StepFailure.
     """
+    _check_tol(tol)
     d = state0.d
     y0 = np.concatenate([[state0.lam], state0.z, [state0.gamma], state0.v])
     if not (np.isfinite(y0).all() and math.isfinite(state0.s) and math.isfinite(s_end)):
@@ -139,8 +146,9 @@ class ToyTrajectory:
 def toy_double_pole(z0: float, zdot0: float, t_end: float,
                     tol: float = 1e-10, n_samples: int = 400) -> ToyTrajectory:
     """Integrate z'' = -e^(-2z) from t = 1; log t solves it for (0, 1) data."""
-    if t_end <= 1.0:
-        raise StepFailure(f"t_end must exceed 1, got {t_end}")
+    _check_tol(tol)
+    if not (t_end > 1.0 and math.isfinite(t_end)):
+        raise StepFailure(f"t_end must be finite and exceed 1, got {t_end}")
 
     def rhs(t, y):
         return (y[1], -np.exp(-2.0 * y[0]))

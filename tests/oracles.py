@@ -10,8 +10,9 @@ the interaction integral, the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, the
 package's earlier profile evaluator (one row-layout table per field, the
 tail written over the cell polynomials) with the three-call Bessel form
-of the tail's derivative, the split-step loop in numpy's allocating array
-idiom, and the in-place split-step kernel on scipy.fft with cos and sin on
+of the tail's derivative, the package's earlier shot classifier
+(``solve_ivp`` with terminal events on the numpy right-hand side), the
+split-step loop in numpy's allocating array idiom, and the in-place split-step kernel on scipy.fft with cos and sin on
 every point, which the package's kernel must equal element for element.
 """
 
@@ -21,14 +22,15 @@ import math
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
 from twobubble.ansatz import _PANEL
 from twobubble.errors import Overflow, StepTooLarge
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
-                                   decay_shape, gl_axis, transverse_axis, transverse_edges)
+                                   _series_start, decay_shape, gl_axis, transverse_axis,
+                                   transverse_edges)
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -68,6 +70,40 @@ def shoot_q0(p: float, d: int, h: float = 1e-3, bracket_width: float = 1e-8,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def rhs_reference(d: int, p: float):
+    """The shot's right-hand side on numpy scalars."""
+    def rhs(r, y):
+        q, w = y
+        return (w, q - np.sign(q) * np.abs(q) ** p - (d - 1.0) / r * w)
+
+    return rhs
+
+
+def classify_reference(q0: float, p: float, d: int, r_max: float) -> int:
+    """One shot through ``solve_ivp``'s terminal events: -1 when q crosses
+    zero first, +1 when q' turns upward first or the shot reaches r_max."""
+    r0 = 1e-6
+    y0 = _series_start(q0, p, d, r0)
+
+    def cross(r, y):
+        return y[0]
+
+    cross.terminal = True
+    cross.direction = -1
+
+    def turn(r, y):
+        return y[1]
+
+    turn.terminal = True
+    turn.direction = 1
+
+    sol = solve_ivp(rhs_reference(d, p), (r0, r_max), y0, method="DOP853",
+                    events=(cross, turn), rtol=1e-12, atol=1e-16)
+    if sol.t_events[0].size:
+        return -1
+    return +1
 
 
 def profile_spline_reference(gs):

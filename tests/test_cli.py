@@ -30,6 +30,7 @@ def test_groundstate_command(capsys, tmp_path):
                   "--profile-csv", str(csv_path))
     data = json.loads(out)
     assert data["q0"] == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    assert data["shots"] == 50
     assert data["c"] == pytest.approx(16.0, abs=1e-4)
     header = csv_path.read_text().splitlines()[0]
     assert header == "r,q,dq"
@@ -152,6 +153,20 @@ def test_reduced_start_rejected_before_compute(capsys, monkeypatch):
             assert message in capsys.readouterr().err
     out = run_cli(capsys, "reduced", "--mode", "toy", "--z0", "3", "--t-end", "2")
     assert out.splitlines()[0] == "t,z,zdot,first_integral"
+
+
+def test_tolerance_rejected_before_compute(capsys, monkeypatch):
+    # groundstate --tol nan used to exit 0 with a q0 the bisection never
+    # checked; reduced --tol nan hung (toy) or failed after the profile solve
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    monkeypatch.setattr(cli, "toy_double_pole", _no_solve)
+    for tol in ("nan", "inf", "-inf", "0", "-1"):
+        for argv in (["groundstate", "--p", "3", "--d", "1"],
+                     ["reduced", "--mode", "toy"], ["reduced", "--mode", "full"]):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, f"--tol={tol}"])
+            assert err.value.code == 2
+            assert "tolerance must be finite and positive" in capsys.readouterr().err
 
 
 def _simulate_config(tmp_path, **overrides):

@@ -6,15 +6,18 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import BSpline
 from scipy.special import kv
 
-from twobubble.errors import InvalidExponent, NonConvergence, WindowTooNoisy
-from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState,
+from scipy.integrate._ivp import ivp as ivp_module
+
+from twobubble import groundstate
+from twobubble.errors import InvalidConfig, InvalidExponent, NonConvergence, WindowTooNoisy
+from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState, _classify,
                                    _decay_shape_deriv, asymptotic_constant,
                                    closed_form_profile, closed_form_q0,
                                    decay_shape, ode_residual, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import (decay_shape_deriv_bessel, interaction_weight, profile_spline_reference,
-                     row_layout_profile, shoot_q0)
+from oracles import (classify_reference, decay_shape_deriv_bessel, interaction_weight,
+                     profile_spline_reference, row_layout_profile, shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -258,6 +261,113 @@ def test_invalid_exponent():
 def test_bad_tolerance():
     with pytest.raises(NonConvergence):
         solve_profile(3.0, 1, tol=-1.0)
+
+
+def _no_shot(*args, **kwargs):
+    raise AssertionError("a shot ran")
+
+
+def test_bad_arguments_rejected_before_any_shot(monkeypatch):
+    # tol = nan used to run 203 shots and return another q0, r_max nan
+    # or inf to run without end, and a NaN, zero or negative mesh_step to
+    # raise a raw ValueError or ZeroDivisionError after the bisection
+    monkeypatch.setattr(groundstate, "_classify", _no_shot)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(NonConvergence, match="tol must be finite and positive"):
+            solve_profile(3.0, 1, tol=tol)
+    for r_max in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(InvalidConfig, match="r_max must be finite and positive"):
+            solve_profile(3.0, 1, r_max=r_max)
+    for mesh_step in (np.nan, np.inf, 0.0, -1e-3):
+        with pytest.raises(InvalidConfig, match="mesh_step must be finite and positive"):
+            solve_profile(3.0, 1, mesh_step=mesh_step)
+    # five cells on [0, 25] used to fail in the first profile evaluation
+    with pytest.raises(InvalidConfig, match="fewer than 16"):
+        solve_profile(3.0, 1, r_max=25.0, mesh_step=5.0)
+
+
+def _offsets_and_ulps(q0_star, seed):
+    """60 q0 at relative offsets 1e-16 .. 1e-1 of either sign, then every q0
+    within 6 ulps of q0_star."""
+    rng = np.random.default_rng(seed)
+    rel = rng.choice((-1.0, 1.0), 60) * 10.0 ** rng.uniform(-16.0, -1.0, 60)
+    near = [q0_star]
+    for _ in range(6):
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], np.inf)]
+    return [float(q) for q in q0_star * (1.0 + rel)] + [float(q) for q in near]
+
+
+def test_classify_matches_solve_ivp_events(any_gs):
+    # the bare stepper decides every shot as solve_ivp's terminal events do,
+    # on both sides of q0* and on each of the 13 floats around it
+    gs = any_gs
+    for q0 in _offsets_and_ulps(gs.q0, seed=round(100 * gs.p) + gs.d):
+        assert _classify(q0, gs.p, gs.d, gs.r_max) == classify_reference(q0, gs.p, gs.d,
+                                                                         gs.r_max), q0
+
+
+@pytest.mark.parametrize("key", [(3.0, 1), (3.0, 2)], ids=str)
+def test_solve_profile_on_reference_classifier(key, gs1, gs2, monkeypatch):
+    # the profile bisected on solve_ivp's events is the same to the bit
+    gs = {(3.0, 1): gs1, (3.0, 2): gs2}[key]
+    monkeypatch.setattr(groundstate, "_classify", classify_reference)
+    ref = solve_profile(*key)
+    assert (ref.q0, ref.tail_amplitude, ref.bracket_width, ref.shots) == \
+        (gs.q0, gs.tail_amplitude, gs.bracket_width, gs.shots)
+    assert np.array_equal(ref.q, gs.q) and np.array_equal(ref.dq, gs.dq)
+
+
+def test_no_q0_classified_twice(monkeypatch):
+    # the bracket search used to classify its starting guess twice
+    seen = []
+
+    def recorded(q0, *args):
+        seen.append(q0)
+        return classify_reference(q0, *args)
+
+    monkeypatch.setattr(groundstate, "_classify", recorded)
+    gs = solve_profile(3.0, 1)
+    assert len(set(seen)) == len(seen)
+    assert gs.shots == len(seen) == 50
+
+
+def _one_step_stepper(r_cross, r_turn):
+    """A stepper class whose first step spans one unit of r on the path
+    q = r_cross - x, q' = x - r_turn (x the distance into the step), so both
+    sign changes fire in that step, at the given distances."""
+    class OneStep:
+        nfev = njev = nlu = 0
+        direction = 1.0
+
+        def __init__(self, fun, t0, y0, t_bound, **options):
+            self.t_old, self.t, self.y = None, t0, np.asarray(y0, dtype=float)
+            self.status = "running"
+
+        def path(self, r):
+            x = r - self.t_old
+            return np.array([r_cross - x, x - r_turn])
+
+        def step(self):
+            self.t_old, self.t = self.t, self.t + 1.0
+            self.y = self.path(self.t)
+            self.status = "finished"
+
+        def dense_output(self):
+            return self.path
+
+    return OneStep
+
+
+@pytest.mark.parametrize("r_cross,r_turn,expect",
+                         [(0.3, 0.6, -1), (0.6, 0.3, +1), (0.5, 0.5, -1)])
+def test_both_events_in_one_step(r_cross, r_turn, expect, monkeypatch):
+    # when q crosses zero and q' turns up in the same step, the earlier root
+    # on the step's dense output decides, in _classify as in solve_ivp
+    stepper = _one_step_stepper(r_cross, r_turn)
+    monkeypatch.setattr(groundstate, "DOP853", stepper)
+    monkeypatch.setitem(ivp_module.METHODS, "DOP853", stepper)
+    # q0 = 1.5 starts with q > 0 and q' < 0
+    assert _classify(1.5, 3.0, 1, 25.0) == classify_reference(1.5, 3.0, 1, 25.0) == expect
 
 
 def test_window_too_noisy(gs1):

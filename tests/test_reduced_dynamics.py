@@ -95,6 +95,26 @@ def test_non_finite_state(gs1, sc1):
             rd.integrate_reduced(st, 20.0, gs1, sc1, mode="quadrature")
 
 
+def _no_integration(*args, **kwargs):
+    raise AssertionError("an integration ran")
+
+
+def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
+    # a NaN tol used to hang the toy run and end the full one in a misleading
+    # QuadratureFailure, a negative one in scipy's raw ValueError
+    monkeypatch.setattr(rd, "solve_ivp", _no_integration)
+    st = marginal_state(10.0, 16.0)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        for mode in ("quadrature", "asymptotic"):
+            with pytest.raises(StepFailure, match="tol must be finite and positive"):
+                rd.integrate_reduced(st, 20.0, gs1, sc1, tol=tol, mode=mode)
+        with pytest.raises(StepFailure, match="tol must be finite and positive"):
+            rd.toy_double_pole(0.0, 1.0, 10.0, tol=tol)
+    # a NaN end time used to hang the toy run too
+    with pytest.raises(StepFailure, match="t_end must be finite"):
+        rd.toy_double_pole(0.0, 1.0, np.nan)
+
+
 def test_toy_log_orbit():
     tr = rd.toy_double_pole(0.0, 1.0, 100.0, tol=1e-10)
     assert np.max(np.abs(tr.z - np.log(tr.t))) < 1e-8
