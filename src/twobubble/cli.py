@@ -16,7 +16,7 @@ from .ansatz import (COLLISION_SEP, BubbleParams, build_two_bubble, force_asympt
                      interaction_force_H)
 from .errors import InvalidConfig, IoFailure
 from .groundstate import asymptotic_constant, solve_profile, structure_constants
-from .modulation_fit import decompose
+from .modulation_fit import decompose, error_h1
 from .nls_core import make_grid, observables, propagate, read_snapshot, \
     write_atomically, write_snapshot
 from .reduced_dynamics import ReducedState, integrate_reduced, toy_double_pole
@@ -200,7 +200,7 @@ def cmd_fit(args) -> int:
                     with_fields=False)
     print(json.dumps({
         "lam": res.params.lam, "z": list(res.params.z), "gamma": res.params.gamma,
-        "v": list(res.params.v), "eps_h1": res.eps_h1,
+        "v": list(res.params.v), "eps_h1": error_h1(u, res.params, gs),
         "projections": {k: (list(v) if isinstance(v, np.ndarray) else v)
                         for k, v in res.projections.items()},
         "newton_iters": res.newton_iters}, indent=2))

@@ -102,6 +102,7 @@ class ShootConfig:
             if not ok:
                 raise InvalidConfig(why)
         object.__setattr__(self, "zeta_bracket", (lo, hi))
+        _zeta_in(self.s_in, lo)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -198,11 +199,20 @@ def separation_of_zeta(zeta: float, c: float, d: int) -> float:
                   1e-3, 2.5 * target + 10.0, xtol=1e-13)
 
 
+def _zeta_in(s_in: float, zeta_sharp: float) -> float:
+    """zeta(s_in) = s_in (1 + zeta#/sqrt(log s_in)), so that xi(s_in) = zeta#^2;
+    InvalidConfig where no separation has it, for zeta# <= -sqrt(log s_in)."""
+    value = s_in + zeta_sharp * s_in / np.sqrt(np.log(s_in))
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidConfig(f"zeta_sharp {zeta_sharp} (a shot's, or a zeta_bracket end) must be "
+                            f"finite, > -sqrt(log s_in) = {-math.sqrt(math.log(s_in)):.6g}")
+    return value
+
+
 def initial_data(config: ShootConfig, zeta_sharp: float,
                  constants: StructureConstants) -> tuple[BubbleParams, float]:
     """Final-time parameters from the shooting variable."""
-    s_in = config.s_in
-    zeta_in = s_in + zeta_sharp * s_in / np.sqrt(np.log(s_in))
+    zeta_in = _zeta_in(config.s_in, zeta_sharp)
     z_in = separation_of_zeta(zeta_in, constants.c, config.d)
     e1 = np.zeros(config.d)
     e1[0] = 1.0
@@ -319,23 +329,6 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
     exit_tag = EXIT_REACHED
     phi = 0
 
-    def push_sample(u_now: ComplexField, pars: BubbleParams, s_now: float,
-                    t_now: float, fit) -> dict:
-        zlen = float(np.linalg.norm(pars.z))
-        zeta = zeta_of_separation(zlen, constants.c, config.d)
-        xi = (zeta - s_now) ** 2 / s_now ** 2 * np.log(s_now)
-        energy = energy_functional(u_now, pars, s_now, gs)
-        obs = observables(u_now, config.p)
-        smp = {"s": s_now, "t": t_now, "lam": pars.lam,
-               "z": [float(x) for x in pars.z], "gamma": pars.gamma,
-               "v": [float(x) for x in pars.v],
-               "eps_h1": fit.eps_h1,
-               "zeta": float(zeta), "xi": float(xi), "W": energy["W"],
-               "proj_igradq": float(np.max(np.abs(fit.projections["igradQ"]))),
-               "mass": obs.mass, "momentum": [float(m) for m in obs.momentum]}
-        samples.append(smp)
-        return smp
-
     def chunk_steps(s_now: float, lam: float) -> int:
         ds = min(config.fit_interval, s_now - config.s0)
         return max(1, int(round(lam ** 2 * ds / config.dt)))
@@ -345,11 +338,17 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
     try:
         n_steps = chunk_steps(s, params.lam)    # the initial data's scale, 1
         stage.send(n_steps)
-        fit = decompose(u_in, params, gs, mode="tracking", v_override=params.v,
-                        with_fields=False, xtol=config.newton_tol)
-        params = fit.params
-        u_now = u_in
+        u_now, guess = u_in, params
         while True:
+            try:
+                fit = decompose(u_now, guess, gs, mode="tracking", v_override=guess.v,
+                                with_fields=False, xtol=config.newton_tol)
+            except Exception as exc:
+                raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
+            # unwrap the phase onto the predicted branch
+            gamma = guess.gamma + np.angle(np.exp(1j * (fit.params.gamma - guess.gamma)))
+            params = BubbleParams(lam=fit.params.lam, z=fit.params.z, gamma=gamma, v=guess.v)
+
             # the running chunk ends at s_next; the next one takes this fit's
             # scale too, so its count is sent before the worker needs it
             dt_chunk = n_steps * config.dt
@@ -358,7 +357,17 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             if s_next > config.s0:
                 stage.send(n_steps)
 
-            smp = push_sample(u_now, params, s, t_lab, fit)
+            zeta = zeta_of_separation(float(np.linalg.norm(params.z)), constants.c, config.d)
+            energy = energy_functional(u_now, params, s, gs)
+            obs = observables(u_now, config.p)
+            smp = {"s": s, "t": t_lab, "lam": params.lam,
+                   "z": [float(x) for x in params.z], "gamma": params.gamma,
+                   "v": [float(x) for x in params.v], "eps_h1": energy["eps_h1"],
+                   "zeta": float(zeta), "xi": float((zeta - s) ** 2 / s ** 2 * np.log(s)),
+                   "W": energy["W"],
+                   "proj_igradq": float(np.max(np.abs(fit.projections["igradQ"]))),
+                   "mass": obs.mass, "momentum": [float(m) for m in obs.momentum]}
+            samples.append(smp)
             side = 1 if smp["zeta"] >= s else -1
             # the initial sample is not checked: at zeta# = +-1 it sits on xi = 1
             if u_now is not u_in:
@@ -393,15 +402,6 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             u_now = ComplexField(grid, np.conj(values))
             t_lab -= dt_chunk
             s = s_next
-
-            try:
-                fit = decompose(u_now, guess, gs, mode="tracking", v_override=guess.v,
-                                with_fields=False, xtol=config.newton_tol)
-            except Exception as exc:
-                raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
-            # unwrap the phase onto the predicted branch
-            gamma = guess.gamma + np.angle(np.exp(1j * (fit.params.gamma - guess.gamma)))
-            params = BubbleParams(lam=fit.params.lam, z=fit.params.z, gamma=gamma, v=guess.v)
     finally:
         stage.close()
 

@@ -52,6 +52,11 @@ _UNDERSHOOT = +1
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
 # brentq's xtol and rtol on an event root, as solve_ivp sets them
 _EVENT_XTOL = 4.0 * np.finfo(float).eps
+# r0 and DOP853 tolerances of the bisection's shots and the profile pass, equal so
+# that the bisected q0 sits on the numerical manifold the profile is built on
+_SHOT_R0 = 1e-6
+_SHOT_RTOL = 1e-12
+_SHOT_ATOL = 1e-16
 
 # Row k holds the t^k coefficients, on one cell of a uniform knot sequence,
 # of the six cardinal quintic B-splines that are nonzero there (oldest first).
@@ -328,12 +333,11 @@ def _classify(q0: float, p: float, d: int, r_max: float):
 
     Every decision must equal that of ``solve_ivp`` with these events: the
     bisected q0 is fixed by the last few decisions near q0*, and one ulp of
-    q0 moves c by about 1e-7.  Tolerances match the final profile pass, so
-    the bisected q0 sits on the same numerical manifold.
+    q0 moves c by about 1e-7.
     """
-    r0 = 1e-6
-    q, w = _series_start(q0, p, d, r0)
-    stepper = DOP853(_rhs(d, p), r0, (q, w), float(r_max), rtol=1e-12, atol=1e-16)
+    q, w = _series_start(q0, p, d, _SHOT_R0)
+    stepper = DOP853(_rhs(d, p), _SHOT_R0, (q, w), float(r_max),
+                     rtol=_SHOT_RTOL, atol=_SHOT_ATOL)
     while stepper.status == "running":
         stepper.step()
         if stepper.status == "failed":
@@ -421,9 +425,8 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
 
     # forward pass with dense output; trustworthy until the growing mode
     # amplifies the residual bracket error
-    r0 = 1e-6
-    fwd = solve_ivp(_rhs(d, p), (r0, r_max), _series_start(q0, p, d, r0),
-                    method="DOP853", dense_output=True, rtol=1e-12, atol=1e-16)
+    fwd = solve_ivp(_rhs(d, p), (_SHOT_R0, r_max), _series_start(q0, p, d, _SHOT_R0),
+                    method="DOP853", dense_output=True, rtol=_SHOT_RTOL, atol=_SHOT_ATOL)
 
     r_match = _pick_match_radius(fwd, q0)
     window = np.linspace(max(r_match - 1.0, 1.0), r_match, 41)

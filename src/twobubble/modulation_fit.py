@@ -14,6 +14,7 @@ bubble, test field and derivative comes from ``ansatz.LatticeBubble``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +24,17 @@ from .errors import NoConvergence, OutOfBasin
 from .groundstate import GroundState, smoothstep
 from .nls_core import ComplexField, Grid, h1_norm_sq, laplacian
 
+# decompose's Newton budget, and its bound on the first step (OutOfBasin beyond)
+MAX_ITER = 40
+TRUST_RADIUS = 5.0
+
 
 @dataclass(frozen=True)
 class DecompResult:
-    """Fitted parameters, error field, and its annihilated projections."""
+    """Fitted parameters and their annihilated projections."""
 
     params: BubbleParams
-    eps: ComplexField | None       # lab-frame error u - e^{i gamma} lam^... P(./lam)
     eta1: ComplexField | None      # error recentered on bubble 1, phase stripped
-    eps_h1: float
     projections: dict
     newton_iters: int
     step_history: tuple
@@ -165,27 +168,6 @@ class _Workspace:
                 "iLamQ": res[1 + d], "igradQ": res[2 + d:2 + 2 * d].copy()}
 
 
-def _lab_error(u: ComplexField, params: BubbleParams, p: float, P: np.ndarray) -> np.ndarray:
-    return u.values - np.exp(1j * params.gamma) * params.lam ** (-2.0 / (p - 1.0)) * P
-
-
-def lab_frame_error(u: ComplexField, params: BubbleParams, gs: GroundState) -> ComplexField:
-    """eps_lab = u - e^{i gamma} lam^{-2/(p-1)} P(x / lam) on the lattice."""
-    P_scaled = ansatz_on_lattice(params, gs, [x / params.lam for x in u.grid.x_mesh])
-    return ComplexField(u.grid, _lab_error(u, params, gs.p, P_scaled))
-
-
-def renormalized_h1(eps_lab: ComplexField, lam: float, p: float) -> float:
-    """H1 norm of the rescaled error in renormalized coordinates."""
-    g = eps_lab.grid
-    eh = np.fft.fftn(eps_lab.values)
-    scale = g.cell_volume / g.N ** g.d
-    l2 = float(np.sum(np.abs(eh) ** 2)) * scale
-    grad2 = float(np.sum(g.k_sq * np.abs(eh) ** 2)) * scale
-    a = lam ** (4.0 / (p - 1.0) - g.d)
-    return float(np.sqrt(a * l2 + a * lam ** 2 * grad2))
-
-
 def resample_scaled(u: ComplexField, lam: float) -> np.ndarray:
     """Trigonometric interpolation of u at the scaled points lam * y."""
     g = u.grid
@@ -219,13 +201,13 @@ def recentered_error(u: ComplexField, params: BubbleParams,
 
 def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
               mode: str = "snapshot", v_override=None, with_fields: bool = False,
-              max_iter: int = 40, xtol: float = 1e-12,
-              trust_radius: float = 5.0) -> DecompResult:
+              xtol: float = 1e-12) -> DecompResult:
     """Newton solve of the orthogonality conditions around a parameter guess.
 
     tracking mode fits (lambda, z, gamma) with v supplied by the caller;
     snapshot mode promotes the i grad Q condition to an equation and fits v
-    as well.  with_fields=True also returns eta1, through a dense
+    as well.  It builds no error field; ``error_h1`` measures eps at the
+    fitted parameters.  with_fields=True also returns eta1, through a dense
     trigonometric resample that costs far more than the fit at large N.
     """
     if mode not in ("snapshot", "tracking"):
@@ -240,40 +222,34 @@ def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
     theta = np.concatenate([[guess.lam], guess.z, [guess.gamma]]
                            + ([guess.v] if mode == "snapshot" else []))
     history = []
-    iters = 0
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         res, jac = ws.residual_jacobian(theta)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Newton system: {exc}") from exc
         size = float(np.max(np.abs(step)))
-        if it == 0 and size > trust_radius:
-            raise OutOfBasin(f"first Newton step {size:.3e} > {trust_radius}")
+        if it == 0 and size > TRUST_RADIUS:
+            raise OutOfBasin(f"first Newton step {size:.3e} > {TRUST_RADIUS}")
         theta = theta + step
         if theta[0] <= 0:
             raise NoConvergence(f"scale went nonpositive: {theta[0]:.3e}")
         history.append(size)
-        iters = it + 1
         if size < xtol:
             break
     else:
-        raise NoConvergence(f"no convergence after {max_iter} iterations; "
+        raise NoConvergence(f"no convergence after {MAX_ITER} iterations; "
                             f"last step {history[-1]:.3e}")
 
     lam, z, gamma, v = ws.unpack(theta)
     gamma = float(np.angle(np.exp(1j * gamma)))  # report in (-pi, pi]
     params = BubbleParams(lam=float(lam), z=z.copy(), gamma=gamma, v=v.copy())
     proj = ws.projections(theta)
-
-    eps_lab = lab_frame_error(u, params, gs)
-    eps_h1 = renormalized_h1(eps_lab, lam, gs.p)
     eta1 = None
     if with_fields:
         _, eta1 = recentered_error(u, params, gs)
-    return DecompResult(params=params, eps=eps_lab, eta1=eta1, eps_h1=eps_h1,
-                        projections=proj, newton_iters=iters,
-                        step_history=tuple(history))
+    return DecompResult(params=params, eta1=eta1, projections=proj,
+                        newton_iters=len(history), step_history=tuple(history))
 
 
 def apply_linearized(which: str, f: ComplexField, gs: GroundState) -> ComplexField:
@@ -331,9 +307,23 @@ def coercivity_check(gs: GroundState, grid: Grid, n_samples: int = 100,
     return float(np.min(ratios)), ratios
 
 
-def momentum_cutoff(r: np.ndarray, radius: float) -> np.ndarray:
-    """Plateau cutoff in the distance r: 1 inside radius/10, 0 outside radius/8."""
-    return 1.0 - smoothstep(r / radius, 0.1, 0.125)[0]
+def _lab_error(u: ComplexField, params: BubbleParams, gs: GroundState):
+    """The bubble pair at x / lam, P(x / lam), eps_lab = u - e^{i gamma}
+    lam^{-2/(p-1)} P(x / lam), its spectrum, and the squared H1 norm of eps(y)
+    as lam^(4/(p-1) - d) sum |eps_hat|^2 (1 + lam^2 |k|^2) on the lattice."""
+    g, p, lam = u.grid, gs.p, params.lam
+    bubbles = bubble_pair(params, gs, [x / lam for x in g.x_mesh])
+    P_scaled = bubbles[0].values + bubbles[1].values
+    eps_lab = u.values - np.exp(1j * params.gamma) * lam ** (-2.0 / (p - 1.0)) * P_scaled
+    eh = np.fft.fftn(eps_lab)
+    a = lam ** (4.0 / (p - 1.0) - g.d) * g.cell_volume / g.N ** g.d
+    h1_sq = a * float(np.sum(np.abs(eh) ** 2 * (1.0 + lam ** 2 * g.k_sq)))
+    return bubbles, P_scaled, eps_lab, eh, h1_sq
+
+
+def error_h1(u: ComplexField, params: BubbleParams, gs: GroundState) -> float:
+    """eps_h1: the H1 norm of eps in u = e^{i gamma} lam^{-2/(p-1)} (P + eps)(x / lam)."""
+    return math.sqrt(_lab_error(u, params, gs)[-1])
 
 
 def energy_functional(u: ComplexField, params: BubbleParams, s: float,
@@ -343,25 +333,15 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
     H is the nonlinear energy of the error relative to the two-bubble ansatz;
     J localizes the momentum around each bubble with a plateau cutoff of
     radius log(s).  Everything is evaluated in lab coordinates with exact
-    scale factors.
+    scale factors; eps_h1 is ``error_h1``'s.
     """
     g = u.grid
     p = gs.p
     lam = params.lam
     vol = g.cell_volume
 
-    # one pair of bubbles at x / lambda gives P, eps_lab and the cutoff radii
-    bubbles = bubble_pair(params, gs, [x / lam for x in g.x_mesh])
-    P_scaled = bubbles[0].values + bubbles[1].values
-    eps_lab = _lab_error(u, params, p, P_scaled)
-    a = lam ** (4.0 / (p - 1.0) - g.d)
-    eh = np.fft.fftn(eps_lab)
-    l2 = float(np.sum(np.abs(eh) ** 2)) * vol / g.N ** g.d
+    bubbles, P_scaled, eps_lab, eh, eps_h1_sq = _lab_error(u, params, gs)
     grads = [np.fft.ifftn(1j * k * eh) for k in g.k_mesh]
-    grad2 = sum(float(np.sum(np.abs(gr) ** 2)) * vol for gr in grads)
-
-    eps_h1_sq = a * l2 + a * lam ** 2 * grad2
-    quad_part = 0.5 * eps_h1_sq
 
     # potential part: int |P+eps|^{p+1} - |P|^{p+1} - (p+1)|P|^{p-1} Re(eps conj(P))
     w_scaled = np.exp(-1j * params.gamma) * lam ** (2.0 / (p - 1.0)) * u.values
@@ -369,15 +349,15 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
     absP = np.abs(P_scaled)
     pot = (np.abs(w_scaled) ** (p + 1.0) - absP ** (p + 1.0)
            - (p + 1.0) * absP ** (p - 1.0) * (eps_scaled * np.conj(P_scaled)).real)
-    H_val = quad_part - lam ** (-g.d) * float(np.sum(pot)) * vol / (p + 1.0)
+    H_val = 0.5 * eps_h1_sq - lam ** (-g.d) * float(np.sum(pot)) * vol / (p + 1.0)
 
     radius = np.log(s)
     J_val = 0.0
     for bub in bubbles:
-        chi = momentum_cutoff(bub.r, radius)
+        chi = 1.0 - smoothstep(bub.r / radius, 0.1, 0.125)[0]   # 1 inside radius/10, 0 past /8
         b = lam ** (1.0 + 4.0 / (p - 1.0) - g.d)
         dens = sum(vc * (gr * np.conj(eps_lab)).imag for vc, gr in zip(bub.vel, grads))
         J_val += b * float(np.sum(dens * chi)) * vol
 
     return {"W": H_val - J_val, "H": H_val, "J": J_val,
-            "eps_h1": float(np.sqrt(eps_h1_sq))}
+            "eps_h1": math.sqrt(eps_h1_sq)}

@@ -63,13 +63,11 @@ def _check_tol(tol: float) -> None:
         raise StepFailure(f"tol must be finite and positive, got {tol}")
 
 
-def _force(gs: GroundState | None, constants: StructureConstants, mode: str,
-           c_override: float | None):
+def _force(gs: GroundState, constants: StructureConstants, mode: str):
     """v' = -(2/c2) H(z) as a function of (z, |z|): the ground state's cached
     force law, or its leading-order law -c zhat |z|^(-(d-1)/2) e^(-|z|)."""
     if mode == "asymptotic":
-        c = constants.c if c_override is None else c_override
-        return lambda z, zlen: (-force_asymptotic(z, c, gs.d)).tolist()
+        return lambda z, zlen: (-force_asymptotic(z, constants.c, gs.d)).tolist()
     if mode == "quadrature":
         # the law's domain starts at |z| = 2, below the collision threshold,
         # since trial stages may dip below it before the terminal event is located
@@ -84,14 +82,13 @@ def _force(gs: GroundState | None, constants: StructureConstants, mode: str,
 
 def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
                       constants: StructureConstants, tol: float = 1e-10,
-                      mode: str = "asymptotic", c_override: float | None = None,
-                      n_samples: int = 400) -> ReducedTrajectory:
+                      mode: str = "asymptotic", n_samples: int = 400) -> ReducedTrajectory:
     """Integrate the modulation system from state0.s to s_end (either direction).
 
     mode selects the interaction force: "quadrature" reads the ground state's
     cached force law, defined for |z| in [2, 40] (QuadratureFailure
-    outside), and "asymptotic" the leading-order exponential law, whose
-    constant c_override pins.  A non-finite state or end time, or a tol
+    outside), and "asymptotic" the leading-order exponential law with the
+    constant ``constants.c``.  A non-finite state or end time, or a tol
     that is not finite and positive, is a StepFailure.
     """
     _check_tol(tol)
@@ -101,7 +98,7 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
         raise StepFailure(f"non-finite reduced state {y0} at s = {state0.s} or end {s_end}")
     if float(np.linalg.norm(state0.z)) < COLLISION_SEP:
         raise CollisionDetected(f"|z0| = {np.linalg.norm(state0.z):.2f} < {COLLISION_SEP}")
-    force = _force(gs, constants, mode, c_override)
+    force = _force(gs, constants, mode)
 
     def rhs(s, y):
         # one new vector per call, filled from Python floats: the solver keeps

@@ -12,8 +12,12 @@ package's earlier profile evaluator (one row-layout table per field, the
 tail written over the cell polynomials) with the three-call Bessel form
 of the tail's derivative, the package's earlier shot classifier
 (``solve_ivp`` with terminal events on the numpy right-hand side), the
-split-step loop in numpy's allocating array idiom, and the in-place split-step kernel on scipy.fft with cos and sin on
-every point, which the package's kernel must equal element for element.
+split-step loop in numpy's allocating array idiom, the in-place
+split-step kernel on scipy.fft with cos and sin on every point, which the
+package's kernel must equal element for element, and the package's
+earlier measure of the modulation error: the lab-frame error from the
+ansatz sum, a bubble pair of its own, and its renormalized H1 norm from
+separate L2 and gradient sums.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
-from twobubble.ansatz import _PANEL
+from twobubble.ansatz import _PANEL, ansatz_on_lattice
 from twobubble.errors import Overflow, StepTooLarge
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
                                    _series_start, decay_shape, gl_axis, transverse_axis,
                                    transverse_edges)
+from twobubble.nls_core import ComplexField
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -381,6 +386,25 @@ def nonlinearity_derivative(P: np.ndarray, eps: np.ndarray, p: float) -> np.ndar
     phase_sq[nz] = (P[nz] / a[nz]) ** 2
     a = a ** (p - 1.0)
     return 0.5 * (p + 1.0) * a * eps + 0.5 * (p - 1.0) * a * phase_sq * np.conj(eps)
+
+
+def lab_frame_error(u, params, gs):
+    """eps_lab = u - e^{i gamma} lam^{-2/(p-1)} P(x / lam) on the lattice."""
+    P_scaled = ansatz_on_lattice(params, gs, [x / params.lam for x in u.grid.x_mesh])
+    pref = np.exp(1j * params.gamma) * params.lam ** (-2.0 / (gs.p - 1.0))
+    return ComplexField(u.grid, u.values - pref * P_scaled)
+
+
+def renormalized_h1(eps_lab, lam: float, p: float) -> float:
+    """H1 norm of the rescaled error in renormalized coordinates, with its L2
+    and gradient parts summed separately."""
+    g = eps_lab.grid
+    eh = np.fft.fftn(eps_lab.values)
+    scale = g.cell_volume / g.N ** g.d
+    l2 = float(np.sum(np.abs(eh) ** 2)) * scale
+    grad2 = float(np.sum(g.k_sq * np.abs(eh) ** 2)) * scale
+    a = lam ** (4.0 / (p - 1.0) - g.d)
+    return float(np.sqrt(a * l2 + a * lam ** 2 * grad2))
 
 
 if __name__ == "__main__":

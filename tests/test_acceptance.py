@@ -5,6 +5,7 @@ bypassed).  The heavy shooting experiment is shared through the
 session-scoped fixture.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -85,8 +86,8 @@ def test_criterion_05_reduced_exact_orbit(gs1, sc1, report):
     c = 16.0
     st = rd.ReducedState(s=10.0, lam=1.0, z=[2.0 * np.log(10.0) + np.log(c)],
                          gamma=0.0, v=[0.1])
-    tr = rd.integrate_reduced(st, 1e4, gs1, sc1, tol=1e-12,
-                              mode="asymptotic", c_override=c)
+    tr = rd.integrate_reduced(st, 1e4, gs1, dataclasses.replace(sc1, c=c), tol=1e-12,
+                              mode="asymptotic")
     z_err = np.max(np.abs(tr.z[:, 0] - 2.0 * np.log(tr.s) - np.log(c)))
     v_err = np.max(np.abs(tr.v[:, 0] * tr.s - 1.0))
     trq = rd.integrate_reduced(st, 80.0, gs1, sc1, tol=1e-9,

@@ -208,6 +208,15 @@ def test_simulate_rejects_missing_key(tmp_path, monkeypatch):
         main(["simulate", "--config", str(cfg)])
 
 
+def test_shoot_rejects_zeta_sharp_nan(tmp_path, monkeypatch):
+    # NaN gives no separation; the shot refuses it before it builds a field
+    monkeypatch.setattr(ex, "build_two_bubble", _no_shot)
+    cfg = tmp_path / "shoot.cfg"
+    cfg.write_text("s_in = 300.0\ns0 = 299.0\n")
+    with pytest.raises(InvalidConfig, match="zeta_sharp nan"):
+        main(["shoot", "--config", str(cfg), "--zeta-sharp", "nan"])
+
+
 def test_unknown_config_key(tmp_path, monkeypatch):
     # a typo must not run with the default value
     monkeypatch.setattr(ex, "backward_shoot", _no_shot)

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 from twobubble import experiments as ex
+from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
 from twobubble.ansatz import FORCE_LAW_DOMAIN, interaction_force_H
 from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoSignChange,
                               QuadratureFailure, WindowTooShort, WorkerLost)
+from twobubble.groundstate import GroundState
+
+from oracles import lab_frame_error, renormalized_h1
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,26 @@ def test_initial_data(small_config, sc1):
     assert params.v[0] == pytest.approx(1.0 / zeta_in, rel=1e-12)
     assert ex.zeta_of_separation(params.z[0], sc1.c, 1) == pytest.approx(
         zeta_in, rel=1e-12)
+
+
+@pytest.mark.parametrize("zeta_sharp", [-3.0, -2.39, math.nan, math.inf, -math.inf])
+def test_zeta_without_separation_is_refused(monkeypatch, gs1, sc1, zeta_sharp):
+    # zeta(s_in) = s_in (1 + zeta#/sqrt(log s_in)) is at most 0 for
+    # zeta# <= -sqrt(log 300) = -2.388, and no separation has it
+    cfg = ex.ShootConfig(s_in=300.0, s0=299.0)
+    with pytest.raises(InvalidConfig, match="zeta_sharp"):
+        ex.initial_data(cfg, zeta_sharp, sc1)
+    # a shot refuses it before it builds a field or forks a worker
+    monkeypatch.setattr(ex, "build_two_bubble", None)
+    monkeypatch.setattr(ex, "_Propagation", None)
+    with pytest.raises(InvalidConfig, match="zeta_sharp"):
+        ex.backward_shoot(cfg, zeta_sharp, gs1, sc1)
+
+
+def test_zeta_bracket_inside_the_separations():
+    assert ex.ShootConfig(s_in=300.0, s0=299.0, zeta_bracket=(-2.38, 1.0))
+    with pytest.raises(InvalidConfig, match="zeta_sharp -3.0 .* zeta_bracket end"):
+        ex.ShootConfig(s_in=300.0, s0=299.0, zeta_bracket=(-3.0, 1.0))
 
 
 def test_endpoints_exit_opposite(small_endpoints):
@@ -260,7 +285,7 @@ def test_config_validation():
     {"C_star": 1.0}, {"zeta_bracket": (1.0, -1.0)}, {"zeta_bracket": (0.0, 0.0)},
     {"zeta_bracket": (-1.0, float("inf"))}, {"zeta_bracket": (float("nan"), 1.0)},
     {"zeta_bracket": (-1.0, 0.0, 1.0)}, {"zeta_bracket": 1.0},
-    {"zeta_bracket": ("a", "b")}])
+    {"zeta_bracket": ("a", "b")}, {"zeta_bracket": (-3.0, 1.0)}])
 def test_config_rejects_bad_fields(bad):
     # each message names the first field of the bad ones
     with pytest.raises(InvalidConfig, match=next(iter(bad))):
@@ -298,7 +323,8 @@ def test_refined_ansatz_propagation_smoke(gs18):
         guess = az.BubbleParams(lam=1.0, z=pr.z + 2.0 * pr.v * dt * n,
                                 gamma=dt * n, v=pr.v)
         ft = mf.decompose(out, guess, gs18, mode="snapshot", with_fields=False)
-        growth[name] = ft.eps_h1 - f0.eps_h1
+        growth[name] = (mf.error_h1(out, ft.params, gs18)
+                        - mf.error_h1(u0, f0.params, gs18))
     assert growth["corrected"] < 0.5 * growth["bare"]
 
 
@@ -392,6 +418,43 @@ def test_worker_ends_with_its_shot(monkeypatch, short_config, gs1, sc1):
     with pytest.raises(FitLost, match="s=299.50"):
         ex.backward_shoot(short_config, 0.0, gs1, sc1)
     assert multiprocessing.active_children() == []
+
+
+def test_initial_fit_lost_is_fit_lost(monkeypatch, short_config, gs1, sc1):
+    monkeypatch.setattr(ex, "_pipelined", lambda: True)
+
+    def no_fit(*args, **kwargs):
+        raise RuntimeError("no fit")
+
+    monkeypatch.setattr(ex, "decompose", no_fit)
+    with pytest.raises(FitLost, match="s=300.00: no fit"):
+        ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    assert multiprocessing.active_children() == []
+
+
+def test_sample_error_is_built_once(monkeypatch, short_config, gs1, sc1):
+    # each sample's eps_h1 is the one energy_functional measures, equal to
+    # the oracle's; the initial field and each sample's eps_lab take one
+    # q-only bubble pair each, so the fit builds no second eps_lab
+    monkeypatch.setattr(ex, "_pipelined", lambda: False)
+    seen, q_calls = [], []
+
+    def energy(u, params, s, gs):
+        seen.append((u, params))
+        return mf.energy_functional(u, params, s, gs)
+
+    q_at = GroundState.q_at
+    monkeypatch.setattr(GroundState, "q_at",
+                        lambda self, rr: q_calls.append(1) or q_at(self, rr))
+    monkeypatch.setattr(ex, "energy_functional", energy)
+    rec = ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    assert rec.exit == ex.EXIT_REACHED and len(seen) == len(rec.samples) == 8
+    assert len(q_calls) == 2 + 2 * len(rec.samples)
+    for (u, params), smp in zip(seen, rec.samples):
+        assert (params.lam, list(params.z), params.gamma, list(params.v)) == \
+            (smp["lam"], smp["z"], smp["gamma"], smp["v"])
+        ref = renormalized_h1(lab_frame_error(u, params, gs1), params.lam, gs1.p)
+        assert smp["eps_h1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_dead_worker_is_an_error(monkeypatch, short_config, gs1, sc1):

@@ -6,8 +6,10 @@ from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
 from twobubble.ansatz import BubbleParams
 from twobubble.errors import NoConvergence, OutOfBasin
+from twobubble.groundstate import GroundState
 
 from conftest import random_smooth_field
+from oracles import lab_frame_error, renormalized_h1
 
 COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 
@@ -49,7 +51,7 @@ def test_identity_decomposition(gs1, grid_2048_64):
     assert abs(res.params.z[0] - 15.0) < 1e-10
     assert abs(res.params.gamma - 0.3) < 1e-10
     assert abs(res.params.v[0] - 0.01) < 1e-10
-    assert res.eps_h1 < 1e-10
+    assert mf.error_h1(u, res.params, gs1) < 1e-10
 
 
 def test_round_trip_random_draws(gs1, grid_2048_64):
@@ -104,7 +106,7 @@ def test_scaling_direction_perturbation(gs1, grid_2048_64):
     res = mf.decompose(pert, true, gs1, mode="snapshot")
     for key in ("Q", "yQ", "iLamQ", "igradQ"):
         assert np.max(np.abs(np.atleast_1d(res.projections[key]))) < 1e-9
-    assert 1e-4 < res.eps_h1 < 1e-2
+    assert 1e-4 < mf.error_h1(pert, res.params, gs1) < 1e-2
     assert res.params.gamma != true.gamma  # the shift is the fitted output
 
 
@@ -140,20 +142,34 @@ def test_tracking_requires_velocity(gs1, grid_2048_64):
                      gs1, mode="tracking")
 
 
-def test_out_of_basin(gs1, grid_2048_64):
+def test_out_of_basin(monkeypatch, gs1, grid_2048_64):
     true = BubbleParams(lam=1.0, z=[14.0], gamma=0.0, v=[0.0])
     u = exact_two_bubble(true, gs1, grid_2048_64)
     far = BubbleParams(lam=1.0, z=[19.5], gamma=0.0, v=[0.0])
+    monkeypatch.setattr(mf, "TRUST_RADIUS", 1.0)
     with pytest.raises(OutOfBasin):
-        mf.decompose(u, far, gs1, mode="snapshot", trust_radius=1.0)
+        mf.decompose(u, far, gs1, mode="snapshot")
 
 
-def test_no_convergence_budget(gs1, grid_2048_64):
+def test_no_convergence_budget(monkeypatch, gs1, grid_2048_64):
     true = BubbleParams(lam=1.0, z=[14.0], gamma=0.0, v=[0.0])
     u = exact_two_bubble(true, gs1, grid_2048_64)
     guess = BubbleParams(lam=1.05, z=[14.3], gamma=0.1, v=[0.005])
+    monkeypatch.setattr(mf, "MAX_ITER", 2)
     with pytest.raises(NoConvergence):
-        mf.decompose(u, guess, gs1, mode="snapshot", max_iter=2)
+        mf.decompose(u, guess, gs1, mode="snapshot")
+
+
+def test_tracking_fit_builds_no_error_field(monkeypatch, gs1, grid_2048_64):
+    # the fit's bubbles all read q and q' jointly; a q-only profile
+    # evaluation would be a bubble pair built for eps_lab
+    true = BubbleParams(lam=1.01, z=[13.0], gamma=-0.4, v=[0.025])
+    u = exact_two_bubble(true, gs1, grid_2048_64)
+    calls = []
+    q_at = GroundState.q_at
+    monkeypatch.setattr(GroundState, "q_at", lambda self, rr: calls.append(1) or q_at(self, rr))
+    res = mf.decompose(u, true, gs1, mode="tracking", v_override=true.v)
+    assert res.newton_iters >= 1 and calls == []
 
 
 def test_identity_decomposition_2d(gs2):
@@ -165,7 +181,7 @@ def test_identity_decomposition_2d(gs2):
     assert np.max(np.abs(res.params.z - true.z)) < 1e-9
     assert np.max(np.abs(res.params.v - true.v)) < 1e-9
     assert abs(res.params.gamma - true.gamma) < 1e-9
-    assert res.eps_h1 < 1e-9
+    assert mf.error_h1(u, res.params, gs2) < 1e-9
 
 
 def test_resample_scaled_gaussian(grid_2048_32):
@@ -259,6 +275,7 @@ def test_energy_eps_h1_is_renormalized_h1(gs1, grid_2048_64, lam):
     u = nc.ComplexField(g, exact_two_bubble(params, gs1, g).values
                         + 1e-3 * random_smooth_field(g, rng, envelope_scale=16.0))
     out = mf.energy_functional(u, params, 80.0, gs1)
-    ref = mf.renormalized_h1(mf.lab_frame_error(u, params, gs1), lam, gs1.p)
+    ref = renormalized_h1(lab_frame_error(u, params, gs1), lam, gs1.p)
     assert out["eps_h1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert mf.error_h1(u, params, gs1) == out["eps_h1"]
     assert ref > 1e-4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,8 +17,8 @@ def marginal_state(s0, c):
 def test_exact_orbit_asymptotic(gs1, sc1):
     # z = 2 log s + log c, v = 1/s solves the asymptotic-force system exactly
     c = 16.0
-    tr = rd.integrate_reduced(marginal_state(10.0, c), 1e4, gs1, sc1,
-                              tol=1e-12, mode="asymptotic", c_override=c)
+    tr = rd.integrate_reduced(marginal_state(10.0, c), 1e4, gs1,
+                              dataclasses.replace(sc1, c=c), tol=1e-12, mode="asymptotic")
     assert np.max(np.abs(tr.z[:, 0] - 2.0 * np.log(tr.s) - np.log(c))) < 1e-6
     assert np.max(np.abs(tr.v[:, 0] * tr.s - 1.0)) < 1e-6
     assert np.all(np.diff(tr.s) > 0)
@@ -38,8 +40,8 @@ def test_backward_perturbation_collides(gs1, sc1):
     st = rd.ReducedState(s=10.0, lam=1.0, z=[2.0 * np.log(10.0) + np.log(16.0)],
                          gamma=0.0, v=[0.1 - 1e-3])
     with pytest.raises(CollisionDetected):
-        rd.integrate_reduced(st, 1.0, gs1, sc1, tol=1e-10,
-                             mode="asymptotic", c_override=16.0)
+        rd.integrate_reduced(st, 1.0, gs1, dataclasses.replace(sc1, c=16.0), tol=1e-10,
+                             mode="asymptotic")
 
 
 def test_free_phase_rotation(gs1, sc1):
