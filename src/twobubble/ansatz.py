@@ -315,10 +315,13 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
     return fine * z / zlen
 
 
-# Domain in |z| and node count of the cached force law.  |z| = 2 is the
-# relaxed guard below the collision threshold; 40 is s ~ 1e8 on the orbit.
-FORCE_LAW_DOMAIN = (2.0, 40.0)
-FORCE_LAW_NODES = 112
+# Domain in |z| and node count of the cached force law.  Its readers stop at
+# the collision threshold COLLISION_SEP = 5; the stages of the reduced
+# dynamics dip below it before the collision event is located, to |z| = 4.76
+# at the least in 2000 predictor runs from |z| in [5.01, 7] with |v| <= 0.5,
+# so 4 leaves a margin.  40 is s ~ 1e8 on the orbit.
+FORCE_LAW_DOMAIN = (4.0, 40.0)
+FORCE_LAW_NODES = 80
 
 
 class ForceLaw:

@@ -258,16 +258,27 @@ def cmd_bisect(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _read_record(path) -> ex.RunRecord:
     try:
-        data = json.loads(Path(args.record).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot read run record {args.record}: {exc}") from exc
-    record = ex.RunRecord.from_dict(data)
+        raise IoFailure(f"cannot read run record {path}: {exc}") from exc
+    return ex.RunRecord.from_dict(data)
+
+
+def cmd_verify(args) -> int:
+    record = _read_record(args.record)
     gs = solve_profile(record.config.p, record.config.d)
     sc = structure_constants(gs)
     print(json.dumps(ex.verify_regime(record, sc), indent=2))
     return 0
+
+
+def cmd_diff(args) -> int:
+    """Print how record B differs from record A; exit status 1 if it does."""
+    report = ex.compare_records(_read_record(args.a), _read_record(args.b))
+    print(json.dumps(report, indent=2))
+    return 0 if report["same"] else 1
 
 
 def cmd_sweep(args) -> int:
@@ -346,6 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="regime checks on a stored record")
     v.add_argument("--record", required=True)
     v.set_defaults(func=cmd_verify)
+
+    df = sub.add_parser("diff", help="compare two run records, wall times aside")
+    df.add_argument("a")
+    df.add_argument("b")
+    df.set_defaults(func=cmd_diff)
 
     sw = sub.add_parser("sweep", help="run a directory of configs")
     sw.add_argument("--configs", required=True)

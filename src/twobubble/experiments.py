@@ -211,8 +211,13 @@ def _zeta_in(s_in: float, zeta_sharp: float) -> float:
 
 def initial_data(config: ShootConfig, zeta_sharp: float,
                  constants: StructureConstants) -> tuple[BubbleParams, float]:
-    """Final-time parameters from the shooting variable."""
+    """Final-time parameters from the shooting variable; InvalidConfig when
+    zeta(s_in) puts the pair at or inside the collision threshold."""
     zeta_in = _zeta_in(config.s_in, zeta_sharp)
+    zeta_min = zeta_of_separation(COLLISION_SEP, constants.c, config.d)
+    if zeta_in <= zeta_min:
+        raise InvalidConfig(f"zeta_sharp {zeta_sharp} gives zeta(s_in) = {zeta_in:.6g}, at or "
+                            f"below {zeta_min:.6g}, the zeta of |z| = {COLLISION_SEP}")
     z_in = separation_of_zeta(zeta_in, constants.c, config.d)
     e1 = np.zeros(config.d)
     e1[0] = 1.0
@@ -502,6 +507,45 @@ def verify_regime(record: RunRecord, constants: StructureConstants) -> dict:
         "tube_ok": bool(np.all((tube >= 1.0 - margin) & (tube <= 1.0 + margin))),
         "tube_max_dev": float(np.max(np.abs(tube - 1.0) * np.sqrt(np.log(s)))),
     }
+
+
+def _chunk_steps(record: RunRecord) -> list[int]:
+    """Each chunk's step count, from its s spacing and the scale fitted at its start."""
+    s, lam = record.column("s"), record.column("lam")
+    return [round(n) for n in ((s[:-1] - s[1:]) * lam[:-1] ** 2 / record.config.dt).tolist()]
+
+
+def compare_records(a: RunRecord, b: RunRecord) -> dict:
+    """How record b differs from record a, wall times aside.
+
+    ``changes`` maps zeta_sharp, exit, phi and the sample count to their
+    (a, b) values where they differ.  ``flips`` lists the chunks whose step
+    count differs (a changed s spacing): from its ``sample`` on, the two
+    records sit at different s.  ``fields`` holds, per ``SAMPLE_KEYS``
+    field, the largest absolute and relative difference over the
+    ``compared`` samples, those common to both before the first flip, and
+    ``first_diff`` the first of them in which any field differs.
+    """
+    changes = {name: [x, y] for name, x, y in (
+        ("zeta_sharp", a.zeta_sharp, b.zeta_sharp), ("exit", a.exit, b.exit),
+        ("phi", a.phi, b.phi), ("n_samples", len(a.samples), len(b.samples))) if x != y}
+    flips = [{"sample": k + 1, "steps": [x, y]}
+             for k, (x, y) in enumerate(zip(_chunk_steps(a), _chunk_steps(b))) if x != y]
+    m = flips[0]["sample"] if flips else min(len(a.samples), len(b.samples))
+    fields, differs = {}, np.zeros(m, dtype=bool)
+    for key in SAMPLE_KEYS:
+        x = np.array([smp[key] for smp in a.samples[:m]], dtype=float).reshape(m, -1)
+        y = np.array([smp[key] for smp in b.samples[:m]], dtype=float).reshape(m, -1)
+        gap = np.abs(x - y)
+        scale = np.maximum(np.abs(x), np.abs(y))
+        rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)
+        differs |= (x != y).any(axis=1)
+        fields[key] = {"max_abs": float(gap.max(initial=0.0)),
+                       "max_rel": float(rel.max(initial=0.0))}
+    first = np.flatnonzero(differs)
+    first_diff = int(first[0]) if first.size else None
+    return {"same": not (changes or flips) and first_diff is None, "changes": changes,
+            "flips": flips, "compared": m, "first_diff": first_diff, "fields": fields}
 
 
 def run_sweep(configs: list[ShootConfig], registry_path,

@@ -320,6 +320,12 @@ def _series_start(q0: float, p: float, d: int, r0: float) -> tuple[float, float]
     return q0 + 0.5 * curv * r0 ** 2, curv * r0
 
 
+def event_root(g, sol, t_old: float, t: float) -> float:
+    """Where g(y) changes sign along a step's dense output ``sol`` on [t_old, t],
+    found as ``solve_ivp`` finds an event's: ``brentq`` at xtol = rtol = 4 eps."""
+    return brentq(lambda x: g(sol(x)), t_old, t, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+
+
 def _classify(q0: float, p: float, d: int, r_max: float):
     """Integrate one shot; overshoot = q crosses zero, undershoot = q' turns upward.
 
@@ -327,9 +333,9 @@ def _classify(q0: float, p: float, d: int, r_max: float):
     changes ``solve_ivp`` checks for its terminal events: q from >= 0 to
     <= 0 (overshoot) and q' from <= 0 to >= 0 (undershoot).  When both fire
     in one step, the one whose root on the step's dense output comes first
-    decides; the roots are ``solve_ivp``'s (``brentq``, xtol = rtol = 4 eps)
-    and a tie goes to the crossing, as its stable sort orders it.  A failed
-    step, or reaching r_max, is an undershoot.
+    decides; the roots are ``solve_ivp``'s (``event_root``) and a tie goes
+    to the crossing, as its stable sort orders it.  A failed step, or
+    reaching r_max, is an undershoot.
 
     Every decision must equal that of ``solve_ivp`` with these events: the
     bisected q0 is fixed by the last few decisions near q0*, and one ulp of
@@ -349,8 +355,7 @@ def _classify(q0: float, p: float, d: int, r_max: float):
             sol = stepper.dense_output()
 
             def root(k):
-                return brentq(lambda r: sol(r)[k], stepper.t_old, stepper.t,
-                              xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+                return event_root(lambda y: y[k], sol, stepper.t_old, stepper.t)
             return _OVERSHOOT if root(0) <= root(1) else _UNDERSHOOT
         if cross:
             return _OVERSHOOT

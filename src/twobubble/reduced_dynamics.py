@@ -5,8 +5,11 @@ velocity forced by the interaction:
 
     lambda' = 0,  z' = 2v,  gamma' = 1 + |v|^2/4,  v' = -(2/c2) H(z),
 
-integrated with an embedded adaptive Runge-Kutta pair in either direction
-of the rescaled time s.
+integrated with an embedded adaptive Runge-Kutta pair, Dormand-Prince
+8(5,3), in either direction of the rescaled time s.  ``integrate_reduced``
+drives scipy's DOP853 stepper directly and takes the steps, collision
+event and samples that ``solve_ivp`` would; the toy equation and its
+linearization, which are not on a hot path, call ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .ansatz import COLLISION_SEP, force_asymptotic
 from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
 from .errors import CollisionDetected, StepFailure
-from .groundstate import GroundState, StructureConstants
+from .groundstate import GroundState, StructureConstants, event_root
 
 
 @dataclass(frozen=True)
@@ -63,21 +66,48 @@ def _check_tol(tol: float) -> None:
         raise StepFailure(f"tol must be finite and positive, got {tol}")
 
 
+def _check_t_end(t_end: float) -> None:
+    """StepFailure for a toy run that cannot start at t = 1 and end."""
+    if not (t_end > 1.0 and math.isfinite(t_end)):
+        raise StepFailure(f"t_end must be finite and exceed 1, got {t_end}")
+
+
 def _force(gs: GroundState, constants: StructureConstants, mode: str):
-    """v' = -(2/c2) H(z) as a function of (z, |z|): the ground state's cached
-    force law, or its leading-order law -c zhat |z|^(-(d-1)/2) e^(-|z|)."""
+    """v' = -(2/c2) H(z) as a function of (z, |z|^2), z a list of floats: the
+    ground state's cached force law, or its leading-order law
+    -c zhat |z|^(-(d-1)/2) e^(-|z|)."""
     if mode == "asymptotic":
-        return lambda z, zlen: (-force_asymptotic(z, constants.c, gs.d)).tolist()
+        return lambda z, zz: (-force_asymptotic(z, constants.c, gs.d)).tolist()
     if mode == "quadrature":
-        # the law's domain starts at |z| = 2, below the collision threshold,
-        # since trial stages may dip below it before the terminal event is located
+        # trial stages dip below the collision threshold before the terminal
+        # event is located, to |z| = 4.91 in the quadrature collision test and
+        # 4.996 in the predicted-collision shot; the law starts at |z| = 4
         law, gain = gs.force_law, -(2.0 / constants.c2)
 
-        def force(z, zlen):
+        def force(z, zz):
+            zlen = math.sqrt(zz)
             a = gain * law(zlen)
-            return [a * (c / zlen) for c in z.tolist()]
+            return [a * (c / zlen) for c in z]
         return force
     raise StepFailure(f"unknown interaction mode {mode!r}")
+
+
+def _rhs(d: int, force):
+    """y' for y = (lam, z, gamma, v), from the floats of y.tolist() and
+    returned as a list.  At d = 1 the float squares equal z @ z and v @ v to
+    the bit; at d = 2 a BLAS dot may fuse its multiply-add, so the array
+    products stay."""
+    if d == 1:
+        def rhs(s, y):
+            _, z, _, v = y.tolist()
+            return [0.0, 2.0 * v, 1.0 + 0.25 * (v * v), *force([z], z * z)]
+        return rhs
+
+    def rhs(s, y):
+        vals, z, v = y.tolist(), y[1:1 + d], y[2 + d:]
+        return [0.0, *[2.0 * c for c in vals[2 + d:]], 1.0 + 0.25 * float(v @ v),
+                *force(vals[1:1 + d], float(z @ z))]
+    return rhs
 
 
 def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
@@ -86,10 +116,16 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
     """Integrate the modulation system from state0.s to s_end (either direction).
 
     mode selects the interaction force: "quadrature" reads the ground state's
-    cached force law, defined for |z| in [2, 40] (QuadratureFailure
+    cached force law, defined for |z| in [4, 40] (QuadratureFailure
     outside), and "asymptotic" the leading-order exponential law with the
     constant ``constants.c``.  A non-finite state or end time, or a tol
     that is not finite and positive, is a StepFailure.
+
+    Drives a bare DOP853 stepper with the arguments ``solve_ivp`` would pass
+    it and takes its steps: after each one the collision event |z| = 5 is
+    tested for a sign change, its root located by ``event_root`` on the
+    step's dense output, and the n_samples points of linspace(state0.s,
+    s_end) that the step passed are read from that dense output.
     """
     _check_tol(tol)
     d = state0.d
@@ -98,34 +134,36 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
         raise StepFailure(f"non-finite reduced state {y0} at s = {state0.s} or end {s_end}")
     if float(np.linalg.norm(state0.z)) < COLLISION_SEP:
         raise CollisionDetected(f"|z0| = {np.linalg.norm(state0.z):.2f} < {COLLISION_SEP}")
-    force = _force(gs, constants, mode)
+    rhs = _rhs(d, _force(gs, constants, mode))
 
-    def rhs(s, y):
-        # one new vector per call, filled from Python floats: the solver keeps
-        # the returned array as the step's derivative, so it cannot be shared
-        z, v = y[1:1 + d], y[2 + d:]
-        return np.array([0.0, *[2.0 * c for c in v.tolist()],
-                         1.0 + 0.25 * float(v @ v), *force(z, math.sqrt(z @ z))])
-
-    def collide(s, y):
+    def gap(y):
         z = y[1:1 + d]
         return math.sqrt(z @ z) - COLLISION_SEP
 
-    collide.terminal = True
-
-    s_eval = np.linspace(state0.s, s_end, n_samples)
-    span = abs(s_end - state0.s)
-    sol = solve_ivp(rhs, (state0.s, s_end), y0, method="DOP853",
-                    rtol=tol, atol=min(tol * 1e-2, 1e-13), events=collide,
-                    t_eval=s_eval, max_step=max(1.0, span / 20.0),
-                    dense_output=False)
-    if sol.status == 1:
-        raise CollisionDetected(
-            f"|z| reached {COLLISION_SEP} at s = {sol.t_events[0][0]:.3f}")
-    if not sol.success:
-        raise StepFailure(sol.message)
-    y = sol.y
-    return ReducedTrajectory(s=sol.t, lam=y[0], z=y[1:1 + d].T,
+    s0, s_end = float(state0.s), float(s_end)
+    s_eval = np.linspace(s0, s_end, n_samples)
+    marks = s_eval.tolist()
+    stepper = DOP853(rhs, s0, y0, s_end, rtol=tol, atol=min(tol * 1e-2, 1e-13),
+                     max_step=max(1.0, abs(s_end - s0) / 20.0))
+    forward = stepper.direction > 0
+    ys, i, g = [], 0, gap(y0)
+    while stepper.status == "running":
+        message = stepper.step()
+        if stepper.status == "failed":
+            raise StepFailure(message)
+        g_new = gap(stepper.y)
+        if (g <= 0.0 and g_new >= 0.0) or (g >= 0.0 and g_new <= 0.0):
+            s_hit = event_root(gap, stepper.dense_output(), stepper.t_old, stepper.t)
+            raise CollisionDetected(f"|z| reached {COLLISION_SEP} at s = {s_hit:.3f}")
+        g, s, j = g_new, stepper.t, i
+        # the samples this step reached, its end included
+        while j < len(marks) and (marks[j] <= s if forward else marks[j] >= s):
+            j += 1
+        if j > i:
+            ys.append(stepper.dense_output()(s_eval[i:j]))
+            i = j
+    y = np.hstack(ys)
+    return ReducedTrajectory(s=s_eval[:i], lam=y[0], z=y[1:1 + d].T,
                              gamma=y[1 + d], v=y[2 + d:].T)
 
 
@@ -144,8 +182,7 @@ def toy_double_pole(z0: float, zdot0: float, t_end: float,
                     tol: float = 1e-10, n_samples: int = 400) -> ToyTrajectory:
     """Integrate z'' = -e^(-2z) from t = 1; log t solves it for (0, 1) data."""
     _check_tol(tol)
-    if not (t_end > 1.0 and math.isfinite(t_end)):
-        raise StepFailure(f"t_end must be finite and exceed 1, got {t_end}")
+    _check_t_end(t_end)
 
     def rhs(t, y):
         return (y[1], -np.exp(-2.0 * y[0]))
@@ -181,8 +218,15 @@ def linearized_instability(eps: float, t_end: float,
 
     Returns the closed-form linearized mode, its direct integration, the
     centered nonlinear deviation at +-eps, and the fitted late-time growth
-    exponent of the mode.
+    exponent of the mode.  An eps that is not finite and positive, a tol
+    that is not finite and positive, or a t_end that is not finite and
+    above 1 is a StepFailure before any integration.
     """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise StepFailure(f"eps must be finite and positive, got {eps}")
+    _check_tol(tol)
+    _check_t_end(t_end)
+
     def rhs_lin(t, y):
         return (y[1], 2.0 * y[0] / t ** 2)
 

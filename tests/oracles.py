@@ -12,6 +12,8 @@ package's earlier profile evaluator (one row-layout table per field, the
 tail written over the cell polynomials) with the three-call Bessel form
 of the tail's derivative, the package's earlier shot classifier
 (``solve_ivp`` with terminal events on the numpy right-hand side), the
+package's earlier integration of the modulation system (``solve_ivp``
+with its collision event and ``t_eval`` samples), the
 split-step loop in numpy's allocating array idiom, the in-place
 split-step kernel on scipy.fft with cos and sin on every point, which the
 package's kernel must equal element for element, and the package's
@@ -30,8 +32,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
-from twobubble.ansatz import _PANEL, ansatz_on_lattice
-from twobubble.errors import Overflow, StepTooLarge
+from twobubble.ansatz import _PANEL, COLLISION_SEP, ansatz_on_lattice, force_asymptotic
+from twobubble.errors import CollisionDetected, Overflow, StepTooLarge
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
                                    _series_start, decay_shape, gl_axis, transverse_axis,
                                    transverse_edges)
@@ -109,6 +111,47 @@ def classify_reference(q0: float, p: float, d: int, r_max: float) -> int:
     if sol.t_events[0].size:
         return -1
     return +1
+
+
+def integrate_reduced_reference(state0, s_end: float, gs, constants, tol: float,
+                                mode: str, n_samples: int):
+    """The modulation system through ``solve_ivp`` with a terminal collision
+    event and ``t_eval`` sampling, on the numpy right-hand side: (s, y) with
+    y = (lam, z, gamma, v) by rows.  A collision raises CollisionDetected."""
+    d = state0.d
+    y0 = np.concatenate([[state0.lam], state0.z, [state0.gamma], state0.v])
+    if mode == "quadrature":
+        law, gain = gs.force_law, -(2.0 / constants.c2)
+
+        def force(z):
+            zlen = math.sqrt(z @ z)
+            a = gain * law(zlen)
+            return [a * (c / zlen) for c in z.tolist()]
+    else:
+        def force(z):
+            return (-force_asymptotic(z, constants.c, gs.d)).tolist()
+
+    def rhs(s, y):
+        z, v = y[1:1 + d], y[2 + d:]
+        return np.array([0.0, *[2.0 * c for c in v.tolist()],
+                         1.0 + 0.25 * float(v @ v), *force(z)])
+
+    def collide(s, y):
+        z = y[1:1 + d]
+        return math.sqrt(z @ z) - COLLISION_SEP
+
+    collide.terminal = True
+
+    span = abs(s_end - state0.s)
+    sol = solve_ivp(rhs, (state0.s, s_end), y0, method="DOP853",
+                    rtol=tol, atol=min(tol * 1e-2, 1e-13), events=collide,
+                    t_eval=np.linspace(state0.s, s_end, n_samples),
+                    max_step=max(1.0, span / 20.0))
+    if sol.status == 1:
+        raise CollisionDetected(
+            f"|z| reached {COLLISION_SEP} at s = {sol.t_events[0][0]:.3f}")
+    assert sol.success, sol.message
+    return sol.t, sol.y
 
 
 def profile_spline_reference(gs):

@@ -99,6 +99,9 @@ def test_shoot_verify_sweep_commands(capsys, tmp_path):
     rep = json.loads(out)
     assert "fit" in rep and "tube_ok" in rep
 
+    out = run_cli(capsys, "diff", str(record_path), str(record_path))
+    assert json.loads(out)["same"]
+
     sweep_dir = tmp_path / "cfgs"
     sweep_dir.mkdir()
     (sweep_dir / "a.cfg").write_text(cfg.read_text())
@@ -254,6 +257,21 @@ def test_record_out_is_atomic(tmp_path, monkeypatch):
         with pytest.raises(IoFailure):
             main([command, "--config", str(cfg),
                   "--record-out", str(tmp_path / "missing" / "record.json")])
+
+
+def test_diff_command(capsys, tmp_path):
+    # a changed exit makes the records differ: status 1, wall times aside
+    a, b = _stub_record(), _stub_record()
+    b.exit, b.wall_time = ex.EXIT_EPS, 9.0
+    for rec, name in ((a, "a.json"), (b, "b.json")):
+        (tmp_path / name).write_text(json.dumps(rec.to_dict()))
+    assert main(["diff", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    assert main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["changes"] == {"exit": ["reached_s0", "exited_eps"]}
+    with pytest.raises(IoFailure, match="cannot read run record"):
+        main(["diff", str(tmp_path / "a.json"), str(tmp_path / "missing.json")])
 
 
 def test_verify_read_errors_are_typed(tmp_path):

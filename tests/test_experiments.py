@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -10,7 +11,7 @@ import pytest
 from twobubble import experiments as ex
 from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
-from twobubble.ansatz import FORCE_LAW_DOMAIN, interaction_force_H
+from twobubble.ansatz import COLLISION_SEP, FORCE_LAW_DOMAIN, interaction_force_H
 from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoSignChange,
                               QuadratureFailure, WindowTooShort, WorkerLost)
 from twobubble.groundstate import GroundState
@@ -60,6 +61,24 @@ def test_zeta_without_separation_is_refused(monkeypatch, gs1, sc1, zeta_sharp):
     monkeypatch.setattr(ex, "_Propagation", None)
     with pytest.raises(InvalidConfig, match="zeta_sharp"):
         ex.backward_shoot(cfg, zeta_sharp, gs1, sc1)
+
+
+@pytest.mark.parametrize("d,c", [(1, 16.0), (2, 21.2)])
+def test_zeta_inside_the_collision_threshold_is_refused(monkeypatch, gs1, sc1, d, c):
+    # zeta# = -2.388 passes the sign bound at s_in = 300, but zeta(s_in) = 0.0326
+    # has no separation outside the collision threshold (at d = 2 none at all)
+    cfg = ex.ShootConfig(d=d, s_in=300.0, s0=299.0, N=128, L=16.0)
+    sc = dataclasses.replace(sc1, c=c)
+    with pytest.raises(InvalidConfig, match="zeta_sharp -2.388 .* the zeta of \\|z\\| = 5"):
+        ex.initial_data(cfg, -2.388, sc)
+    monkeypatch.setattr(ex, "build_two_bubble", None)
+    monkeypatch.setattr(ex, "_Propagation", None)
+    with pytest.raises(InvalidConfig, match="zeta_sharp -2.388"):
+        ex.backward_shoot(cfg, -2.388, gs1, sc)
+    # just above the threshold's zeta the pair starts just outside it
+    zeta_in = 1.01 * ex.zeta_of_separation(COLLISION_SEP, c, d)
+    params, _ = ex.initial_data(cfg, (zeta_in / 300.0 - 1.0) * math.sqrt(math.log(300.0)), sc)
+    assert COLLISION_SEP < np.linalg.norm(params.z) < COLLISION_SEP + 0.03
 
 
 def test_zeta_bracket_inside_the_separations():
@@ -116,8 +135,8 @@ def test_force_law(gs1):
     for zlen in np.linspace(lo, hi, 25):
         H = interaction_force_H([zlen], gs1, min_sep=lo)[0]
         assert law(zlen) == pytest.approx(H, rel=4e-12, abs=0.0)
-    for zlen in (1.99, 40.01):
-        with pytest.raises(QuadratureFailure, match=r"\[2, 40\]") as err:
+    for zlen in (3.99, 40.01):
+        with pytest.raises(QuadratureFailure, match=r"\[4, 40\]") as err:
             law(zlen)
         assert f"{zlen:.6g}" in str(err.value)
     assert gs1.force_law is law
@@ -164,6 +183,43 @@ def test_record_serialization(small_endpoints, tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert header == ["s", "t", "lambda", "z1", "gamma", "v1",
                       "eps_h1", "zeta", "xi", "W"]
+
+
+def _synthetic_record(steps, exit=ex.EXIT_REACHED):
+    """A record whose chunks take the given step counts at scale 1."""
+    config = ex.ShootConfig(s_in=50.0, s0=30.0, N=1024, L=32.0, dt=2e-3)
+    s = 50.0 - np.concatenate([[0], np.cumsum(steps)]) * config.dt
+    samples = [{"s": float(x), "t": float(x), "lam": 1.0, "z": [2.0 * math.log(x) + 2.77],
+                "gamma": 0.1 * k, "v": [1.0 / x], "eps_h1": 1e-4, "zeta": float(x),
+                "xi": 0.0, "W": -1.0} for k, x in enumerate(s)]
+    return ex.RunRecord(config=config, zeta_sharp=0.0, samples=samples, exit=exit,
+                        phi=0, wall_time=1.0)
+
+
+def test_compare_records_move_and_flip():
+    a = _synthetic_record([250] * 8)
+    same = ex.compare_records(a, _synthetic_record([250] * 8))
+    assert same["same"] and same["first_diff"] is None and same["compared"] == 9
+
+    # a 1e-12 move of z from sample 4 on: an accuracy change, no flip
+    moved = _synthetic_record([250] * 8)
+    moved.wall_time = 7.0
+    for smp in moved.samples[4:]:
+        smp["z"] = [smp["z"][0] + 1e-12]
+    rep = ex.compare_records(a, moved)
+    assert not rep["same"] and rep["changes"] == {} and rep["flips"] == []
+    assert rep["first_diff"] == 4
+    assert rep["fields"]["z"]["max_abs"] == pytest.approx(1e-12, rel=1e-2)
+    assert rep["fields"]["z"]["max_rel"] < 1e-12
+    assert all(rep["fields"][k]["max_abs"] == 0.0 for k in ex.SAMPLE_KEYS if k != "z")
+
+    # chunk 5 takes one step more: named as a flip at sample 6, the samples
+    # before it compare equal, and the exit and sample count changes are reported
+    flipped = _synthetic_record([250] * 5 + [251] + [250] * 3, exit=ex.EXIT_EPS)
+    rep = ex.compare_records(a, flipped)
+    assert rep["flips"] == [{"sample": 6, "steps": [250, 251]}]
+    assert rep["compared"] == 6 and rep["first_diff"] is None
+    assert rep["changes"] == {"exit": [ex.EXIT_REACHED, ex.EXIT_EPS], "n_samples": [9, 10]}
 
 
 def test_fit_log_separation_reduced_oracle():

@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from oracles import integrate_reduced_reference
 from twobubble import reduced_dynamics as rd
+from twobubble.ansatz import FORCE_LAW_DOMAIN
 from twobubble.errors import CollisionDetected, StepFailure
 
 
@@ -90,6 +92,57 @@ def test_quadrature_rhs_is_textbook(gs1, sc1):
     assert np.array_equal(tr.v[:, 0], ref.y[3])
 
 
+def _reduced_case(name, gs1, sc1, gs2):
+    """(state, s_end, gs, constants, tol, mode, n_samples) of one oracle case."""
+    if name == "forward-d1":
+        return marginal_state(15.0, sc1.c), 19.0, gs1, sc1, 1e-9, "quadrature", 30
+    if name == "forward-d2":
+        st = rd.ReducedState(s=20.0, lam=1.0, z=[8.0, 1.5], gamma=0.3, v=[0.05, -0.01])
+        return st, 26.0, gs2, dataclasses.replace(sc1, c=21.2), 1e-10, "asymptotic", 40
+    if name == "predictor":
+        st = rd.ReducedState(s=120.0, lam=1.02, z=[2.0 * np.log(120.0) + np.log(sc1.c)],
+                             gamma=-3.1, v=[1.0 / 120.0])
+        return st, 119.5, gs1, sc1, 1e-11, "quadrature", 2
+    if name == "asymptotic":
+        return marginal_state(10.0, 16.0), 80.0, gs1, sc1, 1e-12, "asymptotic", 50
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", ["forward-d1", "forward-d2", "predictor", "asymptotic"])
+def test_integrate_reduced_matches_solve_ivp(name, gs1, sc1, gs2):
+    # the bare stepper takes solve_ivp's steps and samples, to the bit
+    st, s_end, gs, sc, tol, mode, n = _reduced_case(name, gs1, sc1, gs2)
+    tr = rd.integrate_reduced(st, s_end, gs, sc, tol=tol, mode=mode, n_samples=n)
+    s_ref, y_ref = integrate_reduced_reference(st, s_end, gs, sc, tol, mode, n)
+    d = st.d
+    assert np.array_equal(tr.s, s_ref)
+    assert np.array_equal(tr.lam, y_ref[0])
+    assert np.array_equal(tr.z, y_ref[1:1 + d].T)
+    assert np.array_equal(tr.gamma, y_ref[1 + d])
+    assert np.array_equal(tr.v, y_ref[2 + d:].T)
+
+
+def test_quadrature_collision_matches_solve_ivp(gs1, sc1, monkeypatch):
+    # a backward orbit shaved below the marginal velocity collides under the
+    # quadrature law; no stage may ask the law for |z| below its domain
+    st = rd.ReducedState(s=10.0, lam=1.0, z=[2.0 * np.log(10.0) + np.log(sc1.c)],
+                         gamma=0.0, v=[0.1 - 1e-3])
+    law, asked = gs1.force_law, []
+
+    def spy(zlen):
+        asked.append(zlen)
+        return law(zlen)
+
+    monkeypatch.setitem(gs1.__dict__, "force_law", spy)
+    with pytest.raises(CollisionDetected) as ref:
+        integrate_reduced_reference(st, 1.0, gs1, sc1, 1e-10, "quadrature", 400)
+    asked.clear()
+    with pytest.raises(CollisionDetected) as err:
+        rd.integrate_reduced(st, 1.0, gs1, sc1, tol=1e-10, mode="quadrature")
+    assert str(err.value) == str(ref.value)
+    assert min(asked) >= FORCE_LAW_DOMAIN[0]
+
+
 def test_non_finite_state(gs1, sc1):
     for z, v in (([np.nan], [0.1]), ([np.inf], [0.1]), ([10.0], [np.nan])):
         st = rd.ReducedState(s=10.0, lam=1.0, z=z, gamma=0.0, v=v)
@@ -105,6 +158,7 @@ def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
     # a NaN tol used to hang the toy run and end the full one in a misleading
     # QuadratureFailure, a negative one in scipy's raw ValueError
     monkeypatch.setattr(rd, "solve_ivp", _no_integration)
+    monkeypatch.setattr(rd, "DOP853", _no_integration)
     st = marginal_state(10.0, 16.0)
     for tol in (np.nan, np.inf, 0.0, -1.0):
         for mode in ("quadrature", "asymptotic"):
@@ -112,9 +166,19 @@ def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
                 rd.integrate_reduced(st, 20.0, gs1, sc1, tol=tol, mode=mode)
         with pytest.raises(StepFailure, match="tol must be finite and positive"):
             rd.toy_double_pole(0.0, 1.0, 10.0, tol=tol)
-    # a NaN end time used to hang the toy run too
-    with pytest.raises(StepFailure, match="t_end must be finite"):
-        rd.toy_double_pole(0.0, 1.0, np.nan)
+        with pytest.raises(StepFailure, match="tol must be finite and positive"):
+            rd.linearized_instability(1e-6, 20.0, tol=tol)
+    # a NaN end time used to hang the toy run and the linearized one, an
+    # infinite one to fail only after integrating
+    for t_end in (np.nan, np.inf, 1.0, 0.5):
+        with pytest.raises(StepFailure, match="t_end must be finite"):
+            rd.toy_double_pole(0.0, 1.0, t_end)
+        with pytest.raises(StepFailure, match="t_end must be finite"):
+            rd.linearized_instability(1e-6, t_end)
+    # eps = 0 used to return an all-NaN deviation
+    for eps in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(StepFailure, match="eps must be finite and positive"):
+            rd.linearized_instability(eps, 20.0)
 
 
 def test_toy_log_orbit():
