@@ -524,8 +524,12 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
     records sit at different s.  ``fields`` holds, per ``SAMPLE_KEYS``
     field, the largest absolute and relative difference over the
     ``compared`` samples, those common to both before the first flip, and
-    ``first_diff`` the first of them in which any field differs.
+    ``first_diff`` the first of them in which any field differs.  Records
+    of different dimension d are an InvalidConfig; a sample field of the
+    wrong width is an IoFailure.
     """
+    if a.config.d != b.config.d:
+        raise InvalidConfig(f"records of dimension {a.config.d} and {b.config.d} do not compare")
     changes = {name: [x, y] for name, x, y in (
         ("zeta_sharp", a.zeta_sharp, b.zeta_sharp), ("exit", a.exit, b.exit),
         ("phi", a.phi, b.phi), ("n_samples", len(a.samples), len(b.samples))) if x != y}
@@ -534,8 +538,12 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
     m = flips[0]["sample"] if flips else min(len(a.samples), len(b.samples))
     fields, differs = {}, np.zeros(m, dtype=bool)
     for key in SAMPLE_KEYS:
-        x = np.array([smp[key] for smp in a.samples[:m]], dtype=float).reshape(m, -1)
-        y = np.array([smp[key] for smp in b.samples[:m]], dtype=float).reshape(m, -1)
+        width = a.config.d if key in ("z", "v") else 1
+        try:
+            x, y = (np.array([smp[key] for smp in r.samples[:m]], dtype=float).reshape(m, width)
+                    for r in (a, b))
+        except ValueError as exc:
+            raise IoFailure(f"sample field {key!r} is not {width} numbers: {exc}") from exc
         gap = np.abs(x - y)
         scale = np.maximum(np.abs(x), np.abs(y))
         rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)

@@ -94,19 +94,13 @@ def _force(gs: GroundState, constants: StructureConstants, mode: str):
 
 def _rhs(d: int, force):
     """y' for y = (lam, z, gamma, v), from the floats of y.tolist() and
-    returned as a list.  At d = 1 the float squares equal z @ z and v @ v to
-    the bit; at d = 2 a BLAS dot may fuse its multiply-add, so the array
-    products stay."""
-    if d == 1:
-        def rhs(s, y):
-            _, z, _, v = y.tolist()
-            return [0.0, 2.0 * v, 1.0 + 0.25 * (v * v), *force([z], z * z)]
-        return rhs
-
+    returned as a list.  |v|^2 and |z|^2 stay array dot products, which
+    keeps every trajectory == the solve_ivp form's: ndarray.dot runs the
+    same ddot as v @ v at half its call overhead."""
     def rhs(s, y):
         vals, z, v = y.tolist(), y[1:1 + d], y[2 + d:]
-        return [0.0, *[2.0 * c for c in vals[2 + d:]], 1.0 + 0.25 * float(v @ v),
-                *force(vals[1:1 + d], float(z @ z))]
+        return [0.0, *[2.0 * c for c in vals[2 + d:]], 1.0 + 0.25 * float(v.dot(v)),
+                *force(vals[1:1 + d], float(z.dot(z)))]
     return rhs
 
 
@@ -118,8 +112,8 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
     mode selects the interaction force: "quadrature" reads the ground state's
     cached force law, defined for |z| in [4, 40] (QuadratureFailure
     outside), and "asymptotic" the leading-order exponential law with the
-    constant ``constants.c``.  A non-finite state or end time, or a tol
-    that is not finite and positive, is a StepFailure.
+    constant ``constants.c``.  A non-finite state or end time, a tol that
+    is not finite and positive, or n_samples < 1 is a StepFailure.
 
     Drives a bare DOP853 stepper with the arguments ``solve_ivp`` would pass
     it and takes its steps: after each one the collision event |z| = 5 is
@@ -128,6 +122,8 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
     s_end) that the step passed are read from that dense output.
     """
     _check_tol(tol)
+    if n_samples < 1:
+        raise StepFailure(f"n_samples must be at least 1, got {n_samples}")
     d = state0.d
     y0 = np.concatenate([[state0.lam], state0.z, [state0.gamma], state0.v])
     if not (np.isfinite(y0).all() and math.isfinite(state0.s) and math.isfinite(s_end)):
@@ -138,7 +134,7 @@ def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,
 
     def gap(y):
         z = y[1:1 + d]
-        return math.sqrt(z @ z) - COLLISION_SEP
+        return math.sqrt(z.dot(z)) - COLLISION_SEP
 
     s0, s_end = float(state0.s), float(s_end)
     s_eval = np.linspace(s0, s_end, n_samples)

@@ -222,6 +222,27 @@ def test_compare_records_move_and_flip():
     assert rep["changes"] == {"exit": [ex.EXIT_REACHED, ex.EXIT_EPS], "n_samples": [9, 10]}
 
 
+def test_compare_records_empty_and_mismatched():
+    # a record without samples compares over none and reports the count change
+    a = _synthetic_record([250] * 8)
+    empty = _synthetic_record([250] * 8)
+    empty.samples = []
+    rep = ex.compare_records(a, empty)
+    assert not rep["same"] and rep["compared"] == 0 and rep["first_diff"] is None
+    assert rep["changes"] == {"n_samples": [9, 0]} and rep["flips"] == []
+    assert all(f == {"max_abs": 0.0, "max_rel": 0.0} for f in rep["fields"].values())
+    assert ex.compare_records(empty, empty)["same"]
+
+    wide = _synthetic_record([250] * 8)
+    wide.samples[3]["v"] = [0.1, 0.2]
+    with pytest.raises(IoFailure, match="'v'"):
+        ex.compare_records(a, wide)
+    other_d = _synthetic_record([250] * 8)
+    other_d.config = ex.ShootConfig(d=2, s_in=50.0, s0=30.0, N=128, L=32.0, dt=2e-3)
+    with pytest.raises(InvalidConfig, match="dimension"):
+        ex.compare_records(a, other_d)
+
+
 def test_fit_log_separation_reduced_oracle():
     # closed-form reduced orbit: separation 2 log s + log 16 against t = s
     s = np.geomspace(30.0, 300.0, 80)

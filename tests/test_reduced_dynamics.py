@@ -168,6 +168,10 @@ def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
             rd.toy_double_pole(0.0, 1.0, 10.0, tol=tol)
         with pytest.raises(StepFailure, match="tol must be finite and positive"):
             rd.linearized_instability(1e-6, 20.0, tol=tol)
+    # no sample point used to be a raw ValueError after the whole span
+    for n in (0, -3):
+        with pytest.raises(StepFailure, match="n_samples must be at least 1"):
+            rd.integrate_reduced(st, 20.0, gs1, sc1, n_samples=n)
     # a NaN end time used to hang the toy run and the linearized one, an
     # infinite one to fail only after integrating
     for t_end in (np.nan, np.inf, 1.0, 0.5):
