@@ -15,7 +15,7 @@ from . import experiments as ex
 from .ansatz import (COLLISION_SEP, BubbleParams, build_two_bubble, force_asymptotic,
                      interaction_force_H)
 from .errors import InvalidConfig, IoFailure
-from .groundstate import asymptotic_constant, solve_profile, structure_constants
+from .groundstate import solve_profile, structure_constants
 from .modulation_fit import decompose, error_h1
 from .nls_core import make_grid, observables, propagate, read_snapshot, \
     write_atomically, write_snapshot
@@ -93,12 +93,10 @@ def _reduced_start_error(args) -> str | None:
 
 def cmd_groundstate(args) -> int:
     gs = solve_profile(args.p, args.d, tol=args.tol)
-    c_q, resid = asymptotic_constant(gs)
-    sc = structure_constants(gs, c_q=c_q)
+    sc = structure_constants(gs)
     print(json.dumps({"p": gs.p, "d": gs.d, "q0": gs.q0, "shots": gs.shots,
-                      "r_max": gs.r_max, "c_Q": sc.c_q, "c_Q_fit_residual": resid,
-                      "I_Q": sc.i_q, "c1": sc.c1, "c2": sc.c2, "C_p": sc.c_p, "c": sc.c,
-                      "l2_norm_sq": sc.l2}, indent=2))
+                      "r_max": gs.r_max, "c_Q": sc.c_q, "I_Q": sc.i_q, "c1": sc.c1,
+                      "c2": sc.c2, "C_p": sc.c_p, "c": sc.c, "l2_norm_sq": sc.l2}, indent=2))
     if args.profile_csv:
         _emit_csv(zip(gs.r, gs.q, gs.dq), ["r", "q", "dq"], args.profile_csv)
     return 0

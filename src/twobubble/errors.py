@@ -13,10 +13,6 @@ class NonConvergence(TwoBubbleError):
     """Shooting bracket could not be established or refined."""
 
 
-class WindowTooNoisy(TwoBubbleError):
-    """Asymptotic fit window dominated by truncation noise."""
-
-
 class QuadratureFailure(TwoBubbleError):
     """Interaction force rule did not converge, or |z| lies outside its domain."""
 

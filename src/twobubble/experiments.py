@@ -65,8 +65,10 @@ SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 # sweep registry of older records does not count as done (2: cached force law;
 # 3: a chunk's step count takes the scale fitted one chunk earlier, which moves
 # the acceptance record from sample 532 on; 4: the reduced system predicts each
-# fit, and a collision it predicts ends the shot).
-RECORD_SCHEMA = 4
+# fit, and a collision it predicts ends the shot; 5: c comes from the Green
+# identity, not a tail fit, and c enters every record through initial_data,
+# the zeta of each sample and the regime tube).
+RECORD_SCHEMA = 5
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,16 @@ Computes the positive decaying solution of
 
     q'' + (d-1)/r q' - q + q^p = 0,   q'(0) = 0,   q(r) -> 0,
 
-by bisection shooting on q(0), plus the scalar constants the rest of the
-package consumes (tail amplitude, interaction integral, scaling pairings).
+by bisection shooting on q(0), with the amplitude of its matched tail, plus
+the structure constants the rest of the package consumes, all from the
+interaction integral I_Q and ||Q||^2.
 
 Each shot of the bisection drives a bare DOP853 stepper and stops at the
 first sign change of q (overshoot) or of q' (undershoot), deciding as
 ``solve_ivp`` with those terminal events would.  The decisions must stay
 bit-identical: the last few, within ulps of q0*, fix the bisected q0, and
-one ulp of q0 moves the tail amplitude and the force constant c by about
-1e-7 relative, hence every profile, force law and record built on it.
+one ulp of q0 moves the tail amplitude by about 1e-7 relative, hence every
+profile, force law and record built on it.
 
 The interaction integral I_Q and the force H(z) of ``ansatz`` run on the
 same composite Gauss-Legendre panels, ``gl_panels`` on ``panel_edges``
@@ -44,8 +45,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .errors import (InvalidConfig, InvalidExponent, NonConvergence, QuadratureFailure,
-                     WindowTooNoisy)
+from .errors import InvalidConfig, InvalidExponent, NonConvergence, QuadratureFailure
 
 _OVERSHOOT = -1
 _UNDERSHOOT = +1
@@ -279,12 +279,14 @@ def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, fields, outs) -> 
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Scalar constants derived from one ground state.
+    """Scalar constants derived from one ground state, all from I_Q and l2.
 
-    c_q:  amplitude of the r^(-(d-1)/2) e^(-r) tail
+    c_q:  amplitude of the r^(-(d-1)/2) e^(-r) tail, sqrt(pi/2) (2 pi)^(-d/2) i_q
+          by the Green identity Q = (1 - Laplacian)^-1 Q^p
     i_q:  interaction integral of q^p against the e^(-x1) weight
-    c1:   pairing of the scaling generator with the profile
-    c2:   per-component pairing of -y_j Q with the j-th derivative
+    c1:   pairing <Lambda Q, Q> of the scaling generator with the profile,
+          (2/(p-1) - d/2) l2; 0 at the mass-critical p = 1 + 4/d
+    c2:   per-component pairing <-y_j Q, d_j Q>, l2 / 2
     c_p:  c_q * i_q
     c:    2 c_p / c2, the force constant of the reduced system
     l2:   squared L2 norm of the profile over R^d
@@ -297,7 +299,6 @@ class StructureConstants:
     c_p: float
     c: float
     l2: float
-    c_q_residual: float
 
 
 def _rhs(d: int, p: float):
@@ -339,7 +340,7 @@ def _classify(q0: float, p: float, d: int, r_max: float):
 
     Every decision must equal that of ``solve_ivp`` with these events: the
     bisected q0 is fixed by the last few decisions near q0*, and one ulp of
-    q0 moves c by about 1e-7.
+    q0 moves the tail amplitude by about 1e-7.
     """
     q, w = _series_start(q0, p, d, _SHOT_R0)
     stepper = DOP853(_rhs(d, p), _SHOT_R0, (q, w), float(r_max),
@@ -437,14 +438,17 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
     window = np.linspace(max(r_match - 1.0, 1.0), r_match, 41)
     q_window = fwd.sol(window)[0]
 
-    # amplitude of the linear tail, refined against full nonlinear backward runs
+    # amplitude of the linear tail, refined against full nonlinear backward runs;
+    # the stored amplitude is the one the last run started from, so the
+    # profile's end and the tail beyond r_max meet
     amp = float(np.mean(q_window / decay_shape(d, window)))
     back = None
     for _ in range(3):
+        if back is not None:
+            amp *= float(np.mean(q_window / back.sol(window)[0]))
         y_end = (amp * decay_shape(d, r_max), amp * _decay_shape_deriv(d, r_max))
         back = solve_ivp(_rhs(d, p), (r_max, window[0] - 1.0), y_end,
                          method="DOP853", dense_output=True, rtol=1e-12, atol=1e-300)
-        amp *= float(np.mean(q_window / back.sol(window)[0]))
 
     r = np.linspace(0.0, r_max, n)
     qf = np.empty(n)
@@ -486,32 +490,6 @@ def smoothstep(x, a: float, b: float):
     w = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
     dw = 30.0 * t ** 2 * (1.0 - t) ** 2 / (b - a)
     return w, dw
-
-
-def asymptotic_constant(gs: GroundState, window: tuple[float, float] | None = None,
-                        resid_threshold: float = 1e-3) -> tuple[float, float]:
-    """Tail amplitude from a least-squares fit of q(r) r^((d-1)/2) e^r.
-
-    Fits c_q (1 + b/r) over the window and returns (c_q, max relative fit
-    residual).  The 1/r term absorbs the first subleading correction of the
-    tail expansion.
-    """
-    if window is None:
-        window = (gs.r_max - 10.0, gs.r_max - 2.0)
-    r_a, r_b = window
-    if r_b > gs.r_max or r_a >= r_b:
-        raise WindowTooNoisy(f"bad window {window} for r_max={gs.r_max}")
-    rr = np.linspace(r_a, r_b, 201)
-    data = gs.q_at(rr) * rr ** ((gs.d - 1) / 2.0) * np.exp(rr)
-    if np.min(gs.q_at(rr)) < 1e3 * np.finfo(float).tiny:
-        raise WindowTooNoisy("window reaches into truncation noise")
-    basis = np.column_stack([np.ones_like(rr), 1.0 / rr])
-    coef, *_ = np.linalg.lstsq(basis, data, rcond=None)
-    model = basis @ coef
-    resid = float(np.max(np.abs(model - data) / np.abs(data)))
-    if resid > resid_threshold:
-        raise WindowTooNoisy(f"relative fit residual {resid:.3e}")
-    return float(coef[0]), resid
 
 
 def radial_integral(gs: GroundState, values: np.ndarray) -> float:
@@ -590,30 +568,26 @@ def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
     return float(w1 @ (gs.q_at(rr) ** p * np.exp(-y1)[:, None]) @ w2)
 
 
-def structure_constants(gs: GroundState, c_q: float | None = None) -> StructureConstants:
-    """All scalar constants by quadrature over the sampled profile; I_Q comes
-    from the Cartesian rule with 8 and 12 nodes per panel, which must agree."""
-    if c_q is None:
-        c_q, c_q_resid = asymptotic_constant(gs)
-    else:
-        c_q_resid = 0.0
-
-    l2 = radial_integral(gs, gs.q ** 2)
-    # c2 = <-y_j Q, d_j Q> per component; radially -(area/d) * int r^d q q' dr
-    c2 = -radial_integral(gs, gs.r * gs.q * gs.dq) / gs.d
-    lam_q = 2.0 / (gs.p - 1.0) * gs.q + gs.r * gs.dq
-    c1 = radial_integral(gs, lam_q * gs.q)
-
+def structure_constants(gs: GroundState) -> StructureConstants:
+    """All scalar constants from two integrals of the sampled profile: I_Q by
+    the Cartesian rule with 8 and 12 nodes per panel, which must agree, and
+    ||Q||^2 by the radial Simpson rule."""
     coarse = _i_q_cartesian(gs, 8)
     i_q = _i_q_cartesian(gs, 12)
     if abs(i_q - coarse) > max(I_Q_TOL, 1e-9 * abs(i_q)):
         raise QuadratureFailure(f"Cartesian rule not converged: {abs(i_q - coarse):.3e}")
+    l2 = radial_integral(gs, gs.q ** 2)
 
+    # Q = (1 - Laplacian)^-1 Q^p: the kernel's far field makes the tail
+    # (2 pi)^(-d/2) I_Q decay_shape(d, r)
+    c_q = _SQRT_HALF_PI * (2.0 * np.pi) ** (-0.5 * gs.d) * i_q
+    # <-y_j Q, d_j Q> = ||Q||^2 / 2 and <Lambda Q, Q> = (2/(p-1) - d/2) ||Q||^2,
+    # both by parts
+    c2 = 0.5 * l2
+    c1 = (2.0 / (gs.p - 1.0) - 0.5 * gs.d) * l2
     c_p = c_q * i_q
-    c = 2.0 * c_p / c2
-    return StructureConstants(c_q=float(c_q), i_q=float(i_q), c1=float(c1),
-                              c2=float(c2), c_p=float(c_p), c=float(c),
-                              l2=float(l2), c_q_residual=float(c_q_resid))
+    return StructureConstants(c_q=float(c_q), i_q=float(i_q), c1=float(c1), c2=float(c2),
+                              c_p=float(c_p), c=float(2.0 * c_p / c2), l2=float(l2))
 
 
 def ode_residual(gs: GroundState) -> np.ndarray:

@@ -51,7 +51,7 @@ def test_criterion_02_structure_constants(gs1, report):
     elapsed = time.perf_counter() - t0
     ok = (abs(sc.c2 - 2.0) <= 1e-8 and abs(sc.c1 - 2.0) <= 1e-8
           and abs(sc.i_q - 4.0 * np.sqrt(2.0)) <= 1e-6
-          and abs(sc.c - 16.0) <= 1e-4 and elapsed < 5.0)
+          and abs(sc.c - 16.0) <= 1e-9 and elapsed < 5.0)
     report(2, "structure constants", ok)
 
 
