@@ -185,13 +185,27 @@ def test_pohozaev_weak_residuals(gs1):
     assert abs(against_lamq) < 1e-8
 
 
-@pytest.mark.parametrize("p,rel", [(3.0, 1e-12), (2.0, 2e-10), (1.8, 5e-10), (1.45, 2e-7)])
+def test_asymptotic_constant_p3(sc1):
+    # c_q from the Green identity against the tail 2 sqrt(2) e^(-r) of
+    # sqrt(2) sech(r); measured 1.2e-13 relative
+    assert abs(sc1.c_q / (2.0 * np.sqrt(2.0)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p,rel", [(2.0, 2e-10), (1.8, 5e-10), (1.45, 2e-7)])
 def test_c_q_green_identity_d1_closed_form(p, rel, profile):
     # c_q from I_Q against the tail q0 2^(2/(p-1)) e^(-r) of the sech^(2/(p-1))
-    # profile; measured 1.2e-13, 5.3e-11, 1.6e-10 and 8.5e-8.  At p = 1.45
-    # the former tail fit raised on its residual; the identity needs none.
+    # profile; measured 5.3e-11, 1.6e-10 and 8.5e-8.  At p = 1.45 the former
+    # tail fit raised on its residual; the identity needs none.
     sc = structure_constants(profile(p, 1))
     assert abs(sc.c_q / (closed_form_q0(p) * 2.0 ** (2.0 / (p - 1.0))) - 1.0) < rel
+
+
+def test_tail_remainder_bound(gs1, sc1):
+    # |q - c_Q r^(-(d-1)/2) e^(-r)| <= K r^(-(d-1)/2-1) e^(-r) on [10, 20]
+    rr = np.linspace(10.0, 20.0, 200)
+    model = sc1.c_q * rr ** (-0.5 * (gs1.d - 1)) * np.exp(-rr)
+    rem = np.abs(gs1.q_at(rr) - model) * rr ** (0.5 * (gs1.d - 1) + 1) * np.exp(rr)
+    assert np.max(rem) < 10.0
 
 
 def test_structure_constants_p3_d1(gs1, sc1):
