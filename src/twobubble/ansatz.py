@@ -7,8 +7,10 @@ force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
 d = 2 (the transverse axis is a single node for d = 1) over the near
 half-space, onto which the reflection y -> -y - z folds the far one, cut
 where its integrand falls below double precision against H, with a
-coarse/fine check; ``ForceLaw`` interpolates it once per ground state for
-the dynamics.
+coarse/fine check.  The half of that rule that does not depend on z is
+prepared once per ground state and cached on it, so a call evaluates the
+profile only where z enters.  ``ForceLaw`` interpolates H once per ground
+state and reads it, in the dynamics, from a table of cell polynomials.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import (FORCE_CUT, GroundState, gl_panels, panel_edges, radial_integral,
-                          smoothstep, transverse_axis, transverse_edges)
+from .groundstate import (FORCE_CUT, GroundState, gl_rows, panel_edges, radial_integral,
+                          smoothstep, transverse_edges)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -239,9 +241,10 @@ _PANEL = {1: 0.25, 2: 0.5}
 FORCE_TOL = 1e-10
 
 
-def _force_panels(zlen: float, d: int, p: float):
-    """Panel edges of the folded rule, with z along e1: y1 over [-|z|/2, b],
-    split at 0, and the transverse axis over [-b, b] (one node for d = 1).
+def _force_cut(d: int, p: float) -> tuple[float, float]:
+    """Panel width and cut b of the folded rule, with z along e1: y1 runs
+    over [-|z|/2, b], split at 0, and the transverse axis over [-b, b] (one
+    node for d = 1).
 
     At a distance b beyond either bubble, or across the pair axis, the
     integrand is below e^(-p b) of H, so both axes stop at b = FORCE_CUT/p
@@ -249,40 +252,119 @@ def _force_panels(zlen: float, d: int, p: float):
     the multiples of the panel width, as r_max = 25, where ``q_at`` passes
     from the spline to the tail, is by default."""
     step = _PANEL.get(d, 1.0)               # transverse_edges rejects any other d
-    cut = step * math.ceil(FORCE_CUT / (p * step))
-    return panel_edges((-0.5 * zlen, 0.0, cut), step), transverse_edges(d, cut, step)
+    return step, step * math.ceil(FORCE_CUT / (p * step))
 
 
-def _force_nodes(zlen: float, gs: GroundState, panels, node_counts) -> list[float]:
-    """The folded rule on ``_force_panels``, one pass per node count.
+@dataclass(frozen=True)
+class _FixedRows:
+    """One pass's rows of the folded rule on y1 in [0, b]: nodes y1 and
+    weights w1, the transverse axis (y2 None for d = 1), and Q^{p-1}(y) and
+    d_1Q(y) on them, one row per y1."""
+
+    cols: slice             # the pass's columns of the stacked template
+    y1: np.ndarray
+    w1: np.ndarray
+    y2: np.ndarray | None
+    w2: np.ndarray
+    weight: np.ndarray
+    pull: np.ndarray
+
+
+def _radii(y1: np.ndarray, y2: np.ndarray | None) -> np.ndarray:
+    """|y| on the nodes (y1, y2), one row per y1: |y1| for d = 1."""
+    return np.abs(y1)[:, None] if y2 is None else np.hypot(y1[:, None], y2)
+
+
+def _stacked_template(counts) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """The Gauss-Legendre nodes and weights on [-1, 1] of every node count,
+    side by side, and each count's columns."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in counts]
+    ends = np.cumsum((0, *counts)).tolist()
+    return (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
+            [slice(a, b) for a, b in zip(ends[:-1], ends[1:])])
+
+
+def _fixed_half(gs: GroundState, step: float, cut: float, counts):
+    """The z-independent half of the folded rule on ``gs``, cached on it:
+    the stacked template and each pass's ``_FixedRows``.
+
+    q and q' at |y| on [0, b] (at d = 2 times the whole transverse axis)
+    come from one joint evaluation, and Q^{p-1} and d_1Q from the
+    operations ``_force_nodes`` would apply to them."""
+    key = (step, cut, counts)
+    half = gs._force_halves.get(key)
+    if half is not None:
+        return half
+    x, w, spans = _stacked_template(counts)
+    y1s, w1s = gl_rows(panel_edges((0.0, cut), step), x, w)
+    across = transverse_edges(gs.d, cut, step)
+    if across is not None:
+        y2s, w2s = gl_rows(across, x, w)
+    rows = []
+    for cols in spans:
+        y2, w2 = (None, np.ones(1)) if across is None else \
+            (y2s[:, cols].ravel(), w2s[:, cols].ravel())
+        y1 = y1s[:, cols].ravel()
+        rows.append((cols, y1, w1s[:, cols].ravel(), y2, w2, _radii(y1, y2)))
+    q, dq = gs.q_dq_at(np.concatenate([row[-1].ravel() for row in rows]))
+    passes, at = [], 0
+    for cols, y1, w1, y2, w2, r in rows:
+        weight, pull = (v[at:at + r.size].reshape(r.shape) for v in (q, dq))
+        weight **= gs.p - 1.0
+        pull *= np.divide(y1[:, None], r, out=r)
+        passes.append(_FixedRows(cols, y1, w1, y2, w2, weight, pull))
+        at += r.size
+    half = gs._force_halves[key] = (x, w, passes)
+    return half
+
+
+def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
+    """The folded rule at separation |z|, one value per node count
+    (coarse, fine).
 
     The reflection y -> -y - z swaps the bubbles and maps the far half-space
     y1 < -|z|/2 onto the near one, so H is the near integral of
     p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second term being the far
     half folded on.  It maps the two-sided rule's nodes onto these, so the
-    folded rule is that rule with each node pair summed.  q and q' are
-    evaluated once, jointly, on the stacked radii (|y|, |y+z|) of every
-    pass, all > 0: y1 = 0 is a break, so no node lies on it, and
-    y1 > -|z|/2.  Each pass then works in place on its share of them."""
+    folded rule is that rule with each node pair summed.
+
+    The rows with y1 in [0, b] and their Q^{p-1}(y) and d_1Q(y) do not
+    depend on z; ``_fixed_half`` prepares them once per ground state.  A
+    call builds the rows on [-|z|/2, 0] of both passes from one stacked
+    template and evaluates q and q' once, jointly, at |y| on those rows and
+    at |y+z| on every row, all > 0: y1 = 0 is a break, so no node lies on
+    it, and y1 > -|z|/2.  Each pass then sums the integrand over its rows,
+    the near ones first, with the operations of a pass that evaluates every
+    node itself, so the values are the same to the bit."""
     p = gs.p
-    passes = []
-    for nodes in node_counts:
-        y1, w1 = gl_panels(panels[0], nodes)
-        y2, w2 = transverse_axis(panels[1], nodes)
-        passes.append((np.stack([y1, y1 + zlen])[:, :, None], y2, w1, w2))   # (y1, y1 + |z|)
-    r = np.concatenate([np.hypot(shifted, y2).ravel() for shifted, y2, *_ in passes])
-    q, dq = gs.q_dq_at(r)
-    out, a = [], 0
-    for shifted, y2, w1, w2 in passes:
-        b = a + 2 * w1.size * w2.size
-        rs, qs, pull = (v[a:b].reshape(2, w1.size, w2.size) for v in (r, q, dq))
-        pull *= np.divide(shifted, rs, out=rs)          # (d_1Q(y), d_1Q(y + z))
-        integrand = qs[0]
-        integrand **= p - 1.0
-        integrand *= qs[1]
-        integrand *= np.subtract(pull[0], pull[1], out=pull[0])
-        out.append(p * float(w1 @ integrand @ w2))
-        a = b
+    step, cut = _force_cut(gs.d, p)
+    x, w, passes = _fixed_half(gs, step, cut, (_COARSE_NODES, _FINE_NODES))
+    near_y, near_w = gl_rows(panel_edges((-0.5 * zlen, 0.0), step), x, w)
+    rows, radii = [], []
+    for fixed in passes:
+        y1 = near_y[:, fixed.cols].ravel()
+        w1 = np.concatenate([near_w[:, fixed.cols].ravel(), fixed.w1])
+        shifted = np.concatenate([y1, fixed.y1])
+        shifted += zlen
+        rows.append((y1, shifted, w1))
+        radii += [_radii(y1, fixed.y2), _radii(shifted, fixed.y2)]
+    q, dq = gs.q_dq_at(np.concatenate([r.ravel() for r in radii]))
+    out, at = [], 0
+    for fixed, (y1, shifted, w1), rn, rs in zip(passes, rows, radii[::2], radii[1::2]):
+        qn, dqn = (v[at:at + rn.size].reshape(rn.shape) for v in (q, dq))
+        at += rn.size
+        qs, dqs = (v[at:at + rs.size].reshape(rs.shape) for v in (q, dq))
+        at += rs.size
+        k = y1.size
+        qn **= p - 1.0
+        dqn *= np.divide(y1[:, None], rn, out=rn)
+        integrand, pull = np.empty(rs.shape), np.empty(rs.shape)
+        integrand[:k], integrand[k:] = qn, fixed.weight         # Q^{p-1}(y)
+        pull[:k], pull[k:] = dqn, fixed.pull                    # d_1Q(y)
+        dqs *= np.divide(shifted[:, None], rs, out=rs)          # d_1Q(y + z)
+        integrand *= qs
+        integrand *= np.subtract(pull, dqs, out=pull)
+        out.append(p * float(w1 @ integrand @ fixed.w2))
     return out
 
 
@@ -296,8 +378,10 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
     near bubble and across the pair axis, where the integrand has fallen
     below e^-FORCE_CUT of H, and runs with 8 and 12 nodes per panel on the
     same panels; they must agree to
-    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).  A non-finite z, or
-    |z| below min_sep, is a QuadratureFailure.
+    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).  The half of the rule
+    that does not depend on z is prepared on the ground state's first call,
+    and each call evaluates the profile only where z enters.  A non-finite
+    z, or |z| below min_sep, is a QuadratureFailure.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))
@@ -305,8 +389,7 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
         raise QuadratureFailure(f"non-finite separation z = {z}")
     if zlen < min_sep:
         raise QuadratureFailure(f"|z| = {zlen:.2f} below validity threshold {min_sep}")
-    coarse, fine = _force_nodes(zlen, gs, _force_panels(zlen, gs.d, gs.p),
-                                (_COARSE_NODES, _FINE_NODES))
+    coarse, fine = _force_nodes(zlen, gs)
     scale = zlen ** (-0.5 * (gs.d - 1)) * np.exp(-zlen)
     if abs(fine - coarse) > max(FORCE_TOL * scale, 1e-8 * abs(fine)):
         raise QuadratureFailure(
@@ -322,6 +405,10 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
 # so 4 leaves a margin.  40 is s ~ 1e8 on the orbit.
 FORCE_LAW_DOMAIN = (4.0, 40.0)
 FORCE_LAW_NODES = 80
+# Cells of the law's table, uniform in the Chebyshev variable, and the
+# degree of its polynomial on each cell
+FORCE_LAW_CELLS = 128
+FORCE_LAW_DEGREE = 7
 
 
 class ForceLaw:
@@ -330,7 +417,13 @@ class ForceLaw:
     g = log H + |z| + ((d-1)/2) log |z| tends to log C_p and is smooth in
     w = 1/|z| for d = 1 and 2, so its Chebyshev interpolant in w on
     first-kind nodes, each one call of the reference rule
-    ``interaction_force_H``, converges geometrically.
+    ``interaction_force_H``, converges geometrically.  That series is then
+    re-expanded, with no further rule calls, as a table of FORCE_LAW_CELLS
+    cells uniform in its variable x in [-1, 1]: row j holds the monomial
+    coefficients in t = s - j, s = (x + 1) FORCE_LAW_CELLS/2, of the degree
+    FORCE_LAW_DEGREE polynomial that interpolates the series at the
+    Chebyshev points of cell j.  A call reads one row and runs one Horner
+    pass, in Python floats.
     """
 
     def __init__(self, gs: GroundState):
@@ -342,19 +435,27 @@ class ForceLaw:
             return np.log(H) + 1.0 / w - 0.5 * (gs.d - 1) * np.log(w)
 
         cheb = np.polynomial.Chebyshev.interpolate(g, FORCE_LAW_NODES - 1, (1 / hi, 1 / lo))
-        self._c0, *rest = cheb.coef.tolist()
-        self._clenshaw = tuple(reversed(rest))      # c_n .. c_1, the order Clenshaw reads
-        self._off, self._scl = map(float, cheb.mapparms())
+        n = FORCE_LAW_DEGREE + 1
+        t = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        x = (np.arange(FORCE_LAW_CELLS)[:, None] + t) * (2.0 / FORCE_LAW_CELLS) - 1.0
+        values = np.polynomial.chebyshev.chebval(x, cheb.coef)
+        coef = np.linalg.solve(np.vander(t, n, increasing=True), values.T).T
+        self._rows = coef.tolist()                  # row j: c_0 .. c_7 of cell j
+        # s = (x + 1) cells/2 with x = off + scl/|z|
+        off, scl = map(float, cheb.mapparms())
+        self._s0 = (off + 1.0) * (0.5 * FORCE_LAW_CELLS)
+        self._s1 = scl * (0.5 * FORCE_LAW_CELLS)
 
     def __call__(self, zlen: float) -> float:
         lo, hi = FORCE_LAW_DOMAIN
         if not lo <= zlen <= hi:
             raise QuadratureFailure(
                 f"|z| = {zlen:.6g} outside the force law domain [{lo:g}, {hi:g}]")
-        x2, b1, b2 = 2.0 * (self._off + self._scl / zlen), 0.0, 0.0
-        for c in self._clenshaw:                # Clenshaw, in Python floats
-            b1, b2 = c + x2 * b1 - b2, b1
-        g = self._c0 + 0.5 * x2 * b1 - b2
+        s = self._s0 + self._s1 / zlen
+        j = min(max(int(s), 0), FORCE_LAW_CELLS - 1)
+        t = s - j
+        c0, c1, c2, c3, c4, c5, c6, c7 = self._rows[j]
+        g = (((((((c7 * t + c6) * t + c5) * t + c4) * t + c3) * t + c2) * t + c1) * t + c0)
         return math.exp(g - zlen - 0.5 * (self.d - 1) * math.log(zlen))
 
 

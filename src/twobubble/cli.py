@@ -256,16 +256,15 @@ def cmd_bisect(args) -> int:
     return 0
 
 
-def _read_record(path) -> ex.RunRecord:
+def _read_record_json(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read run record {path}: {exc}") from exc
-    return ex.RunRecord.from_dict(data)
 
 
 def cmd_verify(args) -> int:
-    record = _read_record(args.record)
+    record = ex.RunRecord.from_dict(_read_record_json(args.record))
     gs = solve_profile(record.config.p, record.config.d)
     sc = structure_constants(gs)
     print(json.dumps(ex.verify_regime(record, sc), indent=2))
@@ -273,8 +272,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    """Print how record B differs from record A; exit status 1 if it does."""
-    report = ex.compare_records(_read_record(args.a), _read_record(args.b))
+    """Print how record B differs from record A; exit status 1 if it does.
+
+    The records are read without the stored-hash check, so that records of
+    another ``RECORD_SCHEMA`` compare; ``schema_note`` names each side whose
+    hash is not of the current schema."""
+    (a, schema_a), (b, schema_b) = (ex.RunRecord.from_any_schema(_read_record_json(path))
+                                    for path in (args.a, args.b))
+    report = ex.compare_records(a, b)
+    notes = {side: f"stored hash is of schema {schema}, not {ex.RECORD_SCHEMA}"
+             if schema is not None else
+             f"stored hash matches no schema up to {ex.RECORD_SCHEMA}: an edited record"
+             for side, schema in (("a", schema_a), ("b", schema_b))
+             if schema != ex.RECORD_SCHEMA}
+    if notes:
+        report["schema_note"] = notes
     print(json.dumps(report, indent=2))
     return 0 if report["same"] else 1
 

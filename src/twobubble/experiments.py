@@ -115,8 +115,12 @@ class ShootConfig:
 
 
 def config_hash(config: ShootConfig, zeta_sharp: float) -> str:
+    return _hash_at(config, zeta_sharp, RECORD_SCHEMA)
+
+
+def _hash_at(config: ShootConfig, zeta_sharp: float, schema: int) -> str:
     payload = json.dumps({"config": config.to_dict(), "zeta_sharp": zeta_sharp,
-                          "schema": RECORD_SCHEMA}, sort_keys=True)
+                          "schema": schema}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -150,6 +154,20 @@ class RunRecord:
         without one of ``SAMPLE_KEYS``, an unknown config key, an unknown exit,
         or a stored hash that does not match the config and zeta_sharp (an
         edited record, or one of another schema)."""
+        record, schema = cls.from_any_schema(data)
+        if schema != RECORD_SCHEMA:
+            found = "no schema" if schema is None else f"schema {schema}"
+            raise IoFailure(f"run record hash {data['hash']!r} does not match its config "
+                            f"({config_hash(record.config, record.zeta_sharp)!r} at schema "
+                            f"{RECORD_SCHEMA}; the stored hash matches {found})")
+        return record
+
+    @classmethod
+    def from_any_schema(cls, data: dict) -> tuple["RunRecord", int | None]:
+        """The record ``to_dict`` wrote, with every check of ``from_dict`` but
+        the stored hash's, and the schema up to RECORD_SCHEMA whose hash of
+        the config and zeta_sharp it stores: None when none does (an edited
+        record)."""
         try:
             record = cls(config=ShootConfig.from_dict(data["config"]),
                          zeta_sharp=data["zeta_sharp"], samples=data["samples"],
@@ -166,11 +184,9 @@ class RunRecord:
                 raise IoFailure(f"run record sample {i} has no key {', '.join(missing)}")
         if record.exit not in EXITS:
             raise IoFailure(f"run record exit {record.exit!r} is not one of {EXITS}")
-        expected = config_hash(record.config, record.zeta_sharp)
-        if stored != expected:
-            raise IoFailure(f"run record hash {stored!r} does not match its config "
-                            f"({expected!r} at schema {RECORD_SCHEMA})")
-        return record
+        schema = next((k for k in range(RECORD_SCHEMA, 0, -1)
+                       if _hash_at(record.config, record.zeta_sharp, k) == stored), None)
+        return record, schema
 
 
 def write_trajectory_csv(record: RunRecord, path) -> None:

@@ -205,6 +205,12 @@ class GroundState:
         from .ansatz import ForceLaw    # here, because ansatz imports this module
         return ForceLaw(self)
 
+    @cached_property
+    def _force_halves(self) -> dict:
+        """The z-independent halves of ``ansatz``'s force rule, each prepared
+        on first use and keyed by its panels and node counts."""
+        return {}
+
     def lam_q_at(self, rr) -> np.ndarray:
         """Radial part of the scaling generator, 2/(p-1) q + r q'."""
         rr = np.asarray(rr, dtype=float)
@@ -512,10 +518,16 @@ def panel_edges(breaks, step: float) -> np.ndarray:
 def gl_panels(edges: np.ndarray, nodes: int):
     """Nodes and weights of the composite Gauss-Legendre rule on the panels
     between consecutive edges."""
-    x, w = _leggauss(nodes)
+    return tuple(a.ravel() for a in gl_rows(edges, *_leggauss(nodes)))
+
+
+def gl_rows(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Nodes and weights of the composite rule whose one-panel template on
+    [-1, 1] is (x, w), on the panels between consecutive edges: one row per
+    panel, so the raveled rows are ``gl_panels``' for a Gauss-Legendre x."""
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
     mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    return (half * x + mid).ravel(), (half * w).ravel()
+    return half * x + mid, half * w
 
 
 def gl_axis(breaks, nodes: int, step: float):

@@ -5,7 +5,8 @@ classic RK4 and plain bisection for the profile, scipy's B-spline
 evaluation of the profile interpolants (not the package's per-cell Taylor
 table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
-rule that the package folds onto one half-space, the angular reduction of
+rule that the package folds onto one half-space, the package's earlier
+folded rule (every node evaluated on every call), the angular reduction of
 the interaction integral, the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, the
 package's earlier profile evaluator (one row-layout table per field, the
@@ -35,8 +36,8 @@ from scipy.special import i0, kv
 from twobubble.ansatz import _PANEL, COLLISION_SEP, ansatz_on_lattice, force_asymptotic
 from twobubble.errors import CollisionDetected, Overflow, StepTooLarge
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
-                                   _series_start, decay_shape, gl_axis, transverse_axis,
-                                   transverse_edges)
+                                   _series_start, decay_shape, gl_axis, gl_panels, panel_edges,
+                                   transverse_axis, transverse_edges)
 from twobubble.nls_core import ComplexField
 
 
@@ -294,6 +295,42 @@ def two_sided_force(zlen: float, gs, nodes: int) -> float:
     weight = np.where(near, qr, qs) ** (p - 1.0)
     partner = np.where(near, qs, qr)
     return p * float(w1 @ (weight * gs.dq_at(r) * (Y1 / r) * partner) @ w2)
+
+
+def force_nodes_reference(zlen: float, gs, node_counts) -> list[float]:
+    """The folded force rule with every node evaluated on every call, one
+    pass per node count; the package prepares the z-independent half once
+    per ground state and must equal this value for value.
+
+    y1 runs over [-|z|/2, b], split at 0, and the transverse axis over
+    [-b, b] (one node for d = 1), with b = FORCE_CUT/p in whole panels.
+    Each node weighs p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second
+    term being the far half folded on.  q and q' are evaluated once,
+    jointly, on the stacked radii (|y|, |y+z|) of every pass, and each pass
+    then works in place on its share of them.
+    """
+    p, step = gs.p, _PANEL.get(gs.d, 1.0)
+    cut = step * math.ceil(FORCE_CUT / (p * step))
+    edges = panel_edges((-0.5 * zlen, 0.0, cut), step), transverse_edges(gs.d, cut, step)
+    passes = []
+    for nodes in node_counts:
+        y1, w1 = gl_panels(edges[0], nodes)
+        y2, w2 = transverse_axis(edges[1], nodes)
+        passes.append((np.stack([y1, y1 + zlen])[:, :, None], y2, w1, w2))   # (y1, y1 + |z|)
+    r = np.concatenate([np.hypot(shifted, y2).ravel() for shifted, y2, *_ in passes])
+    q, dq = gs.q_dq_at(r)
+    out, a = [], 0
+    for shifted, y2, w1, w2 in passes:
+        b = a + 2 * w1.size * w2.size
+        rs, qs, pull = (v[a:b].reshape(2, w1.size, w2.size) for v in (r, q, dq))
+        pull *= np.divide(shifted, rs, out=rs)          # (d_1Q(y), d_1Q(y + z))
+        integrand = qs[0]
+        integrand **= p - 1.0
+        integrand *= qs[1]
+        integrand *= np.subtract(pull[0], pull[1], out=pull[0])
+        out.append(p * float(w1 @ integrand @ w2))
+        a = b
+    return out
 
 
 def interaction_weight(d: int, r) -> np.ndarray:

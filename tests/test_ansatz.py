@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,8 +9,8 @@ from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import _DQ, _Q, solve_profile, structure_constants
 
-from oracles import (adaptive_force_1d, ansatz_residual_direct, nonlinearity_derivative,
-                     two_sided_force)
+from oracles import (adaptive_force_1d, ansatz_residual_direct, force_nodes_reference,
+                     nonlinearity_derivative, two_sided_force)
 
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
@@ -104,21 +106,44 @@ def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
     nodes = (az._COARSE_NODES, az._FINE_NODES)
     for gs in (gs1, gs18, gs2):
         for z in (2.0, 8.0, 25.0, 40.0):
-            panels = az._force_panels(z, gs.d, gs.p)
-            both = az._force_nodes(z, gs, panels, nodes)
-            for n, folded in zip(nodes, both):
+            for n, folded in zip(nodes, az._force_nodes(z, gs)):
                 assert abs(folded / two_sided_force(z, gs, n) - 1.0) <= 1e-14, \
                     (gs.p, gs.d, z, n)
-                # a pass run alone sums the same values as beside the other
-                assert az._force_nodes(z, gs, panels, (n,)) == [folded]
+
+
+@pytest.fixture(scope="module")
+def gs145():
+    return solve_profile(1.45, 1)
+
+
+@pytest.mark.parametrize("name", ["gs1", "gs18", "gs145", "gs2"])
+def test_prepared_rule_matches_reference(request, name):
+    # the rule prepared once per ground state sums the same values as the
+    # rule that evaluates every node on every call, on a fresh ground
+    # state's first call (which prepares it) and on a repeat call; each
+    # node count's pass run alone in the reference sums the same values as
+    # beside the other
+    gs = request.getfixturevalue(name)
+    nodes = (az._COARSE_NODES, az._FINE_NODES)
+    for z in (4.0, 5.0, 8.0, 25.0, 40.0):
+        fresh = replace(gs)
+        first = az._force_nodes(z, fresh)
+        assert az._force_nodes(z, fresh) == first
+        assert force_nodes_reference(z, gs, nodes) == first, (name, z)
+        for n, value in zip(nodes, first):
+            assert force_nodes_reference(z, gs, (n,)) == [value], (name, z, n)
 
 
 def test_force_profile_work(monkeypatch, gs1):
-    # at p = 3, |z| = 16 the folded rule has 86 panels of y1 in [-8, 13.5];
-    # each node needs q and q' at |y| and |y + z|, so the two passes need
-    # 2 (8 + 12) 86 = 3440 radii, and one joint evaluation gives both at
-    # all of them; the two-sided rule needs 3 (8 + 12) 172 = 10320
+    # at p = 3, |z| = 16 the folded rule has 86 panels of y1 in [-8, 13.5],
+    # 32 of them on [-8, 0] and 54 on [0, 13.5].  q and q' at |y| on
+    # [0, 13.5] do not depend on z: a ground state's first call evaluates
+    # them once for both passes, 54 (8 + 12) = 1080 radii.  Each call then
+    # needs them at |y| on [-8, 0] and at |y + z| on all 86 panels,
+    # (32 + 86)(8 + 12) = 2360 radii, and one joint evaluation gives both
+    # at all of them; the two-sided rule needs 3 (8 + 12) 172 = 10320
     calls = []
+    fresh = replace(gs1)
     GS = type(gs1)
     evaluate = GS._evaluate
 
@@ -127,8 +152,10 @@ def test_force_profile_work(monkeypatch, gs1):
         return evaluate(self, rr, fields)
 
     monkeypatch.setattr(GS, "_evaluate", counted)
-    az.interaction_force_H([16.0], gs1)
-    assert calls == [(3440, (_Q, _DQ))]
+    az.interaction_force_H([16.0], fresh)
+    assert calls == [(1080, (_Q, _DQ)), (2360, (_Q, _DQ))]
+    az.interaction_force_H([16.0], fresh)
+    assert calls[2:] == [(2360, (_Q, _DQ))]
 
 
 def test_lattice_bubble_joint_fields(monkeypatch, gs1, gs2, grid_2048_64):
@@ -219,7 +246,7 @@ def test_force_2d_direction_and_law(gs2):
 
 @pytest.mark.slow
 def test_force_law_2d(gs2):
-    # the d=2 law against the rule; building it takes 18 s of rule calls on a 2-core host
+    # the d=2 law against the rule; building it takes about 7 s of rule calls on a 2-core host
     law = gs2.force_law
     for z in np.linspace(4.5, 30.0, 5):
         H = az.interaction_force_H([z, 0.0], gs2, min_sep=2.0)[0]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,37 @@ def test_diff_command(capsys, tmp_path):
     assert rep["changes"] == {"exit": ["reached_s0", "exited_eps"]}
     with pytest.raises(IoFailure, match="cannot read run record"):
         main(["diff", str(tmp_path / "a.json"), str(tmp_path / "missing.json")])
+
+
+def test_diff_compares_records_of_another_schema(capsys, monkeypatch, tmp_path):
+    # the golden main record re-hashed at the previous schema: diff reads
+    # both, reports them the same with a note on the old side, and exits
+    # 0; verify, and RunRecord.from_dict, still refuse the old record
+    golden = Path(__file__).parent / "data" / "acceptance" / "main.json"
+    data = json.loads(golden.read_text())
+    with monkeypatch.context() as m:
+        m.setattr(ex, "RECORD_SCHEMA", ex.RECORD_SCHEMA - 1)
+        data["hash"] = ex.config_hash(ex.ShootConfig.from_dict(data["config"]),
+                                      data["zeta_sharp"])
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    assert main(["diff", str(golden), str(old)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["same"] and rep["compared"] == len(data["samples"])
+    assert rep["schema_note"] == {
+        "b": f"stored hash is of schema {ex.RECORD_SCHEMA - 1}, not {ex.RECORD_SCHEMA}"}
+    with pytest.raises(IoFailure, match=f"matches schema {ex.RECORD_SCHEMA - 1}"):
+        main(["verify", "--record", str(old)])
+    # a changed sample still makes them differ, and an edited hash is named
+    data["samples"][7]["z"] = [data["samples"][7]["z"][0] + 1e-9]
+    data["hash"] = "0" * 16
+    old.write_text(json.dumps(data))
+    assert main(["diff", str(old), str(golden)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["first_diff"] == 7 and list(rep["schema_note"]) == ["a"]
+    assert "an edited record" in rep["schema_note"]["a"]
+    with pytest.raises(IoFailure, match="matches no schema"):
+        ex.RunRecord.from_dict(data)
 
 
 def test_verify_read_errors_are_typed(tmp_path):

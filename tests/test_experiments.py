@@ -11,7 +11,8 @@ import pytest
 from twobubble import experiments as ex
 from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
-from twobubble.ansatz import COLLISION_SEP, FORCE_LAW_DOMAIN, interaction_force_H
+from twobubble.ansatz import (COLLISION_SEP, FORCE_LAW_DOMAIN, FORCE_LAW_NODES,
+                              interaction_force_H)
 from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoSignChange,
                               QuadratureFailure, WindowTooShort, WorkerLost)
 from twobubble.groundstate import GroundState
@@ -140,6 +141,22 @@ def test_force_law(gs1):
             law(zlen)
         assert f"{zlen:.6g}" in str(err.value)
     assert gs1.force_law is law
+
+
+def test_force_law_table_matches_series(gs1):
+    # the law's cell table re-expands the Chebyshev series of
+    # g = log H + |z| in w = 1/|z| on the same 80 rule values, rebuilt here;
+    # on 20001 points of [4, 40] at d = 1, p = 3 the two agree to 3.6e-14
+    # relative in H (largest near |z| = 40), and the bound allows 2.8 times that
+    lo, hi = FORCE_LAW_DOMAIN
+
+    def g(w):
+        return np.log([interaction_force_H([1.0 / x], gs1, min_sep=lo)[0] for x in w]) + 1.0 / w
+
+    cheb = np.polynomial.Chebyshev.interpolate(g, FORCE_LAW_NODES - 1, (1.0 / hi, 1.0 / lo))
+    z = np.linspace(lo, hi, 20001)
+    table = np.array([gs1.force_law(x) for x in z.tolist()])
+    assert np.max(np.abs(table / np.exp(cheb(1.0 / z) - z) - 1.0)) <= 1e-13
 
 
 def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from twobubble.experiments import RunRecord, ShootConfig, bisect_zeta, compare_records
 from twobubble.groundstate import solve_profile, structure_constants
+from twobubble.nls_core import write_atomically
 
 GOLDEN = Path(__file__).parent / "data" / "acceptance"
 # the lower and upper bracket endpoints' records, then the deepest shot's
@@ -48,9 +49,12 @@ def write_golden(out: Path) -> None:
     config = ShootConfig(s_in=300.0, s0=30.0, N=2048, L=64.0, dt=2e-3)
     outcome = bisect_zeta(config, gs, structure_constants(gs))
     out.mkdir(parents=True, exist_ok=True)
-    (out / "history.json").write_text(json.dumps(outcome["history"]) + "\n")
-    for name, record in _records(outcome).items():
-        (out / f"{name}.json").write_text(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+    files = {"history": json.dumps(outcome["history"])}
+    files.update((name, json.dumps(record.to_dict(), sort_keys=True))
+                 for name, record in _records(outcome).items())
+    for name, text in files.items():
+        # each file is whole or untouched, even if the regeneration is interrupted
+        write_atomically(out / f"{name}.json", f"golden {name}", (text + "\n").encode())
 
 
 if __name__ == "__main__":
