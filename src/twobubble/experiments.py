@@ -579,6 +579,8 @@ def run_sweep(configs: list[ShootConfig], registry_path,
               constants: StructureConstants | None = None) -> list[dict]:
     """Run one shot per config (bracket midpoint), appending to the registry.
 
+    The ground state and its constants are solved once per (p, d), unless
+    ``gs`` (and ``constants``) already give them for that pair.
     Idempotent: configs whose hash already sits in the registry are skipped.
     The registry is opened for append before the first shot, so an
     unwritable path fails at once.  A torn last line (an append cut short:
@@ -616,6 +618,7 @@ def run_sweep(configs: list[ShootConfig], registry_path,
     except OSError as exc:
         raise IoFailure(f"cannot append to registry: {exc}") from exc
 
+    solved = {} if gs is None else {(gs.p, gs.d): (gs, constants)}
     results = []
     for config in configs:
         zeta = 0.5 * (config.zeta_bracket[0] + config.zeta_bracket[1])
@@ -623,10 +626,13 @@ def run_sweep(configs: list[ShootConfig], registry_path,
         if h in seen:
             results.append({"hash": h, "status": "duplicate", "record": None})
             continue
-        use_gs = gs if gs is not None and gs.p == config.p and gs.d == config.d \
-            else solve_profile(config.p, config.d)
-        use_sc = constants if gs is use_gs and constants is not None \
-            else structure_constants(use_gs)
+        key = (config.p, config.d)
+        use_gs, use_sc = solved.get(key, (None, None))
+        if use_gs is None:
+            use_gs = solve_profile(*key)
+        if use_sc is None:
+            use_sc = structure_constants(use_gs)
+        solved[key] = (use_gs, use_sc)
         record = backward_shoot(config, zeta, use_gs, use_sc)
         try:
             with open(registry_path, "a") as fh:

@@ -36,6 +36,11 @@ def gs18():
 
 
 @pytest.fixture(scope="session")
+def gs145():
+    return solve_profile(1.45, 1)
+
+
+@pytest.fixture(scope="session")
 def grid_2048_32():
     return make_grid(1, 2048, 32.0)
 

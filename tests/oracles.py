@@ -13,6 +13,8 @@ package's earlier profile evaluator (one row-layout table per field, the
 tail written over the cell polynomials) with the three-call Bessel form
 of the tail's derivative, the package's earlier shot classifier
 (``solve_ivp`` with terminal events on the numpy right-hand side), the
+package's earlier bracket search and bisection on q0 (a shot for every q0
+it classifies), the
 package's earlier integration of the modulation system (``solve_ivp``
 with its collision event and ``t_eval`` samples), the
 split-step loop in numpy's allocating array idiom, the in-place
@@ -33,10 +35,12 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
+from twobubble import groundstate
 from twobubble.ansatz import _PANEL, COLLISION_SEP, ansatz_on_lattice, force_asymptotic
-from twobubble.errors import CollisionDetected, Overflow, StepTooLarge
-from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
-                                   _series_start, decay_shape, gl_axis, gl_panels, panel_edges,
+from twobubble.errors import CollisionDetected, NonConvergence, Overflow, StepTooLarge
+from twobubble.groundstate import (_CHUNK, _OVERSHOOT, _UNDERSHOOT, FORCE_CUT,
+                                   _cell_coefficients, _decay_shape_deriv, _series_start,
+                                   closed_form_q0, decay_shape, gl_axis, gl_panels, panel_edges,
                                    transverse_axis, transverse_edges)
 from twobubble.nls_core import ComplexField
 
@@ -112,6 +116,47 @@ def classify_reference(q0: float, p: float, d: int, r_max: float) -> int:
     if sol.t_events[0].size:
         return -1
     return +1
+
+
+def bisect_q0_reference(p: float, d: int, tol: float, r_max: float):
+    """The final bracket (lo, hi) of q0 from the plain bracket search and
+    bisection, which shoots every q0 it classifies, and the (q0, class) of
+    each shot in order."""
+    classified = []
+
+    def shoot(q0: float) -> int:
+        side = groundstate._classify(q0, p, d, r_max)
+        classified.append((q0, side))
+        return side
+
+    # bracket around the d=1 closed form scaled by a dimension heuristic: the
+    # guess is classified once, then the search steps away from it by 1.25
+    # until the class flips
+    guess = closed_form_q0(p) * 1.5 ** (d - 1)
+    side = shoot(guess)
+    end = guess
+    for _ in range(199):
+        end = end * 1.25 if side == _UNDERSHOOT else end / 1.25
+        if shoot(end) != side:
+            break
+    else:
+        raise NonConvergence(f"no {'overshoot' if side == _UNDERSHOOT else 'undershoot'} "
+                             "endpoint found")
+    lo, hi = (guess, end) if side == _UNDERSHOOT else (end, guess)
+
+    width_goal = min(tol, 8.0 * np.spacing(guess))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= max(width_goal, 2.0 * np.spacing(mid)):
+            break
+        if shoot(mid) == _OVERSHOOT:
+            hi = mid
+        else:
+            lo = mid
+    width = hi - lo
+    if width > tol:
+        raise NonConvergence(f"bracket width {width:.3e} above tol {tol:.3e}")
+    return lo, hi, classified
 
 
 def integrate_reduced_reference(state0, s_end: float, gs, constants, tol: float,

@@ -111,11 +111,6 @@ def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
                     (gs.p, gs.d, z, n)
 
 
-@pytest.fixture(scope="module")
-def gs145():
-    return solve_profile(1.45, 1)
-
-
 @pytest.mark.parametrize("name", ["gs1", "gs18", "gs145", "gs2"])
 def test_prepared_rule_matches_reference(request, name):
     # the rule prepared once per ground state sums the same values as the

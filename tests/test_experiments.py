@@ -129,18 +129,29 @@ def test_predicted_collision_ends_the_shot(gs1, sc1):
     assert (rec.exit, rec.phi, len(rec.samples)) == (ex.EXIT_COLLISION, -1, 1)
 
 
-def test_force_law(gs1):
-    # the cached law against the reference rule across its whole domain
+def _check_force_law(gs, rel):
+    """The cached law against the reference rule across its whole domain."""
     lo, hi = FORCE_LAW_DOMAIN
-    law = gs1.force_law
+    law = gs.force_law
     for zlen in np.linspace(lo, hi, 25):
-        H = interaction_force_H([zlen], gs1, min_sep=lo)[0]
-        assert law(zlen) == pytest.approx(H, rel=4e-12, abs=0.0)
+        H = interaction_force_H([zlen], gs, min_sep=lo)[0]
+        assert law(zlen) == pytest.approx(H, rel=rel, abs=0.0), zlen
     for zlen in (3.99, 40.01):
         with pytest.raises(QuadratureFailure, match=r"\[4, 40\]") as err:
             law(zlen)
         assert f"{zlen:.6g}" in str(err.value)
-    assert gs1.force_law is law
+    assert gs.force_law is law
+
+
+def test_force_law(gs1):
+    _check_force_law(gs1, 4e-12)
+
+
+def test_force_law_p145(gs145):
+    # the 80-node series converges slowly at small p: on the 25 points the
+    # law is 2.6e-10 off the rule (largest at |z| = 35.5), and the bound
+    # leaves a margin of 1.5
+    _check_force_law(gs145, 4e-10)
 
 
 def test_force_law_table_matches_series(gs1):
@@ -326,6 +337,25 @@ class _FakeShot:
         self.calls += 1
         h = ex.config_hash(config, zeta)
         return type("Record", (), {"to_dict": lambda self: {"hash": h}})()
+
+
+def test_run_sweep_solves_each_profile_once(tmp_path, monkeypatch, gs1, sc1):
+    # a sweep used to solve the profile and its constants again for each config
+    calls = []
+
+    def counted(result):
+        def fake(*args):
+            calls.append(result)
+            return result
+        return fake
+
+    monkeypatch.setattr(ex, "solve_profile", counted(gs1))
+    monkeypatch.setattr(ex, "structure_constants", counted(sc1))
+    monkeypatch.setattr(ex, "backward_shoot", _FakeShot())
+    configs = [ex.ShootConfig(s_in=si, s0=10.0, N=512, L=16.0) for si in (12.0, 14.0, 16.0)]
+    results = ex.run_sweep(configs, tmp_path / "registry.jsonl")
+    assert [r["status"] for r in results] == ["ran"] * 3
+    assert calls == [gs1, sc1]
 
 
 def test_registry_torn_last_line(tmp_path, monkeypatch, gs1, sc1):

@@ -11,13 +11,15 @@ from scipy.integrate._ivp import ivp as ivp_module
 from twobubble import ansatz as az
 from twobubble import groundstate
 from twobubble.errors import InvalidConfig, InvalidExponent, NonConvergence
-from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState, _classify,
-                                   _decay_shape_deriv, closed_form_profile, closed_form_q0,
-                                   decay_shape, ode_residual, solve_profile, sphere_area,
+from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, _OVERSHOOT, _PROBE_MARGIN,
+                                   _UNDERSHOOT, GroundState, _classify, _decay_shape_deriv,
+                                   closed_form_profile, closed_form_q0, decay_shape,
+                                   ode_residual, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import (classify_reference, decay_shape_deriv_bessel, interaction_weight,
-                     profile_spline_reference, row_layout_profile, shoot_q0)
+from oracles import (bisect_q0_reference, classify_reference, decay_shape_deriv_bessel,
+                     interaction_weight, profile_spline_reference, row_layout_profile,
+                     shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -373,8 +375,9 @@ def test_solve_profile_on_reference_classifier(key, gs1, gs2, monkeypatch):
     assert np.array_equal(ref.q, gs.q) and np.array_equal(ref.dq, gs.dq)
 
 
-def test_no_q0_classified_twice(monkeypatch):
-    # the bracket search used to classify its starting guess twice
+def test_no_q0_classified_twice(monkeypatch, gs2):
+    # the bracket search used to classify its starting guess twice; at d=2,
+    # with no probe, the remembered bounds skip none of the plain search's 49
     seen = []
 
     def recorded(q0, *args):
@@ -384,7 +387,44 @@ def test_no_q0_classified_twice(monkeypatch):
     monkeypatch.setattr(groundstate, "_classify", recorded)
     gs = solve_profile(3.0, 1)
     assert len(set(seen)) == len(seen)
-    assert gs.shots == len(seen) == 50
+    assert gs.shots == len(seen) == 16
+    assert gs2.shots == 49
+
+
+_KNOWN_PROFILES = {(3.0, 1): "gs1", (1.8, 1): "gs18", (1.45, 1): "gs145", (3.0, 2): "gs2"}
+
+
+@pytest.mark.parametrize("p,d", [(p, 1) for p in (1.2, 1.45, 1.8, 2.0, 2.5, 3.0, 4.0, 7.0)]
+                         + [(3.0, 2)])
+def test_solve_profile_matches_plain_bisection(request, p, d):
+    # the remembered bounds and the d=1 probe skip shots but change no
+    # decision: the plain search's bracket, hence its profile, to the bit
+    name = _KNOWN_PROFILES.get((p, d))
+    gs = request.getfixturevalue(name) if name else solve_profile(p, d)
+    lo, hi, classified = bisect_q0_reference(p, d, 1e-10, gs.r_max)
+    r, q, dq, amp = groundstate._trace_profile(p, d, gs.r_max, gs.r.size, 0.5 * (lo + hi))
+    assert (gs.q0, gs.tail_amplitude, gs.bracket_width) == (0.5 * (lo + hi), amp, hi - lo)
+    assert np.array_equal(gs.q, q) and np.array_equal(gs.dq, dq)
+    assert gs.shots < len(classified) if d == 1 else gs.shots == len(classified)
+    # each q0 the plain search shot gets its class again, by a shot or a bound
+    again = groundstate._bisect_q0(p, d, 1e-10, gs.r_max)
+    assert again[:2] == (lo, hi) and again[2].shots == gs.shots
+    assert [again[2](q0) for q0, _ in classified] == [side for _, side in classified]
+
+
+@pytest.mark.parametrize("p", [1.45, 2.5, 3.0, 4.0])
+def test_classify_monotone_outside_probe_margin(p):
+    # a bound or the probe gives a free class only if _classify is monotone
+    # in q0 there.  Scanned one ulp at a time over +-800 ulps of the bisected
+    # q0 at d=1, shots disagree with the side only inside a band 37 (p=1.45),
+    # 117 (p=3), 190 (p=2.5) and 382 (p=4) ulps wide (the widest of 8 p in
+    # [1.2, 7]); the probe's 1e-11 relative is 56 000 ulps or more there,
+    # over 140 times that band.  The offsets here start at an eighth of the
+    # probe margin.
+    q0 = closed_form_q0(p)
+    for rel in np.geomspace(_PROBE_MARGIN / 8.0, 1e-1, 12):
+        assert _classify(q0 * (1.0 + rel), p, 1, 25.0) == _OVERSHOOT, rel
+        assert _classify(q0 * (1.0 - rel), p, 1, 25.0) == _UNDERSHOOT, rel
 
 
 def _one_step_stepper(r_cross, r_turn):
