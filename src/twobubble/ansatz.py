@@ -6,11 +6,12 @@ The configuration is symmetric: bubble centers at +-z/2 carry velocities
 force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
 d = 2 (the transverse axis is a single node for d = 1) over the near
 half-space, onto which the reflection y -> -y - z folds the far one, cut
-where its integrand falls below double precision against H, with a
-coarse/fine check.  The half of that rule that does not depend on z is
-prepared once per ground state and cached on it, so a call evaluates the
-profile only where z enters.  ``ForceLaw`` interpolates H once per ground
-state and reads it, in the dynamics, from a table of cell polynomials.
+where its integrand falls below double precision against H, on panels
+whose width follows p (``force_panel``), with a coarse/fine check.  The
+half of that rule that does not depend on z is prepared once per ground
+state and cached on it, so a call evaluates the profile only where z
+enters.  ``ForceLaw`` interpolates H once per ground state and reads it,
+in the dynamics, from a table of cell polynomials.
 """
 
 from __future__ import annotations
@@ -231,27 +232,45 @@ def interaction_G(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexF
     return ComplexField(grid, _cross_term(*bubble_pair(params, gs, grid.x_mesh), gs.p))
 
 
-# Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels of fixed
-# width per dimension, evaluated with a coarse and a fine node count whose
-# disagreement, against FORCE_TOL times the leading-order size of H, bounds
-# the error.
+# Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels whose
+# width follows p (``force_panel``), evaluated with a coarse and a fine node
+# count whose disagreement, against FORCE_TOL times the leading-order size of
+# H, bounds the error.
 _COARSE_NODES = 8
 _FINE_NODES = 12
-_PANEL = {1: 0.25, 2: 0.5}
 FORCE_TOL = 1e-10
 
 
-def _force_cut(d: int, p: float) -> tuple[float, float]:
+def force_panel(p: float) -> float:
+    """Panel width of the force rule: the largest power of two at most
+    min(1, 2/(p-1)), and at most 1/2 for p < 2.
+
+    The integrand's least smooth factor, Q^{p-1} ~ sech^2((p-1)r/2), has its
+    nearest complex singularity a = pi/(p-1) off the real axis, and n
+    Gauss-Legendre nodes on a panel of half-width h converge like rho^(-2n),
+    rho = a/h + sqrt(1 + (a/h)^2) (Trefethen, ATAP ch. 19).  A width of at
+    most 2/(p-1) keeps a/h >= pi, so rho >= 6.4 at every p.  Below p = 2 the
+    sampled profile sets the width instead: its forward and backward runs
+    are blended on [r_match - 1, r_match] with a quintic step, so q is C^2
+    there, and the runs part further as p falls; at p = 1.45 unit panels
+    across the blend are up to 7.5e-11 off adaptive quadrature, half-unit
+    ones 1.5e-11.  Powers of two up to 1 put r_max = 25, where ``q_at``
+    passes from the spline to the tail, on the panel lattice of [0, b]."""
+    cap = 1.0 if p >= 2.0 else 0.5
+    return math.ldexp(1.0, math.frexp(min(cap, 2.0 / (p - 1.0)))[1] - 1)
+
+
+def _force_cut(p: float) -> tuple[float, float]:
     """Panel width and cut b of the folded rule, with z along e1: y1 runs
     over [-|z|/2, b], split at 0, and the transverse axis over [-b, b] (one
     node for d = 1).
 
-    At a distance b beyond either bubble, or across the pair axis, the
-    integrand is below e^(-p b) of H, so both axes stop at b = FORCE_CUT/p
-    rounded up to whole panels.  Whole panels keep the edges of [0, b] on
-    the multiples of the panel width, as r_max = 25, where ``q_at`` passes
-    from the spline to the tail, is by default."""
-    step = _PANEL.get(d, 1.0)               # transverse_edges rejects any other d
+    The width is ``force_panel(p)`` for d = 1 and d = 2 alike.  At a
+    distance b beyond either bubble, or across the pair axis, the integrand
+    is below e^(-p b) of H, so both axes stop at b = FORCE_CUT/p rounded up
+    to whole panels, which keeps the edges of [0, b] on the multiples of the
+    panel width."""
+    step = force_panel(p)
     return step, step * math.ceil(FORCE_CUT / (p * step))
 
 
@@ -337,7 +356,7 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
     the near ones first, with the operations of a pass that evaluates every
     node itself, so the values are the same to the bit."""
     p = gs.p
-    step, cut = _force_cut(gs.d, p)
+    step, cut = _force_cut(p)
     x, w, passes = _fixed_half(gs, step, cut, (_COARSE_NODES, _FINE_NODES))
     near_y, near_w = gl_rows(panel_edges((-0.5 * zlen, 0.0), step), x, w)
     rows, radii = [], []

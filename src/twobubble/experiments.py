@@ -37,7 +37,7 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -67,8 +67,10 @@ SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 # the acceptance record from sample 532 on; 4: the reduced system predicts each
 # fit, and a collision it predicts ends the shot; 5: c comes from the Green
 # identity, not a tail fit, and c enters every record through initial_data,
-# the zeta of each sample and the regime tube).
-RECORD_SCHEMA = 5
+# the zeta of each sample and the regime tube; 6: the force rule's panels
+# follow p, which moves the force law and so each shot's predicted fits, and
+# eps_h1 and W take the fit's phase in (-pi, pi], not the unwrapped one).
+RECORD_SCHEMA = 6
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,9 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
                 stage.send(n_steps)
 
             zeta = zeta_of_separation(float(np.linalg.norm(params.z)), constants.c, config.d)
-            energy = energy_functional(u_now, params, s, gs)
+            # the fit's own phase, in (-pi, pi], builds eps_lab: e^{i gamma} at the
+            # unwrapped one (hundreds of radians) carries its |gamma| 2^-53 rounding
+            energy = energy_functional(u_now, replace(params, gamma=fit.params.gamma), s, gs)
             obs = observables(u_now, config.p)
             smp = {"s": s, "t": t_lab, "lam": params.lam,
                    "z": [float(x) for x in params.z], "gamma": params.gamma,

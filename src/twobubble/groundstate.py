@@ -25,10 +25,11 @@ ulps wide around q0*, well inside the probe's margin; so q0 and the
 profile are those of the plain bisection to the bit.  At d >= 2 there is
 no probe and no bound is ever reached.
 
-The interaction integral I_Q and the force H(z) of ``ansatz`` run on the
-same composite Gauss-Legendre panels, ``gl_panels`` on ``panel_edges``
-along e1 and ``transverse_axis`` across it, for d = 1 and d = 2 alike;
-each rule stops where its integrand has fallen by e^-FORCE_CUT.
+The interaction integral I_Q and the force H(z) of ``ansatz`` run on
+composite Gauss-Legendre panels from the same helpers, ``gl_panels`` on
+``panel_edges`` along e1 and ``transverse_axis`` across it, for d = 1 and
+d = 2 alike: 0.5 wide for I_Q, and as wide as p allows for H; each rule
+stops where its integrand has fallen by e^-FORCE_CUT.
 
 q and q' are interpolated on the uniform mesh by k=5 splines, stored in one
 table with a row per mesh cell: the six Taylor coefficients of q, then the

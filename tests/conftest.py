@@ -1,11 +1,20 @@
 import multiprocessing
+import os
 
-import numpy as np
-import pytest
+# OpenBLAS and OpenMP read their thread counts when numpy loads, so they are
+# pinned here, before any test module imports numpy, as bench/run.py pins
+# them, so that the tests run the numerics as the benchmark does; on a
+# 2-core host two BLAS threads make each ground state's cell-table solve
+# about four times slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from twobubble.experiments import ShootConfig, bisect_zeta
-from twobubble.groundstate import solve_profile, structure_constants
-from twobubble.nls_core import make_grid
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from twobubble.experiments import ShootConfig, bisect_zeta  # noqa: E402
+from twobubble.groundstate import solve_profile, structure_constants  # noqa: E402
+from twobubble.nls_core import make_grid  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -6,7 +6,8 @@ evaluation of the profile interpolants (not the package's per-cell Taylor
 table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
 rule that the package folds onto one half-space, the package's earlier
-folded rule (every node evaluated on every call), the angular reduction of
+folded rule (every node evaluated on every call) and its earlier fixed
+panel widths, the angular reduction of
 the interaction integral, the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, the
 package's earlier profile evaluator (one row-layout table per field, the
@@ -36,7 +37,7 @@ from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
 from twobubble import groundstate
-from twobubble.ansatz import _PANEL, COLLISION_SEP, ansatz_on_lattice, force_asymptotic
+from twobubble.ansatz import COLLISION_SEP, ansatz_on_lattice, force_asymptotic, force_panel
 from twobubble.errors import CollisionDetected, NonConvergence, Overflow, StepTooLarge
 from twobubble.groundstate import (_CHUNK, _OVERSHOOT, _UNDERSHOOT, FORCE_CUT,
                                    _cell_coefficients, _decay_shape_deriv, _series_start,
@@ -320,6 +321,28 @@ def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:
                 + piece(far, -cut, -zlen) + piece(far, -zlen, -0.5 * zlen))
 
 
+def adaptive_folded_force_1d(zlen: float, gs) -> float:
+    """d=1 force magnitude H(|z|) by adaptive quadrature of the folded
+    integrand p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)] over [-|z|/2, |z| + 40].
+
+    Below p = 2, H is far above e^(-|z|) (2.2e-4 at p = 1.45, |z| = 16), so
+    the pieces of ``adaptive_force_1d`` stop at its relative 1e-10, past
+    the roughly 5e-12 its own error check allows.  Here the integral is
+    split at 0 and where |y| or |y + z| reaches r_max, and each piece is
+    held to a relative 1e-13.
+    """
+    p = gs.p
+
+    def folded(y):
+        return (gs.q_at(abs(y)) ** (p - 1.0) * gs.q_at(abs(y + zlen))
+                * (gs.dq_at(abs(y)) * np.sign(y) - gs.dq_at(abs(y + zlen))))
+
+    breaks = {-0.5 * zlen, 0.0, gs.r_max, gs.r_max - zlen, zlen + 40.0}
+    breaks = sorted(b for b in breaks if -0.5 * zlen <= b <= zlen + 40.0)
+    return p * sum(quad(folded, a, b, epsabs=1e-18 * math.exp(-zlen), epsrel=1e-13,
+                        limit=4000)[0] for a, b in zip(breaks[:-1], breaks[1:]))
+
+
 def two_sided_force(zlen: float, gs, nodes: int) -> float:
     """Force magnitude H(|z|) by the Cartesian rule over both half-spaces.
 
@@ -329,7 +352,7 @@ def two_sided_force(zlen: float, gs, nodes: int) -> float:
     Q^{p-1}(y+z) d_1Q(y) Q(y).  The package's rule folds the far half onto
     the near one and must agree with this one node pair by node pair.
     """
-    p, step = gs.p, _PANEL[gs.d]
+    p, step = gs.p, force_panel(gs.p)
     cut = step * math.ceil(FORCE_CUT / (p * step))
     y2, w2 = transverse_axis(transverse_edges(gs.d, cut, step), nodes)
     y1, w1 = gl_axis((-zlen - cut, -zlen, -0.5 * zlen, 0.0, cut), nodes, step)
@@ -342,19 +365,27 @@ def two_sided_force(zlen: float, gs, nodes: int) -> float:
     return p * float(w1 @ (weight * gs.dq_at(r) * (Y1 / r) * partner) @ w2)
 
 
-def force_nodes_reference(zlen: float, gs, node_counts) -> list[float]:
+# The force rule's earlier panel widths, one per dimension and sized for the
+# largest p; ``force_nodes_reference`` with these is the earlier rule.
+FIXED_PANEL = {1: 0.25, 2: 0.5}
+
+
+def force_nodes_reference(zlen: float, gs, node_counts, step: float | None = None) -> list[float]:
     """The folded force rule with every node evaluated on every call, one
     pass per node count; the package prepares the z-independent half once
     per ground state and must equal this value for value.
 
     y1 runs over [-|z|/2, b], split at 0, and the transverse axis over
-    [-b, b] (one node for d = 1), with b = FORCE_CUT/p in whole panels.
-    Each node weighs p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second
-    term being the far half folded on.  q and q' are evaluated once,
-    jointly, on the stacked radii (|y|, |y+z|) of every pass, and each pass
-    then works in place on its share of them.
+    [-b, b] (one node for d = 1), with b = FORCE_CUT/p in whole panels of
+    width step (the package's ``force_panel(p)`` by default;
+    ``FIXED_PANEL[d]`` gives its earlier rule).  Each node weighs
+    p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second term being the
+    far half folded on.  q and q' are evaluated once, jointly, on the
+    stacked radii (|y|, |y+z|) of every pass, and each pass then works in
+    place on its share of them.
     """
-    p, step = gs.p, _PANEL.get(gs.d, 1.0)
+    p = gs.p
+    step = force_panel(p) if step is None else step
     cut = step * math.ceil(FORCE_CUT / (p * step))
     edges = panel_edges((-0.5 * zlen, 0.0, cut), step), transverse_edges(gs.d, cut, step)
     passes = []

@@ -9,8 +9,9 @@ from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import _DQ, _Q, solve_profile, structure_constants
 
-from oracles import (adaptive_force_1d, ansatz_residual_direct, force_nodes_reference,
-                     nonlinearity_derivative, two_sided_force)
+from oracles import (FIXED_PANEL, adaptive_folded_force_1d, adaptive_force_1d,
+                     ansatz_residual_direct, force_nodes_reference, nonlinearity_derivative,
+                     two_sided_force)
 
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
@@ -100,6 +101,62 @@ def test_force_matches_adaptive_oracle(gs1):
         assert H == pytest.approx(adaptive_force_1d(z, gs1), rel=1e-10)
 
 
+def test_force_matches_adaptive_oracle_p145(gs145):
+    # below p = 2 the rule's half-unit panels cross the profile's C^2 blend
+    # of its forward and backward runs; on these |z|, which hold the law
+    # nodes where it is furthest off (22.1, 26.1 and 29.0), the rule is
+    # within 1.5e-11 of adaptive quadrature, and the bound is the p = 3 one
+    for z in (4.5, 8.0, 12.0, 16.0, 22.122, 26.121, 29.045, 34.0, 40.0):
+        H = az.interaction_force_H([z], gs145, min_sep=4.0)[0]
+        assert H == pytest.approx(adaptive_folded_force_1d(z, gs145), rel=1e-10), z
+
+
+def _law_nodes() -> np.ndarray:
+    """|z| at the force law's Chebyshev nodes, first kind in w = 1/|z|."""
+    lo, hi = az.FORCE_LAW_DOMAIN
+    x = np.polynomial.chebyshev.chebpts1(az.FORCE_LAW_NODES)
+    return 1.0 / (0.5 * (1.0 / hi + 1.0 / lo) + 0.5 * (1.0 / lo - 1.0 / hi) * x)
+
+
+def _ground_state(request, d, p):
+    name = {(1, 1.45): "gs145", (1, 1.8): "gs18", (1, 3.0): "gs1", (2, 3.0): "gs2"}.get((d, p))
+    return request.getfixturevalue(name) if name else solve_profile(p, d)
+
+
+@pytest.mark.parametrize("d,p,share", [
+    (1, 1.45, 0.1), (1, 1.8, 0.1), (1, 3.0, 0.1), (1, 5.0, 0.1), (1, 7.0, 0.1),
+    pytest.param(2, 3.0, 0.25, marks=pytest.mark.slow)])
+def test_force_rule_gap_on_law_nodes(request, d, p, share):
+    # the panel width follows p, so the coarse/fine gap stays well inside the
+    # check's bound on every node the law is built from.  Largest share of
+    # the bound, measured: 4.0e-3, 2.2e-5, 5.4e-3, 3.2e-3 and 1.0e-4 at
+    # d = 1; 0.17 at d = 2, p = 3 (width 1), where the 12-node value is
+    # within 9.2e-13 of a 16-node one
+    gs = _ground_state(request, d, p)
+    worst = 0.0
+    for z in _law_nodes():
+        coarse, fine = az._force_nodes(z, gs)
+        bound = max(az.FORCE_TOL * z ** (-0.5 * (d - 1)) * np.exp(-z), 1e-8 * abs(fine))
+        worst = max(worst, abs(fine - coarse) / bound)
+    assert worst <= share, (d, p, worst)
+
+
+@pytest.mark.parametrize("name,rel", [
+    ("gs1", 1e-12), ("gs18", 2e-13), ("gs145", 3e-11),
+    pytest.param("gs2", 2e-12, marks=pytest.mark.slow)])
+def test_force_rule_near_fixed_width_rule(request, name, rel):
+    # the width rule against the earlier fixed widths (1/4 at d = 1, 1/2 at
+    # d = 2) on the law's nodes: largest relative moves 5.0e-13 at p = 3,
+    # 5.8e-14 at p = 1.8, 1.5e-11 at p = 1.45 (where the earlier rule is the
+    # more accurate, see the p = 1.45 oracle test) and 6.9e-13 at d = 2,
+    # p = 3; each bound is two to three times the move
+    gs = request.getfixturevalue(name)
+    for z in _law_nodes():
+        fine = az._force_nodes(z, gs)[1]
+        fixed = force_nodes_reference(z, gs, (az._FINE_NODES,), step=FIXED_PANEL[gs.d])[0]
+        assert fine == pytest.approx(fixed, rel=rel, abs=0.0), (name, z)
+
+
 def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
     # the fold y -> -y - z maps the two-sided rule's nodes onto the folded
     # rule's, so the two sum the same terms in another order
@@ -130,13 +187,13 @@ def test_prepared_rule_matches_reference(request, name):
 
 
 def test_force_profile_work(monkeypatch, gs1):
-    # at p = 3, |z| = 16 the folded rule has 86 panels of y1 in [-8, 13.5],
-    # 32 of them on [-8, 0] and 54 on [0, 13.5].  q and q' at |y| on
-    # [0, 13.5] do not depend on z: a ground state's first call evaluates
-    # them once for both passes, 54 (8 + 12) = 1080 radii.  Each call then
-    # needs them at |y| on [-8, 0] and at |y + z| on all 86 panels,
-    # (32 + 86)(8 + 12) = 2360 radii, and one joint evaluation gives both
-    # at all of them; the two-sided rule needs 3 (8 + 12) 172 = 10320
+    # at p = 3, |z| = 16 the folded rule has 22 unit panels of y1 in
+    # [-8, 14], 8 of them on [-8, 0] and 14 on [0, 14].  q and q' at |y| on
+    # [0, 14] do not depend on z: a ground state's first call evaluates them
+    # once for both passes, 14 (8 + 12) = 280 radii.  Each call then needs
+    # them at |y| on [-8, 0] and at |y + z| on all 22 panels,
+    # (8 + 22)(8 + 12) = 600 radii, and one joint evaluation gives both at
+    # all of them; the two-sided rule needs 3 (8 + 12) 44 = 2640
     calls = []
     fresh = replace(gs1)
     GS = type(gs1)
@@ -148,9 +205,9 @@ def test_force_profile_work(monkeypatch, gs1):
 
     monkeypatch.setattr(GS, "_evaluate", counted)
     az.interaction_force_H([16.0], fresh)
-    assert calls == [(1080, (_Q, _DQ)), (2360, (_Q, _DQ))]
+    assert calls == [(280, (_Q, _DQ)), (600, (_Q, _DQ))]
     az.interaction_force_H([16.0], fresh)
-    assert calls[2:] == [(2360, (_Q, _DQ))]
+    assert calls[2:] == [(600, (_Q, _DQ))]
 
 
 def test_lattice_bubble_joint_fields(monkeypatch, gs1, gs2, grid_2048_64):
@@ -241,7 +298,7 @@ def test_force_2d_direction_and_law(gs2):
 
 @pytest.mark.slow
 def test_force_law_2d(gs2):
-    # the d=2 law against the rule; building it takes about 7 s of rule calls on a 2-core host
+    # the d=2 law against the rule; building it takes about 2 s of rule calls on a 2-core host
     law = gs2.force_law
     for z in np.linspace(4.5, 30.0, 5):
         H = az.interaction_force_H([z, 0.0], gs2, min_sep=2.0)[0]
@@ -280,8 +337,8 @@ def test_projection_consistency(gs1, grid_2048_64):
 
 
 @pytest.mark.parametrize("p,min_slope", [(3.0, 1.9), (1.8, 1.7)])
-def test_expansion_order(p, min_slope, grid_2048_64):
-    gs = solve_profile(p, 1)
+def test_expansion_order(request, p, min_slope, grid_2048_64):
+    gs = request.getfixturevalue({3.0: "gs1", 1.8: "gs18"}[p])
     pr = params_1d(14.0, v=0.02)
     P = az.build_two_bubble(pr, gs, grid_2048_64).values
     rng = np.random.default_rng(5)
@@ -384,10 +441,9 @@ def test_refined_corrections_p18(gs18, grid_2048_32):
     assert abs(abs(r0_pair) - post) < 1e-10
 
 
-def test_refined_corrections_p145(grid_2048_32):
-    gs = solve_profile(1.45, 1)
+def test_refined_corrections_p145(gs145, grid_2048_32):
     pr = params_1d(11.0)
-    cors = az.refined_corrections(pr, gs, grid_2048_32)
+    cors = az.refined_corrections(pr, gs145, grid_2048_32)
     assert len(cors) == 2
     assert cors[1].sup_norm < cors[0].sup_norm
 

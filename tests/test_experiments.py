@@ -149,8 +149,8 @@ def test_force_law(gs1):
 
 def test_force_law_p145(gs145):
     # the 80-node series converges slowly at small p: on the 25 points the
-    # law is 2.6e-10 off the rule (largest at |z| = 35.5), and the bound
-    # leaves a margin of 1.5
+    # law is 2.64e-10 off the rule (largest at |z| = 35.5; 2.7e-10 on 301
+    # points of [4, 40]), and the bound leaves a margin of 1.5
     _check_force_law(gs145, 4e-10)
 
 
