@@ -24,11 +24,19 @@ import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from .groundstate import (FORCE_CUT, GroundState, gl_rows, panel_edges, radial_integral,
-                          smoothstep, transverse_edges)
+                          transverse_edges)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
 COLLISION_SEP = 5.0
+
+
+def smoothstep(x, a: float, b: float):
+    """Quintic smoothstep on [a, b] (0 below a, 1 above b) and its derivative."""
+    t = np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
+    w = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
+    dw = 30.0 * t ** 2 * (1.0 - t) ** 2 / (b - a)
+    return w, dw
 
 
 @dataclass(frozen=True)
@@ -250,12 +258,13 @@ def force_panel(p: float) -> float:
     Gauss-Legendre nodes on a panel of half-width h converge like rho^(-2n),
     rho = a/h + sqrt(1 + (a/h)^2) (Trefethen, ATAP ch. 19).  A width of at
     most 2/(p-1) keeps a/h >= pi, so rho >= 6.4 at every p.  Below p = 2 the
-    sampled profile sets the width instead: its forward and backward runs
-    are blended on [r_match - 1, r_match] with a quintic step, so q is C^2
-    there, and the runs part further as p falls; at p = 1.45 unit panels
-    across the blend are up to 7.5e-11 off adaptive quadrature, half-unit
-    ones 1.5e-11.  Powers of two up to 1 put r_max = 25, where ``q_at``
-    passes from the spline to the tail, on the panel lattice of [0, b]."""
+    profile's seam at r_max sets the width instead: past it ``q_at`` takes
+    the linear tail, which omits q^p, so q'' jumps there by about
+    q^(p-1)(r_max), 6.4e-5 at p = 1.45, and a panel whose |y + z| crosses
+    r_max converges slowly.  On the force law's nodes at p = 1.45 unit
+    panels are up to 8.5e-11 off adaptive quadrature, half-unit ones
+    1.1e-11.  Powers of two up to 1 put r_max = 25 on the panel lattice of
+    [0, b]."""
     cap = 1.0 if p >= 2.0 else 0.5
     return math.ldexp(1.0, math.frexp(min(cap, 2.0 / (p - 1.0)))[1] - 1)
 

@@ -94,9 +94,10 @@ def _reduced_start_error(args) -> str | None:
 def cmd_groundstate(args) -> int:
     gs = solve_profile(args.p, args.d, tol=args.tol)
     sc = structure_constants(gs)
-    print(json.dumps({"p": gs.p, "d": gs.d, "q0": gs.q0, "shots": gs.shots,
-                      "r_max": gs.r_max, "c_Q": sc.c_q, "I_Q": sc.i_q, "c1": sc.c1,
-                      "c2": sc.c2, "C_p": sc.c_p, "c": sc.c, "l2_norm_sq": sc.l2}, indent=2))
+    print(json.dumps({"p": gs.p, "d": gs.d, "q0": gs.q0, "newton_iters": gs.newton_iters,
+                      "residual": gs.residual, "r_max": gs.r_max, "c_Q": sc.c_q, "I_Q": sc.i_q,
+                      "c1": sc.c1, "c2": sc.c2, "C_p": sc.c_p, "c": sc.c, "l2_norm_sq": sc.l2},
+                     indent=2))
     if args.profile_csv:
         _emit_csv(zip(gs.r, gs.q, gs.dq), ["r", "q", "dq"], args.profile_csv)
     return 0

@@ -10,7 +10,7 @@ class InvalidExponent(TwoBubbleError):
 
 
 class NonConvergence(TwoBubbleError):
-    """Shooting bracket could not be established or refined."""
+    """The ground-state solve did not converge, or its tolerance is invalid."""
 
 
 class QuadratureFailure(TwoBubbleError):

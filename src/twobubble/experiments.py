@@ -69,8 +69,10 @@ SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 # identity, not a tail fit, and c enters every record through initial_data,
 # the zeta of each sample and the regime tube; 6: the force rule's panels
 # follow p, which moves the force law and so each shot's predicted fits, and
-# eps_h1 and W take the fit's phase in (-pi, pi], not the unwrapped one).
-RECORD_SCHEMA = 6
+# eps_h1 and W take the fit's phase in (-pi, pi], not the unwrapped one; 7: the
+# ground state is a Newton solve of a Chebyshev collocation, not a shot, which
+# moves the d=1, p=3 profile by 2.4e-12 and the acceptance record by up to 6.3e-10).
+RECORD_SCHEMA = 7
 
 
 @dataclass(frozen=True)

@@ -4,26 +4,21 @@ Computes the positive decaying solution of
 
     q'' + (d-1)/r q' - q + q^p = 0,   q'(0) = 0,   q(r) -> 0,
 
-by bisection shooting on q(0), with the amplitude of its matched tail, plus
-the structure constants the rest of the package consumes, all from the
-interaction integral I_Q and ||Q||^2.
+at d = 1 or 2, with the amplitude of its linear tail, plus the structure
+constants the rest of the package consumes, all from the interaction
+integral I_Q and ||Q||^2.
 
-Each shot of the bisection drives a bare DOP853 stepper and stops at the
-first sign change of q (overshoot) or of q' (undershoot), deciding as
-``solve_ivp`` with those terminal events would.  The decisions must stay
-bit-identical: the last few, within ulps of q0*, fix the bisected q0, and
-one ulp of q0 moves the tail amplitude by about 1e-7 relative, hence every
-profile, force law and record built on it.
-
-The shots remember the largest q0 that has undershot and the smallest that
-has overshot, and a q0 past either bound takes its class without a shot.
-At d=1 the closed-form guess is all but q0*, so one probe shot just across
-it, 1e-11 relative away, bounds the bracket's far side: at d=1, p=3 the
-bisection runs 16 shots instead of 50.  Every decision is the one a shot
-would make, because shots are monotone in q0 outside a band a few hundred
-ulps wide around q0*, well inside the probe's margin; so q0 and the
-profile are those of the plain bisection to the bit.  At d >= 2 there is
-no probe and no bound is ever reached.
+The profile is one Newton solve of a Chebyshev collocation (Trefethen,
+Spectral Methods in MATLAB, chs. 6 and 13; Boyd, Chebyshev and Fourier
+Spectral Methods, ch. 17).  The unknown is g = q e^rho, rho = sqrt(1 + r^2),
+which tends to a slowly varying tail.  The even Chebyshev grid on [-1, 1]
+has no node at 0, and r = c sinh(s x), with c the core width 1/(p-1) up to
+1, puts its nodes in the core; at r_max a Robin condition takes the linear
+tail's log-derivative.  Petviashvili's iteration brings the d=1 closed
+form near the ground state, and Newton stops when its step stops
+shrinking: at d=1, p=3 after two steps, at d=2, p=3 after four.  The
+degree is 151, doubled while the series' last terms are not negligible.
+q and q' are sampled onto the uniform mesh from the Chebyshev series.
 
 The interaction integral I_Q and the force H(z) of ``ansatz`` run on
 composite Gauss-Legendre panels from the same helpers, ``gl_panels`` on
@@ -50,31 +45,26 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import DOP853, simpson, solve_ivp
+from scipy.fft import dct
+from scipy.integrate import simpson
 from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
 from .errors import InvalidConfig, InvalidExponent, NonConvergence, QuadratureFailure
 
-_OVERSHOOT = -1
-_UNDERSHOOT = +1
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
-# brentq's xtol and rtol on an event root, as solve_ivp sets them
-_EVENT_XTOL = 4.0 * np.finfo(float).eps
-# r0 and DOP853 tolerances of the bisection's shots and the profile pass, equal so
-# that the bisected q0 sits on the numerical manifold the profile is built on
-_SHOT_R0 = 1e-6
-_SHOT_RTOL = 1e-12
-_SHOT_ATOL = 1e-16
-# Relative distance from the d=1 closed-form guess of the first probe shot on
-# the guess's far side, and the factor each further probe widens it by.  At
-# eight p in [1.2, 7] the guess lies within 236 ulps of the bisected q0 (3 at
-# p = 3), ``_classify`` is monotone in q0 outside a band at most 382 ulps
-# wide around it, and 1e-11 relative is 56 000 ulps or more.
-_PROBE_MARGIN = 1e-11
-_PROBE_WIDEN = 16.0
+# Chebyshev degrees of the collocation, tried in turn until the last ten
+# terms of the series are below _CHEB_TAIL of its largest; odd, so that no
+# node sits at r = 0.  The first resolves d=1 for p up to 30 and d=2 up to p = 7,
+# and the rounding of its solve moves q by about 1e-14.
+_CHEB_DEGREES = (151, 301, 601, 1201)
+_CHEB_TAIL = 1e-14
+# Largest step, in q, from which the collocation leaves Petviashvili's
+# iteration for Newton's, and the most iterations of either
+_NEWTON_START = 1e-2
+_ITERATIONS_MAX = 100
 
 # Row k holds the t^k coefficients, on one cell of a uniform knot sequence,
 # of the six cardinal quintic B-splines that are nonzero there (oldest first).
@@ -90,11 +80,6 @@ _EDGE_CELLS = 8
 _CHUNK = 1 << 14
 # the fields of the profile evaluator: q, and q'
 _Q, _DQ = 0, 1
-
-
-def sobolev_limit(d: int) -> float:
-    """Upper admissible exponent (d+2)/(d-2); unbounded for d <= 2."""
-    return np.inf if d <= 2 else (d + 2.0) / (d - 2.0)
 
 
 def sphere_area(d: int) -> float:
@@ -114,26 +99,22 @@ def closed_form_profile(p: float, r) -> np.ndarray:
 
 
 def decay_shape(d: int, r) -> np.ndarray:
-    """Decaying solution r^(1-d/2) K_(d/2-1)(r) of the linearized radial equation.
+    """Decaying solution r^(1-d/2) K_(d/2-1)(r) of the linearized radial
+    equation at d = 1 or 2: sqrt(pi/2) e^(-r) and K_0(r).
 
     Behaves like sqrt(pi/2) r^(-(d-1)/2) e^(-r) for large r, exactly so for d=1.
     """
     r = np.asarray(r, dtype=float)
     if d == 1:
         return _SQRT_HALF_PI * np.exp(-r)
-    nu = d / 2.0 - 1.0
-    return r ** (1.0 - d / 2.0) * kv(nu, r)
+    return kv(0.0, r)
 
 
 def _decay_shape_deriv(d: int, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if d == 1:
         return -_SQRT_HALF_PI * np.exp(-r)
-    if d == 2:
-        return -kv(1.0, r)          # K_0' = -K_1
-    nu = d / 2.0 - 1.0
-    kp = -0.5 * (kv(nu - 1.0, r) + kv(nu + 1.0, r))
-    return (1.0 - d / 2.0) * r ** (-d / 2.0) * kv(nu, r) + r ** (1.0 - d / 2.0) * kp
+    return -kv(1.0, r)              # K_0' = -K_1
 
 
 _TAILS = {_Q: decay_shape, _DQ: _decay_shape_deriv}
@@ -141,7 +122,7 @@ _TAILS = {_Q: decay_shape, _DQ: _decay_shape_deriv}
 
 @dataclass(frozen=True)
 class GroundState:
-    """Sampled radial profile with its shooting metadata.
+    """Sampled radial profile with the metadata of its Newton solve.
 
     Samples live on a uniform mesh in r.  Between samples q and q' are their
     k=5 interpolating splines, evaluated through one per-cell Taylor table
@@ -158,8 +139,8 @@ class GroundState:
     q: np.ndarray
     dq: np.ndarray
     tail_amplitude: float
-    bracket_width: float
-    shots: int              # classification integrations the bisection ran
+    newton_iters: int       # Newton steps of the collocation solve
+    residual: float         # largest collocation residual of the solution
 
     @cached_property
     def _cell_width(self) -> float:
@@ -325,134 +306,23 @@ class StructureConstants:
     l2: float
 
 
-def _rhs(d: int, p: float):
-    """y' for y = (q, q') as Python floats, for the bisection's shots and the
-    final passes alike: (w, q - sign(q) |q|^p - (d-1)/r w), with the
-    operations in the order of its numpy-scalar form, so the values agree
-    to the bit."""
-    def rhs(r, y):
-        q, w = y.tolist()
-        a = abs(q) ** p
-        s = a if q > 0.0 else -a if q < 0.0 else 0.0 * a
-        return (w, q - s - (d - 1.0) / r * w)
-
-    return rhs
-
-
-def _series_start(q0: float, p: float, d: int, r0: float) -> tuple[float, float]:
-    # q(r) ~ q0 + (q0 - q0^p) r^2 / (2d) removes the coordinate singularity
-    curv = (q0 - q0 ** p) / d
-    return q0 + 0.5 * curv * r0 ** 2, curv * r0
-
-
-def event_root(g, sol, t_old: float, t: float) -> float:
-    """Where g(y) changes sign along a step's dense output ``sol`` on [t_old, t],
-    found as ``solve_ivp`` finds an event's: ``brentq`` at xtol = rtol = 4 eps."""
-    return brentq(lambda x: g(sol(x)), t_old, t, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
-
-
-def _classify(q0: float, p: float, d: int, r_max: float):
-    """Integrate one shot; overshoot = q crosses zero, undershoot = q' turns upward.
-
-    Drives a bare DOP853 stepper and reads, after each step, the sign
-    changes ``solve_ivp`` checks for its terminal events: q from >= 0 to
-    <= 0 (overshoot) and q' from <= 0 to >= 0 (undershoot).  When both fire
-    in one step, the one whose root on the step's dense output comes first
-    decides; the roots are ``solve_ivp``'s (``event_root``) and a tie goes
-    to the crossing, as its stable sort orders it.  A failed step, or
-    reaching r_max, is an undershoot.
-
-    Every decision must equal that of ``solve_ivp`` with these events: the
-    bisected q0 is fixed by the last few decisions near q0*, and one ulp of
-    q0 moves the tail amplitude by about 1e-7.
-    """
-    q, w = _series_start(q0, p, d, _SHOT_R0)
-    stepper = DOP853(_rhs(d, p), _SHOT_R0, (q, w), float(r_max),
-                     rtol=_SHOT_RTOL, atol=_SHOT_ATOL)
-    while stepper.status == "running":
-        stepper.step()
-        if stepper.status == "failed":
-            break
-        q_new, w_new = stepper.y.tolist()
-        cross = q >= 0.0 and q_new <= 0.0
-        turn = w <= 0.0 and w_new >= 0.0
-        if cross and turn:
-            sol = stepper.dense_output()
-
-            def root(k):
-                return event_root(lambda y: y[k], sol, stepper.t_old, stepper.t)
-            return _OVERSHOOT if root(0) <= root(1) else _UNDERSHOOT
-        if cross:
-            return _OVERSHOOT
-        if turn:
-            return _UNDERSHOOT
-        q, w = q_new, w_new
-    return _UNDERSHOOT
-
-
-class _Shooter:
-    """``_classify`` with memory of the largest q0 that has undershot and the
-    smallest that has overshot.
-
-    A q0 at or below the first takes the undershoot class, one at or above
-    the second the overshoot class, and neither runs a shot; ``shots``
-    counts the shots run.  A free class equals the shot's wherever
-    ``_classify`` is monotone in q0, which holds outside a band of a few
-    hundred ulps around q0*.  Inside that band every q0 the bisection asks
-    about lies strictly between the bounds and is shot.
-    """
-
-    def __init__(self, p: float, d: int, r_max: float):
-        self.p, self.d, self.r_max = p, d, r_max
-        self.undershot = -math.inf
-        self.overshot = math.inf
-        self.shots = 0
-
-    def __call__(self, q0: float) -> int:
-        if q0 <= self.undershot:
-            return _UNDERSHOOT
-        if q0 >= self.overshot:
-            return _OVERSHOOT
-        self.shots += 1
-        side = _classify(q0, self.p, self.d, self.r_max)
-        if side == _UNDERSHOOT:
-            self.undershot = q0
-        else:
-            self.overshot = q0
-        return side
-
-    def probe(self, guess: float, side: int) -> None:
-        """Shoot at guess (1 -/+ _PROBE_MARGIN), on the side of the guess
-        that ``side`` (the guess's class) points to, widening the margin by
-        _PROBE_WIDEN until the class flips or the probe leaves the bracket
-        search's first step."""
-        sign = 1.0 if side == _UNDERSHOOT else -1.0
-        margin = _PROBE_MARGIN
-        while margin < 0.2 and self(guess * (1.0 + sign * margin)) == side:
-            margin *= _PROBE_WIDEN
-
-
 def solve_profile(p: float, d: int, tol: float = 1e-10,
                   r_max: float = 25.0, mesh_step: float = 1e-3) -> GroundState:
-    """Bisection shooting for the radial ground state.
+    """The radial ground state at d = 1 or 2, by Newton on Chebyshev collocation.
 
-    The bracket search steps away from a guess by 1.25 until the class
-    flips, and bisection halves the bracket to a few ulps.  A ``_Shooter``
-    classifies each q0 and runs no shot for one past a q0 already
-    classified; at d=1 a probe just across the closed-form guess first
-    bounds the bracket's far side.  Every class is the one a shot would
-    give, so q0 and the profile equal the plain bisection's to the bit.
-    ``shots`` counts the shots run.
-
-    The returned profile is the forward trajectory in the core blended into a
-    backward integration of the full equation started on the matched linear
-    tail, which keeps the samples accurate where bare shooting would be
-    contaminated by the exponentially growing mode.
+    ``_newton_collocation`` solves for the Chebyshev series of g = q e^rho
+    on [0, r_max], at the first of _CHEB_DEGREES whose series ends in
+    negligible terms; q and q' are sampled from it onto the uniform mesh
+    of step mesh_step, and the tail amplitude is q(r_max) /
+    decay_shape(d, r_max), so q meets the tail there.  tol bounds the last
+    Newton step in q and sets the least r_max.  ``newton_iters`` counts the
+    Newton steps and ``residual`` is the largest collocation residual of
+    the result.
     """
-    if d < 1 or int(d) != d:
-        raise InvalidExponent(f"dimension must be a positive integer, got {d}")
-    if not (1.0 < p < sobolev_limit(d)):
-        raise InvalidExponent(f"p={p} outside (1, {sobolev_limit(d)})")
+    if d not in (1, 2):
+        raise InvalidExponent(f"dimension must be 1 or 2, got {d}")
+    if not (1.0 < p < math.inf):
+        raise InvalidExponent(f"p={p} outside (1, inf)")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise NonConvergence(f"tol must be finite and positive, got {tol}")
     if not (r_max > 0.0 and math.isfinite(r_max)):
@@ -467,110 +337,128 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
         raise InvalidConfig(f"mesh_step {mesh_step} leaves {n - 1} cells on [0, {r_max:.4g}], "
                             f"fewer than {2 * _EDGE_CELLS}")
 
-    lo, hi, shoot = _bisect_q0(p, d, tol, r_max)
-    q0 = 0.5 * (lo + hi)
-    r, q, dq, amp = _trace_profile(p, d, r_max, n, q0)
-    return GroundState(p=float(p), d=int(d), r_max=float(r_max), q0=float(q0),
-                       r=r, q=q, dq=dq, tail_amplitude=amp, bracket_width=hi - lo,
-                       shots=shoot.shots)
-
-
-def _bisect_q0(p: float, d: int, tol: float, r_max: float) -> tuple[float, float, _Shooter]:
-    """The final bracket (lo, hi) of q0 and the ``_Shooter`` that classified."""
-    shoot = _Shooter(p, d, r_max)
-    # bracket around the d=1 closed form scaled by a dimension heuristic: the
-    # guess is classified once, then the search steps away from it by 1.25
-    # until the class flips
-    guess = closed_form_q0(p) * 1.5 ** (d - 1)
-    side = shoot(guess)
-    if d == 1:
-        shoot.probe(guess, side)
-    end = guess
-    for _ in range(199):
-        end = end * 1.25 if side == _UNDERSHOOT else end / 1.25
-        if shoot(end) != side:
+    for degree in _CHEB_DEGREES:
+        coef, iters, residual = _newton_collocation(float(p), int(d), float(r_max), tol, degree)
+        if np.max(np.abs(coef[-10:])) <= _CHEB_TAIL * np.max(np.abs(coef)):
             break
     else:
-        raise NonConvergence(f"no {'overshoot' if side == _UNDERSHOOT else 'undershoot'} "
-                             "endpoint found")
-    lo, hi = (guess, end) if side == _UNDERSHOOT else (end, guess)
-
-    width_goal = min(tol, 8.0 * np.spacing(guess))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= max(width_goal, 2.0 * np.spacing(mid)):
-            break
-        if shoot(mid) == _OVERSHOOT:
-            hi = mid
-        else:
-            lo = mid
-    if hi - lo > tol:
-        raise NonConvergence(f"bracket width {hi - lo:.3e} above tol {tol:.3e}")
-    return lo, hi, shoot
-
-
-def _trace_profile(p: float, d: int, r_max: float, n: int, q0: float):
-    """The mesh r of n points on [0, r_max], q and q' on it, and the tail
-    amplitude, for the bisected q0."""
-    # forward pass with dense output; trustworthy until the growing mode
-    # amplifies the residual bracket error
-    fwd = solve_ivp(_rhs(d, p), (_SHOT_R0, r_max), _series_start(q0, p, d, _SHOT_R0),
-                    method="DOP853", dense_output=True, rtol=_SHOT_RTOL, atol=_SHOT_ATOL)
-
-    r_match = _pick_match_radius(fwd, q0)
-    window = np.linspace(max(r_match - 1.0, 1.0), r_match, 41)
-    q_window = fwd.sol(window)[0]
-
-    # amplitude of the linear tail, refined against full nonlinear backward runs;
-    # the stored amplitude is the one the last run started from, so the
-    # profile's end and the tail beyond r_max meet
-    amp = float(np.mean(q_window / decay_shape(d, window)))
-    back = None
-    for _ in range(3):
-        if back is not None:
-            amp *= float(np.mean(q_window / back.sol(window)[0]))
-        y_end = (amp * decay_shape(d, r_max), amp * _decay_shape_deriv(d, r_max))
-        back = solve_ivp(_rhs(d, p), (r_max, window[0] - 1.0), y_end,
-                         method="DOP853", dense_output=True, rtol=1e-12, atol=1e-300)
-
+        raise NonConvergence(f"degree {degree} does not resolve the profile at p={p}, d={d}")
+    core, rate = _radial_map(p, r_max)
     r = np.linspace(0.0, r_max, n)
-    qf = np.empty(n)
-    dqf = np.empty(n)
-    qf[0], dqf[0] = q0, 0.0
-    vals = fwd.sol(r[1:])
-    qf[1:], dqf[1:] = vals[0], vals[1]
-
-    qb = np.empty(n)
-    dqb = np.empty(n)
-    joinable = r >= window[0] - 0.5
-    vb = back.sol(r[joinable])
-    qb[joinable], dqb[joinable] = vb[0], vb[1]
-    qb[~joinable], dqb[~joinable] = qf[~joinable], dqf[~joinable]
-
-    w, dw = smoothstep(r, r_match - 1.0, r_match)
-    q = (1.0 - w) * qf + w * qb
-    dq = (1.0 - w) * dqf + w * dqb + dw * (qb - qf)
-
-    return r, q, dq, amp
+    x = np.arcsinh(r / core) / rate
+    cheb = np.polynomial.chebyshev
+    g = cheb.chebval(x, coef)
+    rho = np.hypot(1.0, r)
+    dg = cheb.chebval(x, cheb.chebder(coef)) / (rate * np.hypot(core, r))    # dx/dr
+    weight = np.exp(-rho)
+    q = weight * g
+    dq = weight * (dg - r / rho * g)
+    # the boundary row holds q' = k q at r_max; the differentiated series reads
+    # it there only to ~1e-12, so the last sample takes the condition itself
+    dq[-1] = q[-1] * _decay_shape_deriv(d, r_max) / decay_shape(d, r_max)
+    return GroundState(p=float(p), d=int(d), r_max=float(r_max), q0=float(q[0]), r=r, q=q,
+                       dq=dq, tail_amplitude=float(q[-1] / decay_shape(d, r_max)),
+                       newton_iters=iters, residual=residual)
 
 
-def _pick_match_radius(fwd, q0: float) -> float:
-    """Radius where the forward shot is still clean but already in the tail."""
-    rr = np.linspace(2.0, fwd.t[-1], 400)
-    qq = fwd.sol(rr)[0]
-    target = 1e-4 * q0
-    below = np.nonzero(qq < target)[0]
-    if below.size == 0:
-        return fwd.t[-1] - 2.0
-    return float(rr[below[0]])
+def _radial_map(p: float, r_max: float) -> tuple[float, float]:
+    """Scale c and rate s of the map r = c sinh(s x) of x in [0, 1] onto
+    [0, r_max]: c is the width of the profile's core, 1/(p-1), up to 1."""
+    core = min(1.0, 1.0 / (p - 1.0))
+    return core, math.asinh(r_max / core)
 
 
-def smoothstep(x, a: float, b: float):
-    """Quintic smoothstep on [a, b] (0 below a, 1 above b) and its derivative."""
-    t = np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
-    w = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-    dw = 30.0 * t ** 2 * (1.0 - t) ** 2 / (b - a)
-    return w, dw
+def _even_chebyshev(n: int):
+    """The Chebyshev points x_j = cos(pi j / n) with x > 0, and the first and
+    second differentiation matrices on them for even functions.
+
+    n is odd, so no point sits at 0.  Rows are those of the full matrices
+    (Weideman & Reddy's recursion, with x_i - x_j from a sine identity and
+    each diagonal by the negative sum of its row); the column of -x_j is
+    folded onto that of x_j, as an even function takes equal values there.
+    """
+    m = (n + 1) // 2
+    j = np.arange(n + 1)
+    i = j[:m, None]
+    x = np.sin(0.5 * np.pi * (n - 2.0 * j[:m]) / n)
+    signed = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    gap = 2.0 * np.sin(0.5 * np.pi * (i + j) / n) * np.sin(0.5 * np.pi * (j - i) / n)
+    inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=(i != j))
+    ratio = signed[:m, None] / signed
+    diag = (np.arange(m), np.arange(m))
+    d1 = ratio * inv
+    d1[diag] = -d1.sum(axis=1)
+    d2 = 2.0 * inv * (ratio * d1[diag][:, None] - d1)
+    d2[diag] = -d2.sum(axis=1)
+    return x, *(mat[:, :m] + mat[:, ::-1][:, :m] for mat in (d1, d2))
+
+
+def _newton_collocation(p: float, d: int, r_max: float, tol: float, degree: int):
+    """Chebyshev coefficients of g = q e^rho, rho = sqrt(1 + r^2), in x of
+    ``_radial_map``, from a collocation of the given degree; the Newton
+    steps taken; the largest final collocation residual.
+
+    In g the equation reads g'' + a g' + b g + e^-((p-1) rho) g^p = 0 with
+    a = (d-1)/r - 2r/rho and b = -1/rho^2 - 1/rho^3 - (d-1)/rho; g tends to
+    a slowly varying tail, so the weight turns the tail's relative error
+    into an absolute one.  The map r = c sinh(s x) puts the nodes of an
+    even Chebyshev grid on [-1, 1] in the core, and the boundary row is the
+    linear tail's Robin condition g' = (k + rho') g, k = decay_shape' /
+    decay_shape at r_max.
+
+    Petviashvili's iteration (J. Yang, Nonlinear Waves in Integrable and
+    Nonintegrable Systems, SIAM 2010, ch. 7) takes the d=1 closed form to
+    within _NEWTON_START of the ground state; from the closed form itself
+    Newton misses it at d=2 for p >= 3.5.  Newton then stops when its step,
+    measured in q, stops shrinking; the smallest step must be within tol
+    and g positive, or NonConvergence.
+    """
+    x, d1, d2 = _even_chebyshev(degree)
+    core, rate = _radial_map(p, r_max)
+    r = core * np.sinh(rate * x)
+    span = rate * np.hypot(core, r)                 # dr/dx
+    rho = np.hypot(1.0, r)
+    slope = r / rho
+    # d/dr = D1 / span and d2/dr2 = (D2 - rate^2 r / span D1) / span^2
+    dr = d1 / span[:, None]
+    lin = (d2 / span[:, None] - (rate ** 2 * r / span ** 2)[:, None] * d1) / span[:, None] \
+        + ((d - 1.0) / r - 2.0 * slope)[:, None] * dr
+    lin[np.diag_indices_from(lin)] += -1.0 / rho ** 2 - 1.0 / rho ** 3 - (d - 1.0) / rho
+    lin[0] = dr[0]
+    lin[0, 0] -= _decay_shape_deriv(d, r_max) / decay_shape(d, r_max) + slope[0]
+    weight = np.exp(-(p - 1.0) * rho)
+    weight[0] = 0.0                 # the boundary row is linear
+    decay = np.exp(-rho)
+
+    def source(g):
+        return weight * np.abs(g) ** (p - 1.0) * g
+
+    g = closed_form_profile(p, r) / decay
+    lu = lu_factor(-lin)
+    for _ in range(_ITERATIONS_MAX):
+        f = source(g)
+        new = ((g @ (-lin @ g)) / (g @ f)) ** (p / (p - 1.0)) * lu_solve(lu, f)
+        size = float(np.max(np.abs(new - g) * decay))
+        g = new
+        if size < _NEWTON_START:
+            break
+    smallest, iters = math.inf, 0
+    while iters < _ITERATIONS_MAX:
+        jac = lin.copy()
+        jac[np.diag_indices_from(jac)] += p * weight * np.abs(g) ** (p - 1.0)
+        step = np.linalg.solve(jac, lin @ g + source(g))
+        size = float(np.max(np.abs(step) * decay))
+        if size >= smallest:
+            break
+        g -= step
+        smallest, iters = size, iters + 1
+    if not (smallest <= tol and np.all(g > 0.0)):
+        raise NonConvergence(f"Newton collocation at p={p}, d={d} stopped after {iters} "
+                             f"steps at a step of {smallest:.3e} (tol {tol:.3e})")
+    residual = float(np.max(np.abs(lin @ g + source(g))))
+    coef = dct(np.concatenate([g, g[::-1]]), type=1) / degree
+    coef[[0, -1]] *= 0.5
+    return coef, iters, residual
 
 
 def radial_integral(gs: GroundState, values: np.ndarray) -> float:

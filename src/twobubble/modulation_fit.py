@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair
+from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair, smoothstep
 from .errors import NoConvergence, OutOfBasin
-from .groundstate import GroundState, smoothstep
+from .groundstate import GroundState
 from .nls_core import ComplexField, Grid, h1_norm_sq, laplacian
 
 # decompose's Newton budget, and its bound on the first step (OutOfBasin beyond)

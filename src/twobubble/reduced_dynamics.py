@@ -19,11 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .ansatz import COLLISION_SEP, force_asymptotic
 from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
 from .errors import CollisionDetected, StepFailure
-from .groundstate import GroundState, StructureConstants, event_root
+from .groundstate import GroundState, StructureConstants
+
+# brentq's xtol and rtol on an event root, as solve_ivp sets them
+_EVENT_XTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,12 @@ def _rhs(d: int, force):
         return [0.0, *[2.0 * c for c in vals[2 + d:]], 1.0 + 0.25 * float(v.dot(v)),
                 *force(vals[1:1 + d], float(z.dot(z)))]
     return rhs
+
+
+def event_root(g, sol, t_old: float, t: float) -> float:
+    """Where g(y) changes sign along a step's dense output ``sol`` on [t_old, t],
+    found as ``solve_ivp`` finds an event's: ``brentq`` at xtol = rtol = 4 eps."""
+    return brentq(lambda x: g(sol(x)), t_old, t, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
 
 
 def integrate_reduced(state0: ReducedState, s_end: float, gs: GroundState,

@@ -12,13 +12,12 @@ the interaction integral, the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, the
 package's earlier profile evaluator (one row-layout table per field, the
 tail written over the cell polynomials) with the three-call Bessel form
-of the tail's derivative, the package's earlier shot classifier
-(``solve_ivp`` with terminal events on the numpy right-hand side), the
-package's earlier bracket search and bisection on q0 (a shot for every q0
-it classifies), the
-package's earlier integration of the modulation system (``solve_ivp``
-with its collision event and ``t_eval`` samples), the
-split-step loop in numpy's allocating array idiom, the in-place
+of the tail's derivative, the package's earlier shooting for the ground
+state (a shot through ``solve_ivp`` with terminal events on the numpy
+right-hand side, and a bracket search and bisection on q0 that shoots
+every q0 it classifies), the package's earlier integration of the
+modulation system (``solve_ivp`` with its collision event and ``t_eval``
+samples), the split-step loop in numpy's allocating array idiom, the in-place
 split-step kernel on scipy.fft with cos and sin on every point, which the
 package's kernel must equal element for element, and the package's
 earlier measure of the modulation error: the lab-frame error from the
@@ -36,11 +35,9 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
-from twobubble import groundstate
 from twobubble.ansatz import COLLISION_SEP, ansatz_on_lattice, force_asymptotic, force_panel
 from twobubble.errors import CollisionDetected, NonConvergence, Overflow, StepTooLarge
-from twobubble.groundstate import (_CHUNK, _OVERSHOOT, _UNDERSHOOT, FORCE_CUT,
-                                   _cell_coefficients, _decay_shape_deriv, _series_start,
+from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
                                    closed_form_q0, decay_shape, gl_axis, gl_panels, panel_edges,
                                    transverse_axis, transverse_edges)
 from twobubble.nls_core import ComplexField
@@ -85,6 +82,17 @@ def shoot_q0(p: float, d: int, h: float = 1e-3, bracket_width: float = 1e-8,
     return 0.5 * (lo + hi)
 
 
+# the two classes of a shot
+_OVERSHOOT = -1
+_UNDERSHOOT = +1
+
+
+def _series_start(q0: float, p: float, d: int, r0: float) -> tuple[float, float]:
+    # q(r) ~ q0 + (q0 - q0^p) r^2 / (2d) removes the coordinate singularity
+    curv = (q0 - q0 ** p) / d
+    return q0 + 0.5 * curv * r0 ** 2, curv * r0
+
+
 def rhs_reference(d: int, p: float):
     """The shot's right-hand side on numpy scalars."""
     def rhs(r, y):
@@ -95,8 +103,9 @@ def rhs_reference(d: int, p: float):
 
 
 def classify_reference(q0: float, p: float, d: int, r_max: float) -> int:
-    """One shot through ``solve_ivp``'s terminal events: -1 when q crosses
-    zero first, +1 when q' turns upward first or the shot reaches r_max."""
+    """One shot through ``solve_ivp``'s terminal events: _OVERSHOOT when q
+    crosses zero first, _UNDERSHOOT when q' turns upward first or the shot
+    reaches r_max."""
     r0 = 1e-6
     y0 = _series_start(q0, p, d, r0)
 
@@ -115,18 +124,18 @@ def classify_reference(q0: float, p: float, d: int, r_max: float) -> int:
     sol = solve_ivp(rhs_reference(d, p), (r0, r_max), y0, method="DOP853",
                     events=(cross, turn), rtol=1e-12, atol=1e-16)
     if sol.t_events[0].size:
-        return -1
-    return +1
+        return _OVERSHOOT
+    return _UNDERSHOOT
 
 
 def bisect_q0_reference(p: float, d: int, tol: float, r_max: float):
     """The final bracket (lo, hi) of q0 from the plain bracket search and
-    bisection, which shoots every q0 it classifies, and the (q0, class) of
-    each shot in order."""
+    bisection, which shoots every q0 it classifies by ``classify_reference``,
+    and the (q0, class) of each shot in order."""
     classified = []
 
     def shoot(q0: float) -> int:
-        side = groundstate._classify(q0, p, d, r_max)
+        side = classify_reference(q0, p, d, r_max)
         classified.append((q0, side))
         return side
 

@@ -102,10 +102,10 @@ def test_force_matches_adaptive_oracle(gs1):
 
 
 def test_force_matches_adaptive_oracle_p145(gs145):
-    # below p = 2 the rule's half-unit panels cross the profile's C^2 blend
-    # of its forward and backward runs; on these |z|, which hold the law
-    # nodes where it is furthest off (22.1, 26.1 and 29.0), the rule is
-    # within 1.5e-11 of adaptive quadrature, and the bound is the p = 3 one
+    # below p = 2 the rule's half-unit panels cross the profile's seam at
+    # r_max, where the linear tail takes over; on these |z|, which hold the
+    # law nodes where it was furthest off (22.1, 26.1 and 29.0), the rule is
+    # within 1.1e-11 of adaptive quadrature, and the bound is the p = 3 one
     for z in (4.5, 8.0, 12.0, 16.0, 22.122, 26.121, 29.045, 34.0, 40.0):
         H = az.interaction_force_H([z], gs145, min_sep=4.0)[0]
         assert H == pytest.approx(adaptive_folded_force_1d(z, gs145), rel=1e-10), z
@@ -129,7 +129,7 @@ def _ground_state(request, d, p):
 def test_force_rule_gap_on_law_nodes(request, d, p, share):
     # the panel width follows p, so the coarse/fine gap stays well inside the
     # check's bound on every node the law is built from.  Largest share of
-    # the bound, measured: 4.0e-3, 2.2e-5, 5.4e-3, 3.2e-3 and 1.0e-4 at
+    # the bound, measured: 6.0e-3, 1.2e-6, 5.5e-3, 3.1e-3 and 3.2e-5 at
     # d = 1; 0.17 at d = 2, p = 3 (width 1), where the 12-node value is
     # within 9.2e-13 of a 16-node one
     gs = _ground_state(request, d, p)
@@ -146,10 +146,11 @@ def test_force_rule_gap_on_law_nodes(request, d, p, share):
     pytest.param("gs2", 2e-12, marks=pytest.mark.slow)])
 def test_force_rule_near_fixed_width_rule(request, name, rel):
     # the width rule against the earlier fixed widths (1/4 at d = 1, 1/2 at
-    # d = 2) on the law's nodes: largest relative moves 5.0e-13 at p = 3,
-    # 5.8e-14 at p = 1.8, 1.5e-11 at p = 1.45 (where the earlier rule is the
-    # more accurate, see the p = 1.45 oracle test) and 6.9e-13 at d = 2,
-    # p = 3; each bound is two to three times the move
+    # d = 2) on the law's nodes: largest relative moves 5.6e-15 at p = 3,
+    # 2.6e-15 at p = 1.8, 1.2e-11 at p = 1.45 (where the earlier rule is the
+    # more accurate, see the p = 1.45 oracle test) and 1.2e-14 at d = 2,
+    # p = 3; each bound is two to three times the move on the earlier,
+    # shot profile
     gs = request.getfixturevalue(name)
     for z in _law_nodes():
         fine = az._force_nodes(z, gs)[1]
@@ -271,9 +272,13 @@ def test_force_below_threshold(gs1):
         az.interaction_force_H([3.0], gs1)
 
 
-def test_cartesian_rules_reject_d3():
-    # H(z) and I_Q share the transverse axis, which covers d = 1 and 2 only
-    gs3 = solve_profile(3.0, 3)
+def test_cartesian_rules_reject_d3(gs1):
+    # H(z) and I_Q share the transverse axis, which covers d = 1 and 2 only;
+    # solve_profile rejects d = 3 itself, so the rules get a d=1 profile
+    # relabelled as d = 3
+    with pytest.raises(InvalidExponent, match="dimension must be 1 or 2"):
+        solve_profile(3.0, 3)
+    gs3 = replace(gs1, d=3)
     with pytest.raises(QuadratureFailure, match="got 3"):
         structure_constants(gs3)
     with pytest.raises(QuadratureFailure, match="got 3"):

@@ -6,20 +6,16 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import BSpline
 from scipy.special import kv
 
-from scipy.integrate._ivp import ivp as ivp_module
-
 from twobubble import ansatz as az
 from twobubble import groundstate
 from twobubble.errors import InvalidConfig, InvalidExponent, NonConvergence
-from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, _OVERSHOOT, _PROBE_MARGIN,
-                                   _UNDERSHOOT, GroundState, _classify, _decay_shape_deriv,
-                                   closed_form_profile, closed_form_q0, decay_shape,
-                                   ode_residual, solve_profile, sphere_area,
+from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState,
+                                   _decay_shape_deriv, closed_form_profile, closed_form_q0,
+                                   decay_shape, ode_residual, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import (bisect_q0_reference, classify_reference, decay_shape_deriv_bessel,
-                     interaction_weight, profile_spline_reference, row_layout_profile,
-                     shoot_q0)
+from oracles import (bisect_q0_reference, decay_shape_deriv_bessel, interaction_weight,
+                     profile_spline_reference, row_layout_profile, shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -31,6 +27,10 @@ def test_closed_form_p3(gs1):
     assert np.max(np.abs(gs1.q - exact)) < 1e-8
     dq_exact = -np.sqrt(2.0) * np.tanh(gs1.r) / np.cosh(gs1.r)
     assert np.max(np.abs(gs1.dq - dq_exact)) < 1e-8
+    # Petviashvili's iteration starts from the exact profile here, and
+    # Newton stops after 2 steps at a residual of 1.4e-12
+    assert 1 <= gs1.newton_iters <= 3
+    assert gs1.residual < 1e-10
 
 
 def test_decay_shape_d1_closed_form():
@@ -43,10 +43,10 @@ def test_decay_shape_d1_closed_form():
     assert np.max(np.abs(_decay_shape_deriv(1, r) / bessel_deriv - 1.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2])
 def test_decay_shape_deriv_bessel_form(d):
-    # d = 2 takes K_0' = -K_1 in one kv call, other d the general form; both
-    # equal the three-call form -(K_(nu-1) + K_(nu+1))/2 bit for bit
+    # d = 2 takes K_0' = -K_1 in one kv call, which equals the three-call
+    # form -(K_(nu-1) + K_(nu+1))/2 bit for bit
     r = np.geomspace(1e-3, 750.0, 200_000)
     assert np.array_equal(_decay_shape_deriv(d, r), decay_shape_deriv_bessel(d, r))
 
@@ -57,7 +57,7 @@ def test_closed_form_p2():
     assert np.max(np.abs(gs.q - closed_form_profile(2.0, gs.r))) < 1e-8
 
 
-@pytest.mark.parametrize("p", [1.8, 2.5, 4.0])
+@pytest.mark.parametrize("p", [1.2, 1.45, 1.8, 2.5, 4.0, 7.0])
 def test_closed_form_generic_p(p):
     gs = solve_profile(p, 1)
     assert abs(gs.q0 - closed_form_q0(p)) < 1e-9
@@ -67,6 +67,17 @@ def test_closed_form_generic_p(p):
 def test_d2_against_independent_oracle(gs2):
     assert abs(gs2.q0 - Q0_D2_P3_ORACLE) < 1e-3
     assert abs(gs2.q0 - Q0_D2_P3_ORACLE) < 1e-6  # observed agreement is far tighter
+    # Newton stops after 4 steps at a residual of 2.6e-12
+    assert 1 <= gs2.newton_iters <= 8
+    assert gs2.residual < 1e-10
+
+
+@pytest.mark.parametrize("p,d", [(3.0, 2)])
+def test_solve_profile_matches_plain_bisection(gs2, p, d):
+    # q0 against the earlier shooting: its plain bracket search and
+    # bisection on solve_ivp's events; measured 2.4e-13 apart at d=2, p=3
+    lo, hi, _ = bisect_q0_reference(p, d, 1e-10, gs2.r_max)
+    assert abs(gs2.q0 - 0.5 * (lo + hi)) < 1e-12
 
 
 def test_oracle_self_consistency():
@@ -289,9 +300,9 @@ def test_i_q_includes_tail_past_r_max(gs18):
 @pytest.mark.parametrize("key", [(3.0, 1), (2.0, 1), (1.8, 1), (1.45, 1), (2.0, 2), (3.0, 2)],
                          ids=str)
 def test_profile_meets_tail_at_r_max(key, profile):
-    # the stored amplitude is the one the last backward run started from, so
-    # the spline's end is the tail: q and q' at r_max (the last cell at t = 1)
-    # and just beyond it
+    # the stored amplitude is q(r_max) / decay_shape and the last q' sample
+    # is the Robin condition's, so the spline's end is the tail: q and q' at
+    # r_max (the last cell at t = 1) and just beyond it
     gs = profile(*key)
     r_max, past = gs.r_max, np.nextafter(gs.r_max, np.inf)
     for at, tail in ((gs.q_at, decay_shape), (gs.dq_at, _decay_shape_deriv)):
@@ -312,8 +323,6 @@ def test_invalid_exponent():
         solve_profile(1.0, 1)
     with pytest.raises(InvalidExponent):
         solve_profile(0.5, 1)
-    with pytest.raises(InvalidExponent):
-        solve_profile(6.0, 3)  # above (d+2)/(d-2) = 5
 
 
 def test_bad_tolerance():
@@ -321,15 +330,17 @@ def test_bad_tolerance():
         solve_profile(3.0, 1, tol=-1.0)
 
 
-def _no_shot(*args, **kwargs):
-    raise AssertionError("a shot ran")
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the collocation ran")
 
 
 def test_bad_arguments_rejected_before_any_shot(monkeypatch):
     # tol = nan used to run 203 shots and return another q0, r_max nan
     # or inf to run without end, and a NaN, zero or negative mesh_step to
-    # raise a raw ValueError or ZeroDivisionError after the bisection
-    monkeypatch.setattr(groundstate, "_classify", _no_shot)
+    # raise a raw ValueError or ZeroDivisionError after the bisection; each
+    # is now rejected before the Newton collocation runs, as is a d other
+    # than 1 or 2
+    monkeypatch.setattr(groundstate, "_newton_collocation", _no_solve)
     for tol in (np.nan, np.inf):
         with pytest.raises(NonConvergence, match="tol must be finite and positive"):
             solve_profile(3.0, 1, tol=tol)
@@ -342,128 +353,9 @@ def test_bad_arguments_rejected_before_any_shot(monkeypatch):
     # five cells on [0, 25] used to fail in the first profile evaluation
     with pytest.raises(InvalidConfig, match="fewer than 16"):
         solve_profile(3.0, 1, r_max=25.0, mesh_step=5.0)
-
-
-def _offsets_and_ulps(q0_star, seed):
-    """60 q0 at relative offsets 1e-16 .. 1e-1 of either sign, then every q0
-    within 6 ulps of q0_star."""
-    rng = np.random.default_rng(seed)
-    rel = rng.choice((-1.0, 1.0), 60) * 10.0 ** rng.uniform(-16.0, -1.0, 60)
-    near = [q0_star]
-    for _ in range(6):
-        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], np.inf)]
-    return [float(q) for q in q0_star * (1.0 + rel)] + [float(q) for q in near]
-
-
-def test_classify_matches_solve_ivp_events(any_gs):
-    # the bare stepper decides every shot as solve_ivp's terminal events do,
-    # on both sides of q0* and on each of the 13 floats around it
-    gs = any_gs
-    for q0 in _offsets_and_ulps(gs.q0, seed=round(100 * gs.p) + gs.d):
-        assert _classify(q0, gs.p, gs.d, gs.r_max) == classify_reference(q0, gs.p, gs.d,
-                                                                         gs.r_max), q0
-
-
-@pytest.mark.parametrize("key", [(3.0, 1), (3.0, 2)], ids=str)
-def test_solve_profile_on_reference_classifier(key, gs1, gs2, monkeypatch):
-    # the profile bisected on solve_ivp's events is the same to the bit
-    gs = {(3.0, 1): gs1, (3.0, 2): gs2}[key]
-    monkeypatch.setattr(groundstate, "_classify", classify_reference)
-    ref = solve_profile(*key)
-    assert (ref.q0, ref.tail_amplitude, ref.bracket_width, ref.shots) == \
-        (gs.q0, gs.tail_amplitude, gs.bracket_width, gs.shots)
-    assert np.array_equal(ref.q, gs.q) and np.array_equal(ref.dq, gs.dq)
-
-
-def test_no_q0_classified_twice(monkeypatch, gs2):
-    # the bracket search used to classify its starting guess twice; at d=2,
-    # with no probe, the remembered bounds skip none of the plain search's 49
-    seen = []
-
-    def recorded(q0, *args):
-        seen.append(q0)
-        return classify_reference(q0, *args)
-
-    monkeypatch.setattr(groundstate, "_classify", recorded)
-    gs = solve_profile(3.0, 1)
-    assert len(set(seen)) == len(seen)
-    assert gs.shots == len(seen) == 16
-    assert gs2.shots == 49
-
-
-_KNOWN_PROFILES = {(3.0, 1): "gs1", (1.8, 1): "gs18", (1.45, 1): "gs145", (3.0, 2): "gs2"}
-
-
-@pytest.mark.parametrize("p,d", [(p, 1) for p in (1.2, 1.45, 1.8, 2.0, 2.5, 3.0, 4.0, 7.0)]
-                         + [(3.0, 2)])
-def test_solve_profile_matches_plain_bisection(request, p, d):
-    # the remembered bounds and the d=1 probe skip shots but change no
-    # decision: the plain search's bracket, hence its profile, to the bit
-    name = _KNOWN_PROFILES.get((p, d))
-    gs = request.getfixturevalue(name) if name else solve_profile(p, d)
-    lo, hi, classified = bisect_q0_reference(p, d, 1e-10, gs.r_max)
-    r, q, dq, amp = groundstate._trace_profile(p, d, gs.r_max, gs.r.size, 0.5 * (lo + hi))
-    assert (gs.q0, gs.tail_amplitude, gs.bracket_width) == (0.5 * (lo + hi), amp, hi - lo)
-    assert np.array_equal(gs.q, q) and np.array_equal(gs.dq, dq)
-    assert gs.shots < len(classified) if d == 1 else gs.shots == len(classified)
-    # each q0 the plain search shot gets its class again, by a shot or a bound
-    again = groundstate._bisect_q0(p, d, 1e-10, gs.r_max)
-    assert again[:2] == (lo, hi) and again[2].shots == gs.shots
-    assert [again[2](q0) for q0, _ in classified] == [side for _, side in classified]
-
-
-@pytest.mark.parametrize("p", [1.45, 2.5, 3.0, 4.0])
-def test_classify_monotone_outside_probe_margin(p):
-    # a bound or the probe gives a free class only if _classify is monotone
-    # in q0 there.  Scanned one ulp at a time over +-800 ulps of the bisected
-    # q0 at d=1, shots disagree with the side only inside a band 37 (p=1.45),
-    # 117 (p=3), 190 (p=2.5) and 382 (p=4) ulps wide (the widest of 8 p in
-    # [1.2, 7]); the probe's 1e-11 relative is 56 000 ulps or more there,
-    # over 140 times that band.  The offsets here start at an eighth of the
-    # probe margin.
-    q0 = closed_form_q0(p)
-    for rel in np.geomspace(_PROBE_MARGIN / 8.0, 1e-1, 12):
-        assert _classify(q0 * (1.0 + rel), p, 1, 25.0) == _OVERSHOOT, rel
-        assert _classify(q0 * (1.0 - rel), p, 1, 25.0) == _UNDERSHOOT, rel
-
-
-def _one_step_stepper(r_cross, r_turn):
-    """A stepper class whose first step spans one unit of r on the path
-    q = r_cross - x, q' = x - r_turn (x the distance into the step), so both
-    sign changes fire in that step, at the given distances."""
-    class OneStep:
-        nfev = njev = nlu = 0
-        direction = 1.0
-
-        def __init__(self, fun, t0, y0, t_bound, **options):
-            self.t_old, self.t, self.y = None, t0, np.asarray(y0, dtype=float)
-            self.status = "running"
-
-        def path(self, r):
-            x = r - self.t_old
-            return np.array([r_cross - x, x - r_turn])
-
-        def step(self):
-            self.t_old, self.t = self.t, self.t + 1.0
-            self.y = self.path(self.t)
-            self.status = "finished"
-
-        def dense_output(self):
-            return self.path
-
-    return OneStep
-
-
-@pytest.mark.parametrize("r_cross,r_turn,expect",
-                         [(0.3, 0.6, -1), (0.6, 0.3, +1), (0.5, 0.5, -1)])
-def test_both_events_in_one_step(r_cross, r_turn, expect, monkeypatch):
-    # when q crosses zero and q' turns up in the same step, the earlier root
-    # on the step's dense output decides, in _classify as in solve_ivp
-    stepper = _one_step_stepper(r_cross, r_turn)
-    monkeypatch.setattr(groundstate, "DOP853", stepper)
-    monkeypatch.setitem(ivp_module.METHODS, "DOP853", stepper)
-    # q0 = 1.5 starts with q > 0 and q' < 0
-    assert _classify(1.5, 3.0, 1, 25.0) == classify_reference(1.5, 3.0, 1, 25.0) == expect
+    for d in (0, 3, 1.5):
+        with pytest.raises(InvalidExponent, match="dimension must be 1 or 2"):
+            solve_profile(3.0, d)
 
 
 def test_groundstate_immutable(gs1):
