@@ -494,22 +494,6 @@ def force_asymptotic(z, c_p: float, d: int) -> np.ndarray:
     return c_p * (z / zlen) * zlen ** (-0.5 * (d - 1)) * np.exp(-zlen)
 
 
-def ansatz_residual(params: BubbleParams, derivs: ParamDerivs, gs: GroundState,
-                    grid: Grid) -> ComplexField:
-    """Flow residual assembled from the modulation vectors plus the cross term."""
-    _check_grid(params, grid)
-    bubbles = bubble_pair(params, gs, grid.x_mesh, with_dq=True)
-    total = np.zeros(grid.shape, dtype=complex)
-    for b, m in zip(bubbles, modulation_vectors(params, derivs)):
-        term = m.m_scale * (-1j * b.lamq)
-        term = term + sum(mt * (-1j * gq) for mt, gq in zip(m.m_translation, b.grad_q))
-        term = term + m.m_phase * (-b.q)
-        term = term + sum(mv * (-o * b.q) for mv, o in zip(m.m_velocity, b.offs))
-        total += b.phase * term
-    total += _cross_term(*bubbles, gs.p)
-    return ComplexField(grid, total)
-
-
 def interaction_cutoff(params: BubbleParams, grid: Grid) -> np.ndarray:
     """Plateau cutoff selecting points within |z| of both bubble centers."""
     zlen = float(np.linalg.norm(params.z))

@@ -71,8 +71,10 @@ SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 # follow p, which moves the force law and so each shot's predicted fits, and
 # eps_h1 and W take the fit's phase in (-pi, pi], not the unwrapped one; 7: the
 # ground state is a Newton solve of a Chebyshev collocation, not a shot, which
-# moves the d=1, p=3 profile by 2.4e-12 and the acceptance record by up to 6.3e-10).
-RECORD_SCHEMA = 7
+# moves the d=1, p=3 profile by 2.4e-12 and the acceptance record by up to 6.3e-10;
+# 8: the profile's cell table is quintic Hermite from the equation, not a k=5
+# spline, which moves q_at and dq_at by up to 1.8e-15 and the record past 1e-10).
+RECORD_SCHEMA = 8
 
 
 @dataclass(frozen=True)

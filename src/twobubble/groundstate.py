@@ -26,15 +26,18 @@ composite Gauss-Legendre panels from the same helpers, ``gl_panels`` on
 d = 2 alike: 0.5 wide for I_Q, and as wide as p allows for H; each rule
 stops where its integrand has fallen by e^-FORCE_CUT.
 
-q and q' are interpolated on the uniform mesh by k=5 splines, stored in one
-table with a row per mesh cell: the six Taylor coefficients of q, then the
-six of q'.  On cell j = floor(r/h), with t = r/h - j, a value is
-sum_k c_k[j] t^k.  An evaluation masks its radii once per chunk: up to
-``r_max`` it gathers one row per radius (half a row for q or q' alone) and
-runs a Horner pass per field, beyond ``r_max`` it takes the matched linear
-tail.  ``q_dq_at`` gives q and q' from one gather; ``q_at`` and ``dq_at``
-run the same code for one field.  The cost is the same for sorted and
-shuffled radii.
+q and q' are interpolated on the uniform mesh by quintic Hermite cells,
+stored in one table with a row per mesh cell: the six Taylor coefficients
+of q, then the six of q'.  On cell j = floor(r/h), with t = r/h - j, a
+value is sum_k c_k[j] t^k.  The cell of q matches q, q' and q'' at both
+its ends, that of q' matches q', q'' and q'''; q and q' are the samples,
+q'' and q''' come from the profile equation, so each cell is local and in
+closed form, and each field is C^2 across the knots.  An evaluation masks
+its radii once per chunk: up to ``r_max`` it gathers one row per radius
+(half a row for q or q' alone) and runs a Horner pass per field, beyond
+``r_max`` it takes the matched linear tail.  ``q_dq_at`` gives q and q'
+from one gather; ``q_at`` and ``dq_at`` run the same code for one field.
+The cost is the same for sorted and shuffled radii.
 """
 
 from __future__ import annotations
@@ -44,10 +47,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 from scipy.integrate import simpson
-from scipy.interpolate import make_interp_spline
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -66,16 +67,8 @@ _CHEB_TAIL = 1e-14
 _NEWTON_START = 1e-2
 _ITERATIONS_MAX = 100
 
-# Row k holds the t^k coefficients, on one cell of a uniform knot sequence,
-# of the six cardinal quintic B-splines that are nonzero there (oldest first).
-_CARDINAL_QUINTIC = np.array([[1.0, 26.0, 66.0, 26.0, 1.0, 0.0],
-                              [-5.0, -50.0, 0.0, 50.0, 5.0, 0.0],
-                              [10.0, 20.0, -60.0, 20.0, 10.0, 0.0],
-                              [-10.0, 20.0, 0.0, -20.0, 10.0, 0.0],
-                              [5.0, -20.0, 30.0, -20.0, 5.0, 0.0],
-                              [-1.0, 5.0, -10.0, 10.0, -5.0, 1.0]]) / 120.0
-# cells this close to either end have B-splines on the repeated end knots
-_EDGE_CELLS = 8
+# fewest mesh cells on [0, r_max]; a coarser mesh does not resolve the core
+_MIN_CELLS = 16
 # points per pass of the array evaluator, which bounds its temporaries
 _CHUNK = 1 << 14
 # the fields of the profile evaluator: q, and q'
@@ -124,11 +117,16 @@ _TAILS = {_Q: decay_shape, _DQ: _decay_shape_deriv}
 class GroundState:
     """Sampled radial profile with the metadata of its Newton solve.
 
-    Samples live on a uniform mesh in r.  Between samples q and q' are their
-    k=5 interpolating splines, evaluated through one per-cell Taylor table
-    built on first use; values beyond ``r_max`` follow the matched linear
-    tail ``tail_amplitude * decay_shape``.  Instances are immutable and safe
-    to share between threads.
+    Samples live on a uniform mesh in r.  Between samples q and q' are
+    quintic Hermite interpolants, evaluated through one per-cell Taylor
+    table built on first use: the cell of q takes q, q' and q'' at its two
+    ends, that of q' takes q', q'' and q''', with q'' and q''' from the
+    profile equation (``_ode_derivatives``).  The table is within 1.8e-15
+    of the k=5 interpolating splines of the samples, and at d=1, p=3
+    within 1.8e-14 of the closed form, as those splines are.  Values beyond
+    ``r_max`` follow the matched linear tail ``tail_amplitude *
+    decay_shape``.  Instances are immutable and safe to share between
+    threads.
     """
 
     p: float
@@ -149,10 +147,10 @@ class GroundState:
     @cached_property
     def _cells(self) -> np.ndarray:
         """Row j: the t^0 .. t^5 coefficients of q, then those of q', on cell j."""
-        # q and q' share the collocation matrix, so one solve gives both splines
-        spline = make_interp_spline(self.r, np.column_stack([self.q, self.dq]), k=5)
+        d2q, d3q = _ode_derivatives(self)
         cells = np.empty((self.r.size - 1, 12))
-        _cell_coefficients(spline, self.r, self._cell_width, cells.reshape(-1, 2, 6))
+        _hermite_cells(self._cell_width, self.q, self.dq, d2q, cells[:, :6])
+        _hermite_cells(self._cell_width, self.dq, d2q, d3q, cells[:, 6:])
         return cells
 
     def _evaluate(self, rr, fields) -> list[np.ndarray]:
@@ -187,7 +185,7 @@ class GroundState:
         return outs
 
     def q_at(self, rr) -> np.ndarray:
-        """Profile value at arbitrary radii (spline inside, matched tail outside)."""
+        """Profile value at arbitrary radii (cell polynomials inside, matched tail outside)."""
         return self._evaluate(rr, (_Q,))[0]
 
     def dq_at(self, rr) -> np.ndarray:
@@ -217,25 +215,48 @@ class GroundState:
         return 2.0 / (self.p - 1.0) * q + rr * dq
 
 
-def _cell_coefficients(spline, r: np.ndarray, h: float, cells: np.ndarray) -> None:
-    """Write the Taylor coefficients of the k=5 splines on the uniform mesh r
-    into the (n_cells, n_splines, 6) array cells.
+def _ode_derivatives(gs: GroundState) -> tuple[np.ndarray, np.ndarray]:
+    """q'' and q''' on the mesh, from the samples through the profile equation:
 
-    cells[j, f, k] gets c_k[j] = s^(k)(r_j) h^k / k! of the spline s through
-    column f of the data, so that s(r_j + t h) = sum_k c_k[j] t^k.  Cells
-    whose B-splines all have uniform knots take their six B-spline
-    coefficients times the cardinal matrix, written in place; the cells next
-    to the repeated end knots take the spline's derivatives at r_j.
+        q''  = q - q^p - (d-1) q'/r,
+        q''' = (1 - p q^(p-1)) q' - (d-1) (q'' - q'/r)/r,
+
+    and at r = 0 their limits q''(0) = (q0 - q0^p)/d and q'''(0) = 0.
     """
-    n_cells = r.size - 1
-    inner = slice(_EDGE_CELLS, n_cells - _EDGE_CELLS)
-    edge = np.r_[0:_EDGE_CELLS, inner.stop:n_cells]
-    # the B-splines on the knot interval [r_j, r_j+1] are those numbered j-2 .. j+3
-    windows = sliding_window_view(spline.c, 6, axis=0)[inner.start - 2:inner.stop - 2]
-    for f in range(cells.shape[1]):
-        np.matmul(windows[:, f], _CARDINAL_QUINTIC.T, out=cells[inner, f])
-    for k in range(6):
-        cells[edge, :, k] = spline(r[edge], nu=k) * (h ** k / math.factorial(k))
+    r, q, dq = gs.r, gs.q, gs.dq
+    q_pm1 = q ** (gs.p - 1.0)
+    d2q = q - q * q_pm1
+    d3q = (1.0 - gs.p * q_pm1) * dq
+    if gs.d > 1:
+        bend = (gs.d - 1.0) / r[1:]
+        d2q[1:] -= bend * dq[1:]
+        d3q[1:] -= bend * (d2q[1:] - dq[1:] / r[1:])
+    d2q[0] /= gs.d
+    d3q[0] = 0.0
+    return d2q, d3q
+
+
+def _hermite_cells(h: float, f: np.ndarray, df: np.ndarray, d2f: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write into the (n_cells, 6) array out the t^0 .. t^5 coefficients, on
+    each cell of the uniform mesh of step h, of the quintic that takes the
+    values f, slopes df and curvatures d2f at both ends of the cell.
+
+    With g = h f', k = h^2 f'' and D = f1 - f0 over the cell, the quintic is
+    f0 + g0 t + k0/2 t^2 + c3 t^3 + c4 t^4 + c5 t^5 with
+    c3 = 10D - 6g0 - 4g1 - (3k0 - k1)/2, c4 = -15D + 8g0 + 7g1 + (3k0 - 2k1)/2
+    and c5 = 6D - 3(g0 + g1) - (k0 - k1)/2.
+    """
+    g = h * df
+    k = (h * h) * d2f
+    delta = f[1:] - f[:-1]
+    g0, g1, k0, k1 = g[:-1], g[1:], k[:-1], k[1:]
+    out[:, 0] = f[:-1]
+    out[:, 1] = g0
+    out[:, 2] = 0.5 * k0
+    out[:, 3] = 10.0 * delta - 6.0 * g0 - 4.0 * g1 - 0.5 * (3.0 * k0 - k1)
+    out[:, 4] = -15.0 * delta + 8.0 * g0 + 7.0 * g1 + 0.5 * (3.0 * k0 - 2.0 * k1)
+    out[:, 5] = 6.0 * delta - 3.0 * (g0 + g1) - 0.5 * (k0 - k1)
 
 
 def _horner_scalar(cells: np.ndarray, s: float, fields) -> list[float]:
@@ -318,6 +339,13 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
     Newton step in q and sets the least r_max.  ``newton_iters`` counts the
     Newton steps and ``residual`` is the largest collocation residual of
     the result.
+
+    At the default tol the p range has measured limits, each a
+    NonConvergence in milliseconds to about a second.  At d=1 the rounding
+    floor of the solve grows like 2^(2/(p-1)), and p <= 1.09 (1.05 and
+    1.09 tried) stops with its last Newton step above tol; 1.095 solves.
+    At d=2, degree 1201 leaves the last terms of the series above
+    _CHEB_TAIL from p = 18 (18 and 20 tried); 17.5 solves.
     """
     if d not in (1, 2):
         raise InvalidExponent(f"dimension must be 1 or 2, got {d}")
@@ -333,9 +361,9 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
     # extend the truncation radius until the tail value can sit below 10*tol
     r_max = max(r_max, -np.log(10.0 * tol) + 4.0)
     n = int(round(r_max / mesh_step)) + 1
-    if n - 1 < 2 * _EDGE_CELLS:
+    if n - 1 < _MIN_CELLS:
         raise InvalidConfig(f"mesh_step {mesh_step} leaves {n - 1} cells on [0, {r_max:.4g}], "
-                            f"fewer than {2 * _EDGE_CELLS}")
+                            f"fewer than {_MIN_CELLS}")
 
     for degree in _CHEB_DEGREES:
         coef, iters, residual = _newton_collocation(float(p), int(d), float(r_max), tol, degree)
@@ -563,20 +591,3 @@ def structure_constants(gs: GroundState) -> StructureConstants:
     c_p = c_q * i_q
     return StructureConstants(c_q=float(c_q), i_q=float(i_q), c1=float(c1), c2=float(c2),
                               c_p=float(c_p), c=float(2.0 * c_p / c2), l2=float(l2))
-
-
-def ode_residual(gs: GroundState) -> np.ndarray:
-    """Pointwise residual q'' + (d-1)/r q' - q + q^p on the mesh."""
-    # q'' on cell j is the t-derivative of the q' polynomial over h; the last
-    # mesh point is t = 1 of the last cell
-    cells = gs._cells[:, 6 * _DQ:6 * _DQ + 6]
-    d2 = np.empty_like(gs.r)
-    d2[:-1] = cells[:, 1]
-    d2[-1] = np.arange(1.0, 6.0) @ cells[-1, 1:]
-    d2 /= gs._cell_width
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geom = np.where(gs.r > 0, (gs.d - 1.0) / gs.r * gs.dq, 0.0)
-    res = d2 + geom - gs.q + gs.q ** gs.p
-    # at r=0 the geometric term tends to (d-1) q''(0)
-    res[0] = gs.d * d2[0] - gs.q[0] + gs.q[0] ** gs.p
-    return res

@@ -22,7 +22,7 @@ import numpy as np
 from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair, smoothstep
 from .errors import NoConvergence, OutOfBasin
 from .groundstate import GroundState
-from .nls_core import ComplexField, Grid, h1_norm_sq, laplacian
+from .nls_core import ComplexField, Grid, laplacian
 
 # decompose's Newton budget, and its bound on the first step (OutOfBasin beyond)
 MAX_ITER = 40
@@ -288,23 +288,6 @@ def project_out(values: np.ndarray, basis: list[np.ndarray], vol: float) -> np.n
     for c, bi in zip(coef, basis):
         out -= c * bi
     return out
-
-
-def coercivity_check(gs: GroundState, grid: Grid, n_samples: int = 100,
-                     seed: int = 0) -> tuple[float, np.ndarray]:
-    """Minimum of the normalized quadratic form over projected random fields."""
-    rng = np.random.default_rng(seed)
-    basis = projection_basis(gs, grid)
-    envelope = np.exp(-sum(x ** 2 for x in grid.x_mesh) / (grid.L / 4.0) ** 2)
-    decay = np.exp(-0.25 * grid.k_sq)
-    ratios = np.empty(n_samples)
-    for i in range(n_samples):
-        noise = (rng.standard_normal(grid.shape)
-                 + 1j * rng.standard_normal(grid.shape))
-        smooth = np.fft.ifftn(decay * np.fft.fftn(noise)) * envelope
-        eta = ComplexField(grid, project_out(smooth, basis, grid.cell_volume))
-        ratios[i] = quadratic_form(eta, gs) / h1_norm_sq(eta)
-    return float(np.min(ratios)), ratios
 
 
 def _lab_error(u: ComplexField, params: BubbleParams, gs: GroundState):

@@ -3,9 +3,7 @@ import os
 
 # OpenBLAS and OpenMP read their thread counts when numpy loads, so they are
 # pinned here, before any test module imports numpy, as bench/run.py pins
-# them, so that the tests run the numerics as the benchmark does; on a
-# 2-core host two BLAS threads make each ground state's cell-table solve
-# about four times slower
+# them, so that the tests run the numerics as the benchmark does
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the package's own numerics: fixed-step
-classic RK4 and plain bisection for the profile, scipy's B-spline
-evaluation of the profile interpolants (not the package's per-cell Taylor
-table), scipy's adaptive quadrature (not the package's fixed
+classic RK4 and plain bisection for the profile, scipy's k=5 B-spline
+interpolants of the profile samples (not the package's quintic Hermite
+cell table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
 rule that the package folds onto one half-space, the package's earlier
 folded rule (every node evaluated on every call) and its earlier fixed
@@ -23,6 +23,12 @@ package's kernel must equal element for element, and the package's
 earlier measure of the modulation error: the lab-frame error from the
 ansatz sum, a bubble pair of its own, and its renormalized H1 norm from
 separate L2 and gradient sums.
+
+Three checks that only the tests call live here too: the residual of the
+profile equation on the mesh, with q'' from a fourth-order difference of
+the samples; the flow residual of the ansatz assembled from the package's
+modulation vectors; and the least ratio of the projected quadratic form
+to the squared H1 norm over random fields (``coercivity_check``).
 """
 
 from __future__ import annotations
@@ -35,12 +41,14 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
-from twobubble.ansatz import COLLISION_SEP, ansatz_on_lattice, force_asymptotic, force_panel
+from twobubble.ansatz import (COLLISION_SEP, _check_grid, _cross_term, ansatz_on_lattice,
+                              bubble_pair, force_asymptotic, force_panel, modulation_vectors)
 from twobubble.errors import CollisionDetected, NonConvergence, Overflow, StepTooLarge
-from twobubble.groundstate import (_CHUNK, FORCE_CUT, _cell_coefficients, _decay_shape_deriv,
-                                   closed_form_q0, decay_shape, gl_axis, gl_panels, panel_edges,
-                                   transverse_axis, transverse_edges)
-from twobubble.nls_core import ComplexField
+from twobubble.groundstate import (_CHUNK, FORCE_CUT, _decay_shape_deriv, _hermite_cells,
+                                   _ode_derivatives, closed_form_q0, decay_shape, gl_axis,
+                                   gl_panels, panel_edges, transverse_axis, transverse_edges)
+from twobubble.modulation_fit import project_out, projection_basis, quadratic_form
+from twobubble.nls_core import ComplexField, h1_norm_sq
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -234,6 +242,23 @@ def profile_spline_reference(gs):
     return evaluator(gs.q, decay_shape), evaluator(gs.dq, _decay_shape_deriv)
 
 
+def ode_residual(gs) -> np.ndarray:
+    """Pointwise residual q'' + (d-1)/r q' - q + q^p on the mesh.
+
+    q'' is the fourth-order central difference of the q samples, which are
+    mirrored evenly at r = 0 and continued past r_max by the matched tail;
+    it does not read the package's cell table, whose q'' is the equation's
+    own.  At r = 0 the geometric term tends to (d-1) q''(0).
+    """
+    h = gs.r[1] - gs.r[0]
+    q = np.concatenate([gs.q[2:0:-1], gs.q, gs.q_at(gs.r_max + h * np.arange(1.0, 3.0))])
+    d2 = (16.0 * (q[1:-3] + q[3:-1]) - (q[:-4] + q[4:]) - 30.0 * q[2:-2]) / (12.0 * h * h)
+    geom = np.zeros_like(gs.r)
+    geom[1:] = (gs.d - 1.0) / gs.r[1:] * gs.dq[1:]
+    geom[0] = (gs.d - 1.0) * d2[0]
+    return d2 + geom - gs.q + gs.q ** gs.p
+
+
 def decay_shape_deriv_bessel(d: int, r) -> np.ndarray:
     """d/dr of r^(1-d/2) K_nu(r), nu = d/2 - 1, with K_nu' = -(K_(nu-1) + K_(nu+1))/2."""
     r = np.asarray(r, dtype=float)
@@ -248,8 +273,10 @@ def row_layout_profile(gs):
     The package's earlier evaluator: row k of a table holds the t^k
     coefficient of every cell; each call runs one field over all its radii
     in chunks (six row gathers and one Horner pass), past r_max too, and
-    then overwrites those radii with the matched tail.  The package's joint
-    evaluator must equal it value for value.
+    then overwrites those radii with the matched tail.  Each table holds
+    the package's per-field quintic Hermite coefficients (``_hermite_cells``
+    on the samples and ``_ode_derivatives``).  The package's joint evaluator
+    must equal it value for value.
     """
     h = gs.r_max / (gs.r.size - 1)
 
@@ -274,10 +301,10 @@ def row_layout_profile(gs):
                 o *= s
                 o += cells[k].take(j, mode="clip")
 
-    def evaluator(values, tail):
-        rows = np.empty((gs.r.size - 1, 1, 6))
-        _cell_coefficients(make_interp_spline(gs.r, values[:, None], k=5), gs.r, h, rows)
-        cells = np.ascontiguousarray(rows[:, 0].T)
+    def evaluator(data, tail):
+        rows = np.empty((gs.r.size - 1, 6))
+        _hermite_cells(h, *data, rows)
+        cells = np.ascontiguousarray(rows.T)
 
         def at(rr):
             rr = np.asarray(rr, dtype=float)
@@ -298,7 +325,8 @@ def row_layout_profile(gs):
     def dq_tail(d, r):
         return _decay_shape_deriv(d, r) if d == 1 else decay_shape_deriv_bessel(d, r)
 
-    return evaluator(gs.q, decay_shape), evaluator(gs.dq, dq_tail)
+    d2q, d3q = _ode_derivatives(gs)
+    return evaluator((gs.q, gs.dq, d2q), decay_shape), evaluator((gs.dq, d2q, d3q), dq_tail)
 
 
 def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:
@@ -429,6 +457,21 @@ def interaction_weight(d: int, r) -> np.ndarray:
     if d == 2:
         return 2.0 * np.pi * r * i0(r)
     raise ValueError(f"interaction weight implemented for d in (1, 2), got {d}")
+
+
+def ansatz_residual(params, derivs, gs, grid) -> ComplexField:
+    """Flow residual assembled from the modulation vectors plus the cross term."""
+    _check_grid(params, grid)
+    bubbles = bubble_pair(params, gs, grid.x_mesh, with_dq=True)
+    total = np.zeros(grid.shape, dtype=complex)
+    for b, m in zip(bubbles, modulation_vectors(params, derivs)):
+        term = m.m_scale * (-1j * b.lamq)
+        term = term + sum(mt * (-1j * gq) for mt, gq in zip(m.m_translation, b.grad_q))
+        term = term + m.m_phase * (-b.q)
+        term = term + sum(mv * (-o * b.q) for mv, o in zip(m.m_velocity, b.offs))
+        total += b.phase * term
+    total += _cross_term(*bubbles, gs.p)
+    return ComplexField(grid, total)
 
 
 def ansatz_residual_direct(params, derivs, gs, grid) -> np.ndarray:
@@ -572,6 +615,23 @@ def renormalized_h1(eps_lab, lam: float, p: float) -> float:
     return float(np.sqrt(a * l2 + a * lam ** 2 * grad2))
 
 
+def coercivity_check(gs, grid, n_samples: int = 100,
+                     seed: int = 0) -> tuple[float, np.ndarray]:
+    """Minimum of the normalized quadratic form over projected random fields."""
+    rng = np.random.default_rng(seed)
+    basis = projection_basis(gs, grid)
+    envelope = np.exp(-sum(x ** 2 for x in grid.x_mesh) / (grid.L / 4.0) ** 2)
+    decay = np.exp(-0.25 * grid.k_sq)
+    ratios = np.empty(n_samples)
+    for i in range(n_samples):
+        noise = (rng.standard_normal(grid.shape)
+                 + 1j * rng.standard_normal(grid.shape))
+        smooth = np.fft.ifftn(decay * np.fft.fftn(noise)) * envelope
+        eta = ComplexField(grid, project_out(smooth, basis, grid.cell_volume))
+        ratios[i] = quadratic_form(eta, gs) / h1_norm_sq(eta)
+    return float(np.min(ratios)), ratios
+
+
 if __name__ == "__main__":
     import sys
 
@@ -580,4 +640,3 @@ if __name__ == "__main__":
     h = float(sys.argv[3]) if len(sys.argv) > 3 else 1e-5
     width = float(sys.argv[4]) if len(sys.argv) > 4 else 1e-10
     print(f"q0({p=}, {d=}, {h=}) = {shoot_q0(p, d, h=h, bracket_width=width):.12f}")
-

@@ -6,7 +6,10 @@ repository root, with
     PYTHONPATH=src python tests/test_golden_record.py
 
 and reports the move (``twobubble diff`` old → new, per record) with the
-change.
+change.  Before it replaces the files the script prints that move: per
+record the chunk-count flips, the changed scalars and each field's largest
+absolute difference against the old file, then the history's old and new
+last s.
 """
 
 import json
@@ -43,11 +46,43 @@ def test_acceptance_matches_golden_record(shoot_outcome):
     assert [list(h) for h in shoot_outcome["history"]] == history
 
 
+def test_golden_move_against_committed_files(shoot_outcome, tmp_path):
+    # the regeneration's report: one line per record, then the history's last s
+    lines = golden_move(GOLDEN, shoot_outcome)
+    assert [line.split(" ")[0] for line in lines] == [*NAMES, "history"]
+    assert all("flips [], changes {}" in line for line in lines[:-1])
+    last = shoot_outcome["history"][-1][-1]
+    assert lines[-1] == f"history last s: {last!r} -> {last!r}"
+    assert golden_move(tmp_path, shoot_outcome)[0] == "lo: no old record"
+
+
+def golden_move(out: Path, outcome) -> list[str]:
+    """One line per record of the outcome on how it moved from the record
+    file in out, read at any schema, and one on the history's last s."""
+    lines = []
+    for name, fresh in _records(outcome).items():
+        path = out / f"{name}.json"
+        if not path.exists():
+            lines.append(f"{name}: no old record")
+            continue
+        old, schema = RunRecord.from_any_schema(json.loads(path.read_text()))
+        rep = compare_records(old, fresh)
+        moves = ", ".join(f"{key} {f['max_abs']:.2g}" for key, f in rep["fields"].items())
+        lines.append(f"{name} (old schema {schema}): flips {rep['flips']}, changes "
+                     f"{rep['changes']}, {rep['compared']} samples compared, max_abs {moves}")
+    path = out / "history.json"
+    old_s = json.loads(path.read_text())[-1][-1] if path.exists() else None
+    lines.append(f"history last s: {old_s!r} -> {outcome['history'][-1][-1]!r}")
+    return lines
+
+
 def write_golden(out: Path) -> None:
-    """Run the acceptance bisection and write its history and records to out."""
+    """Run the acceptance bisection, print its move from the files in out,
+    and write its history and records there."""
     gs = solve_profile(3.0, 1)
     config = ShootConfig(s_in=300.0, s0=30.0, N=2048, L=64.0, dt=2e-3)
     outcome = bisect_zeta(config, gs, structure_constants(gs))
+    print("\n".join(golden_move(out, outcome)))
     out.mkdir(parents=True, exist_ok=True)
     files = {"history": json.dumps(outcome["history"])}
     files.update((name, json.dumps(record.to_dict(), sort_keys=True))

@@ -3,19 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
-from scipy.interpolate import BSpline
 from scipy.special import kv
 
 from twobubble import ansatz as az
 from twobubble import groundstate
 from twobubble.errors import InvalidConfig, InvalidExponent, NonConvergence
-from twobubble.groundstate import (_CARDINAL_QUINTIC, _EDGE_CELLS, GroundState,
-                                   _decay_shape_deriv, closed_form_profile, closed_form_q0,
-                                   decay_shape, ode_residual, solve_profile, sphere_area,
+from twobubble.groundstate import (_DQ, _Q, GroundState, _decay_shape_deriv, closed_form_profile,
+                                   closed_form_q0, decay_shape, solve_profile, sphere_area,
                                    structure_constants)
 
 from oracles import (bisect_q0_reference, decay_shape_deriv_bessel, interaction_weight,
-                     profile_spline_reference, row_layout_profile, shoot_q0)
+                     ode_residual, profile_spline_reference, row_layout_profile, shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -111,27 +109,20 @@ def profile(gs1, gs18, gs2):
     return get
 
 
-def test_cardinal_matrix_is_the_quintic_bspline():
-    # column l is the piece of the B-spline with knots l-5 .. l+1 on [0, 1]
-    t = np.linspace(0.0, 1.0, 17)
-    bspline = BSpline.basis_element(np.arange(7.0), extrapolate=False)
-    powers = t[:, None] ** np.arange(6)
-    for l in range(6):
-        assert np.max(np.abs(powers @ _CARDINAL_QUINTIC[:, l] - bspline(t + 5 - l))) < 1e-15
-
-
 def test_profile_matches_spline_oracle(any_gs):
     gs = any_gs
     q_ref, dq_ref = profile_spline_reference(gs)
     bound = 1e-14 * np.max(np.abs(gs.q))
     h = gs.r[1] - gs.r[0]
     n_cells = gs.r.size - 1
-    end_cells = np.r_[0:_EDGE_CELLS, n_cells - _EDGE_CELLS:n_cells]
+    # the spline's B-splines on the repeated end knots reach this many cells in
+    edge_cells = 8
+    end_cells = np.r_[0:edge_cells, n_cells - edge_cells:n_cells]
     radii = np.concatenate([
         np.random.default_rng(11).uniform(0.0, gs.r_max, 100_000),
-        [0.0, gs.r_max, -0.4 * h, -1.2 * h],
+        [0.0, gs.r_max],
         gs.r[end_cells], gs.r[end_cells] + 0.37 * h, gs.r[end_cells + 1] - 1e-9 * h,
-        gs.r[_EDGE_CELLS:_EDGE_CELLS + 3] + 0.5 * h])
+        gs.r[edge_cells:edge_cells + 3] + 0.5 * h])
     for ours, ref in ((gs.q_at, q_ref), (gs.dq_at, dq_ref)):
         assert np.max(np.abs(ours(radii) - ref(radii))) <= bound
         for x in (0.0, 1.7, gs.r_max, gs.r[end_cells[-1]] + 0.5 * h, gs.r_max + 2.0):
@@ -139,6 +130,38 @@ def test_profile_matches_spline_oracle(any_gs):
                 val = ours(arg)
                 assert val.shape == ()
                 assert abs(val - ref(np.array([x]))[0]) <= bound
+
+
+def test_cells_take_samples_and_equation_at_knots(any_gs):
+    # each cell polynomial takes, at both of its ends, the samples and the
+    # equation's q'' (and q''' for the q' field), so value, slope and
+    # curvature agree across every knot: the m-th derivative to
+    # 4 eps max|f| / h^m, the table's rounding magnified by 1/h^m (measured
+    # below 2 eps max|f| / h^m); at d = 2 the knot r = 0 takes the limits
+    # q''(0) = (q0 - q0^p)/2 and q'''(0) = 0
+    gs = any_gs
+    r, q, dq, p, d = gs.r, gs.q, gs.dq, gs.p, gs.d
+    h = r[1] - r[0]
+    d2q, d3q = np.empty_like(r), np.empty_like(r)
+    d2q[1:] = q[1:] - q[1:] ** p - (d - 1.0) * dq[1:] / r[1:]
+    d3q[1:] = (1.0 - p * q[1:] ** (p - 1.0)) * dq[1:] \
+        - (d - 1.0) * (d2q[1:] - dq[1:] / r[1:]) / r[1:]
+    d2q[0], d3q[0] = (q[0] - q[0] ** p) / d, 0.0
+    k = np.arange(6.0)
+    for field, samples in ((_Q, (q, dq, d2q)), (_DQ, (dq, d2q, d3q))):
+        c = gs._cells[:, 6 * field:6 * field + 6]
+        starts = (c[:, 0], c[:, 1] / h, 2.0 * c[:, 2] / h ** 2)
+        ends = (c.sum(axis=1), c @ k / h, c @ (k * (k - 1.0)) / h ** 2)
+        for m, (f, at_0, at_1) in enumerate(zip(samples, starts, ends)):
+            bound = 4.0 * np.finfo(float).eps * np.max(np.abs(samples[0])) / h ** m
+            assert np.max(np.abs(at_0 - f[:-1])) <= bound
+            assert np.max(np.abs(at_1 - f[1:])) <= bound
+            assert np.max(np.abs(at_1[:-1] - at_0[1:])) <= bound
+    if d == 2:
+        assert gs._cells[0, 2] == 0.5 * h ** 2 * (q[0] - q[0] ** p) / 2.0
+        assert gs._cells[0, 6 + 2] == 0.0
+        # the limits continue the equation's values off r = 0
+        assert abs(d2q[1] - d2q[0]) < 1e-4 and abs(d3q[1]) < 1e-1
 
 
 def test_profile_shuffled_is_permuted_sorted(gs1):
@@ -159,8 +182,11 @@ def test_joint_evaluator_matches_row_layout_oracle(any_gs):
     # value for value, through q_at, dq_at, q_dq_at and lam_q_at alike
     gs = any_gs
     q_ref, dq_ref = row_layout_profile(gs)
-    edge = [gs.r_max, np.nextafter(gs.r_max, 0.0), np.nextafter(gs.r_max, np.inf), -1e-4]
-    # 70_004 radii: chunks all inside, mixed and all beyond r_max
+    # below r = 0 cell 0 is extrapolated: -1.2 h needs the lower clamp of j
+    h = gs.r[1] - gs.r[0]
+    edge = [gs.r_max, np.nextafter(gs.r_max, 0.0), np.nextafter(gs.r_max, np.inf), -1e-4,
+            -0.4 * h, -1.2 * h]
+    # 70_006 radii: chunks all inside, mixed and all beyond r_max
     sorted_r = np.sort(np.concatenate([np.linspace(0.0, gs.r_max + 15.0, 70_000), edge]))
     shuffled = np.random.default_rng(17).permutation(sorted_r)
     inputs = [sorted_r, shuffled, shuffled[:40_000].reshape(200, 200).T,
@@ -323,6 +349,14 @@ def test_invalid_exponent():
         solve_profile(1.0, 1)
     with pytest.raises(InvalidExponent):
         solve_profile(0.5, 1)
+
+
+def test_collocation_p_range_limit():
+    # at d=1 the rounding floor of the collocation grows like 2^(2/(p-1)):
+    # at p = 1.05 its last Newton step stalls at 4.3e-9, above tol, within
+    # milliseconds
+    with pytest.raises(NonConvergence, match="p=1.05, d=1"):
+        solve_profile(1.05, 1)
 
 
 def test_bad_tolerance():

@@ -9,7 +9,7 @@ from twobubble.errors import NoConvergence, OutOfBasin
 from twobubble.groundstate import GroundState
 
 from conftest import random_smooth_field
-from oracles import lab_frame_error, renormalized_h1
+from oracles import coercivity_check, lab_frame_error, renormalized_h1
 
 COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 
@@ -218,7 +218,7 @@ def test_coercivity_examples(gs1, grid_2048_32):
 
 
 def test_coercivity_floor(gs1, grid_2048_32):
-    mn, ratios = mf.coercivity_check(gs1, grid_2048_32, n_samples=200, seed=1)
+    mn, ratios = coercivity_check(gs1, grid_2048_32, n_samples=200, seed=1)
     assert ratios.size == 200
     assert mn >= 0.05          # the projected form is strictly positive
     assert mn >= COERCIVITY_FLOOR  # frozen regression value
