@@ -66,30 +66,6 @@ class BubbleParams:
 
 
 @dataclass(frozen=True)
-class ParamDerivs:
-    """Time derivatives of (lambda, z, gamma, v) supplied by the caller."""
-
-    lam_dot: float
-    z_dot: np.ndarray
-    gamma_dot: float
-    v_dot: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_dot", np.atleast_1d(np.asarray(self.z_dot, dtype=float)))
-        object.__setattr__(self, "v_dot", np.atleast_1d(np.asarray(self.v_dot, dtype=float)))
-
-
-@dataclass(frozen=True)
-class ModulationVector:
-    """Per-bubble modulation equation values; zero on the exact reduced flow."""
-
-    m_scale: float
-    m_translation: np.ndarray
-    m_phase: float
-    m_velocity: np.ndarray
-
-
-@dataclass(frozen=True)
 class RefinedCorrection:
     """One Helmholtz-inverted correction of the interaction tail."""
 
@@ -97,26 +73,6 @@ class RefinedCorrection:
     field: ComplexField
     sup_norm: float
     h1_norm: float
-
-
-def modulation_vectors(params: BubbleParams,
-                       derivs: ParamDerivs) -> tuple[ModulationVector, ModulationVector]:
-    out = []
-    rel = derivs.lam_dot / params.lam
-    for k in (1, 2):
-        sgn = 1.0 if k == 1 else -1.0
-        z_k = params.bubble_center(k)
-        v_k = params.bubble_velocity(k)
-        zd_k = sgn * 0.5 * derivs.z_dot
-        vd_k = sgn * 0.5 * derivs.v_dot
-        out.append(ModulationVector(
-            m_scale=rel,
-            m_translation=zd_k - 2.0 * v_k + rel * z_k,
-            m_phase=derivs.gamma_dot - 1.0 + float(v_k @ v_k)
-                    - rel * float(v_k @ z_k) - float(v_k @ zd_k),
-            m_velocity=vd_k - rel * v_k,
-        ))
-    return out[0], out[1]
 
 
 def _check_grid(params: BubbleParams, grid: Grid):
@@ -251,22 +207,20 @@ FORCE_TOL = 1e-10
 
 def force_panel(p: float) -> float:
     """Panel width of the force rule: the largest power of two at most
-    min(1, 2/(p-1)), and at most 1/2 for p < 2.
+    min(1, 4/(p-1)^2), for d = 1 and d = 2 alike.
 
-    The integrand's least smooth factor, Q^{p-1} ~ sech^2((p-1)r/2), has its
-    nearest complex singularity a = pi/(p-1) off the real axis, and n
-    Gauss-Legendre nodes on a panel of half-width h converge like rho^(-2n),
-    rho = a/h + sqrt(1 + (a/h)^2) (Trefethen, ATAP ch. 19).  A width of at
-    most 2/(p-1) keeps a/h >= pi, so rho >= 6.4 at every p.  Below p = 2 the
-    profile's seam at r_max sets the width instead: past it ``q_at`` takes
-    the linear tail, which omits q^p, so q'' jumps there by about
-    q^(p-1)(r_max), 6.4e-5 at p = 1.45, and a panel whose |y + z| crosses
-    r_max converges slowly.  On the force law's nodes at p = 1.45 unit
-    panels are up to 8.5e-11 off adaptive quadrature, half-unit ones
-    1.1e-11.  Powers of two up to 1 put r_max = 25 on the panel lattice of
-    [0, b]."""
-    cap = 1.0 if p >= 2.0 else 0.5
-    return math.ldexp(1.0, math.frexp(min(cap, 2.0 / (p - 1.0)))[1] - 1)
+    n Gauss-Legendre nodes on a panel of half-width h converge like
+    rho^(-2n), rho = a/h + sqrt(1 + (a/h)^2), with a the distance of the
+    integrand's nearest complex singularity from the real axis (Trefethen,
+    ATAP ch. 19).  At d = 1 the least smooth factor, Q^{p-1} ~
+    sech^2((p-1)r/2), has a = pi/(p-1), so a width of 2/(p-1) would do; at
+    d = 2 the width must shrink faster.  On the force law's nodes the
+    coarse/fine gap, as a share of the check's bound, measured at d = 2:
+    0.17 at p = 3 and width 1; 0.057 at p = 4 and 1/2; 15.5 at p = 5 and
+    1/2, 1.4e-3 at 1/4; 2.6e-3 at p = 7 and 1/8; 20 at p = 9 and 1/8, 9e-4
+    at 1/16.  The rule meets each of these, and leaves each width at a p
+    no larger than one where that width was measured inside the bound."""
+    return math.ldexp(1.0, math.frexp(min(1.0, 4.0 / (p - 1.0) ** 2))[1] - 1)
 
 
 def _force_cut(p: float) -> tuple[float, float]:

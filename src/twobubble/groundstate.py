@@ -14,11 +14,13 @@ Spectral Methods, ch. 17).  The unknown is g = q e^rho, rho = sqrt(1 + r^2),
 which tends to a slowly varying tail.  The even Chebyshev grid on [-1, 1]
 has no node at 0, and r = c sinh(s x), with c the core width 1/(p-1) up to
 1, puts its nodes in the core; at r_max a Robin condition takes the linear
-tail's log-derivative.  Petviashvili's iteration brings the d=1 closed
-form near the ground state, and Newton stops when its step stops
-shrinking: at d=1, p=3 after two steps, at d=2, p=3 after four.  The
-degree is 151, doubled while the series' last terms are not negligible.
-q and q' are sampled onto the uniform mesh from the Chebyshev series.
+tail's log-derivative; r_max is 25, or 20/(p-1) below p = 1.8, where the
+seam of that tail, which omits q^p, would cost accuracy.  Petviashvili's
+iteration brings the d=1 closed form near the ground state, and Newton
+stops when its step stops shrinking: at d=1, p=3 after two steps, at d=2,
+p=3 after four.  The degree is 151, doubled while the series' last terms
+are not negligible.  q and q' are sampled onto the uniform mesh from the
+Chebyshev series.
 
 The interaction integral I_Q and the force H(z) of ``ansatz`` run on
 composite Gauss-Legendre panels from the same helpers, ``gl_panels`` on
@@ -53,7 +55,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .errors import InvalidConfig, InvalidExponent, NonConvergence, QuadratureFailure
+from .errors import InvalidExponent, NonConvergence, QuadratureFailure
 
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
 # Chebyshev degrees of the collocation, tried in turn until the last ten
@@ -67,8 +69,13 @@ _CHEB_TAIL = 1e-14
 _NEWTON_START = 1e-2
 _ITERATIONS_MAX = 100
 
-# fewest mesh cells on [0, r_max]; a coarser mesh does not resolve the core
-_MIN_CELLS = 16
+# Step of the uniform mesh the profile is sampled on
+_MESH_STEP = 1e-3
+# Past r_max the linear tail omits q^p, so q'' jumps there by about
+# q^(p-1)(r_max) ~ e^-((p-1) r_max) relative, 6.4e-5 at p = 1.45 and 2.9e-2
+# at p = 1.2 for r_max = 25; r_max reaches _SEAM_DECAY/(p-1), which keeps
+# that jump near e^-20
+_SEAM_DECAY = 20.0
 # points per pass of the array evaluator, which bounds its temporaries
 _CHUNK = 1 << 14
 # the fields of the profile evaluator: q, and q'
@@ -86,9 +93,18 @@ def closed_form_q0(p: float) -> float:
 
 
 def closed_form_profile(p: float, r) -> np.ndarray:
-    """d=1 solution ((p+1)/2)^(1/(p-1)) sech^(2/(p-1))((p-1) r / 2)."""
-    r = np.asarray(r, dtype=float)
-    return closed_form_q0(p) * np.cosh(0.5 * (p - 1.0) * r) ** (-2.0 / (p - 1.0))
+    """d=1 solution ((p+1)/2)^(1/(p-1)) sech^(2/(p-1))((p-1) r / 2).
+
+    Where cosh x overflows, past |x| = 710, it is e^|x|/2 to the last bit,
+    and the power is taken of that form; the overflows ignored here are
+    cosh's own and those of the branch not taken."""
+    x = 0.5 * (p - 1.0) * np.asarray(r, dtype=float)
+    power = -2.0 / (p - 1.0)
+    with np.errstate(over="ignore"):
+        cosh = np.cosh(x)
+        return closed_form_q0(p) * np.where(np.isinf(cosh),
+                                            np.exp(power * (np.abs(x) - math.log(2.0))),
+                                            cosh ** power)
 
 
 def decay_shape(d: int, r) -> np.ndarray:
@@ -158,12 +174,6 @@ class GroundState:
         to ``r_max``, ``tail_amplitude`` times the field's tail beyond."""
         rr = np.asarray(rr, dtype=float)
         tails = [_TAILS[f] for f in fields]
-        if rr.ndim == 0:
-            x = float(rr)
-            if x <= self.r_max:
-                return [np.array(v) for v in
-                        _horner_scalar(self._cells, x / self._cell_width, fields)]
-            return [np.array(self.tail_amplitude * tail(self.d, x)) for tail in tails]
         outs = [np.empty(rr.shape) for _ in fields]
         flat = np.ravel(rr)
         flat_outs = [o.reshape(-1) for o in outs]
@@ -208,12 +218,6 @@ class GroundState:
         on first use and keyed by its panels and node counts."""
         return {}
 
-    def lam_q_at(self, rr) -> np.ndarray:
-        """Radial part of the scaling generator, 2/(p-1) q + r q'."""
-        rr = np.asarray(rr, dtype=float)
-        q, dq = self.q_dq_at(rr)
-        return 2.0 / (self.p - 1.0) * q + rr * dq
-
 
 def _ode_derivatives(gs: GroundState) -> tuple[np.ndarray, np.ndarray]:
     """q'' and q''' on the mesh, from the samples through the profile equation:
@@ -257,21 +261,6 @@ def _hermite_cells(h: float, f: np.ndarray, df: np.ndarray, d2f: np.ndarray,
     out[:, 3] = 10.0 * delta - 6.0 * g0 - 4.0 * g1 - 0.5 * (3.0 * k0 - k1)
     out[:, 4] = -15.0 * delta + 8.0 * g0 + 7.0 * g1 + 0.5 * (3.0 * k0 - 2.0 * k1)
     out[:, 5] = 6.0 * delta - 3.0 * (g0 + g1) - 0.5 * (k0 - k1)
-
-
-def _horner_scalar(cells: np.ndarray, s: float, fields) -> list[float]:
-    """Each field's cell polynomial at s = r/h for one radius; same operations
-    as _horner_cells."""
-    n_cells = cells.shape[0]
-    s = min(s, float(n_cells))
-    j = min(max(int(s), 0), n_cells - 1)
-    t = s - j
-    row = cells[j].tolist()
-    out = []
-    for f in fields:
-        c0, c1, c2, c3, c4, c5 = row[6 * f:6 * f + 6]
-        out.append(((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0)
-    return out
 
 
 def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, fields, outs) -> None:
@@ -327,25 +316,28 @@ class StructureConstants:
     l2: float
 
 
-def solve_profile(p: float, d: int, tol: float = 1e-10,
-                  r_max: float = 25.0, mesh_step: float = 1e-3) -> GroundState:
+def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
     """The radial ground state at d = 1 or 2, by Newton on Chebyshev collocation.
 
     ``_newton_collocation`` solves for the Chebyshev series of g = q e^rho
     on [0, r_max], at the first of _CHEB_DEGREES whose series ends in
     negligible terms; q and q' are sampled from it onto the uniform mesh
-    of step mesh_step, and the tail amplitude is q(r_max) /
-    decay_shape(d, r_max), so q meets the tail there.  tol bounds the last
-    Newton step in q and sets the least r_max.  ``newton_iters`` counts the
-    Newton steps and ``residual`` is the largest collocation residual of
-    the result.
+    of step _MESH_STEP, and the tail amplitude is q(r_max) /
+    decay_shape(d, r_max), so q meets the tail there.  r_max is 25, or more
+    where tol or p asks for it (``_SEAM_DECAY``); tol bounds the last Newton
+    step in q.  ``newton_iters`` counts the Newton steps and ``residual`` is
+    the largest collocation residual of the result.
 
     At the default tol the p range has measured limits, each a
-    NonConvergence in milliseconds to about a second.  At d=1 the rounding
-    floor of the solve grows like 2^(2/(p-1)), and p <= 1.09 (1.05 and
-    1.09 tried) stops with its last Newton step above tol; 1.095 solves.
-    At d=2, degree 1201 leaves the last terms of the series above
-    _CHEB_TAIL from p = 18 (18 and 20 tried); 17.5 solves.
+    NonConvergence in milliseconds to about a second.  The rounding floor
+    of the solve grows like 2^(2/(p-1)), and r_max like 20/(p-1).  Scanned
+    in steps of 0.002, every p from 1.126 to 1.16 solves at both d, and
+    every p <= 1.12 at d=1 and <= 1.11 at d=2 stops with its last Newton
+    step above tol; in between, 1.122 solves at d=1, 1.112 to 1.122 at d=2,
+    and 1.124 at neither.  The largest r_max reached is 178.6, at d=2 and
+    p = 1.112, on 178,572 mesh points.  At d=2, degree 1201 leaves the last
+    terms of the series above _CHEB_TAIL from p = 18 (18 and 20 tried);
+    17.5 solves.
     """
     if d not in (1, 2):
         raise InvalidExponent(f"dimension must be 1 or 2, got {d}")
@@ -353,17 +345,11 @@ def solve_profile(p: float, d: int, tol: float = 1e-10,
         raise InvalidExponent(f"p={p} outside (1, inf)")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise NonConvergence(f"tol must be finite and positive, got {tol}")
-    if not (r_max > 0.0 and math.isfinite(r_max)):
-        raise InvalidConfig(f"r_max must be finite and positive, got {r_max}")
-    if not (mesh_step > 0.0 and math.isfinite(mesh_step)):
-        raise InvalidConfig(f"mesh_step must be finite and positive, got {mesh_step}")
 
-    # extend the truncation radius until the tail value can sit below 10*tol
-    r_max = max(r_max, -np.log(10.0 * tol) + 4.0)
-    n = int(round(r_max / mesh_step)) + 1
-    if n - 1 < _MIN_CELLS:
-        raise InvalidConfig(f"mesh_step {mesh_step} leaves {n - 1} cells on [0, {r_max:.4g}], "
-                            f"fewer than {_MIN_CELLS}")
+    # 25, or farther where the tail value must sit below 10*tol or the seam
+    # below e^-_SEAM_DECAY
+    r_max = max(25.0, -np.log(10.0 * tol) + 4.0, _SEAM_DECAY / (p - 1.0))
+    n = int(round(r_max / _MESH_STEP)) + 1
 
     for degree in _CHEB_DEGREES:
         coef, iters, residual = _newton_collocation(float(p), int(d), float(r_max), tol, degree)

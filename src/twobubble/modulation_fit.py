@@ -1,5 +1,5 @@
-"""Parameter extraction by orthogonality, linearized operators, and the
-localized energy functional.
+"""Parameter extraction by orthogonality, and the localized energy
+functional.
 
 The fit finds (lambda, z, gamma, v) so that the recentered error of
 
@@ -22,7 +22,7 @@ import numpy as np
 from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair, smoothstep
 from .errors import NoConvergence, OutOfBasin
 from .groundstate import GroundState
-from .nls_core import ComplexField, Grid, laplacian
+from .nls_core import ComplexField
 
 # decompose's Newton budget, and its bound on the first step (OutOfBasin beyond)
 MAX_ITER = 40
@@ -250,44 +250,6 @@ def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
         _, eta1 = recentered_error(u, params, gs)
     return DecompResult(params=params, eta1=eta1, projections=proj,
                         newton_iters=len(history), step_history=tuple(history))
-
-
-def apply_linearized(which: str, f: ComplexField, gs: GroundState) -> ComplexField:
-    """L+ or L- around the origin-centered profile, spectral Laplacian."""
-    coef = gs.p if which == "plus" else 1.0
-    g = f.grid
-    q = LatticeBubble(gs, g.x_mesh, np.zeros(g.d), np.zeros(g.d)).q
-    pot = coef * q ** (gs.p - 1.0)
-    return ComplexField(g, -laplacian(f) + f.values - pot * f.values)
-
-
-def quadratic_form(eta: ComplexField, gs: GroundState) -> float:
-    """<L+ Re eta, Re eta> + <L- Im eta, Im eta>."""
-    g = eta.grid
-    re = ComplexField(g, eta.values.real.astype(complex))
-    im = ComplexField(g, eta.values.imag.astype(complex))
-    lp = apply_linearized("plus", re, gs)
-    lm = apply_linearized("minus", im, gs)
-    vol = g.cell_volume
-    return float((np.sum(lp.values * re.values) + np.sum(lm.values * im.values)).real) * vol
-
-
-def projection_basis(gs: GroundState, grid: Grid) -> list[np.ndarray]:
-    """span{Q, y_m Q, i Lambda Q, i d_m Q} centered at the origin."""
-    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d), with_dq=True)
-    return [b.phase * f for f in _bare_fields(b, 2 + 2 * grid.d)]
-
-
-def project_out(values: np.ndarray, basis: list[np.ndarray], vol: float) -> np.ndarray:
-    """Remove the real-pairing components along the basis fields."""
-    gram = np.array([[float(np.sum(bi * np.conj(bj)).real) * vol for bj in basis]
-                     for bi in basis])
-    rhs = np.array([float(np.sum(values * np.conj(bi)).real) * vol for bi in basis])
-    coef = np.linalg.solve(gram, rhs)
-    out = values.astype(complex).copy()
-    for c, bi in zip(coef, basis):
-        out -= c * bi
-    return out
 
 
 def _lab_error(u: ComplexField, params: BubbleParams, gs: GroundState):

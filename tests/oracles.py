@@ -24,16 +24,20 @@ earlier measure of the modulation error: the lab-frame error from the
 ansatz sum, a bubble pair of its own, and its renormalized H1 norm from
 separate L2 and gradient sums.
 
-Three checks that only the tests call live here too: the residual of the
+Checks that only the tests call live here too: the residual of the
 profile equation on the mesh, with q'' from a fourth-order difference of
-the samples; the flow residual of the ansatz assembled from the package's
-modulation vectors; and the least ratio of the projected quadratic form
-to the squared H1 norm over random fields (``coercivity_check``).
+the samples; the scaling generator Lambda Q; the modulation vectors of
+given parameter derivatives and the flow residual of the ansatz assembled
+from them; the linearized operators L+ and L- with their quadratic form,
+and the real-pairing projection onto the null directions, which give the
+least ratio of the projected form to the squared H1 norm over random
+fields (``coercivity_check``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -41,14 +45,14 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
-from twobubble.ansatz import (COLLISION_SEP, _check_grid, _cross_term, ansatz_on_lattice,
-                              bubble_pair, force_asymptotic, force_panel, modulation_vectors)
+from twobubble.ansatz import (COLLISION_SEP, LatticeBubble, _check_grid, _cross_term,
+                              ansatz_on_lattice, bubble_pair, force_asymptotic, force_panel)
 from twobubble.errors import CollisionDetected, NonConvergence, Overflow, StepTooLarge
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _decay_shape_deriv, _hermite_cells,
                                    _ode_derivatives, closed_form_q0, decay_shape, gl_axis,
                                    gl_panels, panel_edges, transverse_axis, transverse_edges)
-from twobubble.modulation_fit import project_out, projection_basis, quadratic_form
-from twobubble.nls_core import ComplexField, h1_norm_sq
+from twobubble.modulation_fit import _bare_fields
+from twobubble.nls_core import ComplexField, h1_norm_sq, laplacian
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -240,6 +244,12 @@ def profile_spline_reference(gs):
         return at
 
     return evaluator(gs.q, decay_shape), evaluator(gs.dq, _decay_shape_deriv)
+
+
+def lam_q(gs, r) -> np.ndarray:
+    """Radial part of the scaling generator, 2/(p-1) q + r q', from one q_dq_at."""
+    q, dq = gs.q_dq_at(r)
+    return 2.0 / (gs.p - 1.0) * q + r * dq
 
 
 def ode_residual(gs) -> np.ndarray:
@@ -459,6 +469,50 @@ def interaction_weight(d: int, r) -> np.ndarray:
     raise ValueError(f"interaction weight implemented for d in (1, 2), got {d}")
 
 
+@dataclass(frozen=True)
+class ParamDerivs:
+    """Time derivatives of (lambda, z, gamma, v) supplied by the caller."""
+
+    lam_dot: float
+    z_dot: np.ndarray
+    gamma_dot: float
+    v_dot: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "z_dot", np.atleast_1d(np.asarray(self.z_dot, dtype=float)))
+        object.__setattr__(self, "v_dot", np.atleast_1d(np.asarray(self.v_dot, dtype=float)))
+
+
+@dataclass(frozen=True)
+class ModulationVector:
+    """Per-bubble modulation equation values; zero on the exact reduced flow."""
+
+    m_scale: float
+    m_translation: np.ndarray
+    m_phase: float
+    m_velocity: np.ndarray
+
+
+def modulation_vectors(params, derivs: ParamDerivs) -> tuple[ModulationVector, ModulationVector]:
+    """Each bubble's modulation equation values at the parameters and their derivatives."""
+    out = []
+    rel = derivs.lam_dot / params.lam
+    for k in (1, 2):
+        sgn = 1.0 if k == 1 else -1.0
+        z_k = params.bubble_center(k)
+        v_k = params.bubble_velocity(k)
+        zd_k = sgn * 0.5 * derivs.z_dot
+        vd_k = sgn * 0.5 * derivs.v_dot
+        out.append(ModulationVector(
+            m_scale=rel,
+            m_translation=zd_k - 2.0 * v_k + rel * z_k,
+            m_phase=derivs.gamma_dot - 1.0 + float(v_k @ v_k)
+                    - rel * float(v_k @ z_k) - float(v_k @ zd_k),
+            m_velocity=vd_k - rel * v_k,
+        ))
+    return out[0], out[1]
+
+
 def ansatz_residual(params, derivs, gs, grid) -> ComplexField:
     """Flow residual assembled from the modulation vectors plus the cross term."""
     _check_grid(params, grid)
@@ -613,6 +667,44 @@ def renormalized_h1(eps_lab, lam: float, p: float) -> float:
     grad2 = float(np.sum(g.k_sq * np.abs(eh) ** 2)) * scale
     a = lam ** (4.0 / (p - 1.0) - g.d)
     return float(np.sqrt(a * l2 + a * lam ** 2 * grad2))
+
+
+def apply_linearized(which: str, f: ComplexField, gs) -> ComplexField:
+    """L+ or L- around the origin-centered profile, spectral Laplacian."""
+    coef = gs.p if which == "plus" else 1.0
+    g = f.grid
+    q = LatticeBubble(gs, g.x_mesh, np.zeros(g.d), np.zeros(g.d)).q
+    pot = coef * q ** (gs.p - 1.0)
+    return ComplexField(g, -laplacian(f) + f.values - pot * f.values)
+
+
+def quadratic_form(eta: ComplexField, gs) -> float:
+    """<L+ Re eta, Re eta> + <L- Im eta, Im eta>."""
+    g = eta.grid
+    re = ComplexField(g, eta.values.real.astype(complex))
+    im = ComplexField(g, eta.values.imag.astype(complex))
+    lp = apply_linearized("plus", re, gs)
+    lm = apply_linearized("minus", im, gs)
+    vol = g.cell_volume
+    return float((np.sum(lp.values * re.values) + np.sum(lm.values * im.values)).real) * vol
+
+
+def projection_basis(gs, grid) -> list[np.ndarray]:
+    """span{Q, y_m Q, i Lambda Q, i d_m Q} centered at the origin."""
+    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d), with_dq=True)
+    return [b.phase * f for f in _bare_fields(b, 2 + 2 * grid.d)]
+
+
+def project_out(values: np.ndarray, basis: list[np.ndarray], vol: float) -> np.ndarray:
+    """Remove the real-pairing components along the basis fields."""
+    gram = np.array([[float(np.sum(bi * np.conj(bj)).real) * vol for bj in basis]
+                     for bi in basis])
+    rhs = np.array([float(np.sum(values * np.conj(bi)).real) * vol for bi in basis])
+    coef = np.linalg.solve(gram, rhs)
+    out = values.astype(complex).copy()
+    for c, bi in zip(coef, basis):
+        out -= c * bi
+    return out
 
 
 def coercivity_check(gs, grid, n_samples: int = 100,

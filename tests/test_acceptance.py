@@ -18,6 +18,7 @@ from twobubble import nls_core as nc
 from twobubble import reduced_dynamics as rd
 from twobubble.groundstate import closed_form_profile, solve_profile, structure_constants
 
+from oracles import apply_linearized, lam_q
 from test_groundstate import Q0_D2_P3_ORACLE
 
 
@@ -143,12 +144,12 @@ def test_criterion_07_null_space(gs1, grid_2048_32, report):
 
     Q = nc.ComplexField(g, gs1.q_at(r).astype(complex))
     gradQ = nc.ComplexField(g, (gs1.dq_at(r) * sgn).astype(complex))
-    lamQ = nc.ComplexField(g, gs1.lam_q_at(r).astype(complex))
+    lamQ = nc.ComplexField(g, lam_q(gs1, r).astype(complex))
     xQ = nc.ComplexField(g, (g.axis * gs1.q_at(r)).astype(complex))
-    norms = [l2(mf.apply_linearized("minus", Q, gs1).values),
-             l2(mf.apply_linearized("plus", gradQ, gs1).values),
-             l2(mf.apply_linearized("plus", lamQ, gs1).values + 2.0 * Q.values),
-             l2(mf.apply_linearized("minus", xQ, gs1).values + 2.0 * gradQ.values)]
+    norms = [l2(apply_linearized("minus", Q, gs1).values),
+             l2(apply_linearized("plus", gradQ, gs1).values),
+             l2(apply_linearized("plus", lamQ, gs1).values + 2.0 * Q.values),
+             l2(apply_linearized("minus", xQ, gs1).values + 2.0 * gradQ.values)]
     report(7, "linearized null space", max(norms) <= 1e-8)
 
 

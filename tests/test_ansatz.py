@@ -9,9 +9,9 @@ from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import _DQ, _Q, solve_profile, structure_constants
 
-from oracles import (FIXED_PANEL, adaptive_folded_force_1d, adaptive_force_1d, ansatz_residual,
-                     ansatz_residual_direct, force_nodes_reference, nonlinearity_derivative,
-                     two_sided_force)
+from oracles import (FIXED_PANEL, ParamDerivs, adaptive_folded_force_1d, adaptive_force_1d,
+                     ansatz_residual, ansatz_residual_direct, force_nodes_reference,
+                     modulation_vectors, nonlinearity_derivative, two_sided_force)
 
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
@@ -31,7 +31,7 @@ def test_coincident_bubbles(gs1, grid_2048_64):
 
 def test_tau_symmetry(gs1, grid_2048_64):
     pr = params_1d(17.0, v=0.03, gamma=0.4)
-    dv = az.ParamDerivs(lam_dot=0.01, z_dot=[0.05], gamma_dot=1.01, v_dot=[-0.002])
+    dv = ParamDerivs(lam_dot=0.01, z_dot=[0.05], gamma_dot=1.01, v_dot=[-0.002])
     for field in (az.build_two_bubble(pr, gs1, grid_2048_64),
                   az.interaction_G(pr, gs1, grid_2048_64),
                   ansatz_residual(pr, dv, gs1, grid_2048_64)):
@@ -102,13 +102,14 @@ def test_force_matches_adaptive_oracle(gs1):
 
 
 def test_force_matches_adaptive_oracle_p145(gs145):
-    # below p = 2 the rule's half-unit panels cross the profile's seam at
-    # r_max, where the linear tail takes over; on these |z|, which hold the
-    # law nodes where it was furthest off (22.1, 26.1 and 29.0), the rule is
-    # within 1.1e-11 of adaptive quadrature, and the bound is the p = 3 one
+    # r_max follows p (44.4 here), so the linear tail's seam no longer limits
+    # the rule at small p, and unit panels serve p = 1.45: on these |z|,
+    # which hold the law nodes where the earlier half-unit panels at
+    # r_max = 25 were furthest off (22.1, 26.1 and 29.0), and on all 80 law
+    # nodes, the rule is within 2.4e-15 of adaptive quadrature
     for z in (4.5, 8.0, 12.0, 16.0, 22.122, 26.121, 29.045, 34.0, 40.0):
         H = az.interaction_force_H([z], gs145, min_sep=4.0)[0]
-        assert H == pytest.approx(adaptive_folded_force_1d(z, gs145), rel=1e-10), z
+        assert H == pytest.approx(adaptive_folded_force_1d(z, gs145), rel=1e-13), z
 
 
 def _law_nodes() -> np.ndarray:
@@ -125,13 +126,17 @@ def _ground_state(request, d, p):
 
 @pytest.mark.parametrize("d,p,share", [
     (1, 1.45, 0.1), (1, 1.8, 0.1), (1, 3.0, 0.1), (1, 5.0, 0.1), (1, 7.0, 0.1),
-    pytest.param(2, 3.0, 0.25, marks=pytest.mark.slow)])
+    pytest.param(2, 3.0, 0.25, marks=pytest.mark.slow),
+    pytest.param(2, 4.0, 0.1, marks=pytest.mark.slow),
+    pytest.param(2, 5.0, 0.1, marks=pytest.mark.slow)])
 def test_force_rule_gap_on_law_nodes(request, d, p, share):
     # the panel width follows p, so the coarse/fine gap stays well inside the
     # check's bound on every node the law is built from.  Largest share of
-    # the bound, measured: 6.0e-3, 1.2e-6, 5.5e-3, 3.1e-3 and 3.2e-5 at
-    # d = 1; 0.17 at d = 2, p = 3 (width 1), where the 12-node value is
-    # within 9.2e-13 of a 16-node one
+    # the bound, measured: 2.2e-7, 4.1e-6, 5.5e-3, 2.3e-7 and 1.2e-7 at
+    # d = 1 (widths 1, 1, 1, 1/4 and 1/16); 0.17 at d = 2, p = 3 (width 1),
+    # where the 12-node value is within 9.2e-13 of a 16-node one; 1.9e-6 at
+    # d = 2, p = 4 and 1.4e-3 at p = 5 (width 1/4), where the earlier width
+    # 1/2 gave 0.057 and 15.5, so that every d = 2, p = 5 call failed
     gs = _ground_state(request, d, p)
     worst = 0.0
     for z in _law_nodes():
@@ -142,20 +147,31 @@ def test_force_rule_gap_on_law_nodes(request, d, p, share):
 
 
 @pytest.mark.parametrize("name,rel", [
-    ("gs1", 1e-12), ("gs18", 2e-13), ("gs145", 3e-11),
+    ("gs1", 1e-12), ("gs18", 2e-13), ("gs145", 1e-14),
     pytest.param("gs2", 2e-12, marks=pytest.mark.slow)])
 def test_force_rule_near_fixed_width_rule(request, name, rel):
     # the width rule against the earlier fixed widths (1/4 at d = 1, 1/2 at
     # d = 2) on the law's nodes: largest relative moves 5.6e-15 at p = 3,
-    # 2.6e-15 at p = 1.8, 1.2e-11 at p = 1.45 (where the earlier rule is the
-    # more accurate, see the p = 1.45 oracle test) and 1.2e-14 at d = 2,
-    # p = 3; each bound is two to three times the move on the earlier,
-    # shot profile
+    # 2.6e-15 at p = 1.8, 8.9e-16 at p = 1.45 (unit panels, since r_max
+    # follows p; 1.2e-11 with half-unit ones at r_max = 25) and 1.2e-14 at
+    # d = 2, p = 3; the bounds at p = 3 and 1.8 are two to three times the
+    # move on the earlier, shot profile
     gs = request.getfixturevalue(name)
     for z in _law_nodes():
         fine = az._force_nodes(z, gs)[1]
         fixed = force_nodes_reference(z, gs, (az._FINE_NODES,), step=FIXED_PANEL[gs.d])[0]
         assert fine == pytest.approx(fixed, rel=rel, abs=0.0), (name, z)
+
+
+def test_force_2d_p5_converges():
+    # at d = 2, p = 5 the earlier width 1/2 left the 8-node pass 1.3e-7
+    # relative off and every call failed its check; with width 1/4 the rule
+    # is within 3.3e-16 of 16- and 20-node passes on the same panels
+    gs = solve_profile(5.0, 2)
+    H = az.interaction_force_H([8.0, 0.0], gs)
+    for ref in force_nodes_reference(8.0, gs, (16, 20)):
+        assert H[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert H[1] == 0.0
 
 
 def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
@@ -365,16 +381,16 @@ def test_expansion_order(request, p, min_slope, grid_2048_64):
 def test_residual_paths_agree(gs1, grid_2048_64):
     rng = np.random.default_rng(11)
     pr = az.BubbleParams(lam=1.1, z=[18.0], gamma=0.3, v=[0.04])
-    dv = az.ParamDerivs(lam_dot=0.01, z_dot=[0.08], gamma_dot=1.02, v_dot=[-0.003])
+    dv = ParamDerivs(lam_dot=0.01, z_dot=[0.08], gamma_dot=1.02, v_dot=[-0.003])
     ra = ansatz_residual(pr, dv, gs1, grid_2048_64)
     rd = ansatz_residual_direct(pr, dv, gs1, grid_2048_64)
     assert np.max(np.abs(ra.values - rd)) < 1e-13
     # random derivatives as well
     for _ in range(3):
-        dv = az.ParamDerivs(lam_dot=0.05 * rng.standard_normal(),
-                            z_dot=[0.1 * rng.standard_normal()],
-                            gamma_dot=1.0 + 0.05 * rng.standard_normal(),
-                            v_dot=[0.01 * rng.standard_normal()])
+        dv = ParamDerivs(lam_dot=0.05 * rng.standard_normal(),
+                         z_dot=[0.1 * rng.standard_normal()],
+                         gamma_dot=1.0 + 0.05 * rng.standard_normal(),
+                         v_dot=[0.01 * rng.standard_normal()])
         ra = ansatz_residual(pr, dv, gs1, grid_2048_64)
         rd = ansatz_residual_direct(pr, dv, gs1, grid_2048_64)
         assert np.max(np.abs(ra.values - rd)) < 1e-13
@@ -384,9 +400,9 @@ def test_residual_free_flow_equals_G(gs1, grid_2048_64):
     # on the free flow (no velocity forcing) all modulation vectors vanish
     z, v = 20.0, 0.002
     pr = params_1d(z, v=v)
-    dv = az.ParamDerivs(lam_dot=0.0, z_dot=[2.0 * v],
-                        gamma_dot=1.0 + 0.25 * v * v, v_dot=[0.0])
-    m1, m2 = az.modulation_vectors(pr, dv)
+    dv = ParamDerivs(lam_dot=0.0, z_dot=[2.0 * v],
+                     gamma_dot=1.0 + 0.25 * v * v, v_dot=[0.0])
+    m1, m2 = modulation_vectors(pr, dv)
     for m in (m1, m2):
         assert max(abs(m.m_scale), np.max(np.abs(m.m_translation)), abs(m.m_phase),
                    np.max(np.abs(m.m_velocity))) < 1e-15
@@ -402,9 +418,9 @@ def test_residual_envelope(gs1, sc1, grid_2048_64):
         v = np.sqrt(sc1.c) * np.exp(-0.5 * z)
         pr = params_1d(z, v=v)
         H = az.interaction_force_H([z], gs1)[0]
-        dv = az.ParamDerivs(lam_dot=0.0, z_dot=[2.0 * v],
-                            gamma_dot=1.0 + 0.25 * v * v,
-                            v_dot=[-2.0 / sc1.c2 * H])
+        dv = ParamDerivs(lam_dot=0.0, z_dot=[2.0 * v],
+                         gamma_dot=1.0 + 0.25 * v * v,
+                         v_dot=[-2.0 / sc1.c2 * H])
         res = ansatz_residual(pr, dv, gs1, grid_2048_64)
         vals.append(np.max(np.abs(res.values)) * np.exp(z))
     assert min(vals) > 1.0 and max(vals) < 100.0
@@ -475,8 +491,8 @@ def test_helmholtz_kernel_1d(grid_1024_32):
 
 def test_modulation_vector_signs(gs1):
     pr = az.BubbleParams(lam=2.0, z=[10.0], gamma=0.0, v=[0.1])
-    dv = az.ParamDerivs(lam_dot=0.2, z_dot=[0.3], gamma_dot=1.1, v_dot=[0.01])
-    m1, m2 = az.modulation_vectors(pr, dv)
+    dv = ParamDerivs(lam_dot=0.2, z_dot=[0.3], gamma_dot=1.1, v_dot=[0.01])
+    m1, m2 = modulation_vectors(pr, dv)
     rel = 0.1
     assert m1.m_scale == pytest.approx(rel)
     assert m1.m_translation[0] == pytest.approx(0.15 - 0.1 + rel * 5.0)

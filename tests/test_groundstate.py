@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import kv
 
 from twobubble import ansatz as az
 from twobubble import groundstate
-from twobubble.errors import InvalidConfig, InvalidExponent, NonConvergence
+from twobubble.errors import InvalidExponent, NonConvergence
 from twobubble.groundstate import (_DQ, _Q, GroundState, _decay_shape_deriv, closed_form_profile,
                                    closed_form_q0, decay_shape, solve_profile, sphere_area,
                                    structure_constants)
@@ -57,9 +58,24 @@ def test_closed_form_p2():
 
 @pytest.mark.parametrize("p", [1.2, 1.45, 1.8, 2.5, 4.0, 7.0])
 def test_closed_form_generic_p(p):
+    # r_max is 25 from p = 1.8 on and 20/(p-1) below, where the linear tail's
+    # seam at 25 would cost accuracy (the profile was 1.4e-10 off at
+    # p = 1.2); measured, q0 is within 1.9e-13 and q within 6.5e-13, both at
+    # p = 1.2, and within 7.5e-14 at every other p
     gs = solve_profile(p, 1)
-    assert abs(gs.q0 - closed_form_q0(p)) < 1e-9
-    assert np.max(np.abs(gs.q - closed_form_profile(p, gs.r))) < 1e-8
+    assert gs.r_max == (25.0 if p >= 1.8 else pytest.approx(20.0 / (p - 1.0), rel=1e-15))
+    assert abs(gs.q0 - closed_form_q0(p)) < 1e-12
+    assert np.max(np.abs(gs.q - closed_form_profile(p, gs.r))) < 2e-12
+
+
+def test_closed_form_start_does_not_overflow():
+    # at d=1, p = 60 cosh overflows past r = 24.1 at the collocation nodes;
+    # the start takes e^|x|/2 there, with no warning, and the profile meets
+    # the closed form, whose far branch is the same formula (4.3e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gs = solve_profile(60.0, 1)
+    assert np.max(np.abs(gs.q - closed_form_profile(60.0, gs.r))) < 1e-12
 
 
 def test_d2_against_independent_oracle(gs2):
@@ -179,7 +195,7 @@ def test_profile_shuffled_is_permuted_sorted(gs1):
 def test_joint_evaluator_matches_row_layout_oracle(any_gs):
     # the one-table evaluator (one gather per radius, the polynomials only up
     # to r_max, the tail only beyond) equals the earlier row-layout one
-    # value for value, through q_at, dq_at, q_dq_at and lam_q_at alike
+    # value for value, through q_at, dq_at and q_dq_at alike
     gs = any_gs
     q_ref, dq_ref = row_layout_profile(gs)
     # below r = 0 cell 0 is extrapolated: -1.2 h needs the lower clamp of j
@@ -195,8 +211,7 @@ def test_joint_evaluator_matches_row_layout_oracle(any_gs):
         q, dq = gs.q_dq_at(rr)
         expect = q_ref(rr), dq_ref(rr)
         for ours, ref in ((q, expect[0]), (dq, expect[1]),
-                          (gs.q_at(rr), expect[0]), (gs.dq_at(rr), expect[1]),
-                          (gs.lam_q_at(rr), 2.0 / (gs.p - 1.0) * expect[0] + rr * expect[1])):
+                          (gs.q_at(rr), expect[0]), (gs.dq_at(rr), expect[1])):
             assert ours.shape == rr.shape
             assert np.array_equal(ours, ref)
 
@@ -352,11 +367,12 @@ def test_invalid_exponent():
 
 
 def test_collocation_p_range_limit():
-    # at d=1 the rounding floor of the collocation grows like 2^(2/(p-1)):
-    # at p = 1.05 its last Newton step stalls at 4.3e-9, above tol, within
-    # milliseconds
-    with pytest.raises(NonConvergence, match="p=1.05, d=1"):
-        solve_profile(1.05, 1)
+    # the rounding floor of the collocation grows like 2^(2/(p-1)) and its
+    # r_max like 20/(p-1): at p = 1.1 the last Newton step stalls at 3.1e-10
+    # (d=1) and 3.3e-10 (d=2), above tol, within milliseconds
+    for d in (1, 2):
+        with pytest.raises(NonConvergence, match=f"p=1.1, d={d}"):
+            solve_profile(1.1, d)
 
 
 def test_bad_tolerance():
@@ -369,24 +385,13 @@ def _no_solve(*args, **kwargs):
 
 
 def test_bad_arguments_rejected_before_any_shot(monkeypatch):
-    # tol = nan used to run 203 shots and return another q0, r_max nan
-    # or inf to run without end, and a NaN, zero or negative mesh_step to
-    # raise a raw ValueError or ZeroDivisionError after the bisection; each
-    # is now rejected before the Newton collocation runs, as is a d other
-    # than 1 or 2
+    # tol = nan used to run 203 shots and return another q0; it is now
+    # rejected before the Newton collocation runs, as is a d other than 1
+    # or 2
     monkeypatch.setattr(groundstate, "_newton_collocation", _no_solve)
     for tol in (np.nan, np.inf):
         with pytest.raises(NonConvergence, match="tol must be finite and positive"):
             solve_profile(3.0, 1, tol=tol)
-    for r_max in (np.nan, np.inf, -np.inf, 0.0):
-        with pytest.raises(InvalidConfig, match="r_max must be finite and positive"):
-            solve_profile(3.0, 1, r_max=r_max)
-    for mesh_step in (np.nan, np.inf, 0.0, -1e-3):
-        with pytest.raises(InvalidConfig, match="mesh_step must be finite and positive"):
-            solve_profile(3.0, 1, mesh_step=mesh_step)
-    # five cells on [0, 25] used to fail in the first profile evaluation
-    with pytest.raises(InvalidConfig, match="fewer than 16"):
-        solve_profile(3.0, 1, r_max=25.0, mesh_step=5.0)
     for d in (0, 3, 1.5):
         with pytest.raises(InvalidExponent, match="dimension must be 1 or 2"):
             solve_profile(3.0, d)

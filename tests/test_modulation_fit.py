@@ -9,7 +9,8 @@ from twobubble.errors import NoConvergence, OutOfBasin
 from twobubble.groundstate import GroundState
 
 from conftest import random_smooth_field
-from oracles import coercivity_check, lab_frame_error, renormalized_h1
+from oracles import (apply_linearized, coercivity_check, lab_frame_error, lam_q, project_out,
+                     quadratic_form, renormalized_h1)
 
 COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 
@@ -30,16 +31,16 @@ def test_null_space_identities(gs1, grid_2048_32):
     sgn = np.sign(g.axis)
     Q = soliton_carrier(gs1, g, gs1.q_at(r))
     gradQ = soliton_carrier(gs1, g, gs1.dq_at(r) * sgn)
-    lamQ = soliton_carrier(gs1, g, gs1.lam_q_at(r))
+    lamQ = soliton_carrier(gs1, g, lam_q(gs1, r))
     xQ = soliton_carrier(gs1, g, g.axis * gs1.q_at(r))
 
     def l2(vals):
         return np.sqrt(np.sum(np.abs(vals) ** 2) * g.h)
 
-    assert l2(mf.apply_linearized("minus", Q, gs1).values) < 1e-8
-    assert l2(mf.apply_linearized("plus", gradQ, gs1).values) < 1e-8
-    assert l2(mf.apply_linearized("plus", lamQ, gs1).values + 2.0 * Q.values) < 1e-8
-    assert l2(mf.apply_linearized("minus", xQ, gs1).values
+    assert l2(apply_linearized("minus", Q, gs1).values) < 1e-8
+    assert l2(apply_linearized("plus", gradQ, gs1).values) < 1e-8
+    assert l2(apply_linearized("plus", lamQ, gs1).values + 2.0 * Q.values) < 1e-8
+    assert l2(apply_linearized("minus", xQ, gs1).values
               + 2.0 * gradQ.values) < 1e-8
 
 
@@ -100,7 +101,7 @@ def test_scaling_direction_perturbation(gs1, grid_2048_64):
     true = BubbleParams(lam=1.002, z=[12.3], gamma=0.5, v=[0.03])
     u = exact_two_bubble(true, gs1, g)
     off = g.axis - 0.5 * true.z[0]
-    bump = np.exp(0.5j * true.v[0] * off) * 1j * gs1.lam_q_at(np.abs(off))
+    bump = np.exp(0.5j * true.v[0] * off) * 1j * lam_q(gs1, np.abs(off))
     bump = bump + nc.reflect(nc.ComplexField(g, bump)).values
     pert = nc.ComplexField(g, u.values + 1e-3 * bump)
     res = mf.decompose(pert, true, gs1, mode="snapshot")
@@ -210,11 +211,11 @@ def test_coercivity_examples(gs1, grid_2048_32):
     # unprojected Q direction is negative, with the quadrature oracle value
     Q = soliton_carrier(gs1, grid_2048_32, gs1.q_at(np.abs(grid_2048_32.axis)))
     oracle = -(gs1.p - 1.0) * 2.0 * simpson(gs1.q ** (gs1.p + 1.0), x=gs1.r)
-    assert mf.quadratic_form(Q, gs1) == pytest.approx(oracle, rel=1e-9)
+    assert quadratic_form(Q, gs1) == pytest.approx(oracle, rel=1e-9)
     assert oracle < 0
     # iQ spans the kernel of the minus operator
     iQ = nc.ComplexField(grid_2048_32, 1j * gs1.q_at(np.abs(grid_2048_32.axis)))
-    assert abs(mf.quadratic_form(iQ, gs1)) < 1e-12
+    assert abs(quadratic_form(iQ, gs1)) < 1e-12
 
 
 def test_coercivity_floor(gs1, grid_2048_32):
@@ -244,9 +245,9 @@ def test_energy_coercivity_small_error(gs1, grid_2048_64):
     for center, vel in ((7.0, 0.0), (-7.0, 0.0)):
         off = g.axis - center
         r = np.abs(off)
-        basis += [gs1.q_at(r), off * gs1.q_at(r), 1j * gs1.lam_q_at(r),
+        basis += [gs1.q_at(r), off * gs1.q_at(r), 1j * lam_q(gs1, r),
                   1j * gs1.dq_at(r) * np.sign(off)]
-    clean = mf.project_out(noise, basis, g.cell_volume)
+    clean = project_out(noise, basis, g.cell_volume)
     u = nc.ComplexField(g, base.values + 1e-4 * clean)
     out = mf.energy_functional(u, params, 100.0, gs1)
     assert out["J"] == 0.0  # v = 0
