@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import (FORCE_CUT, GroundState, gl_rows, panel_edges, radial_integral,
-                          transverse_edges)
+from .groundstate import (FORCE_CUT, GroundState, _stacked_template, force_panel, gl_rows,
+                          panel_edges, radial_integral, transverse_edges)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -190,12 +190,6 @@ def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
             - nonlinearity(b2.values, p))
 
 
-def interaction_G(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexField:
-    """Nonlinear cross term F(P1+P2) - F(P1) - F(P2)."""
-    _check_grid(params, grid)
-    return ComplexField(grid, _cross_term(*bubble_pair(params, gs, grid.x_mesh), gs.p))
-
-
 # Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels whose
 # width follows p (``force_panel``), evaluated with a coarse and a fine node
 # count whose disagreement, against FORCE_TOL times the leading-order size of
@@ -203,24 +197,6 @@ def interaction_G(params: BubbleParams, gs: GroundState, grid: Grid) -> ComplexF
 _COARSE_NODES = 8
 _FINE_NODES = 12
 FORCE_TOL = 1e-10
-
-
-def force_panel(p: float) -> float:
-    """Panel width of the force rule: the largest power of two at most
-    min(1, 4/(p-1)^2), for d = 1 and d = 2 alike.
-
-    n Gauss-Legendre nodes on a panel of half-width h converge like
-    rho^(-2n), rho = a/h + sqrt(1 + (a/h)^2), with a the distance of the
-    integrand's nearest complex singularity from the real axis (Trefethen,
-    ATAP ch. 19).  At d = 1 the least smooth factor, Q^{p-1} ~
-    sech^2((p-1)r/2), has a = pi/(p-1), so a width of 2/(p-1) would do; at
-    d = 2 the width must shrink faster.  On the force law's nodes the
-    coarse/fine gap, as a share of the check's bound, measured at d = 2:
-    0.17 at p = 3 and width 1; 0.057 at p = 4 and 1/2; 15.5 at p = 5 and
-    1/2, 1.4e-3 at 1/4; 2.6e-3 at p = 7 and 1/8; 20 at p = 9 and 1/8, 9e-4
-    at 1/16.  The rule meets each of these, and leaves each width at a p
-    no larger than one where that width was measured inside the bound."""
-    return math.ldexp(1.0, math.frexp(min(1.0, 4.0 / (p - 1.0) ** 2))[1] - 1)
 
 
 def _force_cut(p: float) -> tuple[float, float]:
@@ -255,15 +231,6 @@ class _FixedRows:
 def _radii(y1: np.ndarray, y2: np.ndarray | None) -> np.ndarray:
     """|y| on the nodes (y1, y2), one row per y1: |y1| for d = 1."""
     return np.abs(y1)[:, None] if y2 is None else np.hypot(y1[:, None], y2)
-
-
-def _stacked_template(counts) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """The Gauss-Legendre nodes and weights on [-1, 1] of every node count,
-    side by side, and each count's columns."""
-    rules = [np.polynomial.legendre.leggauss(n) for n in counts]
-    ends = np.cumsum((0, *counts)).tolist()
-    return (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
-            [slice(a, b) for a, b in zip(ends[:-1], ends[1:])])
 
 
 def _fixed_half(gs: GroundState, step: float, cut: float, counts):

@@ -22,11 +22,13 @@ p=3 after four.  The degree is 151, doubled while the series' last terms
 are not negligible.  q and q' are sampled onto the uniform mesh from the
 Chebyshev series.
 
-The interaction integral I_Q and the force H(z) of ``ansatz`` run on
-composite Gauss-Legendre panels from the same helpers, ``gl_panels`` on
-``panel_edges`` along e1 and ``transverse_axis`` across it, for d = 1 and
-d = 2 alike: 0.5 wide for I_Q, and as wide as p allows for H; each rule
-stops where its integrand has fallen by e^-FORCE_CUT.
+Q is radial, so the interaction integral I_Q = int Q^p(y) e^(-y1) dy
+reduces to one integral in r against the mean of e^(-y1) over the sphere
+of radius r (the Funk-Hecke formula): 2 cosh r at d = 1, 2 pi r I_0(r) at
+d = 2.  That integral and the force H(z) of ``ansatz`` run on composite
+Gauss-Legendre panels from the same helpers (``panel_edges``, ``gl_rows``,
+``_stacked_template`` and ``force_panel``); each rule stops where its
+integrand has fallen by e^-FORCE_CUT.
 
 q and q' are interpolated on the uniform mesh by quintic Hermite cells,
 stored in one table with a row per mesh cell: the six Taylor coefficients
@@ -53,7 +55,7 @@ from scipy.fft import dct
 from scipy.integrate import simpson
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
-from scipy.special import kv
+from scipy.special import i0, kv
 
 from .errors import InvalidExponent, NonConvergence, QuadratureFailure
 
@@ -298,7 +300,8 @@ class StructureConstants:
 
     c_q:  amplitude of the r^(-(d-1)/2) e^(-r) tail, sqrt(pi/2) (2 pi)^(-d/2) i_q
           by the Green identity Q = (1 - Laplacian)^-1 Q^p
-    i_q:  interaction integral of q^p against the e^(-x1) weight
+    i_q:  interaction integral I_Q of Q^p(y) e^(-y1) over R^d, by its radial
+          reduction
     c1:   pairing <Lambda Q, Q> of the scaling generator with the profile,
           (2/(p-1) - d/2) l2; 0 at the mass-critical p = 1 + 4/d
     c2:   per-component pairing <-y_j Q, d_j Q>, l2 / 2
@@ -480,11 +483,6 @@ def radial_integral(gs: GroundState, values: np.ndarray) -> float:
     return sphere_area(gs.d) * simpson(values * gs.r ** (gs.d - 1), x=gs.r)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
 def panel_edges(breaks, step: float) -> np.ndarray:
     """Edges of the panels that cut each interval between consecutive breaks
     into equal parts at most step wide."""
@@ -492,25 +490,24 @@ def panel_edges(breaks, step: float) -> np.ndarray:
                            for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
 
 
-def gl_panels(edges: np.ndarray, nodes: int):
-    """Nodes and weights of the composite Gauss-Legendre rule on the panels
-    between consecutive edges."""
-    return tuple(a.ravel() for a in gl_rows(edges, *_leggauss(nodes)))
-
-
 def gl_rows(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Nodes and weights of the composite rule whose one-panel template on
     [-1, 1] is (x, w), on the panels between consecutive edges: one row per
-    panel, so the raveled rows are ``gl_panels``' for a Gauss-Legendre x."""
+    panel."""
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
     mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     return half * x + mid, half * w
 
 
-def gl_axis(breaks, nodes: int, step: float):
-    """Nodes and weights of the composite Gauss-Legendre rule over consecutive
-    intervals between breaks, each cut into equal panels at most step wide."""
-    return gl_panels(panel_edges(breaks, step), nodes)
+@lru_cache(maxsize=None)
+def _stacked_template(counts: tuple[int, ...]):
+    """The Gauss-Legendre nodes and weights on [-1, 1] of every node count,
+    side by side, and each count's columns; cached, so read-only."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in counts]
+    ends = np.cumsum((0, *counts)).tolist()
+    x, w = (np.concatenate(parts) for parts in zip(*rules))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w, tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:]))
 
 
 def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | None:
@@ -524,13 +521,22 @@ def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | Non
     raise QuadratureFailure(f"Cartesian rules cover d in (1, 2), got {d}")
 
 
-def transverse_axis(edges: np.ndarray | None, nodes: int):
-    """Nodes and weights across the first axis on ``transverse_edges``: the
-    one node y2 = 0 of weight 1 for d = 1 (edges None), the composite
-    Gauss-Legendre rule on the panels for d = 2."""
-    if edges is None:
-        return np.zeros(1), np.ones(1)
-    return gl_panels(edges, nodes)
+def force_panel(p: float) -> float:
+    """Panel width of the force rule: the largest power of two at most
+    min(1, 4/(p-1)^2), for d = 1 and d = 2 alike.
+
+    n Gauss-Legendre nodes on a panel of half-width h converge like
+    rho^(-2n), rho = a/h + sqrt(1 + (a/h)^2), with a the distance of the
+    integrand's nearest complex singularity from the real axis (Trefethen,
+    ATAP ch. 19).  At d = 1 the least smooth factor, Q^{p-1} ~
+    sech^2((p-1)r/2), has a = pi/(p-1), so a width of 2/(p-1) would do; at
+    d = 2 the width must shrink faster.  On the force law's nodes the
+    coarse/fine gap, as a share of the check's bound, measured at d = 2:
+    0.17 at p = 3 and width 1; 0.057 at p = 4 and 1/2; 15.5 at p = 5 and
+    1/2, 1.4e-3 at 1/4; 2.6e-3 at p = 7 and 1/8; 20 at p = 9 and 1/8, 9e-4
+    at 1/16.  The rule meets each of these, and leaves each width at a p
+    no larger than one where that width was measured inside the bound."""
+    return math.ldexp(1.0, math.frexp(min(1.0, 4.0 / (p - 1.0) ** 2))[1] - 1)
 
 
 # Absolute floor of the coarse/fine check on I_Q; the relative one is 1e-9.
@@ -542,29 +548,45 @@ I_Q_TOL = 1e-9
 FORCE_CUT = 40.0
 
 
-def _i_q_cartesian(gs: GroundState, nodes_per_panel: int) -> float:
-    """Cartesian Gauss-Legendre rule for the e^(-x1)-weighted integral.
+def _sphere_weight(d: int, r: np.ndarray) -> np.ndarray:
+    """Integral of e^(-y1) over the sphere of radius r in R^d, area element
+    included: 2 cosh r for d = 1, 2 pi r I_0(r) for d = 2.
+    QuadratureFailure for any other d."""
+    if d == 1:
+        return 2.0 * np.cosh(r)
+    if d == 2:
+        return 2.0 * np.pi * r * i0(r)
+    raise QuadratureFailure(f"the radial I_Q rule covers d in (1, 2), got {d}")
 
-    Along e1 the integrand Q^p e^(-y1) decays like e^(-(p-1)|y1|) behind
-    and e^(-(p+1)y1) ahead, so the e1 axis is [-FORCE_CUT/(p-1),
-    FORCE_CUT/(p+1)], split at 0; past r_max ``q_at`` supplies the matched
-    tail.  The transverse axis spans [-r_max, r_max].
-    """
+
+def _i_q_passes(gs: GroundState) -> list[float]:
+    """I_Q by the radial reduction, with 8 and then 12 Gauss-Legendre nodes
+    per panel.
+
+    Q is radial, so the mean of e^(-y1) over each sphere (``_sphere_weight``)
+    reduces I_Q to the integral of Q^p(r) times that weight over r >= 0.  The
+    integrand decays like e^(-(p-1) r), so r stops at FORCE_CUT/(p-1), with
+    a break at r_max when the cut lies beyond it, where q'' jumps by about
+    e^-20 onto the matched tail.  The panels are min(1/2, ``force_panel(p)``)
+    wide, and both passes take q from one evaluation on one stacked
+    template."""
     p = gs.p
-    y1, w1 = gl_axis((-FORCE_CUT / (p - 1.0), 0.0, FORCE_CUT / (p + 1.0)), nodes_per_panel, 0.5)
-    y2, w2 = transverse_axis(transverse_edges(gs.d, gs.r_max, 0.5), nodes_per_panel)
-    rr = np.hypot(y1[:, None], y2)
-    return float(w1 @ (gs.q_at(rr) ** p * np.exp(-y1)[:, None]) @ w2)
+    cut = FORCE_CUT / (p - 1.0)
+    breaks = (0.0, gs.r_max, cut) if cut > gs.r_max else (0.0, cut)
+    x, w, spans = _stacked_template((8, 12))
+    r, wr = gl_rows(panel_edges(breaks, min(0.5, force_panel(p))), x, w)
+    f = _sphere_weight(gs.d, r)
+    f *= gs.q_at(r) ** p
+    return [float(wr[:, cols].ravel() @ f[:, cols].ravel()) for cols in spans]
 
 
 def structure_constants(gs: GroundState) -> StructureConstants:
     """All scalar constants from two integrals of the sampled profile: I_Q by
-    the Cartesian rule with 8 and 12 nodes per panel, which must agree, and
-    ||Q||^2 by the radial Simpson rule."""
-    coarse = _i_q_cartesian(gs, 8)
-    i_q = _i_q_cartesian(gs, 12)
+    its radial reduction with 8 and 12 nodes per panel, which must agree
+    (``_i_q_passes``), and ||Q||^2 by the radial Simpson rule."""
+    coarse, i_q = _i_q_passes(gs)
     if abs(i_q - coarse) > max(I_Q_TOL, 1e-9 * abs(i_q)):
-        raise QuadratureFailure(f"Cartesian rule not converged: {abs(i_q - coarse):.3e}")
+        raise QuadratureFailure(f"radial I_Q rule not converged: {abs(i_q - coarse):.3e}")
     l2 = radial_integral(gs, gs.q ** 2)
 
     # Q = (1 - Laplacian)^-1 Q^p: the kernel's far field makes the tail

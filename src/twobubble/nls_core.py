@@ -89,9 +89,6 @@ class ComplexField:
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.values.copy())
 
-    def conj(self) -> "ComplexField":
-        return ComplexField(self.grid, np.conj(self.values))
-
 
 @dataclass(frozen=True)
 class Observables:
@@ -116,39 +113,14 @@ def make_grid(d: int, N: int, L: float) -> Grid:
     return Grid(d=d, N=N, L=float(L))
 
 
-def field_from_values(grid: Grid, values) -> ComplexField:
-    values = np.asarray(values, dtype=complex)
-    if values.shape != grid.shape:
-        raise ResolutionTooLow(f"values shape {values.shape} != grid {grid.shape}")
-    if not np.all(np.isfinite(values)):
-        raise Overflow("non-finite values in field")
-    return ComplexField(grid, values)
-
-
-def reflect(u: ComplexField) -> ComplexField:
-    """Values at -x, using the periodic identification of the box."""
-    v = u.values
-    for ax in range(u.grid.d):
-        v = np.roll(np.flip(v, axis=ax), 1, axis=ax)
-    return ComplexField(u.grid, v)
-
-
 def gradient(u: ComplexField) -> list[np.ndarray]:
     """Spectral gradient, one array per axis."""
     uh = np.fft.fftn(u.values)
     return [np.fft.ifftn(1j * k * uh) for k in u.grid.k_mesh]
 
 
-def laplacian(u: ComplexField) -> np.ndarray:
-    return np.fft.ifftn(-u.grid.k_sq * np.fft.fftn(u.values))
-
-
 def integrate(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(values).real) * grid.cell_volume
-
-
-def l2_norm_sq(u: ComplexField) -> float:
-    return integrate(u.grid, np.abs(u.values) ** 2)
 
 
 def h1_norm_sq(u: ComplexField) -> float:

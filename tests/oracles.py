@@ -7,8 +7,10 @@ cell table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
 rule that the package folds onto one half-space, the package's earlier
 folded rule (every node evaluated on every call) and its earlier fixed
-panel widths, the angular reduction of
-the interaction integral, the flow residual written term by term from
+panel widths, the angular reduction of the interaction integral I_Q, the
+package's earlier Cartesian rule for I_Q (over y1 and a transverse axis on
+[-r_max, r_max], with the Gauss-Legendre axis helpers it and the force
+oracles share), the flow residual written term by term from
 the profile values, the first variation of the nonlinearity, the
 package's earlier profile evaluator (one row-layout table per field, the
 tail written over the cell polynomials) with the three-call Bessel form
@@ -31,7 +33,10 @@ given parameter derivatives and the flow residual of the ansatz assembled
 from them; the linearized operators L+ and L- with their quadratic form,
 and the real-pairing projection onto the null directions, which give the
 least ratio of the projected form to the squared H1 norm over random
-fields (``coercivity_check``).
+fields (``coercivity_check``); and the field helpers the tests build and
+compare lattice fields with (a checked constructor, conjugation,
+reflection, the spectral Laplacian, the L2 norm) and the interaction term
+G = F(P1 + P2) - F(P1) - F(P2).
 """
 
 from __future__ import annotations
@@ -45,14 +50,15 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import i0, kv
 
-from twobubble.ansatz import (COLLISION_SEP, LatticeBubble, _check_grid, _cross_term,
-                              ansatz_on_lattice, bubble_pair, force_asymptotic, force_panel)
-from twobubble.errors import CollisionDetected, NonConvergence, Overflow, StepTooLarge
+from twobubble.ansatz import (COLLISION_SEP, BubbleParams, LatticeBubble, _check_grid,
+                              _cross_term, ansatz_on_lattice, bubble_pair, force_asymptotic)
+from twobubble.errors import (CollisionDetected, NonConvergence, Overflow, ResolutionTooLow,
+                              StepTooLarge)
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _decay_shape_deriv, _hermite_cells,
-                                   _ode_derivatives, closed_form_q0, decay_shape, gl_axis,
-                                   gl_panels, panel_edges, transverse_axis, transverse_edges)
+                                   _ode_derivatives, closed_form_q0, decay_shape, force_panel,
+                                   gl_rows, panel_edges, transverse_edges)
 from twobubble.modulation_fit import _bare_fields
-from twobubble.nls_core import ComplexField, h1_norm_sq, laplacian
+from twobubble.nls_core import ComplexField, Grid, h1_norm_sq, integrate
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -337,6 +343,42 @@ def row_layout_profile(gs):
 
     d2q, d3q = _ode_derivatives(gs)
     return evaluator((gs.q, gs.dq, d2q), decay_shape), evaluator((gs.dq, d2q, d3q), dq_tail)
+
+
+def gl_panels(edges: np.ndarray, nodes: int):
+    """Nodes and weights of the composite Gauss-Legendre rule on the panels
+    between consecutive edges."""
+    return tuple(a.ravel() for a in gl_rows(edges, *np.polynomial.legendre.leggauss(nodes)))
+
+
+def gl_axis(breaks, nodes: int, step: float):
+    """Nodes and weights of the composite Gauss-Legendre rule over consecutive
+    intervals between breaks, each cut into equal panels at most step wide."""
+    return gl_panels(panel_edges(breaks, step), nodes)
+
+
+def transverse_axis(edges: np.ndarray | None, nodes: int):
+    """Nodes and weights across the first axis on ``transverse_edges``: the
+    one node y2 = 0 of weight 1 for d = 1 (edges None), the composite
+    Gauss-Legendre rule on the panels for d = 2."""
+    if edges is None:
+        return np.zeros(1), np.ones(1)
+    return gl_panels(edges, nodes)
+
+
+def i_q_cartesian(gs, nodes_per_panel: int) -> float:
+    """Cartesian Gauss-Legendre rule for the e^(-x1)-weighted integral.
+
+    Along e1 the integrand Q^p e^(-y1) decays like e^(-(p-1)|y1|) behind
+    and e^(-(p+1)y1) ahead, so the e1 axis is [-FORCE_CUT/(p-1),
+    FORCE_CUT/(p+1)], split at 0; past r_max ``q_at`` supplies the matched
+    tail.  The transverse axis spans [-r_max, r_max].
+    """
+    p = gs.p
+    y1, w1 = gl_axis((-FORCE_CUT / (p - 1.0), 0.0, FORCE_CUT / (p + 1.0)), nodes_per_panel, 0.5)
+    y2, w2 = transverse_axis(transverse_edges(gs.d, gs.r_max, 0.5), nodes_per_panel)
+    rr = np.hypot(y1[:, None], y2)
+    return float(w1 @ (gs.q_at(rr) ** p * np.exp(-y1)[:, None]) @ w2)
 
 
 def adaptive_force_1d(zlen: float, gs, quad_tol: float = 1e-10) -> float:
@@ -637,6 +679,41 @@ def strang_chunk_reference(values: np.ndarray, k_sq: np.ndarray, dt: float, p: f
             if bound >= 1.0:
                 raise StepTooLarge(f"per-step nonlinear phase {bound:.3f} >= 1 at step {step}")
     return v
+
+
+def field_from_values(grid: Grid, values) -> ComplexField:
+    values = np.asarray(values, dtype=complex)
+    if values.shape != grid.shape:
+        raise ResolutionTooLow(f"values shape {values.shape} != grid {grid.shape}")
+    if not np.all(np.isfinite(values)):
+        raise Overflow("non-finite values in field")
+    return ComplexField(grid, values)
+
+
+def conj(u: ComplexField) -> ComplexField:
+    return ComplexField(u.grid, np.conj(u.values))
+
+
+def reflect(u: ComplexField) -> ComplexField:
+    """Values at -x, using the periodic identification of the box."""
+    v = u.values
+    for ax in range(u.grid.d):
+        v = np.roll(np.flip(v, axis=ax), 1, axis=ax)
+    return ComplexField(u.grid, v)
+
+
+def laplacian(u: ComplexField) -> np.ndarray:
+    return np.fft.ifftn(-u.grid.k_sq * np.fft.fftn(u.values))
+
+
+def l2_norm_sq(u: ComplexField) -> float:
+    return integrate(u.grid, np.abs(u.values) ** 2)
+
+
+def interaction_G(params: BubbleParams, gs, grid: Grid) -> ComplexField:
+    """Nonlinear cross term F(P1+P2) - F(P1) - F(P2)."""
+    _check_grid(params, grid)
+    return ComplexField(grid, _cross_term(*bubble_pair(params, gs, grid.x_mesh), gs.p))
 
 
 def nonlinearity_derivative(P: np.ndarray, eps: np.ndarray, p: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from twobubble import nls_core as nc
 from twobubble import reduced_dynamics as rd
 from twobubble.groundstate import closed_form_profile, solve_profile, structure_constants
 
-from oracles import apply_linearized, lam_q
+from oracles import apply_linearized, field_from_values, interaction_G, lam_q
 from test_groundstate import Q0_D2_P3_ORACLE
 
 
@@ -104,7 +104,7 @@ def test_criterion_05_reduced_exact_orbit(gs1, sc1, report):
 
 def test_criterion_06_solver_fidelity(gs1, grid_2048_32, report):
     g = grid_2048_32
-    Q = nc.field_from_values(g, gs1.q_at(np.abs(g.axis)))
+    Q = field_from_values(g, gs1.q_at(np.abs(g.axis)))
     out = nc.propagate(Q, 1e-3, 1000, 3.0)
     soliton_err = np.max(np.abs(out.values - np.exp(1j) * Q.values))
 
@@ -112,7 +112,7 @@ def test_criterion_06_solver_fidelity(gs1, grid_2048_32, report):
     drift_mass = abs(nc.observables(nc.propagate(Q, 1e-3, 10000, 3.0), 3.0).mass
                      - m0) / m0
 
-    u = nc.field_from_values(g, 1.2 * gs1.q_at(np.abs(g.axis))
+    u = field_from_values(g, 1.2 * gs1.q_at(np.abs(g.axis))
                              * np.exp(0.3j * g.axis))
     e0 = nc.observables(u, 3.0).energy
     d_coarse = abs(nc.observables(nc.propagate(u, 2e-3, 500, 3.0), 3.0).energy - e0)
@@ -120,7 +120,7 @@ def test_criterion_06_solver_fidelity(gs1, grid_2048_32, report):
     factor = d_coarse / d_fine
 
     p = 5.0
-    pulse = nc.field_from_values(g, 0.8 / np.cosh(g.axis) * np.exp(0.2j * g.axis))
+    pulse = field_from_values(g, 0.8 / np.cosh(g.axis) * np.exp(0.2j * g.axis))
     E = nc.observables(pulse, p).energy
     h, dt = 0.02, 1e-4
     n = int(h / dt)
@@ -213,7 +213,7 @@ def test_criterion_10_refined_corrections(gs18, grid_2048_32, report):
         assert len(cors) == 1
         R0 = cors[0]
         back = np.fft.ifftn((1.0 + g.k_sq) * np.fft.fftn(R0.field.values))
-        source = az.interaction_G(pr, gs18, g).values * az.interaction_cutoff(pr, g)
+        source = interaction_G(pr, gs18, g).values * az.interaction_cutoff(pr, g)
         tilde = az.remove_translation_projections(source, pr, gs18, g)
         helmholtz_ok &= bool(np.max(np.abs(back - tilde)) <= 1e-10)
         sups.append(R0.sup_norm * s ** 1.8)

@@ -11,7 +11,8 @@ from twobubble.groundstate import _DQ, _Q, solve_profile, structure_constants
 
 from oracles import (FIXED_PANEL, ParamDerivs, adaptive_folded_force_1d, adaptive_force_1d,
                      ansatz_residual, ansatz_residual_direct, force_nodes_reference,
-                     modulation_vectors, nonlinearity_derivative, two_sided_force)
+                     interaction_G, l2_norm_sq, modulation_vectors, nonlinearity_derivative,
+                     reflect, two_sided_force)
 
 
 def params_1d(z, v=0.0, lam=1.0, gamma=0.0):
@@ -24,7 +25,7 @@ def test_coincident_bubbles(gs1, grid_2048_64):
     assert np.max(np.abs(P.values - expected)) < 1e-12
     assert np.max(np.abs(P.values.imag)) == 0.0
 
-    G = az.interaction_G(params_1d(0.0), gs1, grid_2048_64)
+    G = interaction_G(params_1d(0.0), gs1, grid_2048_64)
     assert np.max(np.abs(G.values - (2.0 ** 3 - 2.0) * gs1.q_at(
         np.abs(grid_2048_64.axis)) ** 3)) < 1e-11
 
@@ -33,9 +34,9 @@ def test_tau_symmetry(gs1, grid_2048_64):
     pr = params_1d(17.0, v=0.03, gamma=0.4)
     dv = ParamDerivs(lam_dot=0.01, z_dot=[0.05], gamma_dot=1.01, v_dot=[-0.002])
     for field in (az.build_two_bubble(pr, gs1, grid_2048_64),
-                  az.interaction_G(pr, gs1, grid_2048_64),
+                  interaction_G(pr, gs1, grid_2048_64),
                   ansatz_residual(pr, dv, gs1, grid_2048_64)):
-        refl = nc.reflect(field)
+        refl = reflect(field)
         assert np.max(np.abs(refl.values - field.values)) < 1e-13
 
 
@@ -43,13 +44,13 @@ def test_build_two_bubble_2d(gs2):
     g = nc.make_grid(2, 256, 16.0)
     pr = az.BubbleParams(lam=1.0, z=[9.0, 0.0], gamma=0.0, v=[0.02, 0.0])
     P = az.build_two_bubble(pr, gs2, g)
-    refl = nc.reflect(P)
+    refl = reflect(P)
     assert np.max(np.abs(refl.values - P.values)) < 1e-13
     # non-axis-aligned separation: symmetric up to the periodic wrap of the
     # tails at this small box
     pr2 = az.BubbleParams(lam=1.0, z=[6.0, 5.0], gamma=0.0, v=[0.01, -0.01])
     P2 = az.build_two_bubble(pr2, gs2, g)
-    asym = np.abs(nc.reflect(P2).values - P2.values)
+    asym = np.abs(reflect(P2).values - P2.values)
     assert np.max(asym) < 1e-5
     interior = (np.abs(g.x_mesh[0]) < 8.0) & (np.abs(g.x_mesh[1]) < 8.0)
     assert np.max(asym[interior]) < 1e-12
@@ -63,7 +64,7 @@ def test_two_bubble_mass(gs1, sc1, grid_2048_64):
                       -30.0, 50.0, limit=200)
     assert err < 1e-12
     oracle = 2.0 * sc1.l2 + 2.0 * cross
-    mass = nc.l2_norm_sq(P)
+    mass = l2_norm_sq(P)
     assert abs(mass - oracle) < 1e-9
     assert abs(mass - 2.0 * sc1.l2) < 1e-6  # spec example: ~8 within 1e-6
 
@@ -289,7 +290,7 @@ def test_force_below_threshold(gs1):
 
 
 def test_cartesian_rules_reject_d3(gs1):
-    # H(z) and I_Q share the transverse axis, which covers d = 1 and 2 only;
+    # H(z)'s transverse axis and I_Q's sphere weight cover d = 1 and 2 only;
     # solve_profile rejects d = 3 itself, so the rules get a d=1 profile
     # relabelled as d = 3
     with pytest.raises(InvalidExponent, match="dimension must be 1 or 2"):
@@ -330,12 +331,12 @@ def test_interaction_bound_shapes(gs1, gs18, grid_2048_64):
     # p = 3: sup G * e^{|z|} bounded above and below over |z| in [10, 20]
     vals = []
     for z in (10.0, 12.5, 15.0, 17.5, 20.0):
-        G = az.interaction_G(params_1d(z), gs1, grid_2048_64)
+        G = interaction_G(params_1d(z), gs1, grid_2048_64)
         vals.append(np.max(np.abs(G.values)) * np.exp(z))
     assert min(vals) > 1.0 and max(vals) < 100.0
     assert max(vals) / min(vals) < 3.0
     # p = 1.8: the weaker e^{-p|z|/2} envelope
-    G18 = az.interaction_G(params_1d(20.0), gs18, grid_2048_64)
+    G18 = interaction_G(params_1d(20.0), gs18, grid_2048_64)
     ratio = np.max(np.abs(G18.values)) / np.exp(-0.9 * 20.0)
     assert 0.1 < ratio < 100.0
 
@@ -346,7 +347,7 @@ def test_projection_consistency(gs1, grid_2048_64):
     for z in (10.0, 14.0, 18.0):
         for v in (0.0, 0.05, 0.1):
             pr = params_1d(z, v=v)
-            G = az.interaction_G(pr, gs1, grid_2048_64)
+            G = interaction_G(pr, gs1, grid_2048_64)
             off = grid_2048_64.axis - 0.5 * z
             T = np.exp(0.5j * v * off) * gs1.dq_at(np.abs(off)) * np.sign(off)
             lhs = float(np.sum(G.values * np.conj(T)).real) * grid_2048_64.h
@@ -407,7 +408,7 @@ def test_residual_free_flow_equals_G(gs1, grid_2048_64):
         assert max(abs(m.m_scale), np.max(np.abs(m.m_translation)), abs(m.m_phase),
                    np.max(np.abs(m.m_velocity))) < 1e-15
     res = ansatz_residual(pr, dv, gs1, grid_2048_64)
-    G = az.interaction_G(pr, gs1, grid_2048_64)
+    G = interaction_G(pr, gs1, grid_2048_64)
     assert np.max(np.abs(res.values - G.values)) < 1e-14
 
 
@@ -444,13 +445,13 @@ def test_refined_corrections_p18(gs18, grid_2048_32):
     # Helmholtz inverse recovers the projected source to spectral accuracy
     g = grid_2048_32
     back = np.fft.ifftn((1.0 + g.k_sq) * np.fft.fftn(R0.field.values))
-    source = az.interaction_G(pr, gs18, g).values * az.interaction_cutoff(pr, g)
+    source = interaction_G(pr, gs18, g).values * az.interaction_cutoff(pr, g)
     tilde = az.remove_translation_projections(source, pr, gs18, g)
     assert np.max(np.abs(back - tilde)) < 1e-10
 
     # tau symmetry; the removal cancels the translation component down to the
     # bubble-overlap order (the residual cross projection)
-    assert np.max(np.abs(nc.reflect(R0.field).values - R0.field.values)) < 1e-13
+    assert np.max(np.abs(reflect(R0.field).values - R0.field.values)) < 1e-13
     off = g.axis - 0.5 * pr.z[0]
     gq1 = gs18.dq_at(np.abs(off)) * np.sign(off)
     dQp = gs18.p * gs18.q_at(np.abs(off)) ** (gs18.p - 1.0) * gq1

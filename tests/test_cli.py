@@ -49,6 +49,20 @@ def test_interaction_command(capsys):
     assert rel < 1e-3
 
 
+def test_groundstate_command_large_p(capsys):
+    # the former Cartesian I_Q rule failed its own 8/12-node check here
+    data = json.loads(run_cli(capsys, "groundstate", "--d", "1", "--p", "9"))
+    assert data["p"] == 9.0 and data["I_Q"] > 0.0
+
+
+def test_interaction_command_d2_large_p(capsys):
+    # the former Cartesian I_Q rule failed its own 8/12-node check at d=2,
+    # p = 5, before the force rule ran
+    lines = run_cli(capsys, "interaction", "--d", "2", "--p", "5", "--z", "8").split()
+    assert lines[0] == "z,H_num,H_asym,rel_err" and len(lines) == 2
+    assert np.isfinite(float(lines[1].split(",")[-1]))
+
+
 def test_reduced_toy_command(capsys):
     out = run_cli(capsys, "reduced", "--mode", "toy", "--z0", "0",
                   "--zdot0", "1", "--t-end", "10")

@@ -13,8 +13,9 @@ from twobubble.groundstate import (_DQ, _Q, GroundState, _decay_shape_deriv, clo
                                    closed_form_q0, decay_shape, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import (bisect_q0_reference, decay_shape_deriv_bessel, interaction_weight,
-                     ode_residual, profile_spline_reference, row_layout_profile, shoot_q0)
+from oracles import (bisect_q0_reference, decay_shape_deriv_bessel, i_q_cartesian,
+                     interaction_weight, ode_residual, profile_spline_reference,
+                     row_layout_profile, shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -245,11 +246,15 @@ def test_asymptotic_constant_p3(sc1):
     assert abs(sc1.c_q / (2.0 * np.sqrt(2.0)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p,rel", [(2.0, 2e-10), (1.8, 5e-10), (1.45, 2e-7)])
+@pytest.mark.parametrize("p,rel", [(2.0, 2e-10), (1.8, 5e-10), (1.45, 2e-7), (9.0, 2e-13),
+                                   (15.0, 4e-13)])
 def test_c_q_green_identity_d1_closed_form(p, rel, profile):
     # c_q from I_Q against the tail q0 2^(2/(p-1)) e^(-r) of the sech^(2/(p-1))
-    # profile; measured 5.3e-11, 1.6e-10 and 8.5e-8.  At p = 1.45 the former
-    # tail fit raised on its residual; the identity needs none.
+    # profile; measured 6.8e-14, 2.5e-14, 1.9e-13, 5.6e-14 and 1.4e-13 (the
+    # first three bounds were set at r_max = 25, where they were 5.3e-11,
+    # 1.6e-10 and 8.5e-8).  At p = 1.45 the former tail fit raised on its
+    # residual; the identity needs none.  At p = 9 and 15 the former
+    # Cartesian I_Q rule failed its own 8/12-node check.
     sc = structure_constants(profile(p, 1))
     assert abs(sc.c_q / (closed_form_q0(p) * 2.0 ** (2.0 / (p - 1.0))) - 1.0) < rel
 
@@ -314,20 +319,57 @@ def test_c_p_d2_against_force_rule(gs2):
         assert abs(extrapolated / c_p - 1.0) < 3e-5
 
 
-def test_i_q_d2_against_radial_reduction(gs1, gs2):
-    # independent oracle: angular average reduces the weight to a Bessel factor
-    # in d = 2 and to 2 cosh r in d = 1; each input has its own tolerance
-    for gs, rel in ((gs2, 1e-7), (gs1, 1e-12)):
+def test_i_q_d2_against_radial_reduction(gs1, gs2, profile):
+    # adaptive quadrature of the same reduction, with the angular average of
+    # the weight a Bessel factor in d = 2 and 2 cosh r in d = 1, up to r_max
+    # (past the rule's cut 40/(p-1) the integrand is below e^-40 of I_Q);
+    # measured <= 4.0e-16 relative at d = 2, p = 3, 5 and 7, and 0 at d = 1
+    for gs in (gs2, profile(5.0, 2), profile(7.0, 2), gs1):
         sc = structure_constants(gs)
         val, err = quad(lambda r: gs.q_at(r) ** gs.p * interaction_weight(gs.d, r),
                         0.0, gs.r_max, epsabs=0.0, epsrel=1e-13, limit=400)
-        assert err < min(1e-8, 0.1 * rel * abs(val))
-        assert abs(sc.i_q - val) < rel * abs(val)
+        assert err < 1e-13 * abs(val)
+        assert abs(sc.i_q - val) < 2e-15 * abs(val), (gs.p, gs.d)
+
+
+@pytest.mark.parametrize("key", [(1.45, 1), (1.8, 1), (3.0, 1), (2.0, 2), (3.0, 2)], ids=str)
+def test_i_q_radial_against_cartesian_rule(key, profile):
+    # the radial rule against the former Cartesian rule over y1 and y2, 12
+    # nodes per panel, and against adaptive quadrature of the reduction up to
+    # the cut, split at r_max: measured <= 2.2e-16 and <= 4.4e-16 relative
+    gs = profile(*key)
+    i_q = structure_constants(gs).i_q
+    assert abs(i_q / i_q_cartesian(gs, 12) - 1.0) < 2e-15
+    cut = groundstate.FORCE_CUT / (gs.p - 1.0)
+    breaks = sorted({0.0, min(gs.r_max, cut), cut})
+    parts = [quad(lambda r: gs.q_at(r) ** gs.p * interaction_weight(gs.d, r), a, b,
+                  epsabs=0.0, epsrel=1e-13, limit=400) for a, b in zip(breaks[:-1], breaks[1:])]
+    val = sum(v for v, _ in parts)
+    assert sum(e for _, e in parts) < 1e-13 * val
+    assert abs(i_q / val - 1.0) < 2e-15
+
+
+def test_i_q_rule_radii_follow_p(monkeypatch):
+    # the radial rule evaluates the profile on one axis: at d = 2, p = 1.3
+    # (r_max 66.7) at 5360 radii, where the Cartesian rule, whose grid grew
+    # like r_max^2, took 1.7e7
+    gs = solve_profile(1.3, 2)
+    sizes = []
+    evaluate = GroundState._evaluate
+
+    def counting(self, rr, fields):
+        sizes.append(np.size(rr))
+        return evaluate(self, rr, fields)
+
+    monkeypatch.setattr(GroundState, "_evaluate", counting)
+    structure_constants(gs)
+    assert 0 < sum(sizes) < 10_000
 
 
 def test_i_q_includes_tail_past_r_max(gs18):
-    # the rule's e1 axis runs past r_max on the matched tail q = a e^(-r), so
-    # the oracle adds that tail's closed-form integral (7e-9 of I_Q at p = 1.8)
+    # the radial rule runs past r_max, to 40/(p-1), on the matched tail
+    # q = a e^(-r), so the oracle adds that tail's closed-form integral (7e-9
+    # of I_Q at p = 1.8)
     for gs in (gs18, solve_profile(2.0, 1)):
         p, R = gs.p, gs.r_max
         val, err = quad(lambda r: gs.q_at(r) ** p * interaction_weight(1, r),

@@ -10,7 +10,7 @@ from twobubble.groundstate import GroundState
 
 from conftest import random_smooth_field
 from oracles import (apply_linearized, coercivity_check, lab_frame_error, lam_q, project_out,
-                     quadratic_form, renormalized_h1)
+                     quadratic_form, reflect, renormalized_h1)
 
 COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 
@@ -102,7 +102,7 @@ def test_scaling_direction_perturbation(gs1, grid_2048_64):
     u = exact_two_bubble(true, gs1, g)
     off = g.axis - 0.5 * true.z[0]
     bump = np.exp(0.5j * true.v[0] * off) * 1j * lam_q(gs1, np.abs(off))
-    bump = bump + nc.reflect(nc.ComplexField(g, bump)).values
+    bump = bump + reflect(nc.ComplexField(g, bump)).values
     pert = nc.ComplexField(g, u.values + 1e-3 * bump)
     res = mf.decompose(pert, true, gs1, mode="snapshot")
     for key in ("Q", "yQ", "iLamQ", "igradQ"):
