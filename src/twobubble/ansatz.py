@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from .groundstate import (FORCE_CUT, GroundState, _stacked_template, force_panel, gl_rows,
-                          panel_edges, radial_integral, transverse_edges)
+                          panel_edges, radial_integral)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -88,18 +88,15 @@ class LatticeBubble:
 
     The offsets y - z and radii are computed at construction, since every
     caller reads them; every other field is computed on first use, so a
-    caller pays only for what it reads.  Profile values go through
-    ``gs.q_at``/``gs.dq_at`` (a caller reading only the geometry may pass
-    gs=None); a caller that reads q' as well as q passes with_dq=True, and
-    then both come from one ``gs.q_dq_at`` on the first read of either.
-    Quotients by r take their r -> 0 limits from q''(0) = (q0 - q0^p)/d.
+    caller pays only for what it reads.  q and q' come from one
+    ``gs.q_dq_at`` on the first read of either (a caller reading only the
+    geometry may pass gs=None).  Quotients by r take their r -> 0 limits
+    from q''(0) = (q0 - q0^p)/d.
     """
 
-    def __init__(self, gs: GroundState, coords, center: np.ndarray, vel: np.ndarray,
-                 with_dq: bool = False):
+    def __init__(self, gs: GroundState, coords, center: np.ndarray, vel: np.ndarray):
         self.gs = gs
         self.vel = vel
-        self.with_dq = with_dq
         self.offs = [c - zc for c, zc in zip(coords, center)]
         self.r = np.sqrt(sum(o ** 2 for o in self.offs))
 
@@ -109,7 +106,7 @@ class LatticeBubble:
 
     @cached_property
     def q(self) -> np.ndarray:
-        return self._q_dq[0] if self.with_dq else self.gs.q_at(self.r)
+        return self._q_dq[0]
 
     @cached_property
     def phase(self) -> np.ndarray:
@@ -121,7 +118,7 @@ class LatticeBubble:
 
     @cached_property
     def dq(self) -> np.ndarray:
-        return self._q_dq[1] if self.with_dq else self.gs.dq_at(self.r)
+        return self._q_dq[1]
 
     def _div(self, f: np.ndarray, den: np.ndarray, limit: float) -> np.ndarray:
         safe = self.r > 1e-12
@@ -161,11 +158,11 @@ class LatticeBubble:
         return self._div(self.d2q - self.dq_over_r, self.r ** 2, 0.0)
 
 
-def bubble_pair(params: BubbleParams, gs: GroundState, coords,
-                with_dq: bool = False) -> tuple[LatticeBubble, LatticeBubble]:
+def bubble_pair(params: BubbleParams, gs: GroundState,
+                coords) -> tuple[LatticeBubble, LatticeBubble]:
     """Both bubbles of the symmetric pair at the given coordinates."""
     return tuple(LatticeBubble(gs, coords, params.bubble_center(k),
-                               params.bubble_velocity(k), with_dq) for k in (1, 2))
+                               params.bubble_velocity(k)) for k in (1, 2))
 
 
 def ansatz_on_lattice(params: BubbleParams, gs: GroundState, coords) -> np.ndarray:
@@ -211,6 +208,17 @@ def _force_cut(p: float) -> tuple[float, float]:
     panel width."""
     step = force_panel(p)
     return step, step * math.ceil(FORCE_CUT / (p * step))
+
+
+def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | None:
+    """Panel edges across the pair axis of the force rule: None for d = 1,
+    whose transverse axis is one node, and [-half_width, half_width] cut into
+    panels at most step wide for d = 2.  QuadratureFailure for any other d."""
+    if d == 1:
+        return None
+    if d == 2:
+        return panel_edges((-half_width, half_width), step)
+    raise QuadratureFailure(f"the force rule covers d in (1, 2), got {d}")
 
 
 @dataclass(frozen=True)

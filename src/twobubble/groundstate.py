@@ -36,12 +36,13 @@ of q, then the six of q'.  On cell j = floor(r/h), with t = r/h - j, a
 value is sum_k c_k[j] t^k.  The cell of q matches q, q' and q'' at both
 its ends, that of q' matches q', q'' and q'''; q and q' are the samples,
 q'' and q''' come from the profile equation, so each cell is local and in
-closed form, and each field is C^2 across the knots.  An evaluation masks
-its radii once per chunk: up to ``r_max`` it gathers one row per radius
-(half a row for q or q' alone) and runs a Horner pass per field, beyond
-``r_max`` it takes the matched linear tail.  ``q_dq_at`` gives q and q'
-from one gather; ``q_at`` and ``dq_at`` run the same code for one field.
-The cost is the same for sorted and shuffled radii.
+closed form, and each field is C^2 across the knots.  ``q_dq_at`` is the
+one evaluator: per chunk it gathers one row per radius and runs both
+Horner passes on every radius, then overwrites the radii past ``r_max``
+with the matched linear tail, sqrt(pi/2) e^(-r) and its derivative at
+d = 1, K_0 and -K_1 at d = 2 (Cephes' ``k0`` and ``k1``).  ``q_at`` and
+``dq_at`` are its two halves.  The cost is the same for sorted and
+shuffled radii.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ from scipy.fft import dct
 from scipy.integrate import simpson
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
-from scipy.special import i0, kv
+from scipy.special import i0
+from scipy.special import k0 as bessel_k0
+from scipy.special import k1 as bessel_k1
 
 from .errors import InvalidExponent, NonConvergence, QuadratureFailure
 
@@ -80,8 +83,6 @@ _MESH_STEP = 1e-3
 _SEAM_DECAY = 20.0
 # points per pass of the array evaluator, which bounds its temporaries
 _CHUNK = 1 << 14
-# the fields of the profile evaluator: q, and q'
-_Q, _DQ = 0, 1
 
 
 def sphere_area(d: int) -> float:
@@ -118,17 +119,14 @@ def decay_shape(d: int, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if d == 1:
         return _SQRT_HALF_PI * np.exp(-r)
-    return kv(0.0, r)
+    return bessel_k0(r)
 
 
 def _decay_shape_deriv(d: int, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if d == 1:
         return -_SQRT_HALF_PI * np.exp(-r)
-    return -kv(1.0, r)              # K_0' = -K_1
-
-
-_TAILS = {_Q: decay_shape, _DQ: _decay_shape_deriv}
+    return -bessel_k1(r)            # K_0' = -K_1
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,9 @@ class GroundState:
     of the k=5 interpolating splines of the samples, and at d=1, p=3
     within 1.8e-14 of the closed form, as those splines are.  Values beyond
     ``r_max`` follow the matched linear tail ``tail_amplitude *
-    decay_shape``.  Instances are immutable and safe to share between
-    threads.
+    decay_shape``.  ``q_dq_at`` evaluates both fields at once; a caller
+    that needs one takes its half.  Instances are immutable and safe to
+    share between threads.
     """
 
     p: float
@@ -171,42 +170,31 @@ class GroundState:
         _hermite_cells(self._cell_width, self.dq, d2q, d3q, cells[:, 6:])
         return cells
 
-    def _evaluate(self, rr, fields) -> list[np.ndarray]:
-        """One array per field (``_Q``, ``_DQ`` or both): cell polynomials up
-        to ``r_max``, ``tail_amplitude`` times the field's tail beyond."""
+    def q_dq_at(self, rr) -> tuple[np.ndarray, np.ndarray]:
+        """q and q' at arbitrary radii, of the shape of rr: cell polynomials
+        up to ``r_max``, ``tail_amplitude`` times the matched tail beyond.
+
+        The tail overwrites every radius that is not <= r_max, so a NaN
+        radius reads NaN although its Horner pass read the last cell."""
         rr = np.asarray(rr, dtype=float)
-        tails = [_TAILS[f] for f in fields]
-        outs = [np.empty(rr.shape) for _ in fields]
-        flat = np.ravel(rr)
-        flat_outs = [o.reshape(-1) for o in outs]
+        q, dq = np.empty(rr.shape), np.empty(rr.shape)
+        flat, flat_q, flat_dq = np.ravel(rr), q.reshape(-1), dq.reshape(-1)
         for a in range(0, flat.size, _CHUNK):
-            x = flat[a:a + _CHUNK]
-            chunk = [o[a:a + _CHUNK] for o in flat_outs]
-            inside = x <= self.r_max
-            if inside.all():
-                _horner_cells(self._cells, x, self._cell_width, fields, chunk)
-                continue
-            near = x[inside]
-            vals = [np.empty(near.size) for _ in fields]
-            _horner_cells(self._cells, near, self._cell_width, fields, vals)
-            far = ~inside
+            x, out_q, out_dq = (v[a:a + _CHUNK] for v in (flat, flat_q, flat_dq))
+            _horner_cells(self._cells, x, self._cell_width, out_q, out_dq)
+            far = ~(x <= self.r_max)
             beyond = x[far]
-            for o, v, tail in zip(chunk, vals, tails):
-                o[inside] = v
-                o[far] = self.tail_amplitude * tail(self.d, beyond)
-        return outs
+            out_q[far] = self.tail_amplitude * decay_shape(self.d, beyond)
+            out_dq[far] = self.tail_amplitude * _decay_shape_deriv(self.d, beyond)
+        return q, dq
 
     def q_at(self, rr) -> np.ndarray:
-        """Profile value at arbitrary radii (cell polynomials inside, matched tail outside)."""
-        return self._evaluate(rr, (_Q,))[0]
+        """Profile value at arbitrary radii: the first half of ``q_dq_at``."""
+        return self.q_dq_at(rr)[0]
 
     def dq_at(self, rr) -> np.ndarray:
-        return self._evaluate(rr, (_DQ,))[0]
-
-    def q_dq_at(self, rr) -> tuple[np.ndarray, np.ndarray]:
-        """q and q' at the same radii from one evaluation, each equal to
-        ``q_at`` and ``dq_at``: one cell index and one gather per radius."""
-        return tuple(self._evaluate(rr, (_Q, _DQ)))
+        """Profile slope at arbitrary radii: the second half of ``q_dq_at``."""
+        return self.q_dq_at(rr)[1]
 
     @cached_property
     def force_law(self):
@@ -265,28 +253,23 @@ def _hermite_cells(h: float, f: np.ndarray, df: np.ndarray, d2f: np.ndarray,
     out[:, 5] = 6.0 * delta - 3.0 * (g0 + g1) - 0.5 * (k0 - k1)
 
 
-def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, fields, outs) -> None:
-    """Write each field's cell polynomial at the 1-d radii rr into its out.
+def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, q: np.ndarray,
+                  dq: np.ndarray) -> None:
+    """Write the cell polynomials of q and q' at the 1-d radii rr into q and dq.
 
     s = r/h is capped at the cell count, so r_max reads the last cell at
-    t = 1, and j = floor(s) is clamped to the cell range on both sides,
-    because a negative index would wrap.  One gather fetches the
-    coefficients of each radius's cell, and each field's Horner pass reads
-    its six of them: both fields gather row j of cells, one field only its
-    half, row 2j + field of the (2 n_cells, 6) view.
+    t = 1, as do +inf and NaN (np.fmin drops a NaN), and j = floor(s) is
+    clamped to the cell range on both sides, because a negative index would
+    wrap.  One gather fetches row j of cells for each radius, and each
+    field's Horner pass reads its six coefficients.
     """
     n_cells = cells.shape[0]
     s = np.fmin(rr / h, n_cells)
     j = np.fmin(s, n_cells - 1).astype(np.intp)
     np.maximum(j, 0, out=j)
     s -= j
-    if len(fields) == 1:
-        j *= 2
-        j += fields[0]
-        c, starts = cells.reshape(-1, 6).take(j, axis=0), (0,)
-    else:
-        c, starts = cells.take(j, axis=0), [6 * f for f in fields]
-    for a, o in zip(starts, outs):
+    c = cells.take(j, axis=0)
+    for a, o in ((0, q), (6, dq)):
         np.multiply(c[:, a + 5], s, out=o)
         for k in (4, 3, 2, 1):
             o += c[:, a + k]
@@ -510,17 +493,6 @@ def _stacked_template(counts: tuple[int, ...]):
     return x, w, tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:]))
 
 
-def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | None:
-    """Panel edges across the first axis of a Cartesian rule: None for d = 1,
-    whose transverse axis is one node, and [-half_width, half_width] cut into
-    panels at most step wide for d = 2.  QuadratureFailure for any other d."""
-    if d == 1:
-        return None
-    if d == 2:
-        return panel_edges((-half_width, half_width), step)
-    raise QuadratureFailure(f"Cartesian rules cover d in (1, 2), got {d}")
-
-
 def force_panel(p: float) -> float:
     """Panel width of the force rule: the largest power of two at most
     min(1, 4/(p-1)^2), for d = 1 and d = 2 alike.
@@ -576,7 +548,7 @@ def _i_q_passes(gs: GroundState) -> list[float]:
     x, w, spans = _stacked_template((8, 12))
     r, wr = gl_rows(panel_edges(breaks, min(0.5, force_panel(p))), x, w)
     f = _sphere_weight(gs.d, r)
-    f *= gs.q_at(r) ** p
+    f *= gs.q_dq_at(r)[0] ** p
     return [float(wr[:, cols].ravel() @ f[:, cols].ravel()) for cols in spans]
 
 

@@ -108,14 +108,14 @@ class _Workspace:
         lam, z, gamma, v = self.unpack(theta)
         g, gs = self.g, self.gs
         coords_u = [x / lam for x in g.x_mesh]
-        bu = LatticeBubble(gs, coords_u, 0.5 * z, 0.5 * v, with_dq=True)
+        bu = LatticeBubble(gs, coords_u, 0.5 * z, 0.5 * v)
         upre = np.exp(-1j * gamma) * self.u.values * lam ** self.b_exp
         bare_u = _bare_fields(bu, count)
         T_u = [bu.phase * f for f in bare_u]
         I = np.array([self._pair(upre, t) for t in T_u])
 
-        by = (LatticeBubble(gs, g.x_mesh, 0.5 * z, 0.5 * v, with_dq=True),
-              LatticeBubble(gs, g.x_mesh, -0.5 * z, -0.5 * v, with_dq=True))
+        by = (LatticeBubble(gs, g.x_mesh, 0.5 * z, 0.5 * v),
+              LatticeBubble(gs, g.x_mesh, -0.5 * z, -0.5 * v))
         P = by[0].values + by[1].values
         bare_y = _bare_fields(by[0], count)
         Ty = [by[0].phase * f for f in bare_y]

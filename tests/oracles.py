@@ -48,15 +48,16 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import make_interp_spline
-from scipy.special import i0, kv
+from scipy.special import i0
 
 from twobubble.ansatz import (COLLISION_SEP, BubbleParams, LatticeBubble, _check_grid,
-                              _cross_term, ansatz_on_lattice, bubble_pair, force_asymptotic)
+                              _cross_term, ansatz_on_lattice, bubble_pair, force_asymptotic,
+                              transverse_edges)
 from twobubble.errors import (CollisionDetected, NonConvergence, Overflow, ResolutionTooLow,
                               StepTooLarge)
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _decay_shape_deriv, _hermite_cells,
                                    _ode_derivatives, closed_form_q0, decay_shape, force_panel,
-                                   gl_rows, panel_edges, transverse_edges)
+                                   gl_rows, panel_edges)
 from twobubble.modulation_fit import _bare_fields
 from twobubble.nls_core import ComplexField, Grid, h1_norm_sq, integrate
 
@@ -275,14 +276,6 @@ def ode_residual(gs) -> np.ndarray:
     return d2 + geom - gs.q + gs.q ** gs.p
 
 
-def decay_shape_deriv_bessel(d: int, r) -> np.ndarray:
-    """d/dr of r^(1-d/2) K_nu(r), nu = d/2 - 1, with K_nu' = -(K_(nu-1) + K_(nu+1))/2."""
-    r = np.asarray(r, dtype=float)
-    nu = d / 2.0 - 1.0
-    kp = -0.5 * (kv(nu - 1.0, r) + kv(nu + 1.0, r))
-    return (1.0 - d / 2.0) * r ** (-d / 2.0) * kv(nu, r) + r ** (1.0 - d / 2.0) * kp
-
-
 def row_layout_profile(gs):
     """q and q' of a ground state through one (6, n_cells) table each, as functions of r.
 
@@ -338,11 +331,9 @@ def row_layout_profile(gs):
 
         return at
 
-    def dq_tail(d, r):
-        return _decay_shape_deriv(d, r) if d == 1 else decay_shape_deriv_bessel(d, r)
-
     d2q, d3q = _ode_derivatives(gs)
-    return evaluator((gs.q, gs.dq, d2q), decay_shape), evaluator((gs.dq, d2q, d3q), dq_tail)
+    return (evaluator((gs.q, gs.dq, d2q), decay_shape),
+            evaluator((gs.dq, d2q, d3q), _decay_shape_deriv))
 
 
 def gl_panels(edges: np.ndarray, nodes: int):
@@ -558,7 +549,7 @@ def modulation_vectors(params, derivs: ParamDerivs) -> tuple[ModulationVector, M
 def ansatz_residual(params, derivs, gs, grid) -> ComplexField:
     """Flow residual assembled from the modulation vectors plus the cross term."""
     _check_grid(params, grid)
-    bubbles = bubble_pair(params, gs, grid.x_mesh, with_dq=True)
+    bubbles = bubble_pair(params, gs, grid.x_mesh)
     total = np.zeros(grid.shape, dtype=complex)
     for b, m in zip(bubbles, modulation_vectors(params, derivs)):
         term = m.m_scale * (-1j * b.lamq)
@@ -768,7 +759,7 @@ def quadratic_form(eta: ComplexField, gs) -> float:
 
 def projection_basis(gs, grid) -> list[np.ndarray]:
     """span{Q, y_m Q, i Lambda Q, i d_m Q} centered at the origin."""
-    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d), with_dq=True)
+    b = LatticeBubble(gs, grid.x_mesh, np.zeros(grid.d), np.zeros(grid.d))
     return [b.phase * f for f in _bare_fields(b, 2 + 2 * grid.d)]
 
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from twobubble import ansatz as az
 from twobubble import nls_core as nc
 from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from twobubble.groundstate import _DQ, _Q, solve_profile, structure_constants
+from twobubble.groundstate import solve_profile, structure_constants
 
 from oracles import (FIXED_PANEL, ParamDerivs, adaptive_folded_force_1d, adaptive_force_1d,
                      ansatz_residual, ansatz_residual_direct, force_nodes_reference,
@@ -215,44 +215,44 @@ def test_force_profile_work(monkeypatch, gs1):
     calls = []
     fresh = replace(gs1)
     GS = type(gs1)
-    evaluate = GS._evaluate
+    evaluate = GS.q_dq_at
 
-    def counted(self, rr, fields):
-        calls.append((np.size(rr), tuple(fields)))
-        return evaluate(self, rr, fields)
+    def counted(self, rr):
+        calls.append(np.size(rr))
+        return evaluate(self, rr)
 
-    monkeypatch.setattr(GS, "_evaluate", counted)
+    monkeypatch.setattr(GS, "q_dq_at", counted)
     az.interaction_force_H([16.0], fresh)
-    assert calls == [(280, (_Q, _DQ)), (600, (_Q, _DQ))]
+    assert calls == [280, 600]
     az.interaction_force_H([16.0], fresh)
-    assert calls[2:] == [(600, (_Q, _DQ))]
+    assert calls[2:] == [600]
 
 
 def test_lattice_bubble_joint_fields(monkeypatch, gs1, gs2, grid_2048_64):
-    # with_dq=True takes q and q' from one joint evaluation on the first read
-    # of either, and every field equals that of separate q_at and dq_at
-    # calls bit for bit; a q-only read stays one evaluation of q alone
+    # a bubble takes q and q' from one joint evaluation on the first read of
+    # either, whatever it reads, and they equal separate q_at and dq_at calls
     calls = []
     GS = type(gs1)
-    evaluate = GS._evaluate
+    evaluate = GS.q_dq_at
 
-    def counted(self, rr, fields):
-        calls.append(tuple(fields))
-        return evaluate(self, rr, fields)
+    def counted(self, rr):
+        calls.append(np.size(rr))
+        return evaluate(self, rr)
 
-    monkeypatch.setattr(GS, "_evaluate", counted)
+    names = ("values", "q", "dq", "lamq", "dq_over_r", "grad_q", "d2q", "dlamq_over_r",
+             "hess_factor")
     for gs, grid in ((gs1, grid_2048_64), (gs2, nc.make_grid(2, 128, 24.0))):
         center, vel = np.full(gs.d, 3.7), np.full(gs.d, 0.1)
-        alone = az.LatticeBubble(gs, grid.x_mesh, center, vel)
-        joint = az.LatticeBubble(gs, grid.x_mesh, center, vel, with_dq=True)
-        calls.clear()
-        assert np.array_equal(joint.values, alone.values)
-        assert calls == [(_Q, _DQ), (_Q,)]
-        for name in ("dq", "lamq", "dq_over_r", "d2q", "dlamq_over_r", "hess_factor"):
-            assert np.array_equal(getattr(joint, name), getattr(alone, name)), name
-        for a, b in zip(joint.grad_q, alone.grad_q):
-            assert np.array_equal(a, b)
-        assert calls == [(_Q, _DQ), (_Q,), (_DQ,)]
+        for first in ("values", "dq"):
+            b = az.LatticeBubble(gs, grid.x_mesh, center, vel)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(GS, "q_dq_at", counted)
+                getattr(b, first)
+                for name in names:
+                    getattr(b, name)
+            assert calls == [b.r.size], first
+            assert np.array_equal(b.q, gs.q_at(b.r)) and np.array_equal(b.dq, gs.dq_at(b.r))
 
 
 def test_force_rejects_non_finite(gs1):

@@ -560,21 +560,29 @@ def test_initial_fit_lost_is_fit_lost(monkeypatch, short_config, gs1, sc1):
 def test_sample_error_is_built_once(monkeypatch, short_config, gs1, sc1):
     # each sample's eps_h1 is the one energy_functional measures, equal to
     # the oracle's; the initial field and each sample's eps_lab take one
-    # q-only bubble pair each, so the fit builds no second eps_lab
+    # bubble pair, two profile evaluations, each, and a fit three per
+    # residual, so the fit builds no second eps_lab
     monkeypatch.setattr(ex, "_pipelined", lambda: False)
-    seen, q_calls = [], []
+    seen, evals, fit_evals = [], [], []
 
     def energy(u, params, s, gs):
         seen.append((u, params))
         return mf.energy_functional(u, params, s, gs)
 
-    q_at = GroundState.q_at
-    monkeypatch.setattr(GroundState, "q_at",
-                        lambda self, rr: q_calls.append(1) or q_at(self, rr))
+    def fit(*args, **kwargs):
+        res = mf.decompose(*args, **kwargs)
+        fit_evals.append(3 * (res.newton_iters + 1))
+        return res
+
+    gs1.force_law           # the law's rule calls evaluate the profile too
+    q_dq_at = GroundState.q_dq_at
+    monkeypatch.setattr(GroundState, "q_dq_at",
+                        lambda self, rr: evals.append(1) or q_dq_at(self, rr))
     monkeypatch.setattr(ex, "energy_functional", energy)
+    monkeypatch.setattr(ex, "decompose", fit)
     rec = ex.backward_shoot(short_config, 0.0, gs1, sc1)
     assert rec.exit == ex.EXIT_REACHED and len(seen) == len(rec.samples) == 8
-    assert len(q_calls) == 2 + 2 * len(rec.samples)
+    assert len(evals) == 2 + 2 * len(rec.samples) + sum(fit_evals)
     for (u, params), smp in zip(seen, rec.samples):
         assert (params.lam, list(params.z), params.gamma, list(params.v)) == \
             (smp["lam"], smp["z"], smp["gamma"], smp["v"])

@@ -1,6 +1,7 @@
 import dataclasses
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -9,13 +10,12 @@ from scipy.special import kv
 from twobubble import ansatz as az
 from twobubble import groundstate
 from twobubble.errors import InvalidExponent, NonConvergence
-from twobubble.groundstate import (_DQ, _Q, GroundState, _decay_shape_deriv, closed_form_profile,
+from twobubble.groundstate import (GroundState, _decay_shape_deriv, closed_form_profile,
                                    closed_form_q0, decay_shape, solve_profile, sphere_area,
                                    structure_constants)
 
-from oracles import (bisect_q0_reference, decay_shape_deriv_bessel, i_q_cartesian,
-                     interaction_weight, ode_residual, profile_spline_reference,
-                     row_layout_profile, shoot_q0)
+from oracles import (bisect_q0_reference, i_q_cartesian, interaction_weight, ode_residual,
+                     profile_spline_reference, row_layout_profile, shoot_q0)
 
 # frozen from the fixed-step RK4 oracle, h=1e-5, bracket width 1e-10
 Q0_D2_P3_ORACLE = 2.206200864650
@@ -45,10 +45,16 @@ def test_decay_shape_d1_closed_form():
 
 @pytest.mark.parametrize("d", [2])
 def test_decay_shape_deriv_bessel_form(d):
-    # d = 2 takes K_0' = -K_1 in one kv call, which equals the three-call
-    # form -(K_(nu-1) + K_(nu+1))/2 bit for bit
-    r = np.geomspace(1e-3, 750.0, 200_000)
-    assert np.array_equal(_decay_shape_deriv(d, r), decay_shape_deriv_bessel(d, r))
+    # K_0 and K_0' = -K_1 (Cephes' k0 and k1) against mpmath's besselk at 32
+    # digits, from the core to where K_0 nears the smallest normal double:
+    # measured 8.9e-16 and 3.3e-16 relative; kv(0/1, r) is up to 5.3e-14
+    # off past r = 60 and reads 0 at r = 700
+    r = np.geomspace(1e-3, 700.0, 150)
+    with mpmath.workdps(32):
+        k0 = np.array([float(mpmath.besselk(0, mpmath.mpf(x))) for x in r])
+        k1 = np.array([float(mpmath.besselk(1, mpmath.mpf(x))) for x in r])
+    assert np.max(np.abs(decay_shape(d, r) / k0 - 1.0)) <= 2e-15
+    assert np.max(np.abs(_decay_shape_deriv(d, r) / -k1 - 1.0)) <= 2e-15
 
 
 def test_closed_form_p2():
@@ -165,8 +171,8 @@ def test_cells_take_samples_and_equation_at_knots(any_gs):
         - (d - 1.0) * (d2q[1:] - dq[1:] / r[1:]) / r[1:]
     d2q[0], d3q[0] = (q[0] - q[0] ** p) / d, 0.0
     k = np.arange(6.0)
-    for field, samples in ((_Q, (q, dq, d2q)), (_DQ, (dq, d2q, d3q))):
-        c = gs._cells[:, 6 * field:6 * field + 6]
+    for col, samples in ((0, (q, dq, d2q)), (6, (dq, d2q, d3q))):
+        c = gs._cells[:, col:col + 6]
         starts = (c[:, 0], c[:, 1] / h, 2.0 * c[:, 2] / h ** 2)
         ends = (c.sum(axis=1), c @ k / h, c @ (k * (k - 1.0)) / h ** 2)
         for m, (f, at_0, at_1) in enumerate(zip(samples, starts, ends)):
@@ -194,9 +200,9 @@ def test_profile_shuffled_is_permuted_sorted(gs1):
 
 
 def test_joint_evaluator_matches_row_layout_oracle(any_gs):
-    # the one-table evaluator (one gather per radius, the polynomials only up
-    # to r_max, the tail only beyond) equals the earlier row-layout one
-    # value for value, through q_at, dq_at and q_dq_at alike
+    # the one-table evaluator (one gather per radius, both polynomials on
+    # every radius, the tail over those past r_max) equals the earlier
+    # row-layout one value for value, through q_at, dq_at and q_dq_at alike
     gs = any_gs
     q_ref, dq_ref = row_layout_profile(gs)
     # below r = 0 cell 0 is extrapolated: -1.2 h needs the lower clamp of j
@@ -215,6 +221,22 @@ def test_joint_evaluator_matches_row_layout_oracle(any_gs):
                           (gs.q_at(rr), expect[0]), (gs.dq_at(rr), expect[1])):
             assert ours.shape == rr.shape
             assert np.array_equal(ours, ref)
+
+
+def test_non_finite_radii(gs1, gs2):
+    # a NaN radius reads NaN and +inf reads 0, q and q' alike, through every
+    # evaluator, alone or among finite radii: the Horner pass reads the last
+    # cell at both, and the tail overwrites each radius not <= r_max
+    for gs in (gs1, gs2):
+        rr = np.array([np.nan, 1.0, np.inf, gs.r_max + 1.0])
+        q, dq = gs.q_dq_at(rr)
+        ref_q, ref_dq = gs.q_dq_at(rr[[1, 3]])
+        for ours, ref in ((q, ref_q), (dq, ref_dq), (gs.q_at(rr), ref_q),
+                          (gs.dq_at(rr), ref_dq)):
+            assert np.isnan(ours[0]) and ours[2] == 0.0
+            assert np.array_equal(ours[[1, 3]], ref)
+        for f in (gs.q_at, gs.dq_at):
+            assert np.isnan(f(np.nan)) and f(np.inf) == 0.0
 
 
 def test_ode_residual_small(gs1, gs2):
@@ -246,15 +268,14 @@ def test_asymptotic_constant_p3(sc1):
     assert abs(sc1.c_q / (2.0 * np.sqrt(2.0)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p,rel", [(2.0, 2e-10), (1.8, 5e-10), (1.45, 2e-7), (9.0, 2e-13),
-                                   (15.0, 4e-13)])
-def test_c_q_green_identity_d1_closed_form(p, rel, profile):
+@pytest.mark.parametrize("p", [2.0, 1.8, 1.45, 9.0, 15.0])
+def test_c_q_green_identity_d1_closed_form(p, profile):
     # c_q from I_Q against the tail q0 2^(2/(p-1)) e^(-r) of the sech^(2/(p-1))
-    # profile; measured 6.8e-14, 2.5e-14, 1.9e-13, 5.6e-14 and 1.4e-13 (the
-    # first three bounds were set at r_max = 25, where they were 5.3e-11,
-    # 1.6e-10 and 8.5e-8).  At p = 1.45 the former tail fit raised on its
-    # residual; the identity needs none.  At p = 9 and 15 the former
-    # Cartesian I_Q rule failed its own 8/12-node check.
+    # profile; measured 6.8e-14, 2.5e-14, 1.9e-13, 5.6e-14 and 1.4e-13.  At
+    # p = 1.45 the former tail fit raised on its residual; the identity needs
+    # none.  At p = 9 and 15 the former Cartesian I_Q rule failed its own
+    # 8/12-node check.
+    rel = {2.0: 2e-13, 1.8: 1e-13, 1.45: 1e-12, 9.0: 2e-13, 15.0: 4e-13}[p]
     sc = structure_constants(profile(p, 1))
     assert abs(sc.c_q / (closed_form_q0(p) * 2.0 ** (2.0 / (p - 1.0))) - 1.0) < rel
 
@@ -355,13 +376,13 @@ def test_i_q_rule_radii_follow_p(monkeypatch):
     # like r_max^2, took 1.7e7
     gs = solve_profile(1.3, 2)
     sizes = []
-    evaluate = GroundState._evaluate
+    evaluate = GroundState.q_dq_at
 
-    def counting(self, rr, fields):
+    def counting(self, rr):
         sizes.append(np.size(rr))
-        return evaluate(self, rr, fields)
+        return evaluate(self, rr)
 
-    monkeypatch.setattr(GroundState, "_evaluate", counting)
+    monkeypatch.setattr(GroundState, "q_dq_at", counting)
     structure_constants(gs)
     assert 0 < sum(sizes) < 10_000
 

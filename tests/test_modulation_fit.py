@@ -162,15 +162,17 @@ def test_no_convergence_budget(monkeypatch, gs1, grid_2048_64):
 
 
 def test_tracking_fit_builds_no_error_field(monkeypatch, gs1, grid_2048_64):
-    # the fit's bubbles all read q and q' jointly; a q-only profile
-    # evaluation would be a bubble pair built for eps_lab
+    # each residual of the fit evaluates the profile once per bubble, three
+    # times (the Newton steps and the final projections); a bubble pair
+    # built for eps_lab would add two evaluations
     true = BubbleParams(lam=1.01, z=[13.0], gamma=-0.4, v=[0.025])
     u = exact_two_bubble(true, gs1, grid_2048_64)
     calls = []
-    q_at = GroundState.q_at
-    monkeypatch.setattr(GroundState, "q_at", lambda self, rr: calls.append(1) or q_at(self, rr))
+    q_dq_at = GroundState.q_dq_at
+    monkeypatch.setattr(GroundState, "q_dq_at",
+                        lambda self, rr: calls.append(1) or q_dq_at(self, rr))
     res = mf.decompose(u, true, gs1, mode="tracking", v_override=true.v)
-    assert res.newton_iters >= 1 and calls == []
+    assert res.newton_iters >= 1 and len(calls) == 3 * (res.newton_iters + 1)
 
 
 def test_identity_decomposition_2d(gs2):
