@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
-from .groundstate import (FORCE_CUT, GroundState, _stacked_template, force_panel, gl_rows,
-                          panel_edges, radial_integral)
+from .groundstate import (FORCE_CUT, GL_NODES, GroundState, _stacked_template, force_panel,
+                          gl_rows, panel_edges, radial_integral)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -90,8 +90,9 @@ class LatticeBubble:
     caller reads them; every other field is computed on first use, so a
     caller pays only for what it reads.  q and q' come from one
     ``gs.q_dq_at`` on the first read of either (a caller reading only the
-    geometry may pass gs=None).  Quotients by r take their r -> 0 limits
-    from q''(0) = (q0 - q0^p)/d.
+    geometry may pass gs=None), and every field is built from them alone:
+    the fit's Jacobian needs no second derivative of Q.  q'/r takes its
+    r -> 0 limit q''(0) = (q0 - q0^p)/d.
     """
 
     def __init__(self, gs: GroundState, coords, center: np.ndarray, vel: np.ndarray):
@@ -120,17 +121,11 @@ class LatticeBubble:
     def dq(self) -> np.ndarray:
         return self._q_dq[1]
 
-    def _div(self, f: np.ndarray, den: np.ndarray, limit: float) -> np.ndarray:
-        safe = self.r > 1e-12
-        return np.where(safe, f / np.where(safe, den, 1.0), limit)
-
-    @property
-    def _curv0(self) -> float:
-        return (self.gs.q0 - self.gs.q0 ** self.gs.p) / self.gs.d
-
     @cached_property
     def dq_over_r(self) -> np.ndarray:
-        return self._div(self.dq, self.r, self._curv0)
+        gs, safe = self.gs, self.r > 1e-12
+        return np.where(safe, self.dq / np.where(safe, self.r, 1.0),
+                        (gs.q0 - gs.q0 ** gs.p) / gs.d)
 
     @cached_property
     def grad_q(self) -> list[np.ndarray]:
@@ -140,22 +135,6 @@ class LatticeBubble:
     def lamq(self) -> np.ndarray:
         """Radial part of the scaling generator, 2/(p-1) q + r q'."""
         return 2.0 / (self.gs.p - 1.0) * self.q + self.r * self.dq
-
-    @cached_property
-    def d2q(self) -> np.ndarray:
-        """q'' from the profile equation."""
-        return self.q - self.q ** self.gs.p - (self.gs.d - 1.0) * self.dq_over_r
-
-    @cached_property
-    def dlamq_over_r(self) -> np.ndarray:
-        a = 2.0 / (self.gs.p - 1.0)
-        return self._div((a + 1.0) * self.dq + self.r * self.d2q, self.r,
-                         (a + 2.0) * self._curv0)
-
-    @cached_property
-    def hess_factor(self) -> np.ndarray:
-        """(q'' - q'/r)/r^2 with a vanishing limit; multiplies offs_m offs_n."""
-        return self._div(self.d2q - self.dq_over_r, self.r ** 2, 0.0)
 
 
 def bubble_pair(params: BubbleParams, gs: GroundState,
@@ -188,11 +167,9 @@ def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
 
 
 # Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels whose
-# width follows p (``force_panel``), evaluated with a coarse and a fine node
-# count whose disagreement, against FORCE_TOL times the leading-order size of
-# H, bounds the error.
-_COARSE_NODES = 8
-_FINE_NODES = 12
+# width follows p (``force_panel``), evaluated with the coarse and the fine
+# node count of GL_NODES, whose disagreement, against FORCE_TOL times the
+# leading-order size of H, bounds the error.
 FORCE_TOL = 1e-10
 
 
@@ -295,7 +272,7 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
     node itself, so the values are the same to the bit."""
     p = gs.p
     step, cut = _force_cut(p)
-    x, w, passes = _fixed_half(gs, step, cut, (_COARSE_NODES, _FINE_NODES))
+    x, w, passes = _fixed_half(gs, step, cut, GL_NODES)
     near_y, near_w = gl_rows(panel_edges((-0.5 * zlen, 0.0), step), x, w)
     rows, radii = [], []
     for fixed in passes:

@@ -258,13 +258,16 @@ def _horner_cells(cells: np.ndarray, rr: np.ndarray, h: float, q: np.ndarray,
     """Write the cell polynomials of q and q' at the 1-d radii rr into q and dq.
 
     s = r/h is capped at the cell count, so r_max reads the last cell at
-    t = 1, as do +inf and NaN (np.fmin drops a NaN), and j = floor(s) is
-    clamped to the cell range on both sides, because a negative index would
-    wrap.  One gather fetches row j of cells for each radius, and each
-    field's Horner pass reads its six coefficients.
+    t = 1, as do +inf and NaN (np.fmin drops a NaN), and floored at -2, so
+    every radius below -2h, -inf included, reads the first cell at t = -2
+    and the cast to an index stays finite.  j = floor(s) is clamped to the
+    cell range on both sides, because a negative index would wrap.  One
+    gather fetches row j of cells for each radius, and each field's Horner
+    pass reads its six coefficients.
     """
     n_cells = cells.shape[0]
     s = np.fmin(rr / h, n_cells)
+    np.fmax(s, -2.0, out=s)
     j = np.fmin(s, n_cells - 1).astype(np.intp)
     np.maximum(j, 0, out=j)
     s -= j
@@ -518,6 +521,9 @@ I_Q_TOL = 1e-9
 # rule of ``ansatz`` stop their axes where their integrands have fallen that
 # far, so both domains follow p.
 FORCE_CUT = 40.0
+# Gauss-Legendre nodes per panel of the coarse and the fine pass of both
+# rules, whose disagreement bounds each rule's error
+GL_NODES = (8, 12)
 
 
 def _sphere_weight(d: int, r: np.ndarray) -> np.ndarray:
@@ -545,7 +551,7 @@ def _i_q_passes(gs: GroundState) -> list[float]:
     p = gs.p
     cut = FORCE_CUT / (p - 1.0)
     breaks = (0.0, gs.r_max, cut) if cut > gs.r_max else (0.0, cut)
-    x, w, spans = _stacked_template((8, 12))
+    x, w, spans = _stacked_template(GL_NODES)
     r, wr = gl_rows(panel_edges(breaks, min(0.5, force_panel(p))), x, w)
     f = _sphere_weight(gs.d, r)
     f *= gs.q_dq_at(r)[0] ** p

@@ -8,8 +8,11 @@ The fit finds (lambda, z, gamma, v) so that the recentered error of
 is orthogonal to the generalized null directions Q, yQ, i Lambda Q (and
 i grad Q in snapshot mode).  All pairings are evaluated in lab coordinates
 with exact lambda scaling factors, so the Newton loop never resamples the
-input field; the analytic Jacobian keeps convergence quadratic.  Every
-bubble, test field and derivative comes from ``ansatz.LatticeBubble``.
+input field.  The Jacobian differentiates no test field: summation by parts
+moves each derivative of a test field's argument onto the spectral gradient
+of u, taken once per fit, or onto the gradient of bubble 2, so the fit reads
+only Q and Q' and Newton's convergence stays quadratic.  Every bubble and
+test field comes from ``ansatz.LatticeBubble``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair, smoothstep
 from .errors import NoConvergence, OutOfBasin
 from .groundstate import GroundState
-from .nls_core import ComplexField
+from .nls_core import ComplexField, gradient
 
 # decompose's Newton budget, and its bound on the first step (OutOfBasin beyond)
 MAX_ITER = 40
@@ -48,27 +51,6 @@ def _bare_fields(b: LatticeBubble, count: int) -> list[np.ndarray]:
     return out
 
 
-def _bare_field_grads(b: LatticeBubble, count: int) -> list[list[np.ndarray]]:
-    """Argument-gradients of the first count bare null directions."""
-    d = len(b.offs)
-    grads = [b.grad_q]
-    for m in range(d):
-        grads.append([(b.q if n == m else 0.0) + b.offs[m] * b.grad_q[n]
-                      for n in range(d)])
-    grads.append([1j * b.dlamq_over_r * o for o in b.offs])
-    if count > len(grads):
-        for m in range(d):
-            grads.append([1j * (b.hess_factor * b.offs[m] * b.offs[n]
-                                + (b.dq_over_r if n == m else 0.0))
-                          for n in range(d)])
-    return grads
-
-
-def _d_dz(b: LatticeBubble, f: np.ndarray, grad: list[np.ndarray], m: int) -> np.ndarray:
-    """Derivative of b.phase * f(y - z/2) along z_m; grad is the gradient of f."""
-    return 0.5 * b.phase * (-1j * b.vel[m] * f - grad[m])
-
-
 def _d_dv(b: LatticeBubble, f: np.ndarray, m: int) -> np.ndarray:
     """Derivative of b.phase * f along v_m (phase e^{i v/2 . (y - z/2)})."""
     return 0.5 * b.phase * (1j * b.offs[m] * f)
@@ -86,6 +68,10 @@ class _Workspace:
         self.v_override = v_override
         self.n_eq = 2 + self.d + (self.d if mode == "snapshot" else 0)
         self.b_exp = 2.0 / (gs.p - 1.0) - self.d
+        # u is fixed during the solve, so its gradient and x . grad u are
+        # taken once; the Jacobian pairs them with the test fields
+        self.grad_u = gradient(u)
+        self.radial_u = sum(x * gu for x, gu in zip(self.g.x_mesh, self.grad_u))
 
     def _pair(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(f * np.conj(g)).real) * self.vol
@@ -107,8 +93,7 @@ class _Workspace:
         """
         lam, z, gamma, v = self.unpack(theta)
         g, gs = self.g, self.gs
-        coords_u = [x / lam for x in g.x_mesh]
-        bu = LatticeBubble(gs, coords_u, 0.5 * z, 0.5 * v)
+        bu = LatticeBubble(gs, [x / lam for x in g.x_mesh], 0.5 * z, 0.5 * v)
         upre = np.exp(-1j * gamma) * self.u.values * lam ** self.b_exp
         bare_u = _bare_fields(bu, count)
         T_u = [bu.phase * f for f in bare_u]
@@ -120,41 +105,46 @@ class _Workspace:
         bare_y = _bare_fields(by[0], count)
         Ty = [by[0].phase * f for f in bare_y]
         res = I - np.array([self._pair(P, t) for t in Ty])
-        return res, (lam, coords_u, bu, upre, bare_u, T_u, I, by, P, bare_y, Ty)
+        return res, (bu, upre, bare_u, T_u, I, by, P, bare_y, Ty)
 
     def residual_jacobian(self, theta: np.ndarray):
+        """Residual and Jacobian.  Each derivative of a test field's argument
+        is moved by parts onto the other factor of its pairing, so no test
+        field is differentiated.
+
+        u side, with T_j(x / lambda) and y = x / lambda: d/dz_m T_j is
+        -(1/2) d/dy_m T_j, so the z_m column is (lambda/2) <d_m upre, T_j>;
+        d/dlambda is -(x . grad T_j)/lambda, so the lambda column is
+        (2/(p-1) I_j + <x . grad upre, T_j>)/lambda.  Ansatz side: bubble 1
+        and the test fields shift together, so only bubble 2 moves against
+        them, and d/dz_m <P, T_j> is <d_m P_2, T_j>.
+        """
         d, n_eq = self.d, self.n_eq
         snapshot = self.mode == "snapshot"
-        res, (lam, coords_u, bu, upre, bare, T_u, I, by, P, bare_y, Ty) = \
-            self._residual(theta, n_eq)
+        res, (bu, upre, bare, T_u, I, by, P, bare_y, Ty) = self._residual(theta, n_eq)
         jac = np.zeros((n_eq, n_eq))
 
         # u side
-        bare_grads = _bare_field_grads(bu, n_eq)
+        lam, gamma = theta[0], theta[1 + d]
+        scale = np.exp(-1j * gamma) * lam ** self.b_exp
+        grad_upre = [scale * gu for gu in self.grad_u]
+        radial_upre = scale * self.radial_u
+        a = 2.0 / (self.gs.p - 1.0)
         for j in range(n_eq):
-            # full gradient of T_j including the boost phase
-            gradT = [bu.phase * (1j * bu.vel[n] * bare[j] + bare_grads[j][n])
-                     for n in range(d)]
-            radial = sum(c * gt for c, gt in zip(coords_u, gradT))
-            jac[j, 0] = self.b_exp / lam * I[j] - self._pair(upre, radial) / lam
+            jac[j, 0] = (a * I[j] + self._pair(radial_upre, T_u[j])) / lam
             jac[j, 1 + d] = self._pair(-1j * upre, T_u[j])
             for m in range(d):
-                jac[j, 1 + m] = self._pair(upre, _d_dz(bu, bare[j], bare_grads[j], m))
+                jac[j, 1 + m] = 0.5 * lam * self._pair(grad_upre[m], T_u[j])
                 if snapshot:
                     jac[j, 2 + d + m] = self._pair(upre, _d_dv(bu, bare[j], m))
 
-        # ansatz side: P and the test fields of bubble 1 both move with (z, v)
-        b1 = by[0]
-        bare_grads_y = _bare_field_grads(b1, n_eq)
-        signs = (1.0, -1.0)
-        dP_dz = [sum(sgn * _d_dz(b, b.q, b.grad_q, m) for sgn, b in zip(signs, by))
-                 for m in range(d)]
-        dP_dv = [sum(sgn * _d_dv(b, b.q, m) for sgn, b in zip(signs, by))
-                 for m in range(d)] if snapshot else []
+        # ansatz side: P and the test fields of bubble 1 both move with v
+        b1, b2 = by
+        grad_p2 = [b2.phase * (1j * b2.vel[m] * b2.q + b2.grad_q[m]) for m in range(d)]
+        dP_dv = [_d_dv(b1, b1.q, m) - _d_dv(b2, b2.q, m) for m in range(d)] if snapshot else []
         for j in range(n_eq):
             for m in range(d):
-                jac[j, 1 + m] -= (self._pair(dP_dz[m], Ty[j])
-                                  + self._pair(P, _d_dz(b1, bare_y[j], bare_grads_y[j], m)))
+                jac[j, 1 + m] -= self._pair(grad_p2[m], Ty[j])
                 if snapshot:
                     jac[j, 2 + d + m] -= (self._pair(dP_dv[m], Ty[j])
                                           + self._pair(P, _d_dv(b1, bare_y[j], m)))

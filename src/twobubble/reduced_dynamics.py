@@ -8,8 +8,8 @@ velocity forced by the interaction:
 integrated with an embedded adaptive Runge-Kutta pair, Dormand-Prince
 8(5,3), in either direction of the rescaled time s.  ``integrate_reduced``
 drives scipy's DOP853 stepper directly and takes the steps, collision
-event and samples that ``solve_ivp`` would; the toy equation and its
-linearization, which are not on a hot path, call ``solve_ivp``.
+event and samples that ``solve_ivp`` would; the toy equation, which is
+not on a hot path, calls ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -201,54 +201,3 @@ def toy_double_pole(z0: float, zdot0: float, t_end: float,
     if not sol.success:
         raise StepFailure(sol.message)
     return ToyTrajectory(t=sol.t, z=sol.y[0], zdot=sol.y[1])
-
-
-@dataclass(frozen=True)
-class InstabilityReport:
-    t: np.ndarray
-    v1_closed: np.ndarray
-    v1_numeric: np.ndarray
-    deviation: np.ndarray     # (z_eps - log t) / eps, centered over +-eps
-    growth_exponent: float
-
-
-def linearized_growth(t) -> np.ndarray:
-    """Closed-form solution t^2/3 + 2/(3t) of the linearized toy equation."""
-    t = np.asarray(t, dtype=float)
-    return t ** 2 / 3.0 + 2.0 / (3.0 * t)
-
-
-def linearized_instability(eps: float, t_end: float,
-                           tol: float = 1e-12) -> InstabilityReport:
-    """Growth of perturbations of the logarithmic toy orbit.
-
-    Returns the closed-form linearized mode, its direct integration, the
-    centered nonlinear deviation at +-eps, and the fitted late-time growth
-    exponent of the mode.  An eps that is not finite and positive, a tol
-    that is not finite and positive, or a t_end that is not finite and
-    above 1 is a StepFailure before any integration.
-    """
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise StepFailure(f"eps must be finite and positive, got {eps}")
-    _check_tol(tol)
-    _check_t_end(t_end)
-
-    def rhs_lin(t, y):
-        return (y[1], 2.0 * y[0] / t ** 2)
-
-    t_eval = np.geomspace(1.0, t_end, 400)
-    lin = solve_ivp(rhs_lin, (1.0, t_end), (1.0, 0.0), method="DOP853",
-                    rtol=tol, atol=1e-14, t_eval=t_eval)
-    if not lin.success:
-        raise StepFailure(lin.message)
-
-    plus = toy_double_pole(eps, 1.0, t_end, tol=tol)
-    minus = toy_double_pole(-eps, 1.0, t_end, tol=tol)
-    deviation = (plus.z - minus.z) / (2.0 * eps)
-
-    # dominant power from the last decade of the closed form integration
-    tail = t_eval >= t_end ** 0.5
-    slope = np.polyfit(np.log(t_eval[tail]), np.log(lin.y[0][tail]), 1)[0]
-    return InstabilityReport(t=t_eval, v1_closed=linearized_growth(t_eval),
-                             v1_numeric=lin.y[0], deviation=deviation,
-                             growth_exponent=float(slope))

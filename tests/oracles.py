@@ -36,7 +36,8 @@ least ratio of the projected form to the squared H1 norm over random
 fields (``coercivity_check``); and the field helpers the tests build and
 compare lattice fields with (a checked constructor, conjugation,
 reflection, the spectral Laplacian, the L2 norm) and the interaction term
-G = F(P1 + P2) - F(P1) - F(P2).
+G = F(P1 + P2) - F(P1) - F(P2); and the linearized instability of the toy
+double-pole orbit, its closed-form mode and its growth exponent.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ from twobubble.ansatz import (COLLISION_SEP, BubbleParams, LatticeBubble, _check
                               _cross_term, ansatz_on_lattice, bubble_pair, force_asymptotic,
                               transverse_edges)
 from twobubble.errors import (CollisionDetected, NonConvergence, Overflow, ResolutionTooLow,
-                              StepTooLarge)
+                              StepFailure, StepTooLarge)
 from twobubble.groundstate import (_CHUNK, FORCE_CUT, _decay_shape_deriv, _hermite_cells,
                                    _ode_derivatives, closed_form_q0, decay_shape, force_panel,
                                    gl_rows, panel_edges)
 from twobubble.modulation_fit import _bare_fields
 from twobubble.nls_core import ComplexField, Grid, h1_norm_sq, integrate
+from twobubble.reduced_dynamics import _check_t_end, _check_tol, toy_double_pole
 
 
 def rk4_shot(q0: float, p: float, d: int, r_max: float, h: float) -> int:
@@ -792,6 +794,57 @@ def coercivity_check(gs, grid, n_samples: int = 100,
     return float(np.min(ratios)), ratios
 
 
+@dataclass(frozen=True)
+class InstabilityReport:
+    t: np.ndarray
+    v1_closed: np.ndarray
+    v1_numeric: np.ndarray
+    deviation: np.ndarray     # (z_eps - log t) / eps, centered over +-eps
+    growth_exponent: float
+
+
+def linearized_growth(t) -> np.ndarray:
+    """Closed-form solution t^2/3 + 2/(3t) of the linearized toy equation."""
+    t = np.asarray(t, dtype=float)
+    return t ** 2 / 3.0 + 2.0 / (3.0 * t)
+
+
+def linearized_instability(eps: float, t_end: float,
+                           tol: float = 1e-12) -> InstabilityReport:
+    """Growth of perturbations of the logarithmic toy orbit.
+
+    Returns the closed-form linearized mode, its direct integration, the
+    centered nonlinear deviation at +-eps, and the fitted late-time growth
+    exponent of the mode.  An eps that is not finite and positive, a tol
+    that is not finite and positive, or a t_end that is not finite and
+    above 1 is a StepFailure before any integration.
+    """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise StepFailure(f"eps must be finite and positive, got {eps}")
+    _check_tol(tol)
+    _check_t_end(t_end)
+
+    def rhs_lin(t, y):
+        return (y[1], 2.0 * y[0] / t ** 2)
+
+    t_eval = np.geomspace(1.0, t_end, 400)
+    lin = solve_ivp(rhs_lin, (1.0, t_end), (1.0, 0.0), method="DOP853",
+                    rtol=tol, atol=1e-14, t_eval=t_eval)
+    if not lin.success:
+        raise StepFailure(lin.message)
+
+    plus = toy_double_pole(eps, 1.0, t_end, tol=tol)
+    minus = toy_double_pole(-eps, 1.0, t_end, tol=tol)
+    deviation = (plus.z - minus.z) / (2.0 * eps)
+
+    # dominant power from the last decade of the closed form integration
+    tail = t_eval >= t_end ** 0.5
+    slope = np.polyfit(np.log(t_eval[tail]), np.log(lin.y[0][tail]), 1)[0]
+    return InstabilityReport(t=t_eval, v1_closed=linearized_growth(t_eval),
+                             v1_numeric=lin.y[0], deviation=deviation,
+                             growth_exponent=float(slope))
+
+
 if __name__ == "__main__":
     import sys
 
@@ -800,3 +853,4 @@ if __name__ == "__main__":
     h = float(sys.argv[3]) if len(sys.argv) > 3 else 1e-5
     width = float(sys.argv[4]) if len(sys.argv) > 4 else 1e-10
     print(f"q0({p=}, {d=}, {h=}) = {shoot_q0(p, d, h=h, bracket_width=width):.12f}")
+

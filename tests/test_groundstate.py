@@ -237,6 +237,16 @@ def test_non_finite_radii(gs1, gs2):
             assert np.array_equal(ours[[1, 3]], ref)
         for f in (gs.q_at, gs.dq_at):
             assert np.isnan(f(np.nan)) and f(np.inf) == 0.0
+        # -inf and -1e300 read finite values, with no invalid cast to a cell
+        # index: every radius below -2h reads the first cell at t = -2, as
+        # r = -2h does
+        h = gs._cell_width
+        low = np.array([-np.inf, 1.0, -1e300, -2.0 * h])
+        q, dq = gs.q_dq_at(low)
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(dq))
+        for ours in (q, dq):
+            assert ours[0] == ours[2] == ours[3]
+        assert (q[1], dq[1]) == (ref_q[0], ref_dq[0])
 
 
 def test_ode_residual_small(gs1, gs2):

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from oracles import integrate_reduced_reference
+import oracles
+from oracles import integrate_reduced_reference, linearized_growth, linearized_instability
 from twobubble import reduced_dynamics as rd
 from twobubble.ansatz import FORCE_LAW_DOMAIN
 from twobubble.errors import CollisionDetected, StepFailure
@@ -158,6 +159,7 @@ def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
     # a NaN tol used to hang the toy run and end the full one in a misleading
     # QuadratureFailure, a negative one in scipy's raw ValueError
     monkeypatch.setattr(rd, "solve_ivp", _no_integration)
+    monkeypatch.setattr(oracles, "solve_ivp", _no_integration)
     monkeypatch.setattr(rd, "DOP853", _no_integration)
     st = marginal_state(10.0, 16.0)
     for tol in (np.nan, np.inf, 0.0, -1.0):
@@ -167,7 +169,7 @@ def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
         with pytest.raises(StepFailure, match="tol must be finite and positive"):
             rd.toy_double_pole(0.0, 1.0, 10.0, tol=tol)
         with pytest.raises(StepFailure, match="tol must be finite and positive"):
-            rd.linearized_instability(1e-6, 20.0, tol=tol)
+            linearized_instability(1e-6, 20.0, tol=tol)
     # no sample point used to be a raw ValueError after the whole span
     for n in (0, -3):
         with pytest.raises(StepFailure, match="n_samples must be at least 1"):
@@ -178,11 +180,11 @@ def test_bad_tolerance_rejected_before_integrating(gs1, sc1, monkeypatch):
         with pytest.raises(StepFailure, match="t_end must be finite"):
             rd.toy_double_pole(0.0, 1.0, t_end)
         with pytest.raises(StepFailure, match="t_end must be finite"):
-            rd.linearized_instability(1e-6, t_end)
+            linearized_instability(1e-6, t_end)
     # eps = 0 used to return an all-NaN deviation
     for eps in (0.0, -1e-6, np.nan, np.inf):
         with pytest.raises(StepFailure, match="eps must be finite and positive"):
-            rd.linearized_instability(eps, 20.0)
+            linearized_instability(eps, 20.0)
 
 
 def test_toy_log_orbit():
@@ -205,20 +207,20 @@ def test_toy_requires_future_time():
 
 
 def test_linearized_growth_value():
-    assert rd.linearized_growth(10.0) == pytest.approx(33.4, abs=1e-12)
+    assert linearized_growth(10.0) == pytest.approx(33.4, abs=1e-12)
 
 
 def test_linearized_instability_report():
-    rep = rd.linearized_instability(1e-6, 20.0)
+    rep = linearized_instability(1e-6, 20.0)
     i10 = np.argmin(np.abs(rep.t - 10.0))
-    assert abs(rep.v1_numeric[i10] - rd.linearized_growth(rep.t[i10])) < 1e-6
+    assert abs(rep.v1_numeric[i10] - linearized_growth(rep.t[i10])) < 1e-6
     # nonlinear centered deviation matches the linear mode to 1e-3 relative
     rel = np.abs(rep.deviation - rep.v1_closed) / rep.v1_closed
     assert np.max(rel) < 1e-3
 
 
 def test_growth_exponent():
-    rep = rd.linearized_instability(1e-6, 200.0)
+    rep = linearized_instability(1e-6, 200.0)
     assert 1.95 <= rep.growth_exponent <= 2.05
 
 
