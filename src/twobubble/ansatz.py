@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
 from .groundstate import (FORCE_CUT, GL_NODES, GroundState, _stacked_template, force_panel,
-                          gl_rows, panel_edges, radial_integral)
+                          gl_rows, panel_edges, structure_constants)
 from .nls_core import ComplexField, Grid, h1_norm_sq
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
@@ -428,7 +428,8 @@ def remove_translation_projections(values: np.ndarray, params: BubbleParams,
     re-orthogonalization), which keeps the result reflection-symmetric; the
     residual cross-projection is of the order of the bubble overlap.
     """
-    denom = radial_integral(gs, gs.dq ** 2) / gs.d     # ||d_j Q||^2 per component
+    # ||d_j Q||^2 = ||Q||^2 / (2(p+1)/(p-1) - d), by Pohozaev's identity and the pairing with Q
+    denom = structure_constants(gs).l2 / (2.0 * (gs.p + 1.0) / (gs.p - 1.0) - gs.d)
     vol = grid.cell_volume
     out = values.astype(complex).copy()
     for b in bubble_pair(params, gs, grid.x_mesh):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -187,10 +188,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_guess(text: str) -> dict:
+    """The fit's guess: a JSON object with "z" and "v", in the file named text or text."""
+    with contextlib.suppress(OSError):      # no such file, or too long a name for one
+        text = Path(text).read_text()
+    try:
+        guess = json.loads(text)
+    except ValueError as exc:
+        raise InvalidConfig(f"--guess is not JSON: {exc}") from None
+    if not (isinstance(guess, dict) and {"z", "v"} <= guess.keys()):
+        raise InvalidConfig(f'--guess must be a JSON object with "z" and "v", got {text!r:.80}')
+    return guess
+
+
 def cmd_fit(args) -> int:
+    guess_raw = _read_guess(args.guess)
     u, _ = read_snapshot(args.field)
-    guess_raw = json.loads(Path(args.guess).read_text()
-                           if Path(args.guess).exists() else args.guess)
     guess = BubbleParams(lam=guess_raw.get("lam", 1.0), z=guess_raw["z"],
                          gamma=guess_raw.get("gamma", 0.0), v=guess_raw["v"])
     gs = solve_profile(args.p, u.grid.d)

@@ -60,21 +60,15 @@ EXIT_BLOWUP = "blowup"
 EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP)
 # the sample keys that verify_regime and write_trajectory_csv read
 SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
+# Bracket width in zeta_sharp below which ``bisect_zeta`` stops halving
+_BRACKET_MIN_WIDTH = 1e-13
 
 # Hashed with every config: raise it when a config's record changes, so that a
-# sweep registry of older records does not count as done (2: cached force law;
-# 3: a chunk's step count takes the scale fitted one chunk earlier, which moves
-# the acceptance record from sample 532 on; 4: the reduced system predicts each
-# fit, and a collision it predicts ends the shot; 5: c comes from the Green
-# identity, not a tail fit, and c enters every record through initial_data,
-# the zeta of each sample and the regime tube; 6: the force rule's panels
-# follow p, which moves the force law and so each shot's predicted fits, and
-# eps_h1 and W take the fit's phase in (-pi, pi], not the unwrapped one; 7: the
-# ground state is a Newton solve of a Chebyshev collocation, not a shot, which
-# moves the d=1, p=3 profile by 2.4e-12 and the acceptance record by up to 6.3e-10;
-# 8: the profile's cell table is quintic Hermite from the equation, not a k=5
-# spline, which moves q_at and dq_at by up to 1.8e-15 and the record past 1e-10).
-RECORD_SCHEMA = 8
+# sweep registry of older records does not count as done (CHANGES.md gives the
+# reason for each value).  9: ||Q||^2 is integrated by the radial rule of I_Q,
+# not by Simpson's rule on the profile mesh, whose step went 1e-3 -> 2e-3; c
+# and the cell table move, and the acceptance record past 1e-10.
+RECORD_SCHEMA = 9
 
 
 @dataclass(frozen=True)
@@ -443,7 +437,7 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
 
 def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
                 constants: StructureConstants | None = None,
-                max_iter: int = 48, min_width: float = 1e-13) -> dict:
+                max_iter: int = 48) -> dict:
     """Bisect the shooting parameter until a run reaches s0.
 
     Returns the star value, the deepest record, and the bisection history.
@@ -472,7 +466,7 @@ def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
 
     deepest = rec_lo if rec_lo.deepest_s < rec_hi.deepest_s else rec_hi
     for _ in range(max_iter):
-        if hi - lo < min_width:
+        if hi - lo < _BRACKET_MIN_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         rec = backward_shoot(config, mid, gs, constants)

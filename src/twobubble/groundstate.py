@@ -22,13 +22,11 @@ p=3 after four.  The degree is 151, doubled while the series' last terms
 are not negligible.  q and q' are sampled onto the uniform mesh from the
 Chebyshev series.
 
-Q is radial, so the interaction integral I_Q = int Q^p(y) e^(-y1) dy
-reduces to one integral in r against the mean of e^(-y1) over the sphere
-of radius r (the Funk-Hecke formula): 2 cosh r at d = 1, 2 pi r I_0(r) at
-d = 2.  That integral and the force H(z) of ``ansatz`` run on composite
-Gauss-Legendre panels from the same helpers (``panel_edges``, ``gl_rows``,
-``_stacked_template`` and ``force_panel``); each rule stops where its
-integrand has fallen by e^-FORCE_CUT.
+Q is radial, so I_Q and ||Q||^2 reduce to integrals in r, which one rule
+computes (``_radial_passes``); it and the force H(z) of ``ansatz`` run on
+composite Gauss-Legendre panels from the same helpers (``panel_edges``,
+``gl_rows``, ``_stacked_template`` and ``force_panel``), and each stops
+where its integrands have fallen by e^-FORCE_CUT.
 
 q and q' are interpolated on the uniform mesh by quintic Hermite cells,
 stored in one table with a row per mesh cell: the six Taylor coefficients
@@ -53,7 +51,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import dct
-from scipy.integrate import simpson
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
 from scipy.special import i0
@@ -74,8 +71,10 @@ _CHEB_TAIL = 1e-14
 _NEWTON_START = 1e-2
 _ITERATIONS_MAX = 100
 
-# Step of the uniform mesh the profile is sampled on
-_MESH_STEP = 1e-3
+# Step of the uniform mesh the profile is sampled on, set by the cell table's
+# accuracy: against the k=5 splines of the samples it is within 1.8e-15 at
+# 2e-3, and 6.0e-14 at 4e-3, both at d=2, p=3.  No integral reads the mesh.
+_MESH_STEP = 2e-3
 # Past r_max the linear tail omits q^p, so q'' jumps there by about
 # q^(p-1)(r_max) ~ e^-((p-1) r_max) relative, 6.4e-5 at p = 1.45 and 2.9e-2
 # at p = 1.2 for r_max = 25; r_max reaches _SEAM_DECAY/(p-1), which keeps
@@ -133,17 +132,14 @@ def _decay_shape_deriv(d: int, r) -> np.ndarray:
 class GroundState:
     """Sampled radial profile with the metadata of its Newton solve.
 
-    Samples live on a uniform mesh in r.  Between samples q and q' are
-    quintic Hermite interpolants, evaluated through one per-cell Taylor
-    table built on first use: the cell of q takes q, q' and q'' at its two
-    ends, that of q' takes q', q'' and q''', with q'' and q''' from the
-    profile equation (``_ode_derivatives``).  The table is within 1.8e-15
-    of the k=5 interpolating splines of the samples, and at d=1, p=3
-    within 1.8e-14 of the closed form, as those splines are.  Values beyond
-    ``r_max`` follow the matched linear tail ``tail_amplitude *
-    decay_shape``.  ``q_dq_at`` evaluates both fields at once; a caller
-    that needs one takes its half.  Instances are immutable and safe to
-    share between threads.
+    Samples live on a uniform mesh in r.  Between samples q and q' come
+    from the quintic Hermite cell table of the module docstring, built on
+    first use, within 1.8e-15 of the k=5 interpolating splines of the
+    samples, and at d=1, p=3 within 1.8e-14 of the closed form, as those
+    splines are.  Values beyond ``r_max`` follow the matched linear tail
+    ``tail_amplitude * decay_shape``.  ``q_dq_at`` evaluates both fields at
+    once; a caller that needs one takes its half.  Instances are immutable
+    and safe to share between threads.
     """
 
     p: float
@@ -286,14 +282,13 @@ class StructureConstants:
 
     c_q:  amplitude of the r^(-(d-1)/2) e^(-r) tail, sqrt(pi/2) (2 pi)^(-d/2) i_q
           by the Green identity Q = (1 - Laplacian)^-1 Q^p
-    i_q:  interaction integral I_Q of Q^p(y) e^(-y1) over R^d, by its radial
-          reduction
+    i_q:  interaction integral I_Q of Q^p(y) e^(-y1) over R^d, by ``_radial_passes``
     c1:   pairing <Lambda Q, Q> of the scaling generator with the profile,
           (2/(p-1) - d/2) l2; 0 at the mass-critical p = 1 + 4/d
     c2:   per-component pairing <-y_j Q, d_j Q>, l2 / 2
     c_p:  c_q * i_q
     c:    2 c_p / c2, the force constant of the reduced system
-    l2:   squared L2 norm of the profile over R^d
+    l2:   squared L2 norm of the profile over R^d, by ``_radial_passes``
     """
 
     c_q: float
@@ -324,7 +319,7 @@ def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
     every p <= 1.12 at d=1 and <= 1.11 at d=2 stops with its last Newton
     step above tol; in between, 1.122 solves at d=1, 1.112 to 1.122 at d=2,
     and 1.124 at neither.  The largest r_max reached is 178.6, at d=2 and
-    p = 1.112, on 178,572 mesh points.  At d=2, degree 1201 leaves the last
+    p = 1.112, on 89,287 mesh points.  At d=2, degree 1201 leaves the last
     terms of the series above _CHEB_TAIL from p = 18 (18 and 20 tried);
     17.5 solves.
     """
@@ -464,11 +459,6 @@ def _newton_collocation(p: float, d: int, r_max: float, tol: float, degree: int)
     return coef, iters, residual
 
 
-def radial_integral(gs: GroundState, values: np.ndarray) -> float:
-    """Simpson integral of values(r) r^(d-1) over the mesh, times the sphere area."""
-    return sphere_area(gs.d) * simpson(values * gs.r ** (gs.d - 1), x=gs.r)
-
-
 def panel_edges(breaks, step: float) -> np.ndarray:
     """Edges of the panels that cut each interval between consecutive breaks
     into equal parts at most step wide."""
@@ -514,10 +504,8 @@ def force_panel(p: float) -> float:
     return math.ldexp(1.0, math.frexp(min(1.0, 4.0 / (p - 1.0) ** 2))[1] - 1)
 
 
-# Absolute floor of the coarse/fine check on I_Q; the relative one is 1e-9.
-I_Q_TOL = 1e-9
 # Decay, as an exponent, past which an integrand is below double precision
-# against its integral (e^-40 ~ 4e-18).  The I_Q rule here and the force
+# against its integral (e^-40 ~ 4e-18).  The radial rule here and the force
 # rule of ``ansatz`` stop their axes where their integrands have fallen that
 # far, so both domains follow p.
 FORCE_CUT = 40.0
@@ -534,38 +522,41 @@ def _sphere_weight(d: int, r: np.ndarray) -> np.ndarray:
         return 2.0 * np.cosh(r)
     if d == 2:
         return 2.0 * np.pi * r * i0(r)
-    raise QuadratureFailure(f"the radial I_Q rule covers d in (1, 2), got {d}")
+    raise QuadratureFailure(f"the radial rule covers d in (1, 2), got {d}")
 
 
-def _i_q_passes(gs: GroundState) -> list[float]:
-    """I_Q by the radial reduction, with 8 and then 12 Gauss-Legendre nodes
-    per panel.
+def _radial_passes(gs: GroundState) -> list[tuple[float, float]]:
+    """(I_Q, ||Q||^2) with 8 and then 12 Gauss-Legendre nodes per panel.
 
-    Q is radial, so the mean of e^(-y1) over each sphere (``_sphere_weight``)
-    reduces I_Q to the integral of Q^p(r) times that weight over r >= 0.  The
-    integrand decays like e^(-(p-1) r), so r stops at FORCE_CUT/(p-1), with
-    a break at r_max when the cut lies beyond it, where q'' jumps by about
-    e^-20 onto the matched tail.  The panels are min(1/2, ``force_panel(p)``)
-    wide, and both passes take q from one evaluation on one stacked
-    template."""
+    Q is radial, so the mean of e^(-y1) over each sphere (``_sphere_weight``,
+    the Funk-Hecke formula) reduces I_Q to the integral of Q^p(r) times that
+    weight over r >= 0, and ||Q||^2 is that of Q^2(r) times the sphere's
+    area.  The integrands decay like e^(-(p-1) r) and e^(-2r), so r stops at
+    the larger of FORCE_CUT/(p-1) and FORCE_CUT/2, each a break, so that
+    I_Q's panels do not depend on the second cut; r_max is a break where the
+    rule passes it, as q'' jumps there by about e^-20 onto the matched tail.
+    The panels are min(1/2, ``force_panel(p)``) wide, and both passes take q
+    from one evaluation on one stacked template."""
     p = gs.p
-    cut = FORCE_CUT / (p - 1.0)
-    breaks = (0.0, gs.r_max, cut) if cut > gs.r_max else (0.0, cut)
+    cut = FORCE_CUT / min(p - 1.0, 2.0)
+    breaks = sorted({0.0, FORCE_CUT / (p - 1.0), cut, min(gs.r_max, cut)})
     x, w, spans = _stacked_template(GL_NODES)
     r, wr = gl_rows(panel_edges(breaks, min(0.5, force_panel(p))), x, w)
-    f = _sphere_weight(gs.d, r)
-    f *= gs.q_dq_at(r)[0] ** p
-    return [float(wr[:, cols].ravel() @ f[:, cols].ravel()) for cols in spans]
+    q = gs.q_dq_at(r)[0]
+    i_q = _sphere_weight(gs.d, r) * q ** p
+    l2 = sphere_area(gs.d) * r ** (gs.d - 1) * q ** 2
+    return [tuple(float(wr[:, cols].ravel() @ f[:, cols].ravel()) for f in (i_q, l2))
+            for cols in spans]
 
 
 def structure_constants(gs: GroundState) -> StructureConstants:
-    """All scalar constants from two integrals of the sampled profile: I_Q by
-    its radial reduction with 8 and 12 nodes per panel, which must agree
-    (``_i_q_passes``), and ||Q||^2 by the radial Simpson rule."""
-    coarse, i_q = _i_q_passes(gs)
-    if abs(i_q - coarse) > max(I_Q_TOL, 1e-9 * abs(i_q)):
-        raise QuadratureFailure(f"radial I_Q rule not converged: {abs(i_q - coarse):.3e}")
-    l2 = radial_integral(gs, gs.q ** 2)
+    """All scalar constants from I_Q and ||Q||^2, whose radial rule's passes
+    with 8 and 12 nodes per panel must agree (``_radial_passes``)."""
+    coarse, fine = _radial_passes(gs)
+    for name, a, b in zip(("I_Q", "||Q||^2"), coarse, fine):
+        if abs(b - a) > 1e-9 * max(1.0, abs(b)):          # absolute and relative 1e-9
+            raise QuadratureFailure(f"radial {name} rule not converged: {abs(b - a):.3e}")
+    i_q, l2 = fine
 
     # Q = (1 - Laplacian)^-1 Q^p: the kernel's far field makes the tail
     # (2 pi)^(-d/2) I_Q decay_shape(d, r)

@@ -462,6 +462,19 @@ def test_refined_corrections_p18(gs18, grid_2048_32):
     assert abs(abs(r0_pair) - post) < 1e-10
 
 
+def test_translation_projection_removes_grad_q(gs18, grid_2048_64):
+    # the removal divides by ||d_j Q||^2 from the identity on ||Q||^2, so at a
+    # separation of 40, where the bubbles' overlap is below rounding, it
+    # leaves a bubble's own gradient field with no pairing against it, up to
+    # the identity's error on the computed profile: measured 1.9e-14 of
+    # ||d_j Q||^2
+    g = grid_2048_64
+    pr = params_1d(40.0)
+    gq = az.bubble_pair(pr, gs18, g.x_mesh)[0].grad_q[0]
+    out = az.remove_translation_projections(gq, pr, gs18, g)
+    assert abs(np.sum(out * gq).real) < 5e-14 * np.sum(gq * gq)
+
+
 def test_refined_corrections_p145(gs145, grid_2048_32):
     pr = params_1d(11.0)
     cors = az.refined_corrections(pr, gs145, grid_2048_32)

@@ -8,6 +8,7 @@ from twobubble import cli
 from twobubble import experiments as ex
 from twobubble.cli import main, parse_config_file
 from twobubble.errors import InvalidConfig, IoFailure
+from twobubble.nls_core import ComplexField, make_grid, write_snapshot
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,24 @@ def test_simulate_rejects_missing_key(tmp_path, monkeypatch):
     cfg.write_text("d = 1\nN = 1024\nL = 32\np = 3\nt_end = 0.1\n")
     with pytest.raises(InvalidConfig, match="missing keys dt"):
         main(["simulate", "--config", str(cfg)])
+
+
+def test_fit_rejects_bad_guess_before_compute(tmp_path, monkeypatch):
+    # a JSON guess longer than a file name used to raise OSError from the
+    # file test, malformed JSON a JSONDecodeError, and a guess without "z" or
+    # "v" a KeyError; a long well-formed guess reaches the fit
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    snap = tmp_path / "field.snap"
+    grid = make_grid(1, 256, 16.0)
+    write_snapshot(snap, ComplexField(grid, np.zeros(grid.shape, dtype=complex)), 0.0)
+    long_guess = json.dumps({"z": [15.0], "v": [0.0], "note": "x" * 300})
+    with pytest.raises(AssertionError, match="solve_profile ran"):
+        main(["fit", "--field", str(snap), "--guess", long_guess])
+    for guess, why in (('{"z": [15.0], "v": [0.0]', "is not JSON"),
+                       (json.dumps({"z": [15.0], "note": "x" * 300}), 'with "z" and "v"'),
+                       (json.dumps({"v": [0.0]}), 'with "z" and "v"')):
+        with pytest.raises(InvalidConfig, match=why):
+            main(["fit", "--field", str(snap), "--guess", guess])
 
 
 def test_shoot_rejects_zeta_sharp_nan(tmp_path, monkeypatch):
