@@ -4,14 +4,14 @@ The configuration is symmetric: bubble centers at +-z/2 carry velocities
 +-v/2 and a common scale and phase.  Every lattice field is built from
 ``LatticeBubble``, one lazily evaluated boosted bubble; the interaction
 force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
-d = 2 (the transverse axis is a single node for d = 1) over the near
-half-space, onto which the reflection y -> -y - z folds the far one, cut
-where its integrand falls below double precision against H, on panels
-whose width follows p (``force_panel``), with a coarse/fine check.  The
-half of that rule that does not depend on z is prepared once per ground
-state and cached on it, so a call evaluates the profile only where z
-enters.  ``ForceLaw`` interpolates H once per ground state and reads it,
-in the dynamics, from a table of cell polynomials.
+d = 2 over the near half-space, onto which the reflection y -> -y - z
+folds the far one, and at d = 2 over the half-plane y2 >= 0, onto which
+the mirror y2 -> -y2 folds the other, cut where its integrand falls below
+double precision against H, on panels whose width follows p
+(``force_panel``), with a coarse/fine check.  A call keeps no state: it
+lays its nodes and evaluates the profile on all of them.  ``ForceLaw``
+interpolates H once per ground state and reads it, in the dynamics, from a
+table of cell polynomials.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooSmall, InvalidExponent, QuadratureFailure
+from .errors import GridTooSmall, QuadratureFailure
 from .groundstate import (FORCE_CUT, GL_NODES, GroundState, _stacked_template, force_panel,
-                          gl_rows, panel_edges, structure_constants)
-from .nls_core import ComplexField, Grid, h1_norm_sq
+                          gl_rows, panel_edges)
+from .nls_core import ComplexField, Grid
 
 # Separation below which the two-bubble ansatz, and its force law, is invalid.
 COLLISION_SEP = 5.0
@@ -63,16 +63,6 @@ class BubbleParams:
 
     def bubble_velocity(self, k: int) -> np.ndarray:
         return 0.5 * self.v if k == 1 else -0.5 * self.v
-
-
-@dataclass(frozen=True)
-class RefinedCorrection:
-    """One Helmholtz-inverted correction of the interaction tail."""
-
-    j: int
-    field: ComplexField
-    sup_norm: float
-    h1_norm: float
 
 
 def _check_grid(params: BubbleParams, grid: Grid):
@@ -156,16 +146,6 @@ def build_two_bubble(params: BubbleParams, gs: GroundState, grid: Grid) -> Compl
     return ComplexField(grid, ansatz_on_lattice(params, gs, grid.x_mesh))
 
 
-def nonlinearity(values: np.ndarray, p: float) -> np.ndarray:
-    """F(u) = |u|^(p-1) u, elementwise."""
-    return np.abs(values) ** (p - 1.0) * values
-
-
-def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
-    return (nonlinearity(b1.values + b2.values, p) - nonlinearity(b1.values, p)
-            - nonlinearity(b2.values, p))
-
-
 # Composite Gauss-Legendre rule shared by d = 1 and d = 2: panels whose
 # width follows p (``force_panel``), evaluated with the coarse and the fine
 # node count of GL_NODES, whose disagreement, against FORCE_TOL times the
@@ -173,83 +153,17 @@ def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
 FORCE_TOL = 1e-10
 
 
-def _force_cut(p: float) -> tuple[float, float]:
-    """Panel width and cut b of the folded rule, with z along e1: y1 runs
-    over [-|z|/2, b], split at 0, and the transverse axis over [-b, b] (one
-    node for d = 1).
+def _force_cut(p: float) -> np.ndarray:
+    """Panel edges on [0, b] of the folded rule, with z along e1: y1 runs
+    over [-|z|/2, b], split at 0, and at d = 2 the transverse axis over
+    [0, b].
 
     The width is ``force_panel(p)`` for d = 1 and d = 2 alike.  At a
     distance b beyond either bubble, or across the pair axis, the integrand
     is below e^(-p b) of H, so both axes stop at b = FORCE_CUT/p rounded up
-    to whole panels, which keeps the edges of [0, b] on the multiples of the
-    panel width."""
+    to whole panels, whose edges are the multiples of the width."""
     step = force_panel(p)
-    return step, step * math.ceil(FORCE_CUT / (p * step))
-
-
-def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | None:
-    """Panel edges across the pair axis of the force rule: None for d = 1,
-    whose transverse axis is one node, and [-half_width, half_width] cut into
-    panels at most step wide for d = 2.  QuadratureFailure for any other d."""
-    if d == 1:
-        return None
-    if d == 2:
-        return panel_edges((-half_width, half_width), step)
-    raise QuadratureFailure(f"the force rule covers d in (1, 2), got {d}")
-
-
-@dataclass(frozen=True)
-class _FixedRows:
-    """One pass's rows of the folded rule on y1 in [0, b]: nodes y1 and
-    weights w1, the transverse axis (y2 None for d = 1), and Q^{p-1}(y) and
-    d_1Q(y) on them, one row per y1."""
-
-    cols: slice             # the pass's columns of the stacked template
-    y1: np.ndarray
-    w1: np.ndarray
-    y2: np.ndarray | None
-    w2: np.ndarray
-    weight: np.ndarray
-    pull: np.ndarray
-
-
-def _radii(y1: np.ndarray, y2: np.ndarray | None) -> np.ndarray:
-    """|y| on the nodes (y1, y2), one row per y1: |y1| for d = 1."""
-    return np.abs(y1)[:, None] if y2 is None else np.hypot(y1[:, None], y2)
-
-
-def _fixed_half(gs: GroundState, step: float, cut: float, counts):
-    """The z-independent half of the folded rule on ``gs``, cached on it:
-    the stacked template and each pass's ``_FixedRows``.
-
-    q and q' at |y| on [0, b] (at d = 2 times the whole transverse axis)
-    come from one joint evaluation, and Q^{p-1} and d_1Q from the
-    operations ``_force_nodes`` would apply to them."""
-    key = (step, cut, counts)
-    half = gs._force_halves.get(key)
-    if half is not None:
-        return half
-    x, w, spans = _stacked_template(counts)
-    y1s, w1s = gl_rows(panel_edges((0.0, cut), step), x, w)
-    across = transverse_edges(gs.d, cut, step)
-    if across is not None:
-        y2s, w2s = gl_rows(across, x, w)
-    rows = []
-    for cols in spans:
-        y2, w2 = (None, np.ones(1)) if across is None else \
-            (y2s[:, cols].ravel(), w2s[:, cols].ravel())
-        y1 = y1s[:, cols].ravel()
-        rows.append((cols, y1, w1s[:, cols].ravel(), y2, w2, _radii(y1, y2)))
-    q, dq = gs.q_dq_at(np.concatenate([row[-1].ravel() for row in rows]))
-    passes, at = [], 0
-    for cols, y1, w1, y2, w2, r in rows:
-        weight, pull = (v[at:at + r.size].reshape(r.shape) for v in (q, dq))
-        weight **= gs.p - 1.0
-        pull *= np.divide(y1[:, None], r, out=r)
-        passes.append(_FixedRows(cols, y1, w1, y2, w2, weight, pull))
-        at += r.size
-    half = gs._force_halves[key] = (x, w, passes)
-    return half
+    return step * np.arange(math.ceil(FORCE_CUT / (p * step)) + 1)
 
 
 def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
@@ -260,45 +174,46 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
     y1 < -|z|/2 onto the near one, so H is the near integral of
     p Q^{p-1}(y) Q(y+z) [d_1Q(y) - d_1Q(y+z)], the second term being the far
     half folded on.  It maps the two-sided rule's nodes onto these, so the
-    folded rule is that rule with each node pair summed.
+    folded rule is that rule with each node pair summed.  At d = 2 the
+    integrand is even in y2, the panels of [-b, b] are mirror images with 0
+    as an edge and the Gauss-Legendre nodes are symmetric, so the transverse
+    axis runs over [0, b] with doubled weights and sums the same terms
+    pairwise; d = 1 has no transverse axis, and any other d is a
+    QuadratureFailure.
 
-    The rows with y1 in [0, b] and their Q^{p-1}(y) and d_1Q(y) do not
-    depend on z; ``_fixed_half`` prepares them once per ground state.  A
-    call builds the rows on [-|z|/2, 0] of both passes from one stacked
-    template and evaluates q and q' once, jointly, at |y| on those rows and
-    at |y+z| on every row, all > 0: y1 = 0 is a break, so no node lies on
-    it, and y1 > -|z|/2.  Each pass then sums the integrand over its rows,
-    the near ones first, with the operations of a pass that evaluates every
-    node itself, so the values are the same to the bit."""
-    p = gs.p
-    step, cut = _force_cut(p)
-    x, w, passes = _fixed_half(gs, step, cut, GL_NODES)
-    near_y, near_w = gl_rows(panel_edges((-0.5 * zlen, 0.0), step), x, w)
-    rows, radii = [], []
-    for fixed in passes:
-        y1 = near_y[:, fixed.cols].ravel()
-        w1 = np.concatenate([near_w[:, fixed.cols].ravel(), fixed.w1])
-        shifted = np.concatenate([y1, fixed.y1])
-        shifted += zlen
-        rows.append((y1, shifted, w1))
-        radii += [_radii(y1, fixed.y2), _radii(shifted, fixed.y2)]
-    q, dq = gs.q_dq_at(np.concatenate([r.ravel() for r in radii]))
+    Both passes take their rows from one stacked template, and q and q' come
+    from one joint evaluation at |y| and |y+z| on every row, all > 0: y1 = 0
+    is a break, so no node lies on it, and y1 > -|z|/2."""
+    p, d = gs.p, gs.d
+    if d not in (1, 2):
+        raise QuadratureFailure(f"the force rule covers d in (1, 2), got {d}")
+    outer = _force_cut(p)
+    x, w, spans = _stacked_template(GL_NODES)
+    near = panel_edges((-0.5 * zlen, 0.0), outer[1])[:-1]
+    y1s, w1s = gl_rows(np.concatenate([near, outer]), x, w)
+    if d == 2:
+        y2s, w2s = gl_rows(outer, x, w)
+    rows = []
+    for cols in spans:
+        y1 = y1s[:, cols].ravel()
+        shifted = np.stack([y1, y1 + zlen])             # (y1, y1 + |z|)
+        if d == 1:
+            w2, r = None, np.abs(shifted)
+        else:
+            shifted = shifted[:, :, None]
+            w2, r = 2.0 * w2s[:, cols].ravel(), np.hypot(shifted, y2s[:, cols].ravel())
+        rows.append((shifted, w1s[:, cols].ravel(), w2, r))
+    q, dq = gs.q_dq_at(np.concatenate([r.ravel() for *_, r in rows]))
     out, at = [], 0
-    for fixed, (y1, shifted, w1), rn, rs in zip(passes, rows, radii[::2], radii[1::2]):
-        qn, dqn = (v[at:at + rn.size].reshape(rn.shape) for v in (q, dq))
-        at += rn.size
-        qs, dqs = (v[at:at + rs.size].reshape(rs.shape) for v in (q, dq))
-        at += rs.size
-        k = y1.size
-        qn **= p - 1.0
-        dqn *= np.divide(y1[:, None], rn, out=rn)
-        integrand, pull = np.empty(rs.shape), np.empty(rs.shape)
-        integrand[:k], integrand[k:] = qn, fixed.weight         # Q^{p-1}(y)
-        pull[:k], pull[k:] = dqn, fixed.pull                    # d_1Q(y)
-        dqs *= np.divide(shifted[:, None], rs, out=rs)          # d_1Q(y + z)
-        integrand *= qs
-        integrand *= np.subtract(pull, dqs, out=pull)
-        out.append(p * float(w1 @ integrand @ fixed.w2))
+    for shifted, w1, w2, r in rows:
+        qs, pull = (v[at:at + r.size].reshape(r.shape) for v in (q, dq))
+        at += r.size
+        pull *= np.divide(shifted, r, out=r)            # (d_1Q(y), d_1Q(y + z))
+        integrand = qs[0]
+        integrand **= p - 1.0
+        integrand *= qs[1]
+        integrand *= np.subtract(pull[0], pull[1], out=pull[0])
+        out.append(p * float(w1 @ integrand if w2 is None else w1 @ integrand @ w2))
     return out
 
 
@@ -312,10 +227,8 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
     near bubble and across the pair axis, where the integrand has fallen
     below e^-FORCE_CUT of H, and runs with 8 and 12 nodes per panel on the
     same panels; they must agree to
-    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).  The half of the rule
-    that does not depend on z is prepared on the ground state's first call,
-    and each call evaluates the profile only where z enters.  A non-finite
-    z, or |z| below min_sep, is a QuadratureFailure.
+    max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).  A non-finite z, or
+    |z| below min_sep, is a QuadratureFailure.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))
@@ -398,75 +311,3 @@ def force_asymptotic(z, c_p: float, d: int) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zlen = float(np.linalg.norm(z))
     return c_p * (z / zlen) * zlen ** (-0.5 * (d - 1)) * np.exp(-zlen)
-
-
-def interaction_cutoff(params: BubbleParams, grid: Grid) -> np.ndarray:
-    """Plateau cutoff selecting points within |z| of both bubble centers."""
-    zlen = float(np.linalg.norm(params.z))
-    out = np.ones(grid.shape)
-    for b in bubble_pair(params, None, grid.x_mesh):
-        # psi0 on [-1, 0]: argument |z| - r, quintic transition
-        out = out * smoothstep(zlen - b.r + 1.0, 0.0, 1.0)[0]
-    return out
-
-
-def correction_count(p: float) -> int:
-    """Smallest J with p > (J+3)/(J+2)."""
-    if not 1.0 < p <= 2.0:
-        raise InvalidExponent(f"refined corrections require 1 < p <= 2, got {p}")
-    j = 0
-    while p <= (j + 3.0) / (j + 2.0):
-        j += 1
-    return j
-
-
-def remove_translation_projections(values: np.ndarray, params: BubbleParams,
-                                   gs: GroundState, grid: Grid) -> np.ndarray:
-    """Subtract the real-pairing components along grad Q at both centers.
-
-    Both coefficients come from the input field (no sequential
-    re-orthogonalization), which keeps the result reflection-symmetric; the
-    residual cross-projection is of the order of the bubble overlap.
-    """
-    # ||d_j Q||^2 = ||Q||^2 / (2(p+1)/(p-1) - d), by Pohozaev's identity and the pairing with Q
-    denom = structure_constants(gs).l2 / (2.0 * (gs.p + 1.0) / (gs.p - 1.0) - gs.d)
-    vol = grid.cell_volume
-    out = values.astype(complex).copy()
-    for b in bubble_pair(params, gs, grid.x_mesh):
-        for gq in b.grad_q:
-            out -= (float(np.sum(values * gq).real) * vol / denom) * gq
-    return out
-
-
-def helmholtz_inverse(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """(-Delta + 1)^(-1) as the Fourier multiplier 1/(1 + |xi|^2)."""
-    return np.fft.ifftn(np.fft.fftn(values) / (1.0 + grid.k_sq))
-
-
-def refined_corrections(params: BubbleParams, gs: GroundState,
-                        grid: Grid) -> list[RefinedCorrection]:
-    """Iterated corrections for 1 < p <= 2, each an inverted projected source.
-
-    The zeroth source is the cutoff interaction term with both translation
-    projections removed; later sources are the nonlinear increments produced
-    by the previous corrections.
-    """
-    _check_grid(params, grid)
-    p = gs.p
-    J = correction_count(p)
-    bubbles = bubble_pair(params, gs, grid.x_mesh)
-    base = bubbles[0].values + bubbles[1].values
-    source = _cross_term(*bubbles, p) * interaction_cutoff(params, grid)
-    corrections = []
-    accum = np.zeros(grid.shape, dtype=complex)
-    for j in range(J + 1):
-        tilde = remove_translation_projections(source, params, gs, grid)
-        R = helmholtz_inverse(tilde, grid)
-        field = ComplexField(grid, R)
-        corrections.append(RefinedCorrection(
-            j=j, field=field, sup_norm=float(np.max(np.abs(R))),
-            h1_norm=float(np.sqrt(h1_norm_sq(field)))))
-        prev = base + accum
-        accum = accum + R
-        source = nonlinearity(base + accum, p) - nonlinearity(prev, p)
-    return corrections

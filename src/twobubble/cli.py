@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as ex
-from .ansatz import (COLLISION_SEP, BubbleParams, build_two_bubble, force_asymptotic,
-                     interaction_force_H)
+from .ansatz import (COLLISION_SEP, FORCE_LAW_DOMAIN, BubbleParams, build_two_bubble,
+                     force_asymptotic, interaction_force_H)
 from .errors import InvalidConfig, IoFailure
 from .groundstate import solve_profile, structure_constants
 from .modulation_fit import decompose, error_h1
@@ -83,13 +83,21 @@ def _tolerance(text: str) -> float:
 
 
 def _reduced_start_error(args) -> str | None:
-    """Why a full or asymptotic reduced run cannot start; the toy equation takes any z0."""
+    """Why a full or asymptotic reduced run cannot start; the toy equation takes any z0.
+    The full mode reads the force law, so its z0 must also lie within the law's domain."""
     if args.mode == "toy":
         return None
     if not (math.isfinite(args.s0) and math.isfinite(args.s_end)):
         return f"--s0 and --s-end must be finite, got {args.s0} and {args.s_end}"
+    if not (args.lam0 > 0.0 and math.isfinite(args.lam0)):
+        return f"argument --lam0: lambda must be finite and positive, got {args.lam0}"
     problem = _separation_error(args.z0)
-    return f"argument --z0: {problem}" if problem else None
+    if problem:
+        return f"argument --z0: {problem}"
+    if args.mode == "full" and abs(args.z0) > FORCE_LAW_DOMAIN[1]:
+        return (f"argument --z0: |z| = {abs(args.z0):g} is beyond the force law domain "
+                f"[{FORCE_LAW_DOMAIN[0]:g}, {FORCE_LAW_DOMAIN[1]:g}]")
+    return None
 
 
 def cmd_groundstate(args) -> int:

@@ -60,8 +60,10 @@ EXIT_BLOWUP = "blowup"
 EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP)
 # the sample keys that verify_regime and write_trajectory_csv read
 SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
-# Bracket width in zeta_sharp below which ``bisect_zeta`` stops halving
+# Bracket width in zeta_sharp below which ``bisect_zeta`` stops halving, and
+# the most halvings it makes
 _BRACKET_MIN_WIDTH = 1e-13
+_BISECT_MAX_ITER = 48
 
 # Hashed with every config: raise it when a config's record changes, so that a
 # sweep registry of older records does not count as done (CHANGES.md gives the
@@ -436,8 +438,7 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
 
 
 def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
-                constants: StructureConstants | None = None,
-                max_iter: int = 48) -> dict:
+                constants: StructureConstants | None = None) -> dict:
     """Bisect the shooting parameter until a run reaches s0.
 
     Returns the star value, the deepest record, and the bisection history.
@@ -465,7 +466,7 @@ def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
             records=(rec_lo, rec_hi))
 
     deepest = rec_lo if rec_lo.deepest_s < rec_hi.deepest_s else rec_hi
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         if hi - lo < _BRACKET_MIN_WIDTH:
             break
         mid = 0.5 * (lo + hi)

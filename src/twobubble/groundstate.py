@@ -138,8 +138,9 @@ class GroundState:
     samples, and at d=1, p=3 within 1.8e-14 of the closed form, as those
     splines are.  Values beyond ``r_max`` follow the matched linear tail
     ``tail_amplitude * decay_shape``.  ``q_dq_at`` evaluates both fields at
-    once; a caller that needs one takes its half.  Instances are immutable
-    and safe to share between threads.
+    once; a caller that needs one takes its half.  Only the cell table (with
+    its width) and ``force_law`` are cached on an instance, each built on
+    first use.  Instances are immutable and safe to share between threads.
     """
 
     p: float
@@ -197,12 +198,6 @@ class GroundState:
         """|H(|z|)|, the interaction force, as one cached ``ansatz.ForceLaw``."""
         from .ansatz import ForceLaw    # here, because ansatz imports this module
         return ForceLaw(self)
-
-    @cached_property
-    def _force_halves(self) -> dict:
-        """The z-independent halves of ``ansatz``'s force rule, each prepared
-        on first use and keyed by its panels and node counts."""
-        return {}
 
 
 def _ode_derivatives(gs: GroundState) -> tuple[np.ndarray, np.ndarray]:

@@ -123,13 +123,6 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(values).real) * grid.cell_volume
 
 
-def h1_norm_sq(u: ComplexField) -> float:
-    """Spectral H1 norm squared, ||u||^2 + sum |xi|^2 |u_hat|^2."""
-    uh = np.fft.fftn(u.values)
-    w = (1.0 + u.grid.k_sq) * np.abs(uh) ** 2
-    return float(np.sum(w)) * u.grid.cell_volume / u.grid.N ** u.grid.d
-
-
 def observables(u: ComplexField, p: float) -> Observables:
     """Mass, energy, momentum, variance and H1 norm of a field."""
     g = u.grid

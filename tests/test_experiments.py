@@ -17,7 +17,7 @@ from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoSignChange,
                               QuadratureFailure, WindowTooShort, WorkerLost)
 from twobubble.groundstate import GroundState
 
-from oracles import lab_frame_error, renormalized_h1
+from oracles import lab_frame_error, refined_corrections, renormalized_h1
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,7 @@ def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):
                             phi=phi, wall_time=0.0)
 
     monkeypatch.setattr(ex, "backward_shoot", stub_shoot)
-    out = ex.bisect_zeta(small_config, gs1, sc1, max_iter=20)
+    out = ex.bisect_zeta(small_config, gs1, sc1)
     mids = [h[0] for h in out["history"][2:]]
     # bracket width halves every step: midpoints approach the target
     for k, mid in enumerate(mids, start=1):
@@ -437,7 +437,7 @@ def test_refined_ansatz_propagation_smoke(gs18):
     s0 = 60.0
     pr = az.BubbleParams(lam=1.0, z=[2.0 * np.log(s0)], gamma=0.0, v=[1.0 / s0])
     bare = az.build_two_bubble(pr, gs18, g)
-    W = az.refined_corrections(pr, gs18, g)[0].field.values
+    W = refined_corrections(pr, gs18, g)[0].field.values
     corrected = nc.ComplexField(g, bare.values + W)
 
     dt, n = 1e-3, 2000
