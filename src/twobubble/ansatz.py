@@ -9,7 +9,8 @@ folds the far one, and at d = 2 over the half-plane y2 >= 0, onto which
 the mirror y2 -> -y2 folds the other, cut where its integrand falls below
 double precision against H, on panels whose width follows p
 (``force_panel``), with a coarse/fine check.  A call keeps no state: it
-lays its nodes and evaluates the profile on all of them.  ``ForceLaw``
+lays its nodes and evaluates the profile on them in blocks of y1 rows of
+at most ``_FORCE_BLOCK`` radii.  ``ForceLaw``
 interpolates H once per ground state and reads it, in the dynamics, from a
 table of cell polynomials.
 """
@@ -151,6 +152,10 @@ def build_two_bubble(params: BubbleParams, gs: GroundState, grid: Grid) -> Compl
 # node count of GL_NODES, whose disagreement, against FORCE_TOL times the
 # leading-order size of H, bounds the error.
 FORCE_TOL = 1e-10
+# Most radii at which one evaluation of the force rule takes the profile:
+# 2^20 radii hold 8 MB per array.  At d = 2, p = 7, |z| = 40 the rule has
+# 15.8 million radii, and evaluated at once they peaked at 549 MB.
+_FORCE_BLOCK = 1 << 20
 
 
 def _force_cut(p: float) -> np.ndarray:
@@ -181,9 +186,13 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
     pairwise; d = 1 has no transverse axis, and any other d is a
     QuadratureFailure.
 
-    Both passes take their rows from one stacked template, and q and q' come
-    from one joint evaluation at |y| and |y+z| on every row, all > 0: y1 = 0
-    is a break, so no node lies on it, and y1 > -|z|/2."""
+    Both passes take their rows from one stacked template.  Each pass is cut
+    into blocks of y1 rows of at most ``_FORCE_BLOCK`` radii, and q and q'
+    come from one joint evaluation at |y| and |y+z| per run of blocks that
+    fits in ``_FORCE_BLOCK``: one for both passes at d = 1 and wherever the
+    rule is small, so that a pass of one block sums as one product.  Every
+    radius is > 0: y1 = 0 is a break, so no node lies on it, and
+    y1 > -|z|/2."""
     p, d = gs.p, gs.d
     if d not in (1, 2):
         raise QuadratureFailure(f"the force rule covers d in (1, 2), got {d}")
@@ -193,28 +202,48 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
     y1s, w1s = gl_rows(np.concatenate([near, outer]), x, w)
     if d == 2:
         y2s, w2s = gl_rows(outer, x, w)
-    rows = []
-    for cols in spans:
-        y1 = y1s[:, cols].ravel()
+    sums, run, size = [0.0] * len(spans), [], 0
+    for k, cols in enumerate(spans):
+        y1, w1 = y1s[:, cols].ravel(), w1s[:, cols].ravel()
+        y2 = w2 = None
+        if d == 2:
+            y2, w2 = y2s[:, cols].ravel(), 2.0 * w2s[:, cols].ravel()
+        width = 2 if y2 is None else 2 * y2.size        # radii per y1 row
+        rows = max(1, _FORCE_BLOCK // width)
+        for a in range(0, y1.size, rows):
+            n = width * min(rows, y1.size - a)
+            if run and size + n > _FORCE_BLOCK:
+                _add_block_sums(run, zlen, gs, sums)
+                run, size = [], 0
+            run.append((k, y1[a:a + rows], w1[a:a + rows], y2, w2))
+            size += n
+    _add_block_sums(run, zlen, gs, sums)
+    return [p * total for total in sums]
+
+
+def _add_block_sums(blocks: list, zlen: float, gs: GroundState, sums: list) -> None:
+    """Add each block's part of its pass's sum to sums, from one joint
+    evaluation of q and q' at the radii of all the blocks."""
+    parts = []
+    for k, y1, w1, y2, w2 in blocks:
         shifted = np.stack([y1, y1 + zlen])             # (y1, y1 + |z|)
-        if d == 1:
-            w2, r = None, np.abs(shifted)
+        if y2 is None:
+            r = np.abs(shifted)
         else:
             shifted = shifted[:, :, None]
-            w2, r = 2.0 * w2s[:, cols].ravel(), np.hypot(shifted, y2s[:, cols].ravel())
-        rows.append((shifted, w1s[:, cols].ravel(), w2, r))
-    q, dq = gs.q_dq_at(np.concatenate([r.ravel() for *_, r in rows]))
-    out, at = [], 0
-    for shifted, w1, w2, r in rows:
+            r = np.hypot(shifted, y2)
+        parts.append((k, shifted, w1, w2, r))
+    q, dq = gs.q_dq_at(np.concatenate([r.ravel() for *_, r in parts]))
+    at = 0
+    for k, shifted, w1, w2, r in parts:
         qs, pull = (v[at:at + r.size].reshape(r.shape) for v in (q, dq))
         at += r.size
         pull *= np.divide(shifted, r, out=r)            # (d_1Q(y), d_1Q(y + z))
         integrand = qs[0]
-        integrand **= p - 1.0
+        integrand **= gs.p - 1.0
         integrand *= qs[1]
         integrand *= np.subtract(pull[0], pull[1], out=pull[0])
-        out.append(p * float(w1 @ integrand if w2 is None else w1 @ integrand @ w2))
-    return out
+        sums[k] += float(w1 @ integrand if w2 is None else w1 @ integrand @ w2)
 
 
 def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> np.ndarray:

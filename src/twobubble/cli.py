@@ -15,11 +15,10 @@ import numpy as np
 from . import experiments as ex
 from .ansatz import (COLLISION_SEP, FORCE_LAW_DOMAIN, BubbleParams, build_two_bubble,
                      force_asymptotic, interaction_force_H)
-from .errors import InvalidConfig, IoFailure
+from .errors import InvalidConfig, IoFailure, TwoBubbleError
 from .groundstate import solve_profile, structure_constants
 from .modulation_fit import decompose, error_h1
-from .nls_core import make_grid, observables, propagate, read_snapshot, \
-    write_atomically, write_snapshot
+from .nls_core import make_grid, observables, propagate, read_snapshot, write_snapshot
 from .reduced_dynamics import ReducedState, integrate_reduced, toy_double_pole
 
 
@@ -215,9 +214,7 @@ def cmd_fit(args) -> int:
     guess = BubbleParams(lam=guess_raw.get("lam", 1.0), z=guess_raw["z"],
                          gamma=guess_raw.get("gamma", 0.0), v=guess_raw["v"])
     gs = solve_profile(args.p, u.grid.d)
-    res = decompose(u, guess, gs, mode=args.mode,
-                    v_override=guess_raw["v"] if args.mode == "tracking" else None,
-                    with_fields=False)
+    res = decompose(u, guess, gs, mode=args.mode)
     print(json.dumps({
         "lam": res.params.lam, "z": list(res.params.z), "gamma": res.params.gamma,
         "v": list(res.params.v), "eps_h1": error_h1(u, res.params, gs),
@@ -244,10 +241,6 @@ def _check_out_dirs(*paths) -> None:
             raise IoFailure(f"cannot write {path}: no directory {Path(path).parent}")
 
 
-def _write_record(path, record: ex.RunRecord) -> None:
-    write_atomically(path, "run record", json.dumps(record.to_dict()).encode())
-
-
 def cmd_shoot(args) -> int:
     config = _load_shoot_config(args.config)
     _check_out_dirs(args.record_out, args.csv_out)
@@ -259,9 +252,13 @@ def cmd_shoot(args) -> int:
                       "wall_time": record.wall_time,
                       "n_samples": len(record.samples)}, indent=2))
     if args.record_out:
-        _write_record(args.record_out, record)
+        record.save(args.record_out)
     if args.csv_out:
-        ex.write_trajectory_csv(record, args.csv_out)
+        axes = range(1, config.d + 1)
+        _emit_csv(([smp["s"], smp["t"], smp["lam"], *smp["z"], smp["gamma"], *smp["v"],
+                    smp["eps_h1"], smp["zeta"], smp["xi"], smp["W"]] for smp in record.samples),
+                  ["s", "t", "lambda", *(f"z{i}" for i in axes), "gamma",
+                   *(f"v{i}" for i in axes), "eps_h1", "zeta", "xi", "W"], args.csv_out)
     return 0
 
 
@@ -274,19 +271,12 @@ def cmd_bisect(args) -> int:
                       "exit": record.exit, "deepest_s": record.deepest_s,
                       "history": out["history"]}, indent=2))
     if args.record_out:
-        _write_record(args.record_out, record)
+        record.save(args.record_out)
     return 0
 
 
-def _read_record_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot read run record {path}: {exc}") from exc
-
-
 def cmd_verify(args) -> int:
-    record = ex.RunRecord.from_dict(_read_record_json(args.record))
+    record = ex.RunRecord.from_dict(ex.read_record_json(args.record))
     gs = solve_profile(record.config.p, record.config.d)
     sc = structure_constants(gs)
     print(json.dumps(ex.verify_regime(record, sc), indent=2))
@@ -299,7 +289,7 @@ def cmd_diff(args) -> int:
     The records are read without the stored-hash check, so that records of
     another ``RECORD_SCHEMA`` compare; ``schema_note`` names each side whose
     hash is not of the current schema."""
-    (a, schema_a), (b, schema_b) = (ex.RunRecord.from_any_schema(_read_record_json(path))
+    (a, schema_a), (b, schema_b) = (ex.RunRecord.from_any_schema(ex.read_record_json(path))
                                     for path in (args.a, args.b))
     report = ex.compare_records(a, b)
     notes = {side: f"stored hash is of schema {schema}, not {ex.RECORD_SCHEMA}"
@@ -403,13 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: 0 on success; 2 on a bad argument (argparse exits);
+    1 on a typed failure, named on stderr as twobubble <command>: <type>:
+    <message>.  diff also returns 1 when the records differ."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "reduced":
         problem = _reduced_start_error(args)
         if problem:
             parser.error(problem)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TwoBubbleError as exc:
+        print(f"twobubble {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,13 +23,14 @@ available, another thread runs or the process is a daemonic worker.  A
 worker's Overflow or StepTooLarge reaches the parent with the chunk it
 belongs to, so a chunk the parent never takes cannot change the exit; a
 worker that dies raises WorkerLost, and the worker is ended with its shot.
+``RunRecord.save`` alone writes a record file and ``read_record_json`` alone
+reads one; ``run_sweep``'s registry is a directory of them, one per config.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -38,6 +39,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -48,7 +50,7 @@ from .errors import (CollisionDetected, FitLost, InvalidConfig, IoFailure, NoSig
                      Overflow, StepTooLarge, WindowTooShort, WorkerLost)
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
-from .nls_core import ComplexField, make_grid, observables, propagate
+from .nls_core import ComplexField, make_grid, observables, propagate, write_atomically
 from .reduced_dynamics import ReducedState, integrate_reduced
 
 EXIT_REACHED = "reached_s0"
@@ -58,7 +60,7 @@ EXIT_EPS = "exited_eps"
 EXIT_COLLISION = "collision"
 EXIT_BLOWUP = "blowup"
 EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP)
-# the sample keys that verify_regime and write_trajectory_csv read
+# the sample keys that from_dict checks and compare_records and the CSV read
 SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 # Bracket width in zeta_sharp below which ``bisect_zeta`` stops halving, and
 # the most halvings it makes
@@ -190,19 +192,18 @@ class RunRecord:
                        if _hash_at(record.config, record.zeta_sharp, k) == stored), None)
         return record, schema
 
+    def save(self, path) -> None:
+        """Write the record atomically as one line of sorted-key JSON."""
+        write_atomically(path, "run record",
+                         (json.dumps(self.to_dict(), sort_keys=True) + "\n").encode())
 
-def write_trajectory_csv(record: RunRecord, path) -> None:
-    d = record.config.d
-    cols = (["s", "t", "lambda"] + [f"z{i+1}" for i in range(d)] + ["gamma"]
-            + [f"v{i+1}" for i in range(d)]
-            + ["eps_h1", "zeta", "xi", "W"])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for smp in record.samples:
-            row = [smp["s"], smp["t"], smp["lam"], *smp["z"], smp["gamma"],
-                   *smp["v"], smp["eps_h1"], smp["zeta"], smp["xi"], smp["W"]]
-            w.writerow(row)
+
+def read_record_json(path) -> dict:
+    """A run record file's JSON; IoFailure if it is unreadable or not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read run record {path}: {exc}") from exc
 
 
 def zeta_of_separation(zlen: float, c: float, d: int) -> float:
@@ -366,8 +367,7 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
         u_now, guess = u_in, params
         while True:
             try:
-                fit = decompose(u_now, guess, gs, mode="tracking", v_override=guess.v,
-                                with_fields=False, xtol=config.newton_tol)
+                fit = decompose(u_now, guess, gs, mode="tracking", xtol=config.newton_tol)
             except Exception as exc:
                 raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
             # unwrap the phase onto the predicted branch
@@ -451,38 +451,36 @@ def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,
     lo, hi = config.zeta_bracket
     rec_lo = backward_shoot(config, lo, gs, constants)
     rec_hi = backward_shoot(config, hi, gs, constants)
-    endpoints = (rec_lo, rec_hi)
     history = [(lo, rec_lo.exit, rec_lo.phi, rec_lo.deepest_s),
                (hi, rec_hi.exit, rec_hi.phi, rec_hi.deepest_s)]
-    if rec_lo.exit == EXIT_REACHED:
-        return {"zeta_sharp_star": lo, "record": rec_lo, "history": history,
-                "endpoint_records": endpoints}
-    if rec_hi.exit == EXIT_REACHED:
-        return {"zeta_sharp_star": hi, "record": rec_hi, "history": history,
-                "endpoint_records": endpoints}
-    if rec_lo.phi == rec_hi.phi:
+    if EXIT_REACHED in (rec_lo.exit, rec_hi.exit):
+        star, record = (lo, rec_lo) if rec_lo.exit == EXIT_REACHED else (hi, rec_hi)
+    elif rec_lo.phi == rec_hi.phi:
         raise NoSignChange(
             f"both endpoints exited with phi={rec_lo.phi}",
             records=(rec_lo, rec_hi))
-
-    deepest = rec_lo if rec_lo.deepest_s < rec_hi.deepest_s else rec_hi
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo < _BRACKET_MIN_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        rec = backward_shoot(config, mid, gs, constants)
-        history.append((mid, rec.exit, rec.phi, rec.deepest_s))
-        if rec.exit == EXIT_REACHED:
-            return {"zeta_sharp_star": mid, "record": rec, "history": history,
-                    "endpoint_records": endpoints}
-        if rec.deepest_s < deepest.deepest_s:
-            deepest = rec
-        if rec.phi > 0:
-            hi = mid
-        else:
-            lo = mid
-    return {"zeta_sharp_star": 0.5 * (lo + hi), "record": deepest,
-            "history": history, "endpoint_records": endpoints}
+    else:
+        # halve until a shot reaches s0, else keep the deepest record
+        star, record = None, rec_lo if rec_lo.deepest_s < rec_hi.deepest_s else rec_hi
+        for _ in range(_BISECT_MAX_ITER):
+            if hi - lo < _BRACKET_MIN_WIDTH:
+                break
+            mid = 0.5 * (lo + hi)
+            rec = backward_shoot(config, mid, gs, constants)
+            history.append((mid, rec.exit, rec.phi, rec.deepest_s))
+            if rec.exit == EXIT_REACHED:
+                star, record = mid, rec
+                break
+            if rec.deepest_s < record.deepest_s:
+                record = rec
+            if rec.phi > 0:
+                hi = mid
+            else:
+                lo = mid
+        if star is None:
+            star = 0.5 * (lo + hi)
+    return {"zeta_sharp_star": star, "record": record, "history": history,
+            "endpoint_records": (rec_lo, rec_hi)}
 
 
 def fit_log_separation(t: np.ndarray, dx: np.ndarray, d: int = 1) -> dict:
@@ -577,56 +575,40 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
             "flips": flips, "compared": m, "first_diff": first_diff, "fields": fields}
 
 
-def run_sweep(configs: list[ShootConfig], registry_path,
+def run_sweep(configs: list[ShootConfig], registry_dir,
               gs: GroundState | None = None,
               constants: StructureConstants | None = None) -> list[dict]:
-    """Run one shot per config (bracket midpoint), appending to the registry.
-
-    The ground state and its constants are solved once per (p, d), unless
-    ``gs`` (and ``constants``) already give them for that pair.
-    Idempotent: configs whose hash already sits in the registry are skipped.
-    The registry is opened for append before the first shot, so an
-    unwritable path fails at once.  A torn last line (an append cut short:
-    no newline and not JSON) is skipped and cut off before the first
-    append; any other line that does not parse raises ``IoFailure``.
-    """
-    seen = set()
-    try:
-        with open(registry_path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-    except FileNotFoundError:
-        lines = []
-    except OSError as exc:
-        raise IoFailure(f"cannot read registry: {exc}") from exc
-    torn_at = None
-    offset = 0
-    for number, line in enumerate(lines, 1):
-        if line.strip():
-            try:
-                seen.add(json.loads(line).get("hash"))
-            except (ValueError, AttributeError) as exc:
-                if number < len(lines):
-                    raise IoFailure(f"registry {registry_path}: line {number} "
-                                    f"is not a JSON record ({exc})") from exc
-                torn_at = offset
-        offset += len(line) + 1
+    """Run one shot per config (bracket midpoint) and save its record as
+    ``<config hash>.json`` in the registry directory, unless that file
+    exists (a duplicate).  The ground state and its constants are solved
+    once per (p, d), unless ``gs`` (and ``constants``) already give them.
+    Before the first shot the directory is made (its parent must exist) and
+    each record file a config maps to is read back with ``from_dict``'s
+    checks, its stored hash equal to its name; each failure is an
+    IoFailure.  An empty config list makes nothing."""
     if not configs:
         return []
     try:
-        with open(registry_path, "ab") as fh:
-            if torn_at is not None:
-                fh.truncate(torn_at)
-            elif lines and lines[-1]:
-                fh.write(b"\n")
+        Path(registry_dir).mkdir(exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot append to registry: {exc}") from exc
-
-    solved = {} if gs is None else {(gs.p, gs.d): (gs, constants)}
-    results = []
+        raise IoFailure(f"cannot make registry directory {registry_dir}: {exc}") from exc
+    shots, done = [], set()
     for config in configs:
         zeta = 0.5 * (config.zeta_bracket[0] + config.zeta_bracket[1])
         h = config_hash(config, zeta)
-        if h in seen:
+        path = Path(registry_dir, f"{h}.json")
+        if path.exists():
+            data = read_record_json(path)
+            RunRecord.from_dict(data)
+            if data["hash"] != h:
+                raise IoFailure(f"registry file {path} holds the record of hash {data['hash']}")
+            done.add(h)
+        shots.append((config, zeta, h, path))
+
+    solved = {} if gs is None else {(gs.p, gs.d): (gs, constants)}
+    results = []
+    for config, zeta, h, path in shots:
+        if h in done:
             results.append({"hash": h, "status": "duplicate", "record": None})
             continue
         key = (config.p, config.d)
@@ -637,11 +619,7 @@ def run_sweep(configs: list[ShootConfig], registry_path,
             use_sc = structure_constants(use_gs)
         solved[key] = (use_gs, use_sc)
         record = backward_shoot(config, zeta, use_gs, use_sc)
-        try:
-            with open(registry_path, "a") as fh:
-                fh.write(json.dumps(record.to_dict()) + "\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot append to registry: {exc}") from exc
-        seen.add(h)
+        record.save(path)
+        done.add(h)
         results.append({"hash": h, "status": "ran", "record": record})
     return results

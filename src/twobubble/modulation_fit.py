@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair, smoothstep
-from .errors import NoConvergence, OutOfBasin
+from .errors import InvalidConfig, NoConvergence, OutOfBasin
 from .groundstate import GroundState
 from .nls_core import ComplexField, gradient
 
@@ -57,15 +57,19 @@ def _d_dv(b: LatticeBubble, f: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Workspace:
-    def __init__(self, u: ComplexField, gs: GroundState, mode: str,
-                 v_override: np.ndarray | None):
+    """The orthogonality conditions on u at theta = (lambda, z, gamma, v).
+
+    snapshot mode enforces all 2 + 2d of them and varies all of theta;
+    tracking mode enforces the first 2 + d and varies (lambda, z, gamma),
+    holding v at theta's."""
+
+    def __init__(self, u: ComplexField, gs: GroundState, mode: str):
         self.u = u
         self.g = u.grid
         self.gs = gs
         self.d = self.g.d
         self.vol = self.g.cell_volume
         self.mode = mode
-        self.v_override = v_override
         self.n_eq = 2 + self.d + (self.d if mode == "snapshot" else 0)
         self.b_exp = 2.0 / (gs.p - 1.0) - self.d
         # u is fixed during the solve, so its gradient and x . grad u are
@@ -81,8 +85,7 @@ class _Workspace:
         lam = theta[0]
         z = theta[1:1 + d]
         gamma = theta[1 + d]
-        v = theta[2 + d:2 + 2 * d] if self.mode == "snapshot" else self.v_override
-        return lam, z, gamma, np.asarray(v, dtype=float)
+        return lam, z, gamma, theta[2 + d:2 + 2 * d]
 
     def _residual(self, theta: np.ndarray, count: int):
         """Residuals of the first count pairings and the pieces the Jacobian reuses.
@@ -190,27 +193,23 @@ def recentered_error(u: ComplexField, params: BubbleParams,
 
 
 def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
-              mode: str = "snapshot", v_override=None, with_fields: bool = False,
+              mode: str = "snapshot", with_fields: bool = False,
               xtol: float = 1e-12) -> DecompResult:
     """Newton solve of the orthogonality conditions around a parameter guess.
 
-    tracking mode fits (lambda, z, gamma) with v supplied by the caller;
-    snapshot mode promotes the i grad Q condition to an equation and fits v
-    as well.  It builds no error field; ``error_h1`` measures eps at the
-    fitted parameters.  with_fields=True also returns eta1, through a dense
-    trigonometric resample that costs far more than the fit at large N.
+    tracking mode fits (lambda, z, gamma) and keeps the guess's v; snapshot
+    mode promotes the i grad Q condition to an equation and fits v as well;
+    any other mode is an InvalidConfig.  It builds no error field;
+    ``error_h1`` measures eps at the fitted parameters.  with_fields=True
+    also returns eta1, through a dense trigonometric resample that costs far
+    more than the fit at large N.
     """
     if mode not in ("snapshot", "tracking"):
-        raise NoConvergence(f"unknown mode {mode!r}")
-    if mode == "tracking":
-        if v_override is None:
-            raise NoConvergence("tracking mode needs v_override")
-        v_override = np.atleast_1d(np.asarray(v_override, dtype=float))
-    ws = _Workspace(u, gs, mode, v_override)
-    d = ws.d
+        raise InvalidConfig(f"unknown fit mode {mode!r}; use 'snapshot' or 'tracking'")
+    ws = _Workspace(u, gs, mode)
+    n = ws.n_eq
 
-    theta = np.concatenate([[guess.lam], guess.z, [guess.gamma]]
-                           + ([guess.v] if mode == "snapshot" else []))
+    theta = np.concatenate([[guess.lam], guess.z, [guess.gamma], guess.v])
     history = []
     for it in range(MAX_ITER):
         res, jac = ws.residual_jacobian(theta)
@@ -221,7 +220,7 @@ def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
         size = float(np.max(np.abs(step)))
         if it == 0 and size > TRUST_RADIUS:
             raise OutOfBasin(f"first Newton step {size:.3e} > {TRUST_RADIUS}")
-        theta = theta + step
+        theta[:n] += step
         if theta[0] <= 0:
             raise NoConvergence(f"scale went nonpositive: {theta[0]:.3e}")
         history.append(size)

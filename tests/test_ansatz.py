@@ -267,6 +267,31 @@ def test_force_profile_work(monkeypatch, gs1):
     assert calls[1:] == [880]
 
 
+def test_force_rule_evaluates_in_blocks(monkeypatch, gs2):
+    # no evaluation of the profile takes more than _FORCE_BLOCK radii: with
+    # the budget cut to 2^12, the d = 2, p = 3 rule at |z| = 16 evaluates
+    # the radii of its one default evaluation in runs of blocks of y1 rows,
+    # and the block sums move each pass by rounding only (measured 6.7e-16)
+    calls = []
+    GS = type(gs2)
+    evaluate = GS.q_dq_at
+
+    def recorded(self, rr):
+        calls.append(np.array(rr, copy=True))
+        return evaluate(self, rr)
+
+    monkeypatch.setattr(GS, "q_dq_at", recorded)
+    whole = az._force_nodes(16.0, gs2)
+    (radii,) = calls
+    calls.clear()
+    monkeypatch.setattr(az, "_FORCE_BLOCK", 1 << 12)
+    blocked = az._force_nodes(16.0, gs2)
+    assert len(calls) > 2 and max(c.size for c in calls) <= 1 << 12
+    assert np.array_equal(np.sort(np.concatenate(calls)), np.sort(radii))
+    for a, b in zip(blocked, whole):
+        assert abs(a / b - 1.0) <= 1e-15
+
+
 def test_lattice_bubble_joint_fields(monkeypatch, gs1, gs2, grid_2048_64):
     # a bubble takes q and q' from one joint evaluation on the first read of
     # either, whatever it reads, and they equal separate q_at and dq_at calls

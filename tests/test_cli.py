@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from twobubble import cli
 from twobubble import experiments as ex
 from twobubble.cli import main, parse_config_file
-from twobubble.errors import InvalidConfig, IoFailure
+from twobubble.errors import InvalidConfig, IoFailure, QuadratureFailure
 from twobubble.nls_core import ComplexField, make_grid, write_snapshot
 
 
@@ -15,6 +16,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     assert code == 0
     return capsys.readouterr().out
+
+
+def cli_fails(capsys, argv, error, match) -> str:
+    """main(argv) returns 1 and names the typed error on stderr, as
+    twobubble <command>: <type>: <message> with match in the message;
+    returns the message."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    prefix = f"twobubble {argv[0]}: {error.__name__}: "
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+    assert re.search(match, err[len(prefix):]), err
+    return err[len(prefix):]
 
 
 def test_parse_config_file(tmp_path):
@@ -111,7 +124,15 @@ def test_shoot_verify_sweep_commands(capsys, tmp_path):
     out = run_cli(capsys, "shoot", "--config", str(cfg), "--zeta-sharp", "0.0",
                   "--record-out", str(record_path), "--csv-out", str(csv_path))
     assert json.loads(out)["exit"] == "reached_s0"
-    assert csv_path.read_text().splitlines()[0].startswith("s,t,lambda")
+    rows = csv_path.read_text().splitlines()
+    assert rows[0].split(",") == ["s", "t", "lambda", "z1", "gamma", "v1",
+                                  "eps_h1", "zeta", "xi", "W"]
+    record = ex.RunRecord.from_dict(ex.read_record_json(record_path))
+    assert len(rows) == 1 + len(record.samples)
+    smp = record.samples[-1]
+    assert [float(x) for x in rows[-1].split(",")] == [
+        smp["s"], smp["t"], smp["lam"], *smp["z"], smp["gamma"], *smp["v"],
+        smp["eps_h1"], smp["zeta"], smp["xi"], smp["W"]]
 
     out = run_cli(capsys, "verify", "--record", str(record_path))
     rep = json.loads(out)
@@ -123,10 +144,17 @@ def test_shoot_verify_sweep_commands(capsys, tmp_path):
     sweep_dir = tmp_path / "cfgs"
     sweep_dir.mkdir()
     (sweep_dir / "a.cfg").write_text(cfg.read_text())
-    registry = tmp_path / "registry.jsonl"
+    registry = tmp_path / "runs"
     out = run_cli(capsys, "sweep", "--configs", str(sweep_dir),
                   "--registry", str(registry))
-    assert json.loads(out.strip().splitlines()[0])["status"] == "ran"
+    line = json.loads(out.strip().splitlines()[0])
+    assert line["status"] == "ran"
+    # the registry holds the record file that verify and diff read; the
+    # sweep shoots at the bracket's midpoint, 0, as the shot above did
+    saved = registry / f"{line['hash']}.json"
+    assert [f.name for f in registry.iterdir()] == [saved.name]
+    assert "tube_ok" in json.loads(run_cli(capsys, "verify", "--record", str(saved)))
+    assert json.loads(run_cli(capsys, "diff", str(saved), str(record_path)))["same"]
 
 
 def _no_shot(*args, **kwargs):
@@ -211,37 +239,36 @@ def _simulate_config(tmp_path, **overrides):
     return str(cfg)
 
 
-def test_simulate_rejects_zero_observables_every(tmp_path, monkeypatch):
+def test_simulate_rejects_zero_observables_every(capsys, tmp_path, monkeypatch):
     # 0 used to loop forever, appending rows without bound
     monkeypatch.setattr(cli, "solve_profile", _no_solve)
-    with pytest.raises(InvalidConfig, match="observables_every = 0"):
-        main(["simulate", "--config", _simulate_config(tmp_path, observables_every=0)])
+    cli_fails(capsys, ["simulate", "--config", _simulate_config(tmp_path, observables_every=0)],
+              InvalidConfig, "observables_every = 0")
 
 
-def test_simulate_rejects_zero_dt(tmp_path, monkeypatch):
+def test_simulate_rejects_zero_dt(capsys, tmp_path, monkeypatch):
     # dt = 0 used to end in a raw ZeroDivisionError after the profile solve
     monkeypatch.setattr(cli, "solve_profile", _no_solve)
-    with pytest.raises(InvalidConfig, match="dt must be finite, nonzero"):
-        main(["simulate", "--config", _simulate_config(tmp_path, dt=0.0)])
+    cli_fails(capsys, ["simulate", "--config", _simulate_config(tmp_path, dt=0.0)],
+              InvalidConfig, "dt must be finite, nonzero")
 
 
-def test_simulate_rejects_dt_against_t_end(tmp_path, monkeypatch):
+def test_simulate_rejects_dt_against_t_end(capsys, tmp_path, monkeypatch):
     # a negative dt with t_end > 0 used to write one row at t = 0 and stop
     monkeypatch.setattr(cli, "solve_profile", _no_solve)
-    with pytest.raises(InvalidConfig, match="of the sign of t_end"):
-        main(["simulate", "--config", _simulate_config(tmp_path, dt=-1e-3)])
+    cli_fails(capsys, ["simulate", "--config", _simulate_config(tmp_path, dt=-1e-3)],
+              InvalidConfig, "of the sign of t_end")
 
 
-def test_simulate_rejects_missing_key(tmp_path, monkeypatch):
+def test_simulate_rejects_missing_key(capsys, tmp_path, monkeypatch):
     # a missing dt used to end in a raw KeyError
     monkeypatch.setattr(cli, "solve_profile", _no_solve)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("d = 1\nN = 1024\nL = 32\np = 3\nt_end = 0.1\n")
-    with pytest.raises(InvalidConfig, match="missing keys dt"):
-        main(["simulate", "--config", str(cfg)])
+    cli_fails(capsys, ["simulate", "--config", str(cfg)], InvalidConfig, "missing keys dt")
 
 
-def test_fit_rejects_bad_guess_before_compute(tmp_path, monkeypatch):
+def test_fit_rejects_bad_guess_before_compute(capsys, tmp_path, monkeypatch):
     # a JSON guess longer than a file name used to raise OSError from the
     # file test, malformed JSON a JSONDecodeError, and a guess without "z" or
     # "v" a KeyError; a long well-formed guess reaches the fit
@@ -255,29 +282,28 @@ def test_fit_rejects_bad_guess_before_compute(tmp_path, monkeypatch):
     for guess, why in (('{"z": [15.0], "v": [0.0]', "is not JSON"),
                        (json.dumps({"z": [15.0], "note": "x" * 300}), 'with "z" and "v"'),
                        (json.dumps({"v": [0.0]}), 'with "z" and "v"')):
-        with pytest.raises(InvalidConfig, match=why):
-            main(["fit", "--field", str(snap), "--guess", guess])
+        cli_fails(capsys, ["fit", "--field", str(snap), "--guess", guess], InvalidConfig, why)
 
 
-def test_shoot_rejects_zeta_sharp_nan(tmp_path, monkeypatch):
+def test_shoot_rejects_zeta_sharp_nan(capsys, tmp_path, monkeypatch):
     # NaN gives no separation; the shot refuses it before it builds a field
     monkeypatch.setattr(ex, "build_two_bubble", _no_shot)
     cfg = tmp_path / "shoot.cfg"
     cfg.write_text("s_in = 300.0\ns0 = 299.0\n")
-    with pytest.raises(InvalidConfig, match="zeta_sharp nan"):
-        main(["shoot", "--config", str(cfg), "--zeta-sharp", "nan"])
+    cli_fails(capsys, ["shoot", "--config", str(cfg), "--zeta-sharp", "nan"],
+              InvalidConfig, "zeta_sharp nan")
 
 
-def test_unknown_config_key(tmp_path, monkeypatch):
+def test_unknown_config_key(capsys, tmp_path, monkeypatch):
     # a typo must not run with the default value
     monkeypatch.setattr(ex, "backward_shoot", _no_shot)
     monkeypatch.setattr(ex, "bisect_zeta", _no_shot)
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("p = 3.0\ns_0 = 30\nN = 512\n")
     for command in ("shoot", "bisect"):
-        with pytest.raises(InvalidConfig, match="unknown keys s_0;") as err:
-            main([command, "--config", str(cfg)])
-        assert "s0" in str(err.value).split("known keys are")[1]
+        err = cli_fails(capsys, [command, "--config", str(cfg)], InvalidConfig,
+                        "unknown keys s_0;")
+        assert "s0" in err.split("known keys are")[1]
 
 
 def _stub_record() -> ex.RunRecord:
@@ -286,7 +312,7 @@ def _stub_record() -> ex.RunRecord:
                         wall_time=0.5, samples=[dict.fromkeys(ex.SAMPLE_KEYS, 10.0)])
 
 
-def test_record_out_is_atomic(tmp_path, monkeypatch):
+def test_record_out_is_atomic(capsys, tmp_path, monkeypatch):
     record = _stub_record()
     monkeypatch.setattr(ex, "backward_shoot", lambda config, zeta: record)
     cfg = tmp_path / "shoot.cfg"
@@ -296,15 +322,15 @@ def test_record_out_is_atomic(tmp_path, monkeypatch):
     main(["shoot", "--config", str(cfg), "--zeta-sharp", "0.0",
           "--record-out", str(out / "record.json")])
     assert [f.name for f in out.iterdir()] == ["record.json"]
-    assert ex.RunRecord.from_dict(json.loads((out / "record.json").read_text())) == record
+    assert ex.RunRecord.from_dict(ex.read_record_json(out / "record.json")) == record
 
     # a missing output directory fails before the shot
     monkeypatch.setattr(ex, "backward_shoot", _no_shot)
     monkeypatch.setattr(ex, "bisect_zeta", _no_shot)
     for command in ("shoot", "bisect"):
-        with pytest.raises(IoFailure):
-            main([command, "--config", str(cfg),
-                  "--record-out", str(tmp_path / "missing" / "record.json")])
+        cli_fails(capsys, [command, "--config", str(cfg),
+                           "--record-out", str(tmp_path / "missing" / "record.json")],
+                  IoFailure, "no directory")
 
 
 def test_diff_command(capsys, tmp_path):
@@ -312,14 +338,14 @@ def test_diff_command(capsys, tmp_path):
     a, b = _stub_record(), _stub_record()
     b.exit, b.wall_time = ex.EXIT_EPS, 9.0
     for rec, name in ((a, "a.json"), (b, "b.json")):
-        (tmp_path / name).write_text(json.dumps(rec.to_dict()))
+        rec.save(tmp_path / name)
     assert main(["diff", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 0
     capsys.readouterr()
     assert main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["changes"] == {"exit": ["reached_s0", "exited_eps"]}
-    with pytest.raises(IoFailure, match="cannot read run record"):
-        main(["diff", str(tmp_path / "a.json"), str(tmp_path / "missing.json")])
+    cli_fails(capsys, ["diff", str(tmp_path / "a.json"), str(tmp_path / "missing.json")],
+              IoFailure, "cannot read run record")
 
 
 def test_diff_compares_records_of_another_schema(capsys, monkeypatch, tmp_path):
@@ -339,8 +365,8 @@ def test_diff_compares_records_of_another_schema(capsys, monkeypatch, tmp_path):
     assert rep["same"] and rep["compared"] == len(data["samples"])
     assert rep["schema_note"] == {
         "b": f"stored hash is of schema {ex.RECORD_SCHEMA - 1}, not {ex.RECORD_SCHEMA}"}
-    with pytest.raises(IoFailure, match=f"matches schema {ex.RECORD_SCHEMA - 1}"):
-        main(["verify", "--record", str(old)])
+    cli_fails(capsys, ["verify", "--record", str(old)], IoFailure,
+              f"matches schema {ex.RECORD_SCHEMA - 1}")
     # a changed sample still makes them differ, and an edited hash is named
     data["samples"][7]["z"] = [data["samples"][7]["z"][0] + 1e-9]
     data["hash"] = "0" * 16
@@ -353,11 +379,20 @@ def test_diff_compares_records_of_another_schema(capsys, monkeypatch, tmp_path):
         ex.RunRecord.from_dict(data)
 
 
-def test_verify_read_errors_are_typed(tmp_path):
+def test_verify_read_errors_are_typed(capsys, tmp_path, monkeypatch):
     # a torn record file and a missing one are IoFailure, before any solve
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
     torn = tmp_path / "torn.json"
     torn.write_text(json.dumps(_stub_record().to_dict())[:100])
-    with pytest.raises(IoFailure, match="cannot read run record"):
-        main(["verify", "--record", str(torn)])
-    with pytest.raises(IoFailure, match="cannot read run record"):
-        main(["verify", "--record", str(tmp_path / "missing.json")])
+    for path in (torn, tmp_path / "missing.json"):
+        cli_fails(capsys, ["verify", "--record", str(path)], IoFailure,
+                  "cannot read run record")
+
+
+def test_typed_failure_mid_run_exits_1(capsys):
+    # the orbit from z0 = 39 leaves the force law's domain mid-run, after
+    # the profile solve and the law build; the command used to end there in
+    # a QuadratureFailure traceback
+    err = cli_fails(capsys, ["reduced", "--mode", "full", "--z0", "39"], QuadratureFailure,
+                    r"\|z\| = 40\.04\d* outside the force law domain \[4, 40\]")
+    assert "Traceback" not in err

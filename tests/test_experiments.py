@@ -201,17 +201,13 @@ def test_no_sign_change(small_config, gs1, sc1):
 
 def test_record_serialization(small_endpoints, tmp_path):
     rec = small_endpoints[0]
-    back = ex.RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+    rec.save(tmp_path / "rec.json")
+    assert [f.name for f in tmp_path.iterdir()] == ["rec.json"]
+    back = ex.RunRecord.from_dict(ex.read_record_json(tmp_path / "rec.json"))
     assert back.exit == rec.exit
     assert back.zeta_sharp == rec.zeta_sharp
     assert back.config == rec.config
     assert back.samples == rec.samples
-
-    path = tmp_path / "traj.csv"
-    ex.write_trajectory_csv(rec, path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header == ["s", "t", "lambda", "z1", "gamma", "v1",
-                      "eps_h1", "zeta", "xi", "W"]
 
 
 def _synthetic_record(steps, exit=ex.EXIT_REACHED):
@@ -298,7 +294,7 @@ def test_verify_requires_success(small_endpoints, sc1):
 
 
 def test_run_sweep(tmp_path, gs1, sc1):
-    registry = tmp_path / "registry.jsonl"
+    registry = tmp_path / "runs"
     assert ex.run_sweep([], registry) == []
     assert not registry.exists()
 
@@ -309,35 +305,72 @@ def test_run_sweep(tmp_path, gs1, sc1):
     # a longer backward window takes more samples
     counts = [len(r["record"].samples) for r in results]
     assert counts[0] < counts[1] < counts[2]
-    assert len(registry.read_text().splitlines()) == 3
+    # one record file per config, named by its hash, that reads back as its record
+    names = [f"{r['hash']}.json" for r in results]
+    assert sorted(f.name for f in registry.iterdir()) == sorted(names)
+    for name, res in zip(names, results):
+        assert ex.RunRecord.from_dict(ex.read_record_json(registry / name)) == res["record"]
 
     again = ex.run_sweep(configs[:1], registry, gs1, sc1)
-    assert again[0]["status"] == "duplicate"
-    assert len(registry.read_text().splitlines()) == 3
-
-
-def test_registry_io_failure(tmp_path, monkeypatch):
-    # an unwritable registry must fail before any shot runs
-    def no_shot(*args, **kwargs):
-        raise AssertionError("a shot ran before the registry was opened")
-
-    monkeypatch.setattr(ex, "backward_shoot", no_shot)
-    bad = tmp_path / "no_dir" / "registry.jsonl"
-    cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
-    with pytest.raises(IoFailure):
-        ex.run_sweep([cfg], bad)
+    assert again == [{"hash": results[0]["hash"], "status": "duplicate", "record": None}]
+    assert sorted(f.name for f in registry.iterdir()) == sorted(names)
 
 
 class _FakeShot:
-    """Stands in for backward_shoot: a record that serializes to its hash only."""
+    """Stands in for backward_shoot: a one-sample record, and a count of the calls."""
 
     def __init__(self):
         self.calls = 0
 
     def __call__(self, config, zeta, gs, sc):
         self.calls += 1
-        h = ex.config_hash(config, zeta)
-        return type("Record", (), {"to_dict": lambda self: {"hash": h}})()
+        return ex.RunRecord(config=config, zeta_sharp=zeta, exit=ex.EXIT_REACHED, phi=0,
+                            wall_time=0.0, samples=[dict.fromkeys(ex.SAMPLE_KEYS, 10.0)])
+
+
+def test_registry_io_failure(tmp_path, monkeypatch, gs1, sc1):
+    # an unusable registry path, or a record file that does not read back as
+    # its config's record, fails before any shot runs
+    shot = _FakeShot()
+    monkeypatch.setattr(ex, "backward_shoot", shot)
+    configs = [ex.ShootConfig(s_in=si, s0=10.0, N=512, L=16.0) for si in (12.0, 14.0)]
+    registry = tmp_path / "runs"
+    ha, hb = (r["hash"] for r in ex.run_sweep(configs, registry, gs1, sc1))
+
+    def fails(path, match):
+        with pytest.raises(IoFailure, match=match):
+            ex.run_sweep(configs, path, gs1, sc1)
+        assert shot.calls == 2
+
+    fails(tmp_path / "no_dir" / "runs", "cannot make registry directory")
+    record_a = registry / f"{ha}.json"
+    text = record_a.read_text()
+    old = tmp_path / "runs.jsonl"           # a registry of the JSON-lines format
+    old.write_text(text)
+    fails(old, "cannot make registry directory")
+    record_a.write_text(text[:-40])         # a truncated record file
+    fails(registry, "cannot read run record")
+    record_a.write_text(text)
+    record_a.replace(registry / f"{hb}.json")   # a's record under b's hash
+    fails(registry, f"holds the record of hash {ha}")
+
+
+def test_registry_leftover_tmp_is_not_done(tmp_path, monkeypatch, gs1, sc1):
+    # a save cut short leaves <hash>.json.<pid>.tmp behind: not a record, so
+    # its config runs; a config given twice runs once
+    shot = _FakeShot()
+    monkeypatch.setattr(ex, "backward_shoot", shot)
+    cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
+    registry = tmp_path / "runs"
+    registry.mkdir()
+    h = ex.config_hash(cfg, 0.0)
+    (registry / f"{h}.json.4242.tmp").write_text('{"hash": "')
+    results = ex.run_sweep([cfg, cfg], registry, gs1, sc1)
+    assert [r["status"] for r in results] == ["ran", "duplicate"]
+    assert ex.run_sweep([cfg], registry, gs1, sc1)[0]["status"] == "duplicate"
+    assert shot.calls == 1
+    assert ex.RunRecord.from_dict(ex.read_record_json(registry / f"{h}.json")) \
+        == results[0]["record"]
 
 
 def test_run_sweep_solves_each_profile_once(tmp_path, monkeypatch, gs1, sc1):
@@ -354,47 +387,9 @@ def test_run_sweep_solves_each_profile_once(tmp_path, monkeypatch, gs1, sc1):
     monkeypatch.setattr(ex, "structure_constants", counted(sc1))
     monkeypatch.setattr(ex, "backward_shoot", _FakeShot())
     configs = [ex.ShootConfig(s_in=si, s0=10.0, N=512, L=16.0) for si in (12.0, 14.0, 16.0)]
-    results = ex.run_sweep(configs, tmp_path / "registry.jsonl")
+    results = ex.run_sweep(configs, tmp_path / "runs")
     assert [r["status"] for r in results] == ["ran"] * 3
     assert calls == [gs1, sc1]
-
-
-def test_registry_torn_last_line(tmp_path, monkeypatch, gs1, sc1):
-    # an append cut short leaves a last line without newline that is not JSON
-    shot = _FakeShot()
-    monkeypatch.setattr(ex, "backward_shoot", shot)
-    registry = tmp_path / "registry.jsonl"
-    registry.write_text('{"hash": "aaaa"}\n{"hash": "bbbb", "samp')
-    cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
-    assert [r["status"] for r in ex.run_sweep([cfg], registry, gs1, sc1)] == ["ran"]
-    lines = registry.read_text().splitlines()
-    assert registry.read_text().endswith("\n")
-    assert [json.loads(line)["hash"] for line in lines] == \
-        ["aaaa", ex.config_hash(cfg, 0.0)]
-    assert ex.run_sweep([cfg], registry, gs1, sc1)[0]["status"] == "duplicate"
-
-    # a complete last record without its newline is kept; the next starts a line
-    registry.write_text('{"hash": "aaaa"}')
-    ex.run_sweep([cfg], registry, gs1, sc1)
-    assert [json.loads(line)["hash"] for line in registry.read_text().splitlines()] \
-        == ["aaaa", ex.config_hash(cfg, 0.0)]
-    assert shot.calls == 2
-
-
-def test_registry_corrupt_line(tmp_path, monkeypatch):
-    # a line that does not parse is an error unless it is a torn last line
-    def no_shot(*args, **kwargs):
-        raise AssertionError("a shot ran on a corrupt registry")
-
-    monkeypatch.setattr(ex, "backward_shoot", no_shot)
-    registry = tmp_path / "registry.jsonl"
-    registry.write_text('{"hash": "aaaa"}\n{"hash": "bb\n{"hash": "cccc"}\n')
-    cfg = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
-    with pytest.raises(IoFailure, match="line 2"):
-        ex.run_sweep([cfg], registry)
-    registry.write_text('{"hash": "aaaa"}\n{"hash": "bb\n')
-    with pytest.raises(IoFailure, match="line 2"):
-        ex.run_sweep([cfg], registry)
 
 
 def test_config_validation():

@@ -16,7 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from twobubble.experiments import RunRecord, ShootConfig, bisect_zeta, compare_records
+from twobubble.experiments import (RunRecord, ShootConfig, bisect_zeta, compare_records,
+                                   read_record_json)
 from twobubble.groundstate import solve_profile, structure_constants
 from twobubble.nls_core import write_atomically
 
@@ -34,7 +35,7 @@ def test_acceptance_matches_golden_record(shoot_outcome):
     # reuses the session's acceptance bisection; the records go first, so
     # that a chunk-count flip is named as a flip, not as a field that moved
     for name, fresh in _records(shoot_outcome).items():
-        golden = RunRecord.from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
+        golden = RunRecord.from_dict(read_record_json(GOLDEN / f"{name}.json"))
         assert golden.config == shoot_outcome["config"]
         rep = compare_records(golden, fresh)
         assert not rep["flips"], f"{name}: chunk-count flips {rep['flips']}"
@@ -44,6 +45,15 @@ def test_acceptance_matches_golden_record(shoot_outcome):
                           f"{rep['first_diff']}: {moved}"
     history = json.loads((GOLDEN / "history.json").read_text())
     assert [list(h) for h in shoot_outcome["history"]] == history
+
+
+def test_save_reproduces_committed_records(tmp_path):
+    # RunRecord.save is the one writer of the record format: each committed
+    # record, read and saved again, is the same file byte for byte
+    for name in NAMES:
+        golden = GOLDEN / f"{name}.json"
+        RunRecord.from_dict(read_record_json(golden)).save(tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() == golden.read_bytes(), name
 
 
 def test_golden_move_against_committed_files(shoot_outcome, tmp_path):
@@ -65,7 +75,7 @@ def golden_move(out: Path, outcome) -> list[str]:
         if not path.exists():
             lines.append(f"{name}: no old record")
             continue
-        old, schema = RunRecord.from_any_schema(json.loads(path.read_text()))
+        old, schema = RunRecord.from_any_schema(read_record_json(path))
         rep = compare_records(old, fresh)
         moves = ", ".join(f"{key} {f['max_abs']:.2g}" for key, f in rep["fields"].items())
         lines.append(f"{name} (old schema {schema}): flips {rep['flips']}, changes "
@@ -84,12 +94,11 @@ def write_golden(out: Path) -> None:
     outcome = bisect_zeta(config, gs, structure_constants(gs))
     print("\n".join(golden_move(out, outcome)))
     out.mkdir(parents=True, exist_ok=True)
-    files = {"history": json.dumps(outcome["history"])}
-    files.update((name, json.dumps(record.to_dict(), sort_keys=True))
-                 for name, record in _records(outcome).items())
-    for name, text in files.items():
-        # each file is whole or untouched, even if the regeneration is interrupted
-        write_atomically(out / f"{name}.json", f"golden {name}", (text + "\n").encode())
+    # each file is whole or untouched, even if the regeneration is interrupted
+    for name, record in _records(outcome).items():
+        record.save(out / f"{name}.json")
+    write_atomically(out / "history.json", "golden history",
+                     (json.dumps(outcome["history"]) + "\n").encode())
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -5,7 +7,7 @@ from scipy.integrate import simpson
 from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
 from twobubble.ansatz import BubbleParams
-from twobubble.errors import NoConvergence, OutOfBasin
+from twobubble.errors import InvalidConfig, NoConvergence, OutOfBasin
 from twobubble.groundstate import GroundState, solve_profile
 
 from conftest import random_smooth_field
@@ -115,32 +117,34 @@ def test_tracking_mode(gs1, grid_2048_64):
     true = BubbleParams(lam=1.01, z=[13.0], gamma=-0.4, v=[0.025])
     u = exact_two_bubble(true, gs1, grid_2048_64)
     guess = BubbleParams(lam=1.0, z=[13.1], gamma=-0.35, v=[0.025])
-    res = mf.decompose(u, guess, gs1, mode="tracking", v_override=[0.025])
+    res = mf.decompose(u, guess, gs1, mode="tracking")
     assert abs(res.params.z[0] - 13.0) < 1e-10
     assert abs(res.params.lam - 1.01) < 1e-10
     assert np.array_equal(res.params.v, [0.025])
 
 
 def test_projections_are_snapshot_residual(gs1, grid_2048_64):
-    # a slightly wrong slaved velocity leaves a nonzero i grad Q pairing
+    # a slightly wrong velocity, which tracking keeps, leaves a nonzero
+    # i grad Q pairing
     true = BubbleParams(lam=1.01, z=[13.0], gamma=-0.4, v=[0.025])
     u = exact_two_bubble(true, gs1, grid_2048_64)
-    res = mf.decompose(u, true, gs1, mode="tracking", v_override=[0.03])
+    res = mf.decompose(u, replace(true, v=[0.03]), gs1, mode="tracking")
     fit = res.params
+    assert np.array_equal(fit.v, [0.03])
     theta = np.concatenate([[fit.lam], fit.z, [fit.gamma], fit.v])
-    full = mf._Workspace(u, gs1, "snapshot", None).residual_jacobian(theta)[0]
+    full = mf._Workspace(u, gs1, "snapshot").residual_jacobian(theta)[0]
     got = np.concatenate([[res.projections["Q"]], res.projections["yQ"],
                           [res.projections["iLamQ"]], res.projections["igradQ"]])
     assert np.max(np.abs(got - full)) <= 1e-15
     assert abs(res.projections["igradQ"][0]) > 1e-6
 
 
-def test_tracking_requires_velocity(gs1, grid_2048_64):
-    u = exact_two_bubble(BubbleParams(lam=1.0, z=[13.0], gamma=0.0, v=[0.0]),
-                         gs1, grid_2048_64)
-    with pytest.raises(NoConvergence):
+def test_unknown_fit_mode(gs1, grid_2048_64):
+    # a mistyped mode is a bad argument, raised before any Newton step
+    u = nc.ComplexField(grid_2048_64, np.zeros(grid_2048_64.shape, dtype=complex))
+    with pytest.raises(InvalidConfig, match="unknown fit mode 'track'"):
         mf.decompose(u, BubbleParams(lam=1.0, z=[13.0], gamma=0.0, v=[0.0]),
-                     gs1, mode="tracking")
+                     gs1, mode="track")
 
 
 def test_out_of_basin(monkeypatch, gs1, grid_2048_64):
@@ -171,7 +175,7 @@ def test_tracking_fit_builds_no_error_field(monkeypatch, gs1, grid_2048_64):
     q_dq_at = GroundState.q_dq_at
     monkeypatch.setattr(GroundState, "q_dq_at",
                         lambda self, rr: calls.append(1) or q_dq_at(self, rr))
-    res = mf.decompose(u, true, gs1, mode="tracking", v_override=true.v)
+    res = mf.decompose(u, true, gs1, mode="tracking")
     assert res.newton_iters >= 1 and len(calls) == 3 * (res.newton_iters + 1)
 
 
@@ -303,15 +307,15 @@ def test_jacobian_matches_central_differences(request, case):
     bump = np.exp(-sum(x ** 2 for x in g.x_mesh) / 25.0) * (1.0 + 0.5j)
     u = nc.ComplexField(g, u.values + 1e-3 * bump)
     mode = "tracking" if case == "d1-tracking" else "snapshot"
-    ws = mf._Workspace(u, gs, mode, true.v if mode == "tracking" else None)
+    ws = mf._Workspace(u, gs, mode)
     if mode == "tracking":
-        theta = theta[:-1]
+        theta[-1:] = true.v         # held, not varied
     _, jac = ws.residual_jacobian(theta)
     step = 1e-5
     fd = np.empty_like(jac)
-    for k in range(theta.size):
+    for k in range(ws.n_eq):
         e = np.zeros(theta.size)
         e[k] = step
-        fd[:, k] = (ws._residual(theta + e, theta.size)[0]
-                    - ws._residual(theta - e, theta.size)[0]) / (2.0 * step)
+        fd[:, k] = (ws._residual(theta + e, ws.n_eq)[0]
+                    - ws._residual(theta - e, ws.n_eq)[0]) / (2.0 * step)
     assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac)), case
