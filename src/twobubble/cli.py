@@ -7,6 +7,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -395,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command: 0 on success; 2 on a bad argument (argparse exits);
     1 on a typed failure, named on stderr as twobubble <command>: <type>:
-    <message>.  diff also returns 1 when the records differ."""
+    <message>, and quietly when the reader closes stdout.  diff also returns
+    1 when the records differ."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "reduced":
@@ -403,7 +405,13 @@ def main(argv=None) -> int:
         if problem:
             parser.error(problem)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the exit's own flush goes to devnull, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except TwoBubbleError as exc:
         print(f"twobubble {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -3,11 +3,13 @@
 A two-bubble configuration is placed at rescaled time s_in with separation
 fixed by the shooting parameter zeta and velocity matched to the marginal
 orbit, evolved backward (conjugation time-reversal plus forward split-step),
-and tracked with the modulation fit.  Each fit starts from the reduced
-system's prediction (``reduced_dynamics.integrate_reduced`` on the ground
-state's cached force law), whose velocity it keeps; a collision that the
-prediction reaches ends the run.  Runs end on the first violated bound;
-bisection over the final-data parameter uses the opposite exit signs at the
+and tracked with the modulation fit.  Each pass of a shot fits the field,
+samples it, asks ``_exit_of`` whether the sample ends the shot, predicts the
+next fit (``reduced_dynamics.integrate_reduced`` on the ground state's cached
+force law; the fit keeps its velocity) and receives the next chunk's field.
+A predicted collision, a worker's Overflow and a lost fit end the shot as
+exits too; only a lost initial fit, with no sample, raises FitLost.
+Bisection over the final-data parameter uses the opposite exit signs at the
 bracket endpoints.
 
 A shot runs as a two-stage pipeline.  A propagation worker, forked once per
@@ -47,7 +49,7 @@ from scipy.optimize import brentq
 from .ansatz import COLLISION_SEP, BubbleParams, build_two_bubble
 from .ansatz import interaction_force_H  # noqa: F401  (the bench tracer wraps this name)
 from .errors import (CollisionDetected, FitLost, InvalidConfig, IoFailure, NoSignChange,
-                     Overflow, StepTooLarge, WindowTooShort, WorkerLost)
+                     Overflow, StepTooLarge, TwoBubbleError, WindowTooShort, WorkerLost)
 from .groundstate import GroundState, StructureConstants, solve_profile, structure_constants
 from .modulation_fit import decompose, energy_functional
 from .nls_core import ComplexField, make_grid, observables, propagate, write_atomically
@@ -59,7 +61,9 @@ EXIT_ZETA_LOW = "exited_zeta_low"
 EXIT_EPS = "exited_eps"
 EXIT_COLLISION = "collision"
 EXIT_BLOWUP = "blowup"
-EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP)
+EXIT_FIT_LOST = "fit_lost"
+EXITS = (EXIT_REACHED, EXIT_ZETA_HIGH, EXIT_ZETA_LOW, EXIT_EPS, EXIT_COLLISION, EXIT_BLOWUP,
+         EXIT_FIT_LOST)
 # the sample keys that from_dict checks and compare_records and the CSV read
 SAMPLE_KEYS = ("s", "t", "lam", "z", "gamma", "v", "eps_h1", "zeta", "xi", "W")
 # Bracket width in zeta_sharp below which ``bisect_zeta`` stops halving, and
@@ -199,11 +203,14 @@ class RunRecord:
 
 
 def read_record_json(path) -> dict:
-    """A run record file's JSON; IoFailure if it is unreadable or not JSON."""
+    """A run record file's JSON; IoFailure if it is unreadable or not a JSON object."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read run record {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise IoFailure(f"run record {path} is not a JSON object")
+    return data
 
 
 def zeta_of_separation(zlen: float, c: float, d: int) -> float:
@@ -331,6 +338,48 @@ class _Propagation:
         self.conn.close()
 
 
+def _side(smp: dict) -> int:
+    """The side of the tube a sample leaves by: 1 when zeta >= s, else -1."""
+    return 1 if smp["zeta"] >= smp["s"] else -1
+
+
+def _exit_of(smp: dict, config: ShootConfig) -> tuple[str, int] | None:
+    """The exit a checked sample trips, as (tag, phi), or None; in order, xi >= 1
+    (zeta_high/low, phi the side), eps_h1 > C*/s (exited_eps, the side),
+    |z| < COLLISION_SEP (collision, -1) and s <= s0 (reached_s0, 0)."""
+    side = _side(smp)
+    if smp["xi"] >= 1.0:
+        return (EXIT_ZETA_HIGH if side > 0 else EXIT_ZETA_LOW), side
+    if smp["eps_h1"] > config.C_star / smp["s"]:
+        return EXIT_EPS, side
+    if float(np.linalg.norm(smp["z"])) < COLLISION_SEP:
+        return EXIT_COLLISION, -1
+    return (EXIT_REACHED, 0) if smp["s"] <= config.s0 else None
+
+
+# the stage failures that end a shot after its first sample, as exits: phi -1
+# for a collision, else the last sample's side
+_FAILURE_EXITS = {CollisionDetected: EXIT_COLLISION, Overflow: EXIT_BLOWUP,
+                  FitLost: EXIT_FIT_LOST}
+
+
+def _sample(u: ComplexField, fit, params: BubbleParams, s: float, t: float,
+            gs: GroundState, constants: StructureConstants, config: ShootConfig) -> dict:
+    """A record's sample of u at s: the fitted params (phase unwrapped),
+    zeta and xi, W and eps_h1, the largest i grad Q projection, mass and momentum."""
+    zeta = zeta_of_separation(float(np.linalg.norm(params.z)), constants.c, config.d)
+    # the fit's own phase, in (-pi, pi], builds eps_lab: e^{i gamma} at the
+    # unwrapped one (hundreds of radians) carries its |gamma| 2^-53 rounding
+    energy = energy_functional(u, replace(params, gamma=fit.params.gamma), s, gs)
+    obs = observables(u, config.p)
+    return {"s": s, "t": t, "lam": params.lam, "z": [float(x) for x in params.z],
+            "gamma": params.gamma, "v": [float(x) for x in params.v],
+            "eps_h1": energy["eps_h1"], "zeta": float(zeta),
+            "xi": float((zeta - s) ** 2 / s ** 2 * np.log(s)), "W": energy["W"],
+            "proj_igradq": float(np.max(np.abs(fit.projections["igradQ"]))),
+            "mass": obs.mass, "momentum": [float(m) for m in obs.momentum]}
+
+
 def backward_shoot(config: ShootConfig, zeta_sharp: float,
                    gs: GroundState | None = None,
                    constants: StructureConstants | None = None) -> RunRecord:
@@ -345,35 +394,28 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
     if constants is None:
         constants = structure_constants(gs)
     grid = make_grid(config.d, config.N, config.L)
-    params, _ = initial_data(config, zeta_sharp, constants)
-
-    u_in = build_two_bubble(params, gs, grid)
-    s = config.s_in
-    t_lab = config.s_in         # convention t(s_in) = s_in
-
+    guess, _ = initial_data(config, zeta_sharp, constants)
+    u_now = build_two_bubble(guess, gs, grid)
+    s = t_lab = config.s_in         # convention t(s_in) = s_in
     samples: list[dict] = []
-    exit_tag = EXIT_REACHED
-    phi = 0
 
     def chunk_steps(s_now: float, lam: float) -> int:
         ds = min(config.fit_interval, s_now - config.s0)
         return max(1, int(round(lam ** 2 * ds / config.dt)))
 
     # the work field evolves forward while u runs backward
-    stage = _Propagation(ComplexField(grid, np.conj(u_in.values)), config.dt, config.p)
+    stage = _Propagation(ComplexField(grid, np.conj(u_now.values)), config.dt, config.p)
     try:
-        n_steps = chunk_steps(s, params.lam)    # the initial data's scale, 1
+        n_steps = chunk_steps(s, guess.lam)    # the initial data's scale, 1
         stage.send(n_steps)
-        u_now, guess = u_in, params
         while True:
             try:
                 fit = decompose(u_now, guess, gs, mode="tracking", xtol=config.newton_tol)
-            except Exception as exc:
+            except TwoBubbleError as exc:
                 raise FitLost(f"tracking fit failed at s={s:.2f}: {exc}") from exc
             # unwrap the phase onto the predicted branch
             gamma = guess.gamma + np.angle(np.exp(1j * (fit.params.gamma - guess.gamma)))
             params = BubbleParams(lam=fit.params.lam, z=fit.params.z, gamma=gamma, v=guess.v)
-
             # the running chunk ends at s_next; the next one takes this fit's
             # scale too, so its count is sent before the worker needs it
             dt_chunk = n_steps * config.dt
@@ -381,60 +423,29 @@ def backward_shoot(config: ShootConfig, zeta_sharp: float,
             n_steps = chunk_steps(s_next, params.lam)
             if s_next > config.s0:
                 stage.send(n_steps)
-
-            zeta = zeta_of_separation(float(np.linalg.norm(params.z)), constants.c, config.d)
-            # the fit's own phase, in (-pi, pi], builds eps_lab: e^{i gamma} at the
-            # unwrapped one (hundreds of radians) carries its |gamma| 2^-53 rounding
-            energy = energy_functional(u_now, replace(params, gamma=fit.params.gamma), s, gs)
-            obs = observables(u_now, config.p)
-            smp = {"s": s, "t": t_lab, "lam": params.lam,
-                   "z": [float(x) for x in params.z], "gamma": params.gamma,
-                   "v": [float(x) for x in params.v], "eps_h1": energy["eps_h1"],
-                   "zeta": float(zeta), "xi": float((zeta - s) ** 2 / s ** 2 * np.log(s)),
-                   "W": energy["W"],
-                   "proj_igradq": float(np.max(np.abs(fit.projections["igradQ"]))),
-                   "mass": obs.mass, "momentum": [float(m) for m in obs.momentum]}
-            samples.append(smp)
-            side = 1 if smp["zeta"] >= s else -1
+            samples.append(_sample(u_now, fit, params, s, t_lab, gs, constants, config))
             # the initial sample is not checked: at zeta# = +-1 it sits on xi = 1
-            if u_now is not u_in:
-                if smp["xi"] >= 1.0:
-                    exit_tag, phi = (EXIT_ZETA_HIGH if side > 0 else EXIT_ZETA_LOW), side
-                    break
-                if smp["eps_h1"] > config.C_star / s:
-                    exit_tag, phi = EXIT_EPS, side
-                    break
-                if float(np.linalg.norm(params.z)) < COLLISION_SEP:
-                    exit_tag, phi = EXIT_COLLISION, -1
-                    break
-            if s <= config.s0:
+            end = _exit_of(samples[-1], config) if len(samples) > 1 else None
+            if end:
                 break
-
-            # the reduced system predicts the next fit; |z| reaching the
-            # collision threshold on the way ends the shot here
-            try:
-                pred = integrate_reduced(
-                    ReducedState(s, params.lam, params.z, params.gamma, params.v), s_next,
-                    gs, constants, tol=1e-11, mode="quadrature", n_samples=2).state(-1)
-            except CollisionDetected:
-                exit_tag, phi = EXIT_COLLISION, -1
-                break
+            # the reduced system predicts the next fit, or reaches a collision
+            pred = integrate_reduced(
+                ReducedState(s, params.lam, params.z, params.gamma, params.v), s_next,
+                gs, constants, tol=1e-11, mode="quadrature", n_samples=2).state(-1)
             guess = BubbleParams(lam=pred.lam, z=pred.z, gamma=pred.gamma, v=pred.v)
-
-            try:
-                values = stage.recv()
-            except Overflow:
-                exit_tag, phi = EXIT_BLOWUP, side
-                break
-            u_now = ComplexField(grid, np.conj(values))
+            u_now = ComplexField(grid, np.conj(stage.recv()))
             t_lab -= dt_chunk
             s = s_next
+    except tuple(_FAILURE_EXITS) as exc:
+        if not samples:         # a lost initial fit leaves no sample to end on
+            raise
+        tag = _FAILURE_EXITS[type(exc)]
+        end = tag, (-1 if tag == EXIT_COLLISION else _side(samples[-1]))
     finally:
         stage.close()
 
     return RunRecord(config=config, zeta_sharp=zeta_sharp, samples=samples,
-                     exit=exit_tag, phi=phi,
-                     wall_time=time.perf_counter() - t_start)
+                     exit=end[0], phi=end[1], wall_time=time.perf_counter() - t_start)
 
 
 def bisect_zeta(config: ShootConfig, gs: GroundState | None = None,

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -380,13 +383,17 @@ def test_diff_compares_records_of_another_schema(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_read_errors_are_typed(capsys, tmp_path, monkeypatch):
-    # a torn record file and a missing one are IoFailure, before any solve
+    # a torn record file, a missing one and one of JSON that is not an
+    # object are IoFailure, before any solve
     monkeypatch.setattr(cli, "solve_profile", _no_solve)
     torn = tmp_path / "torn.json"
     torn.write_text(json.dumps(_stub_record().to_dict())[:100])
-    for path in (torn, tmp_path / "missing.json"):
-        cli_fails(capsys, ["verify", "--record", str(path)], IoFailure,
-                  "cannot read run record")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]\n")
+    for path, match in ((torn, "cannot read run record"),
+                        (tmp_path / "missing.json", "cannot read run record"),
+                        (listed, "list.json is not a JSON object")):
+        cli_fails(capsys, ["verify", "--record", str(path)], IoFailure, match)
 
 
 def test_typed_failure_mid_run_exits_1(capsys):
@@ -396,3 +403,22 @@ def test_typed_failure_mid_run_exits_1(capsys):
     err = cli_fails(capsys, ["reduced", "--mode", "full", "--z0", "39"], QuadratureFailure,
                     r"\|z\| = 40\.04\d* outside the force law domain \[4, 40\]")
     assert "Traceback" not in err
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that closes the pipe early (as `| head` does) ends the
+    # command with status 1 and no traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twobubble.cli", "reduced", "--mode", "asymptotic",
+             "--d", "2", "--s0", "10", "--s-end", "12", "--z0", "8"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -13,9 +13,9 @@ from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
 from twobubble.ansatz import (COLLISION_SEP, FORCE_LAW_DOMAIN, FORCE_LAW_NODES,
                               interaction_force_H)
-from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoSignChange,
+from twobubble.errors import (FitLost, InvalidConfig, IoFailure, NoConvergence, NoSignChange,
                               QuadratureFailure, WindowTooShort, WorkerLost)
-from twobubble.groundstate import GroundState
+from twobubble.groundstate import GroundState, solve_profile
 
 from oracles import lab_frame_error, refined_corrections, renormalized_h1
 
@@ -171,24 +171,73 @@ def test_force_law_table_matches_series(gs1):
     assert np.max(np.abs(table / np.exp(cheb(1.0 / z) - z) - 1.0)) <= 1e-13
 
 
-def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):
-    # stub shooting family: exit side given by sign(zeta - target)
-    target = 0.137
-
+def stub_family(target, mid_exit=None):
+    """A stub shooting family: exit side given by sign(zeta - target); the
+    shots inside the bracket exit with mid_exit when it is given."""
     def stub_shoot(config, zeta, *a, **k):
         phi = 1 if zeta > target else -1
+        tag = ex.EXIT_ZETA_HIGH if phi > 0 else ex.EXIT_ZETA_LOW
+        if mid_exit and zeta not in config.zeta_bracket:
+            tag = mid_exit
         return ex.RunRecord(config=config, zeta_sharp=zeta,
                             samples=[{"s": config.s_in, "zeta": 0.0, "xi": 2.0}],
-                            exit=ex.EXIT_ZETA_HIGH if phi > 0 else ex.EXIT_ZETA_LOW,
-                            phi=phi, wall_time=0.0)
+                            exit=tag, phi=phi, wall_time=0.0)
 
-    monkeypatch.setattr(ex, "backward_shoot", stub_shoot)
+    return stub_shoot
+
+
+def test_bisect_bracket_arithmetic(monkeypatch, small_config, gs1, sc1):
+    target = 0.137
+    monkeypatch.setattr(ex, "backward_shoot", stub_family(target))
     out = ex.bisect_zeta(small_config, gs1, sc1)
     mids = [h[0] for h in out["history"][2:]]
     # bracket width halves every step: midpoints approach the target
     for k, mid in enumerate(mids, start=1):
         assert abs(mid - target) <= 2.0 ** (1 - k) + 1e-12
     assert abs(out["zeta_sharp_star"] - target) < 1e-5
+
+
+def test_bisect_moves_on_a_lost_fit(monkeypatch, small_config, gs1, sc1):
+    # a midpoint whose fit is lost moves the bracket by its phi, as an exit does
+    target = 0.137
+    monkeypatch.setattr(ex, "backward_shoot", stub_family(target, ex.EXIT_FIT_LOST))
+    out = ex.bisect_zeta(small_config, gs1, sc1)
+    assert {h[1] for h in out["history"][2:]} == {ex.EXIT_FIT_LOST}
+    for k, (mid, _, phi, _) in enumerate(out["history"][2:], start=1):
+        assert phi == (1 if mid > target else -1)
+        assert abs(mid - target) <= 2.0 ** (1 - k) + 1e-12
+    assert abs(out["zeta_sharp_star"] - target) < 1e-5
+
+
+# the default config: C* = 10, s0 = 30; at s = 100 the eps bound is C*/s = 0.1
+_INSIDE = {"s": 100.0, "zeta": 100.0, "xi": 0.5, "eps_h1": 0.05, "z": [20.0]}
+
+
+@pytest.mark.parametrize("edit, end", [
+    ({}, None),
+    ({"xi": 1.0, "zeta": 101.0}, (ex.EXIT_ZETA_HIGH, 1)),
+    ({"xi": 1.0, "zeta": 99.0}, (ex.EXIT_ZETA_LOW, -1)),
+    ({"xi": 1.0}, (ex.EXIT_ZETA_HIGH, 1)),
+    ({"xi": math.nextafter(1.0, 0.0)}, None),
+    ({"eps_h1": math.nextafter(0.1, 1.0), "zeta": 101.0}, (ex.EXIT_EPS, 1)),
+    ({"eps_h1": math.nextafter(0.1, 1.0), "zeta": 99.0}, (ex.EXIT_EPS, -1)),
+    ({"eps_h1": 10.0 / 100.0}, None),
+    ({"z": [math.nextafter(COLLISION_SEP, 0.0)], "zeta": 101.0}, (ex.EXIT_COLLISION, -1)),
+    ({"z": [COLLISION_SEP]}, None),
+    ({"z": [0.0, math.nextafter(COLLISION_SEP, 0.0)]}, (ex.EXIT_COLLISION, -1)),
+    ({"z": [0.0, COLLISION_SEP]}, None),
+    ({"s": 30.0}, (ex.EXIT_REACHED, 0)),
+    ({"s": math.nextafter(30.0, 31.0)}, None),
+    ({"xi": 2.0, "eps_h1": 1.0, "zeta": 99.0}, (ex.EXIT_ZETA_LOW, -1)),
+    ({"eps_h1": 1.0, "z": [1.0], "zeta": 101.0}, (ex.EXIT_EPS, 1)),
+    ({"z": [1.0], "s": 30.0}, (ex.EXIT_COLLISION, -1)),
+    ({"xi": 1.0, "s": 30.0, "zeta": 101.0}, (ex.EXIT_ZETA_HIGH, 1)),
+], ids=["inside", "xi-high", "xi-low", "xi-zeta-at-s", "xi-below-1", "eps-high",
+        "eps-low", "eps-at-bound", "collision", "collision-at-sep", "collision-d2",
+        "collision-at-sep-d2", "reached", "above-s0", "xi-before-eps",
+        "eps-before-collision", "collision-before-reached", "xi-before-reached"])
+def test_exit_rule(edit, end):
+    assert ex._exit_of({**_INSIDE, **edit}, ex.ShootConfig()) == end
 
 
 def test_no_sign_change(small_config, gs1, sc1):
@@ -504,6 +553,19 @@ def overflow_from(call):
     return propagate
 
 
+def lose_fit(call, error):
+    """A decompose that raises error("no fit") at the given call and after."""
+    calls = []
+
+    def decompose(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= call:
+            raise error("no fit")
+        return mf.decompose(*args, **kwargs)
+
+    return decompose
+
+
 def test_pipelined_shot_matches_in_process(monkeypatch, short_config, gs1, sc1):
     records = []
     for pipelined in (True, False):
@@ -525,30 +587,39 @@ def test_worker_ends_with_its_shot(monkeypatch, short_config, gs1, sc1):
     assert ex.backward_shoot(short_config, 1.0, gs1, sc1).exit == ex.EXIT_ZETA_HIGH
     assert multiprocessing.active_children() == []
 
-    calls = []
-    fit = ex.decompose
-
-    def lose_second_fit(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("no fit")
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(ex, "decompose", lose_second_fit)
-    with pytest.raises(FitLost, match="s=299.50"):
-        ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    monkeypatch.setattr(ex, "decompose", lose_fit(2, NoConvergence))
+    rec = ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    assert (rec.exit, rec.phi, len(rec.samples)) == (ex.EXIT_FIT_LOST, 1, 1)
     assert multiprocessing.active_children() == []
 
 
 def test_initial_fit_lost_is_fit_lost(monkeypatch, short_config, gs1, sc1):
+    # the initial fit has no sample to end a shot on, so its loss raises
     monkeypatch.setattr(ex, "_pipelined", lambda: True)
-
-    def no_fit(*args, **kwargs):
-        raise RuntimeError("no fit")
-
-    monkeypatch.setattr(ex, "decompose", no_fit)
+    monkeypatch.setattr(ex, "decompose", lose_fit(1, NoConvergence))
     with pytest.raises(FitLost, match="s=300.00: no fit"):
         ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("call", [1, 2])
+def test_untyped_fit_error_propagates(monkeypatch, short_config, gs1, sc1, call):
+    # only a typed fit failure is a lost fit; a bug in the fit is not an exit
+    monkeypatch.setattr(ex, "_pipelined", lambda: True)
+    monkeypatch.setattr(ex, "decompose", lose_fit(call, RuntimeError))
+    with pytest.raises(RuntimeError, match="^no fit$"):
+        ex.backward_shoot(short_config, 0.0, gs1, sc1)
+    assert multiprocessing.active_children() == []
+
+
+def test_mass_critical_shot_ends_on_its_lost_fit(monkeypatch):
+    # at d = 1, p = 5 (mass-critical) the first tracking fit, at s = 299.5,
+    # ends in NoConvergence; the shot keeps its initial sample
+    monkeypatch.setattr(ex, "_pipelined", lambda: True)
+    rec = ex.backward_shoot(ex.ShootConfig(p=5.0, s_in=300.0, s0=290.0), 0.0,
+                            solve_profile(5.0, 1))
+    assert (rec.exit, rec.phi, [smp["s"] for smp in rec.samples]) == \
+        (ex.EXIT_FIT_LOST, 1, [300.0])
     assert multiprocessing.active_children() == []
 
 
