@@ -146,32 +146,33 @@ def cmd_reduced(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = {"observables_every": 100, "initial": "ansatz", "lam": 1.0, "z": 15.0,
+           "gamma": 0.0, "v": 0.0, **parse_config_file(args.config)}
     missing = sorted({"d", "N", "L", "p", "dt", "t_end"} - set(cfg))
     if missing:
         raise InvalidConfig(f"{args.config}: missing keys {', '.join(missing)}")
-    grid = make_grid(int(cfg["d"]), int(cfg["N"]), float(cfg["L"]))
-    p = float(cfg["p"])
-    dt = float(cfg["dt"])
-    t_end = float(cfg["t_end"])
-    every = int(cfg.get("observables_every", 100))
-    # checked before the profile solve or snapshot read
+
+    def value(key, cast=float):
+        try:
+            return cast(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfig(f"{args.config}: {key} = {cfg[key]!r} is not "
+                                f"{'an integer' if cast is int else 'a number'}") from None
+
+    # every value is read and checked before the profile solve or snapshot read
+    grid = make_grid(value("d", int), value("N", int), value("L"))
+    p, dt, t_end, every = value("p"), value("dt"), value("t_end"), value("observables_every", int)
     if not (math.isfinite(dt) and dt != 0.0 and math.isfinite(t_end) and t_end * dt >= 0.0):
         raise InvalidConfig(f"{args.config}: dt = {dt}, t_end = {t_end}; dt must be finite, "
                             "nonzero and of the sign of t_end")
     if every < 1:
         raise InvalidConfig(f"{args.config}: observables_every = {every}, must be at least 1")
-    initial = cfg.get("initial", "ansatz")
+    initial = cfg["initial"]
     if initial == "ansatz":
-        gs = solve_profile(p, grid.d)
-        z = cfg.get("z", 15.0)
-        v = cfg.get("v", 0.0)
-        params = BubbleParams(
-            lam=float(cfg.get("lam", 1.0)),
-            z=z if isinstance(z, list) else [float(z)] + [0.0] * (grid.d - 1),
-            gamma=float(cfg.get("gamma", 0.0)),
-            v=v if isinstance(v, list) else [float(v)] + [0.0] * (grid.d - 1))
-        u = build_two_bubble(params, gs, grid)
+        z, v = (cfg[k] if isinstance(cfg[k], list) else [value(k)] + [0.0] * (grid.d - 1)
+                for k in ("z", "v"))
+        params = BubbleParams(lam=value("lam"), z=z, gamma=value("gamma"), v=v)
+        u = build_two_bubble(params, solve_profile(p, grid.d), grid)
     else:
         u, _ = read_snapshot(initial)
     n_total = int(round(t_end / dt))

@@ -96,6 +96,13 @@ class ShootConfig:
     newton_tol: float = 1e-12
 
     def __post_init__(self):
+        # checked as given, not coerced: the hash reads the values as they are
+        for name in ("p", "d", "s_in", "s0", "N", "L", "dt", "C_star", "fit_interval",
+                     "newton_tol"):
+            value, kind = getattr(self, name), int if name in ("d", "N") else float
+            if (isinstance(value, bool) or not isinstance(value, (int, kind))
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise InvalidConfig(f"{name} must be a finite {kind.__name__}, got {value!r}")
         try:
             lo, hi = map(float, self.zeta_bracket)
         except (TypeError, ValueError):

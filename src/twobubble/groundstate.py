@@ -20,7 +20,7 @@ iteration brings the d=1 closed form near the ground state, and Newton
 stops when its step stops shrinking: at d=1, p=3 after two steps, at d=2,
 p=3 after four.  The degree is 151, doubled while the series' last terms
 are not negligible.  q and q' are sampled onto the uniform mesh from the
-Chebyshev series.
+Chebyshev series, whose step shrinks where the core's curvature is large.
 
 Q is radial, so I_Q and ||Q||^2 reduce to integrals in r, which one rule
 computes (``_radial_passes``); it and the force H(z) of ``ansatz`` run on
@@ -75,6 +75,14 @@ _ITERATIONS_MAX = 100
 # accuracy: against the k=5 splines of the samples it is within 1.8e-15 at
 # 2e-3, and 6.0e-14 at 4e-3, both at d=2, p=3.  No integral reads the mesh.
 _MESH_STEP = 2e-3
+# The table's h^6 error grows like the cube of the core's curvature
+# -q''(0)/q0 = (q0^(p-1) - 1)/d, so where that exceeds _MESH_CURVATURE the
+# step shrinks as its inverse square root.  On r in (0, 2], at 2e-3, q_at was
+# off the collocation series by 1.0e-14 at d=2, p=7 (curvature 22), 3.1e-13
+# at p=9 (60), 1.2e-7 at p=17.5 (3180) and 1.8e-14 at d=1, p=30 (14.5); with
+# the shrunk step it is within 1.4e-15 at each of these.  4 is the curvature of
+# d=1, p=9, so p <= 9 at d=1 and p <= 3 at d=2 (1.93) keep 2e-3.
+_MESH_CURVATURE = 4.0
 # Past r_max the linear tail omits q^p, so q'' jumps there by about
 # q^(p-1)(r_max) ~ e^-((p-1) r_max) relative, 6.4e-5 at p = 1.45 and 2.9e-2
 # at p = 1.2 for r_max = 25; r_max reaches _SEAM_DECAY/(p-1), which keeps
@@ -301,7 +309,8 @@ def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
     ``_newton_collocation`` solves for the Chebyshev series of g = q e^rho
     on [0, r_max], at the first of _CHEB_DEGREES whose series ends in
     negligible terms; q and q' are sampled from it onto the uniform mesh
-    of step _MESH_STEP, and the tail amplitude is q(r_max) /
+    of step _MESH_STEP, or less where the core's curvature exceeds
+    _MESH_CURVATURE, and the tail amplitude is q(r_max) /
     decay_shape(d, r_max), so q meets the tail there.  r_max is 25, or more
     where tol or p asks for it (``_SEAM_DECAY``); tol bounds the last Newton
     step in q.  ``newton_iters`` counts the Newton steps and ``residual`` is
@@ -328,8 +337,6 @@ def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
     # 25, or farther where the tail value must sit below 10*tol or the seam
     # below e^-_SEAM_DECAY
     r_max = max(25.0, -np.log(10.0 * tol) + 4.0, _SEAM_DECAY / (p - 1.0))
-    n = int(round(r_max / _MESH_STEP)) + 1
-
     for degree in _CHEB_DEGREES:
         coef, iters, residual = _newton_collocation(float(p), int(d), float(r_max), tol, degree)
         if np.max(np.abs(coef[-10:])) <= _CHEB_TAIL * np.max(np.abs(coef)):
@@ -337,9 +344,12 @@ def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
     else:
         raise NonConvergence(f"degree {degree} does not resolve the profile at p={p}, d={d}")
     core, rate = _radial_map(p, r_max)
-    r = np.linspace(0.0, r_max, n)
-    x = np.arcsinh(r / core) / rate
     cheb = np.polynomial.chebyshev
+    # -q''(0)/q0, with q0 = g(0)/e, as rho = 1 at r = 0
+    curvature = ((cheb.chebval(0.0, coef) / math.e) ** (p - 1.0) - 1.0) / d
+    step = _MESH_STEP * min(1.0, math.sqrt(_MESH_CURVATURE / curvature))
+    r = np.linspace(0.0, r_max, int(round(r_max / step)) + 1)
+    x = np.arcsinh(r / core) / rate
     g = cheb.chebval(x, coef)
     rho = np.hypot(1.0, r)
     dg = cheb.chebval(x, cheb.chebder(coef)) / (rate * np.hypot(core, r))    # dx/dr

@@ -217,7 +217,7 @@ def test_folded_transverse_axis_matches_reference(monkeypatch, gs2):
     evaluate = GS.q_dq_at
 
     def recorded(self, rr):
-        seen.append(np.array(rr, copy=True))
+        seen.append(np.ravel(rr).copy())
         return evaluate(self, rr)
 
     monkeypatch.setattr(GS, "q_dq_at", recorded)
@@ -231,7 +231,8 @@ def test_folded_transverse_axis_matches_reference(monkeypatch, gs2):
             seen.clear()
             folded = az._force_nodes(z, gs)
             reference = force_nodes_reference(z, gs, az.GL_NODES)
-            mine, theirs = seen
+            *mine, theirs = seen
+            mine = np.concatenate(mine)
             at_mine = at_theirs = 0
             for n in az.GL_NODES:
                 n1 = gl_axis((-0.5 * z, 0.0, cut), n, step)[0].size
@@ -267,22 +268,42 @@ def test_force_profile_work(monkeypatch, gs1):
     assert calls[1:] == [880]
 
 
+@pytest.mark.parametrize("p,radii", [(3.0, 1360), (15.0, 58040), (30.0, 218480)])
+def test_force_rule_d1_is_one_evaluation(monkeypatch, p, radii):
+    # the d = 1 rule evaluates its whole stacked node table at once, with no
+    # blocks: at |z| = 40, the far end of the force law, the table has
+    # 2 (8 + 12) radii per panel of y1 in [-20, b], and stays below
+    # _FORCE_BLOCK up to p = 30, where the panels are 1/256 wide
+    gs = solve_profile(p, 1)
+    calls = []
+    evaluate = type(gs).q_dq_at
+
+    def counted(self, rr):
+        calls.append(np.size(rr))
+        return evaluate(self, rr)
+
+    monkeypatch.setattr(type(gs), "q_dq_at", counted)
+    az._force_nodes(40.0, gs)
+    assert calls == [radii] and radii <= az._FORCE_BLOCK
+
+
 def test_force_rule_evaluates_in_blocks(monkeypatch, gs2):
     # no evaluation of the profile takes more than _FORCE_BLOCK radii: with
     # the budget cut to 2^12, the d = 2, p = 3 rule at |z| = 16 evaluates
-    # the radii of its one default evaluation in runs of blocks of y1 rows,
-    # and the block sums move each pass by rounding only (measured 6.7e-16)
+    # the radii of its default evaluations, one per pass, in blocks of y1
+    # rows, and the block sums move each pass by rounding only (measured
+    # 6.7e-16)
     calls = []
     GS = type(gs2)
     evaluate = GS.q_dq_at
 
     def recorded(self, rr):
-        calls.append(np.array(rr, copy=True))
+        calls.append(np.ravel(rr).copy())
         return evaluate(self, rr)
 
     monkeypatch.setattr(GS, "q_dq_at", recorded)
     whole = az._force_nodes(16.0, gs2)
-    (radii,) = calls
+    radii = np.concatenate(calls)
     calls.clear()
     monkeypatch.setattr(az, "_FORCE_BLOCK", 1 << 12)
     blocked = az._force_nodes(16.0, gs2)

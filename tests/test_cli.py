@@ -309,6 +309,25 @@ def test_unknown_config_key(capsys, tmp_path, monkeypatch):
         assert "s0" in err.split("known keys are")[1]
 
 
+@pytest.mark.parametrize("command,text,match", [
+    ("shoot", "N = 2e3\n", "N must be a finite int, got 2000.0"),
+    ("shoot", "p = three\n", "p must be a finite float, got 'three'"),
+    ("shoot", "dt\n", "dt must be a finite float, got ''"),
+    ("simulate", None, "p = 'abc' is not a number")])
+def test_malformed_config_value(capsys, tmp_path, monkeypatch, command, text, match):
+    # a value of the wrong type used to end in a TypeError or ValueError
+    # traceback, N = 2e3 only after the profile solve; it is an InvalidConfig
+    # that names the key, raised before the profile is solved
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    monkeypatch.setattr(ex, "solve_profile", _no_solve)
+    if text is None:
+        cfg = _simulate_config(tmp_path, p="abc")
+    else:
+        cfg = tmp_path / "shoot.cfg"
+        cfg.write_text(text)
+    cli_fails(capsys, [command, "--config", str(cfg)], InvalidConfig, re.escape(match))
+
+
 def _stub_record() -> ex.RunRecord:
     config = ex.ShootConfig(s_in=12.0, s0=10.0, N=512, L=16.0)
     return ex.RunRecord(config=config, zeta_sharp=0.0, exit="reached_s0", phi=0,

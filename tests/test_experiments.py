@@ -446,6 +446,8 @@ def test_config_validation():
         ex.ShootConfig(s_in=10.0, s0=20.0)
     with pytest.raises(ValueError):
         ex.ShootConfig(C_star=0.5)
+    # a value is checked, not coerced: an int s_in is hashed as the int
+    assert type(ex.ShootConfig(s_in=40, s0=30).s_in) is int
 
 
 @pytest.mark.parametrize("bad", [
@@ -454,7 +456,8 @@ def test_config_validation():
     {"C_star": 1.0}, {"zeta_bracket": (1.0, -1.0)}, {"zeta_bracket": (0.0, 0.0)},
     {"zeta_bracket": (-1.0, float("inf"))}, {"zeta_bracket": (float("nan"), 1.0)},
     {"zeta_bracket": (-1.0, 0.0, 1.0)}, {"zeta_bracket": 1.0},
-    {"zeta_bracket": ("a", "b")}, {"zeta_bracket": (-3.0, 1.0)}])
+    {"zeta_bracket": ("a", "b")}, {"zeta_bracket": (-3.0, 1.0)}, {"N": 2e3}, {"d": True},
+    {"p": "three"}, {"dt": ""}, {"L": float("inf")}, {"s_in": float("inf")}])
 def test_config_rejects_bad_fields(bad):
     # each message names the first field of the bad ones
     with pytest.raises(InvalidConfig, match=next(iter(bad))):

@@ -156,6 +156,26 @@ def test_profile_matches_spline_oracle(any_gs):
                 assert abs(val - ref(np.array([x]))[0]) <= bound
 
 
+@pytest.mark.parametrize("p,d", [(3.0, 1), (3.0, 2), (7.0, 2), (9.0, 2)])
+def test_mesh_follows_core_curvature(monkeypatch, p, d):
+    # the table's h^6 error grows like the cube of the core's curvature: on
+    # (0, 2] q_at was off the collocation series by 1.0e-14 at d = 2, p = 7
+    # and 3.1e-13 at p = 9 on the fixed 2e-3 mesh, and is within 1.3e-15
+    # on the mesh that follows the curvature; p = 3 keeps the 2e-3 mesh
+    solved = []
+    collocate = groundstate._newton_collocation
+    monkeypatch.setattr(groundstate, "_newton_collocation",
+                        lambda *args: solved.append(collocate(*args)) or solved[-1])
+    gs = solve_profile(p, d)
+    core, rate = groundstate._radial_map(p, gs.r_max)
+    rr = np.linspace(0.0, 2.0, 20_001)[1:]
+    series = np.exp(-np.hypot(1.0, rr)) * np.polynomial.chebyshev.chebval(
+        np.arcsinh(rr / core) / rate, solved[-1][0])
+    assert np.max(np.abs(gs.q_at(rr) - series)) <= 2e-15
+    if p == 3.0:
+        assert gs.r.size == round(gs.r_max / 2e-3) + 1
+
+
 def test_cells_take_samples_and_equation_at_knots(any_gs):
     # each cell polynomial takes, at both of its ends, the samples and the
     # equation's q'' (and q''' for the q' field), so value, slope and
