@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooSmall, QuadratureFailure
+from .errors import GridTooSmall, InvalidConfig, QuadratureFailure
 from .groundstate import (FORCE_CUT, GL_NODES, GroundState, _stacked_template, force_panel,
                           gl_rows, panel_edges)
 from .nls_core import ComplexField, Grid
@@ -53,7 +53,7 @@ class BubbleParams:
         object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, dtype=float)))
         object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
         if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+            raise InvalidConfig(f"lambda must be positive, got {self.lam}")
 
     @property
     def d(self) -> int:

@@ -154,6 +154,8 @@ def cmd_simulate(args) -> int:
 
     def value(key, cast=float):
         try:
+            if cast is int and not isinstance(cfg[key], int):    # int() truncates 1024.7
+                raise TypeError
             return cast(cfg[key])
         except (TypeError, ValueError, OverflowError):
             raise InvalidConfig(f"{args.config}: {key} = {cfg[key]!r} is not "

@@ -73,10 +73,10 @@ _BISECT_MAX_ITER = 48
 
 # Hashed with every config: raise it when a config's record changes, so that a
 # sweep registry of older records does not count as done (CHANGES.md gives the
-# reason for each value).  9: ||Q||^2 is integrated by the radial rule of I_Q,
-# not by Simpson's rule on the profile mesh, whose step went 1e-3 -> 2e-3; c
-# and the cell table move, and the acceptance record past 1e-10.
-RECORD_SCHEMA = 9
+# reason for each value).  10: q and q' are sampled from the even half of
+# the profile's Chebyshev series, in y = 2x^2 - 1; q' moves by up to 1.5e-14
+# and the acceptance record past 1e-10.
+RECORD_SCHEMA = 10
 
 
 @dataclass(frozen=True)

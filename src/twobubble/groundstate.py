@@ -19,8 +19,11 @@ seam of that tail, which omits q^p, would cost accuracy.  Petviashvili's
 iteration brings the d=1 closed form near the ground state, and Newton
 stops when its step stops shrinking: at d=1, p=3 after two steps, at d=2,
 p=3 after four.  The degree is 151, doubled while the series' last terms
-are not negligible.  q and q' are sampled onto the uniform mesh from the
-Chebyshev series, whose step shrinks where the core's curvature is large.
+are not negligible.  q and q' are sampled onto the uniform mesh, whose
+step shrinks where the core's curvature is large, from the even half of
+the Chebyshev series: g is even in x, so g(x) = G(y) with y = 2x^2 - 1 and
+G's coefficients the even ones of g's (Boyd, ch. 8), and each Clenshaw
+pass on the mesh runs half the terms.
 
 Q is radial, so I_Q and ||Q||^2 reduce to integrals in r, which one rule
 computes (``_radial_passes``); it and the force H(z) of ``ansatz`` run on
@@ -310,7 +313,9 @@ def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
     on [0, r_max], at the first of _CHEB_DEGREES whose series ends in
     negligible terms; q and q' are sampled from it onto the uniform mesh
     of step _MESH_STEP, or less where the core's curvature exceeds
-    _MESH_CURVATURE, and the tail amplitude is q(r_max) /
+    _MESH_CURVATURE.  The sampling reads only the even coefficients, as a
+    series G in y = 2x^2 - 1, with g' = 4x G'(y); the odd ones of an even
+    g are rounding noise.  The tail amplitude is q(r_max) /
     decay_shape(d, r_max), so q meets the tail there.  r_max is 25, or more
     where tol or p asks for it (``_SEAM_DECAY``); tol bounds the last Newton
     step in q.  ``newton_iters`` counts the Newton steps and ``residual`` is
@@ -345,14 +350,19 @@ def solve_profile(p: float, d: int, tol: float = 1e-10) -> GroundState:
         raise NonConvergence(f"degree {degree} does not resolve the profile at p={p}, d={d}")
     core, rate = _radial_map(p, r_max)
     cheb = np.polynomial.chebyshev
-    # -q''(0)/q0, with q0 = g(0)/e, as rho = 1 at r = 0
-    curvature = ((cheb.chebval(0.0, coef) / math.e) ** (p - 1.0) - 1.0) / d
+    # g is even in x, so its odd coefficients are rounding noise, and
+    # g(x) = G(y) with y = 2x^2 - 1, as T_2m(x) = T_m(y): G's series is the
+    # even terms of g's, and g'(x) = 4x G'(y)
+    even = coef[::2]
+    # -q''(0)/q0, with q0 = g(0)/e = G(-1)/e, as rho = 1 at r = 0
+    curvature = ((cheb.chebval(-1.0, even) / math.e) ** (p - 1.0) - 1.0) / d
     step = _MESH_STEP * min(1.0, math.sqrt(_MESH_CURVATURE / curvature))
     r = np.linspace(0.0, r_max, int(round(r_max / step)) + 1)
     x = np.arcsinh(r / core) / rate
-    g = cheb.chebval(x, coef)
+    y = 2.0 * x * x - 1.0
+    g = cheb.chebval(y, even)
     rho = np.hypot(1.0, r)
-    dg = cheb.chebval(x, cheb.chebder(coef)) / (rate * np.hypot(core, r))    # dx/dr
+    dg = 4.0 * x * cheb.chebval(y, cheb.chebder(even)) / (rate * np.hypot(core, r))  # dx/dr
     weight = np.exp(-rho)
     q = weight * g
     dq = weight * (dg - r / rho * g)
@@ -371,9 +381,11 @@ def _radial_map(p: float, r_max: float) -> tuple[float, float]:
     return core, math.asinh(r_max / core)
 
 
+@lru_cache(maxsize=None)
 def _even_chebyshev(n: int):
     """The Chebyshev points x_j = cos(pi j / n) with x > 0, and the first and
-    second differentiation matrices on them for even functions.
+    second differentiation matrices on them for even functions; cached per
+    n, so read-only.
 
     n is odd, so no point sits at 0.  Rows are those of the full matrices
     (Weideman & Reddy's recursion, with x_i - x_j from a sine identity and
@@ -393,7 +405,9 @@ def _even_chebyshev(n: int):
     d1[diag] = -d1.sum(axis=1)
     d2 = 2.0 * inv * (ratio * d1[diag][:, None] - d1)
     d2[diag] = -d2.sum(axis=1)
-    return x, *(mat[:, :m] + mat[:, ::-1][:, :m] for mat in (d1, d2))
+    d1, d2 = (mat[:, :m] + mat[:, ::-1][:, :m] for mat in (d1, d2))
+    x.flags.writeable = d1.flags.writeable = d2.flags.writeable = False
+    return x, d1, d2
 
 
 def _newton_collocation(p: float, d: int, r_max: float, tol: float, degree: int):

@@ -263,6 +263,23 @@ def test_simulate_rejects_dt_against_t_end(capsys, tmp_path, monkeypatch):
               InvalidConfig, "of the sign of t_end")
 
 
+@pytest.mark.parametrize("lam", [0, -0.5])
+def test_simulate_rejects_nonpositive_lam(capsys, tmp_path, monkeypatch, lam):
+    # used to end in a ValueError traceback from BubbleParams
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    cli_fails(capsys, ["simulate", "--config", _simulate_config(tmp_path, lam=lam)],
+              InvalidConfig, "lambda must be positive")
+
+
+@pytest.mark.parametrize("key,text", [("N", "1024.7"), ("N", "2e3"), ("d", "1.0"),
+                                      ("observables_every", "10.5")])
+def test_simulate_rejects_non_integer(capsys, tmp_path, monkeypatch, key, text):
+    # int() used to truncate: N = 1024.7 ran on 1024 points with no message
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    cli_fails(capsys, ["simulate", "--config", _simulate_config(tmp_path, **{key: text})],
+              InvalidConfig, re.escape(f"{key} = {float(text)!r} is not an integer"))
+
+
 def test_simulate_rejects_missing_key(capsys, tmp_path, monkeypatch):
     # a missing dt used to end in a raw KeyError
     monkeypatch.setattr(cli, "solve_profile", _no_solve)

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import time
 import warnings
 
 import mpmath
@@ -156,24 +158,71 @@ def test_profile_matches_spline_oracle(any_gs):
                 assert abs(val - ref(np.array([x]))[0]) <= bound
 
 
+def _record_series(monkeypatch) -> list:
+    """A list to which each collocation appends the full Chebyshev series of
+    g = q e^rho that it returns; a solve's series is its last entry."""
+    series = []
+    collocate = groundstate._newton_collocation
+
+    def recorded(*args):
+        out = collocate(*args)
+        series.append(out[0])
+        return out
+
+    monkeypatch.setattr(groundstate, "_newton_collocation", recorded)
+    return series
+
+
 @pytest.mark.parametrize("p,d", [(3.0, 1), (3.0, 2), (7.0, 2), (9.0, 2)])
 def test_mesh_follows_core_curvature(monkeypatch, p, d):
     # the table's h^6 error grows like the cube of the core's curvature: on
     # (0, 2] q_at was off the collocation series by 1.0e-14 at d = 2, p = 7
     # and 3.1e-13 at p = 9 on the fixed 2e-3 mesh, and is within 1.3e-15
     # on the mesh that follows the curvature; p = 3 keeps the 2e-3 mesh
-    solved = []
-    collocate = groundstate._newton_collocation
-    monkeypatch.setattr(groundstate, "_newton_collocation",
-                        lambda *args: solved.append(collocate(*args)) or solved[-1])
+    coefs = _record_series(monkeypatch)
     gs = solve_profile(p, d)
     core, rate = groundstate._radial_map(p, gs.r_max)
     rr = np.linspace(0.0, 2.0, 20_001)[1:]
     series = np.exp(-np.hypot(1.0, rr)) * np.polynomial.chebyshev.chebval(
-        np.arcsinh(rr / core) / rate, solved[-1][0])
+        np.arcsinh(rr / core) / rate, coefs[-1])
     assert np.max(np.abs(gs.q_at(rr) - series)) <= 2e-15
     if p == 3.0:
         assert gs.r.size == round(gs.r_max / 2e-3) + 1
+
+
+@pytest.mark.parametrize("p", [1.45, 3.0, 7.0, 15.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_mesh_sampled_from_even_series(monkeypatch, p, d):
+    # g is even in the Chebyshev variable x, so its odd coefficients are
+    # rounding noise, measured <= 2.4e-16 of the largest over these cases
+    # (degrees 151 to 1201, the last at d = 2, p = 15), and the mesh samples
+    # of the even series in y = 2x^2 - 1 meet those of the full series:
+    # measured within 3.9e-15 of q0 in q and 8.9e-14 of max|q'| in q'.
+    # Each bound is about 4x the largest measured.  The last q' sample takes
+    # the Robin condition, not the series
+    series = _record_series(monkeypatch)
+    gs = solve_profile(p, d)
+    coef = series[-1]
+    assert np.max(np.abs(coef[1::2])) <= 1e-15 * np.max(np.abs(coef))
+    cheb = np.polynomial.chebyshev
+    core, rate = groundstate._radial_map(p, gs.r_max)
+    x = np.arcsinh(gs.r / core) / rate
+    rho = np.hypot(1.0, gs.r)
+    g = cheb.chebval(x, coef)
+    dg = cheb.chebval(x, cheb.chebder(coef)) / (rate * np.hypot(core, gs.r))
+    q, dq = np.exp(-rho) * g, np.exp(-rho) * (dg - gs.r / rho * g)
+    assert np.max(np.abs(gs.q - q)) <= 1.5e-14 * gs.q0
+    assert np.max(np.abs(gs.dq[:-1] - dq[:-1])) <= 4e-13 * np.max(np.abs(gs.dq))
+
+
+def test_even_chebyshev_cached_read_only():
+    # one build per degree, shared by every solve at that degree
+    tables = groundstate._even_chebyshev(151)
+    assert groundstate._even_chebyshev(151) is tables
+    assert [a.shape for a in tables] == [(76,), (76, 76), (76, 76)]
+    for a in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_cells_take_samples_and_equation_at_knots(any_gs):
@@ -502,6 +551,45 @@ def test_collocation_p_range_limit():
     for d in (1, 2):
         with pytest.raises(NonConvergence, match=f"p=1.1, d={d}"):
             solve_profile(1.1, d)
+
+
+# The (p, d) grid of ``test_profile_grid``: the Chebyshev degree and the mesh
+# points of each solve, or None where solve_profile's docstring documents a
+# NonConvergence (p = 1.1 below the p range, p = 18 at d = 2 past degree 1201)
+_GRID = {1: {1.1: None, 1.13: (301, 76924), 1.2: (301, 50001), 1.45: (151, 22223),
+             1.8: (151, 12501), 2.0: (151, 12501), 2.5: (151, 12501), 3.0: (151, 12501),
+             4.0: (151, 12501), 5.0: (151, 12501), 7.0: (151, 12501), 9.0: (151, 12501),
+             15.0: (151, 16537), 18.0: (151, 18223)},
+         2: {1.1: None, 1.13: (301, 76924), 1.2: (301, 50001), 1.45: (151, 22223),
+             1.8: (151, 12501), 2.0: (151, 12501), 2.5: (151, 12501), 3.0: (151, 12501),
+             4.0: (151, 12554), 5.0: (151, 17123), 7.0: (151, 29463), 9.0: (301, 48342),
+             15.0: (1201, 197314), 18.0: None}}
+
+
+@pytest.mark.slow
+def test_profile_grid(monkeypatch, capsys):
+    # every cell solves (solve_profile + structure_constants) at the degree
+    # and on the mesh of _GRID, or raises its documented NonConvergence; the
+    # README's grid table comes from this test's output (pytest -m slow -s),
+    # timed there on a 2-core host
+    series, rows = _record_series(monkeypatch), []
+    for d, cells in _GRID.items():
+        for p, expected in cells.items():
+            start = time.perf_counter()
+            if expected is None:
+                with pytest.raises(NonConvergence, match=re.escape(f"p={p}, d={d}")) as err:
+                    structure_constants(solve_profile(p, d))
+                rows.append(f"| {d} | {p:g} | {1e3 * (time.perf_counter() - start):.1f} | "
+                            f"NonConvergence: {err.value} |")
+                continue
+            gs = solve_profile(p, d)
+            structure_constants(gs)
+            wall = time.perf_counter() - start
+            assert (series[-1].size - 1, gs.r.size) == expected, (p, d)
+            rows.append(f"| {d} | {p:g} | {1e3 * wall:.1f} | {expected[0]} | "
+                        f"{gs.newton_iters} | {gs.r.size:,} |")
+    with capsys.disabled():
+        print("\n" + "\n".join(rows))
 
 
 def test_bad_tolerance():
