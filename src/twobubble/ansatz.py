@@ -6,13 +6,13 @@ The configuration is symmetric: bubble centers at +-z/2 carry velocities
 force H(z) is one Cartesian composite Gauss-Legendre rule for d = 1 and
 d = 2 over the near half-space, onto which the reflection y -> -y - z
 folds the far one, and at d = 2 over the half-plane y2 >= 0, onto which
-the mirror y2 -> -y2 folds the other, cut where its integrand falls below
-double precision against H, on panels whose width follows p
-(``force_panel``), with a coarse/fine check.  A call keeps no state: it
-evaluates the profile once on its whole node table at d = 1, and pass by
-pass in blocks of y1 rows at d = 2.  ``ForceLaw`` interpolates H once per
-ground state and reads it, in the dynamics, from a table of cell
-polynomials.
+the mirror y2 -> -y2 folds the other, cut on every side of the near
+bubble where its integrand falls below double precision against H, on
+panels whose width follows p (``force_panel``), with a coarse/fine check.
+A call keeps no state: it evaluates the profile once on its whole node
+table at d = 1, and pass by pass in blocks of y1 rows at d = 2.
+``ForceLaw`` interpolates H once per ground state and reads it, in the
+dynamics, from a table of cell polynomials.
 """
 
 from __future__ import annotations
@@ -32,17 +32,16 @@ from .nls_core import ComplexField, Grid
 COLLISION_SEP = 5.0
 
 
-def smoothstep(x, a: float, b: float):
-    """Quintic smoothstep on [a, b] (0 below a, 1 above b) and its derivative."""
+def smoothstep(x, a: float, b: float) -> np.ndarray:
+    """Quintic smoothstep on [a, b]: 0 below a, 1 above b."""
     t = np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
-    w = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-    dw = 30.0 * t ** 2 * (1.0 - t) ** 2 / (b - a)
-    return w, dw
+    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
 
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Modulation vector (lambda, z, gamma, v) of the symmetric pair."""
+    """Modulation vector (lambda, z, gamma, v) of the symmetric pair; a
+    lambda <= 0, or z and v of different sizes, is an InvalidConfig."""
 
     lam: float
     z: np.ndarray
@@ -54,6 +53,8 @@ class BubbleParams:
         object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
         if self.lam <= 0:
             raise InvalidConfig(f"lambda must be positive, got {self.lam}")
+        if self.z.size != self.v.size:
+            raise InvalidConfig(f"z and v differ in size ({self.z.size} and {self.v.size})")
 
     @property
     def d(self) -> int:
@@ -160,8 +161,8 @@ _FORCE_BLOCK = 1 << 20
 
 def _force_cut(p: float) -> np.ndarray:
     """Panel edges on [0, b] of the folded rule, with z along e1: y1 runs
-    over [-|z|/2, b], split at 0, and at d = 2 the transverse axis over
-    [0, b].
+    over [-min(|z|/2, FORCE_CUT/(p-1)), b], split at 0, and at d = 2 the
+    transverse axis over [0, b].
 
     The width is ``force_panel(p)`` for d = 1 and d = 2 alike.  At a
     distance b beyond either bubble, or across the pair axis, the integrand
@@ -186,9 +187,12 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
     pairwise; d = 1 has no transverse axis, and any other d is a
     QuadratureFailure.
 
+    Behind the near bubble the integrand falls like e^(-(p-1)|y|) against
+    H, so the near rows stop at -FORCE_CUT/(p-1) where that is short of
+    -|z|/2; for p <= 3 it is not on the force law's domain |z| <= 40.
     Both passes take their rows from one stacked template.  At d = 1 one
-    evaluation covers the whole table (218,480 radii at p = 30, |z| = 40, a
-    fifth of ``_FORCE_BLOCK``) and each pass sums its columns; at d = 2
+    evaluation covers the whole table (131,760 radii at p = 100, |z| = 40,
+    an eighth of ``_FORCE_BLOCK``) and each pass sums its columns; at d = 2
     each pass is its own tensor rule, summed in blocks of y1 rows of at
     most ``_FORCE_BLOCK`` radii.  Every radius is > 0: y1 = 0 is a break,
     so no node lies on it, and y1 > -|z|/2."""
@@ -197,7 +201,7 @@ def _force_nodes(zlen: float, gs: GroundState) -> list[float]:
         raise QuadratureFailure(f"the force rule covers d in (1, 2), got {d}")
     outer = _force_cut(p)
     x, w, spans = _stacked_template(GL_NODES)
-    near = panel_edges((-0.5 * zlen, 0.0), outer[1])[:-1]
+    near = panel_edges((-min(0.5 * zlen, FORCE_CUT / (p - 1.0)), 0.0), outer[1])[:-1]
     y1s, w1s = gl_rows(np.concatenate([near, outer]), x, w)
     if d == 1:
         f = _integrand(y1s, None, zlen, gs)
@@ -237,9 +241,9 @@ def interaction_force_H(z, gs: GroundState, min_sep: float = COLLISION_SEP) -> n
     folded onto the near one by y -> -y - z (``_force_nodes``); the result is
     parallel to z and follows C_p zhat |z|^(-(d-1)/2) e^(-|z|) at leading
     order.  The composite Gauss-Legendre rule stops FORCE_CUT/p beyond the
-    near bubble and across the pair axis, where the integrand has fallen
-    below e^-FORCE_CUT of H, and runs with 8 and 12 nodes per panel on the
-    same panels; they must agree to
+    near bubble and across the pair axis, and FORCE_CUT/(p-1) behind it,
+    where the integrand has fallen below e^-FORCE_CUT of H, and runs with 8
+    and 12 nodes per panel on the same panels; they must agree to
     max(FORCE_TOL |z|^(-(d-1)/2) e^(-|z|), 1e-8 |H|).  A non-finite z, or
     |z| below min_sep, is a QuadratureFailure.
     """

@@ -12,7 +12,9 @@ input field.  The Jacobian differentiates no test field: summation by parts
 moves each derivative of a test field's argument onto the spectral gradient
 of u, taken once per fit, or onto the gradient of bubble 2, so the fit reads
 only Q and Q' and Newton's convergence stays quadratic.  Every bubble and
-test field comes from ``ansatz.LatticeBubble``.
+test field comes from ``ansatz.LatticeBubble``.  The fit returns the
+parameters and projections alone: the resampled, recentered error field,
+which only the tests read, is ``tests/oracles.recentered_error``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import BubbleParams, LatticeBubble, ansatz_on_lattice, bubble_pair, smoothstep
+from .ansatz import BubbleParams, LatticeBubble, bubble_pair, smoothstep
 from .errors import InvalidConfig, NoConvergence, OutOfBasin
 from .groundstate import GroundState
 from .nls_core import ComplexField, gradient
@@ -37,7 +39,6 @@ class DecompResult:
     """Fitted parameters and their annihilated projections."""
 
     params: BubbleParams
-    eta1: ComplexField | None      # error recentered on bubble 1, phase stripped
     projections: dict
     newton_iters: int
     step_history: tuple
@@ -161,37 +162,6 @@ class _Workspace:
                 "iLamQ": res[1 + d], "igradQ": res[2 + d:2 + 2 * d].copy()}
 
 
-def resample_scaled(u: ComplexField, lam: float) -> np.ndarray:
-    """Trigonometric interpolation of u at the scaled points lam * y."""
-    g = u.grid
-    vals = np.fft.fftn(u.values)
-    pts = lam * g.axis
-    E = np.exp(1j * np.outer(pts + g.L, g.k_axis)) / g.N
-    for ax in range(g.d):
-        vals = np.moveaxis(np.tensordot(E, np.moveaxis(vals, ax, 0), axes=(1, 0)), 0, ax)
-    return vals
-
-
-def recentered_error(u: ComplexField, params: BubbleParams,
-                     gs: GroundState) -> tuple[ComplexField, ComplexField]:
-    """Renormalized error eps(y) and its recentered phase-stripped eta1."""
-    g = u.grid
-    p = gs.p
-    w = np.exp(-1j * params.gamma) * params.lam ** (2.0 / (p - 1.0)) \
-        * resample_scaled(u, params.lam)
-    eps = w - ansatz_on_lattice(params, gs, g.x_mesh)
-    # shift by +z1 spectrally, then strip the boost phase
-    shift = np.ones(g.shape, dtype=complex)
-    z1 = params.bubble_center(1)
-    for ax in range(g.d):
-        shape = [1] * g.d
-        shape[ax] = g.N
-        shift = shift * np.exp(1j * g.k_axis * z1[ax]).reshape(shape)
-    eta1 = np.fft.ifftn(shift * np.fft.fftn(eps))
-    phase = LatticeBubble(gs, g.x_mesh, np.zeros(g.d), -params.bubble_velocity(1)).phase
-    return ComplexField(g, eps), ComplexField(g, phase * eta1)
-
-
 def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
               mode: str = "snapshot", with_fields: bool = False,
               xtol: float = 1e-12) -> DecompResult:
@@ -199,13 +169,19 @@ def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
 
     tracking mode fits (lambda, z, gamma) and keeps the guess's v; snapshot
     mode promotes the i grad Q condition to an equation and fits v as well;
-    any other mode is an InvalidConfig.  It builds no error field;
-    ``error_h1`` measures eps at the fitted parameters.  with_fields=True
-    also returns eta1, through a dense trigonometric resample that costs far
-    more than the fit at large N.
+    any other mode, or a guess of another dimension than u, is an
+    InvalidConfig.  It builds no error field; ``error_h1`` measures eps at
+    the fitted parameters.  with_fields is kept for callers that pass
+    False; True is an InvalidConfig, as the recentered error field is the
+    test oracle ``recentered_error``.
     """
     if mode not in ("snapshot", "tracking"):
         raise InvalidConfig(f"unknown fit mode {mode!r}; use 'snapshot' or 'tracking'")
+    if with_fields:
+        raise InvalidConfig("decompose builds no error field; the recentered error "
+                            "is tests/oracles.recentered_error")
+    if guess.d != u.grid.d:
+        raise InvalidConfig(f"a {guess.d}-dimensional guess for a {u.grid.d}-dimensional field")
     ws = _Workspace(u, gs, mode)
     n = ws.n_eq
 
@@ -234,10 +210,7 @@ def decompose(u: ComplexField, guess: BubbleParams, gs: GroundState,
     gamma = float(np.angle(np.exp(1j * gamma)))  # report in (-pi, pi]
     params = BubbleParams(lam=float(lam), z=z.copy(), gamma=gamma, v=v.copy())
     proj = ws.projections(theta)
-    eta1 = None
-    if with_fields:
-        _, eta1 = recentered_error(u, params, gs)
-    return DecompResult(params=params, eta1=eta1, projections=proj,
+    return DecompResult(params=params, projections=proj,
                         newton_iters=len(history), step_history=tuple(history))
 
 
@@ -288,7 +261,7 @@ def energy_functional(u: ComplexField, params: BubbleParams, s: float,
     radius = np.log(s)
     J_val = 0.0
     for bub in bubbles:
-        chi = 1.0 - smoothstep(bub.r / radius, 0.1, 0.125)[0]   # 1 inside radius/10, 0 past /8
+        chi = 1.0 - smoothstep(bub.r / radius, 0.1, 0.125)   # 1 inside radius/10, 0 past /8
         b = lam ** (1.0 + 4.0 / (p - 1.0) - g.d)
         dens = sum(vc * (gr * np.conj(eps_lab)).imag for vc, gr in zip(bub.vel, grads))
         J_val += b * float(np.sum(dens * chi)) * vol

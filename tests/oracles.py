@@ -24,7 +24,10 @@ split-step kernel on scipy.fft with cos and sin on every point, which the
 package's kernel must equal element for element, and the package's
 earlier measure of the modulation error: the lab-frame error from the
 ansatz sum, a bubble pair of its own, and its renormalized H1 norm from
-separate L2 and gradient sums.
+separate L2 and gradient sums, and the package's earlier error fields of
+the fit: the error eps(y) from a dense trigonometric resample of u at the
+scaled points, and eta1, eps recentered on bubble 1 with its boost phase
+stripped.
 
 Checks that only the tests call live here too: the residual of the
 profile equation on the mesh, with q'' from a fourth-order difference of
@@ -469,7 +472,9 @@ def force_nodes_reference(zlen: float, gs, node_counts, step: float | None = Non
     """The folded force rule with every node evaluated on every call, one
     pass per node count, over the whole transverse axis; at d = 1 the
     package's rule must equal this value for value, and at d = 2, where it
-    folds the transverse axis onto [0, b], sum the same terms pairwise.
+    folds the transverse axis onto [0, b], sum the same terms pairwise,
+    wherever its near rows are uncut (|z|/2 <= FORCE_CUT/(p-1), so for
+    p <= 3 on the force law's domain).
 
     y1 runs over [-|z|/2, b], split at 0, and the transverse axis over
     [-b, b] (one node for d = 1), with b = FORCE_CUT/p in whole panels of
@@ -749,7 +754,7 @@ def interaction_cutoff(params: BubbleParams, grid: Grid) -> np.ndarray:
     out = np.ones(grid.shape)
     for b in bubble_pair(params, None, grid.x_mesh):
         # psi0 on [-1, 0]: argument |z| - r, quintic transition
-        out = out * smoothstep(zlen - b.r + 1.0, 0.0, 1.0)[0]
+        out = out * smoothstep(zlen - b.r + 1.0, 0.0, 1.0)
     return out
 
 
@@ -838,6 +843,37 @@ def lab_frame_error(u, params, gs):
     P_scaled = ansatz_on_lattice(params, gs, [x / params.lam for x in u.grid.x_mesh])
     pref = np.exp(1j * params.gamma) * params.lam ** (-2.0 / (gs.p - 1.0))
     return ComplexField(u.grid, u.values - pref * P_scaled)
+
+
+def resample_scaled(u: ComplexField, lam: float) -> np.ndarray:
+    """Trigonometric interpolation of u at the scaled points lam * y."""
+    g = u.grid
+    vals = np.fft.fftn(u.values)
+    pts = lam * g.axis
+    E = np.exp(1j * np.outer(pts + g.L, g.k_axis)) / g.N
+    for ax in range(g.d):
+        vals = np.moveaxis(np.tensordot(E, np.moveaxis(vals, ax, 0), axes=(1, 0)), 0, ax)
+    return vals
+
+
+def recentered_error(u: ComplexField, params: BubbleParams,
+                     gs: GroundState) -> tuple[ComplexField, ComplexField]:
+    """Renormalized error eps(y) and its recentered phase-stripped eta1."""
+    g = u.grid
+    p = gs.p
+    w = np.exp(-1j * params.gamma) * params.lam ** (2.0 / (p - 1.0)) \
+        * resample_scaled(u, params.lam)
+    eps = w - ansatz_on_lattice(params, gs, g.x_mesh)
+    # shift by +z1 spectrally, then strip the boost phase
+    shift = np.ones(g.shape, dtype=complex)
+    z1 = params.bubble_center(1)
+    for ax in range(g.d):
+        shape = [1] * g.d
+        shape[ax] = g.N
+        shift = shift * np.exp(1j * g.k_axis * z1[ax]).reshape(shape)
+    eta1 = np.fft.ifftn(shift * np.fft.fftn(eps))
+    phase = LatticeBubble(gs, g.x_mesh, np.zeros(g.d), -params.bubble_velocity(1)).phase
+    return ComplexField(g, eps), ComplexField(g, phase * eta1)
 
 
 def renormalized_h1(eps_lab, lam: float, p: float) -> float:

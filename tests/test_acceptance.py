@@ -186,7 +186,7 @@ def test_criterion_08_modulation_round_trip(gs1, grid_2048_64, report):
                                gamma=-np.pi + 2.0 * np.pi * rng.random(),
                                v=[-0.05 + 0.1 * rng.random()])
         pref = np.exp(1j * true.gamma) * true.lam ** (-2.0 / (gs1.p - 1.0))
-        u = nc.ComplexField(grid_2048_64, pref * mf.ansatz_on_lattice(
+        u = nc.ComplexField(grid_2048_64, pref * az.ansatz_on_lattice(
             true, gs1, [x / true.lam for x in grid_2048_64.x_mesh]))
         guess = az.BubbleParams(lam=true.lam * 1.02, z=true.z + 0.05,
                                 gamma=true.gamma + 0.03, v=true.v + 0.002)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from twobubble import ansatz as az
 from twobubble import nls_core as nc
-from twobubble.errors import GridTooSmall, InvalidExponent, QuadratureFailure
+from twobubble.errors import GridTooSmall, InvalidConfig, InvalidExponent, QuadratureFailure
 from twobubble.groundstate import solve_profile, structure_constants
 
 from oracles import (FIXED_PANEL, ParamDerivs, adaptive_folded_force_1d, adaptive_force_1d,
@@ -70,6 +70,16 @@ def test_two_bubble_mass(gs1, sc1, grid_2048_64):
     mass = l2_norm_sq(P)
     assert abs(mass - oracle) < 1e-9
     assert abs(mass - 2.0 * sc1.l2) < 1e-6  # spec example: ~8 within 1e-6
+
+
+@pytest.mark.parametrize("z,v", [([15.0], [0.1, 0.2]), ([10.0, 0.0], [0.1]),
+                                 ([10.0, 0.0], 0.1)])
+def test_params_z_and_v_sizes_agree(z, v):
+    # a d = 1 v with two components used to build, the bubble's zip dropping
+    # the extra one; a d = 2 z with a one-component v built too and ended
+    # in an IndexError inside decompose
+    with pytest.raises(InvalidConfig, match=r"z and v differ in size \(\d and \d\)"):
+        az.BubbleParams(lam=1.0, z=z, gamma=0.0, v=v)
 
 
 def test_grid_too_small(gs1):
@@ -268,12 +278,14 @@ def test_force_profile_work(monkeypatch, gs1):
     assert calls[1:] == [880]
 
 
-@pytest.mark.parametrize("p,radii", [(3.0, 1360), (15.0, 58040), (30.0, 218480)])
+@pytest.mark.parametrize("p,radii", [(3.0, 1360), (15.0, 14160), (30.0, 27840),
+                                     (100.0, 131760)])
 def test_force_rule_d1_is_one_evaluation(monkeypatch, p, radii):
     # the d = 1 rule evaluates its whole stacked node table at once, with no
     # blocks: at |z| = 40, the far end of the force law, the table has
-    # 2 (8 + 12) radii per panel of y1 in [-20, b], and stays below
-    # _FORCE_BLOCK up to p = 30, where the panels are 1/256 wide
+    # 2 (8 + 12) radii per panel of y1 in [-min(20, FORCE_CUT/(p - 1)), b],
+    # and stays below _FORCE_BLOCK up to p = 100, where the panels are
+    # 1/4096 wide (the near rows from -20 would take 3,342,360 radii there)
     gs = solve_profile(p, 1)
     calls = []
     evaluate = type(gs).q_dq_at
@@ -285,6 +297,38 @@ def test_force_rule_d1_is_one_evaluation(monkeypatch, p, radii):
     monkeypatch.setattr(type(gs), "q_dq_at", counted)
     az._force_nodes(40.0, gs)
     assert calls == [radii] and radii <= az._FORCE_BLOCK
+
+
+def _uncut_force_nodes(monkeypatch, z, gs):
+    """The rule with its near rows over all of [-|z|/2, 0]: FORCE_CUT is
+    lifted for the near rows alone."""
+    outer = az._force_cut(gs.p)
+    with monkeypatch.context() as m:
+        m.setattr(az, "_force_cut", lambda p: outer)
+        m.setattr(az, "FORCE_CUT", np.inf)
+        return az._force_nodes(z, gs)
+
+
+@pytest.mark.parametrize("d,p", [(1, 1.45), (1, 1.8), (1, 2.0), (1, 3.0), (2, 2.0), (2, 3.0)])
+def test_force_near_cut_moves_nothing_up_to_p3(request, monkeypatch, d, p):
+    # the near rows start at -min(|z|/2, FORCE_CUT/(p - 1)); for p <= 3,
+    # FORCE_CUT/(p - 1) >= 20 >= |z|/2 on the law's domain, so no bit moves
+    gs = _ground_state(request, d, p)
+    for z in np.linspace(*az.FORCE_LAW_DOMAIN, 25):
+        assert az._force_nodes(z, gs) == _uncut_force_nodes(monkeypatch, z, gs), (d, p, z)
+
+
+@pytest.mark.parametrize("p", [5.0, 7.0, 9.0])
+def test_force_near_cut_matches_uncut_rule(monkeypatch, p):
+    # against H the near rows' integrand falls like e^(-(p - 1)|y|), so
+    # past FORCE_CUT/(p - 1) it is below e^-FORCE_CUT of H: on the law's
+    # domain both passes stay within rounding of the uncut rule (largest
+    # relative move measured 4.4e-16 at p = 5, 1.1e-15 at p = 7, 2.2e-16
+    # at p = 9; the bound is about three times the largest)
+    gs = solve_profile(p, 1)
+    for z in np.linspace(*az.FORCE_LAW_DOMAIN, 25):
+        for a, b in zip(az._force_nodes(z, gs), _uncut_force_nodes(monkeypatch, z, gs)):
+            assert abs(a / b - 1.0) <= 3e-15, (p, z)
 
 
 def test_force_rule_evaluates_in_blocks(monkeypatch, gs2):

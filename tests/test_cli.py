@@ -301,8 +301,31 @@ def test_fit_rejects_bad_guess_before_compute(capsys, tmp_path, monkeypatch):
         main(["fit", "--field", str(snap), "--guess", long_guess])
     for guess, why in (('{"z": [15.0], "v": [0.0]', "is not JSON"),
                        (json.dumps({"z": [15.0], "note": "x" * 300}), 'with "z" and "v"'),
-                       (json.dumps({"v": [0.0]}), 'with "z" and "v"')):
+                       (json.dumps({"v": [0.0]}), 'with "z" and "v"'),
+                       (json.dumps({"z": [15.0], "v": [0.1, 0.2]}),
+                        re.escape("z and v differ in size (1 and 2)"))):
         cli_fails(capsys, ["fit", "--field", str(snap), "--guess", guess], InvalidConfig, why)
+
+
+@pytest.mark.parametrize("guess,match", [
+    ('{"z": [10.0, 0.0], "v": [0.1]}', "z and v differ in size (2 and 1)"),
+    ('{"z": [10.0], "v": [0.0]}', "a 1-dimensional guess for a 2-dimensional field")])
+def test_fit_rejects_guess_that_does_not_fit_a_2d_field(capsys, tmp_path, monkeypatch,
+                                                        guess, match):
+    # both used to end in an IndexError traceback from decompose
+    snap = tmp_path / "field.snap"
+    grid = make_grid(2, 128, 16.0)
+    write_snapshot(snap, ComplexField(grid, np.zeros(grid.shape, dtype=complex)), 0.0)
+    cli_fails(capsys, ["fit", "--field", str(snap), "--guess", guess], InvalidConfig,
+              re.escape(match))
+
+
+@pytest.mark.parametrize("d,z,v", [(1, "15", "0.1, 0.2"), (2, "10, 0", "0.1,")])
+def test_simulate_rejects_mismatched_sizes(capsys, tmp_path, monkeypatch, d, z, v):
+    # the d = 1 pair used to run on the first component of v alone
+    monkeypatch.setattr(cli, "solve_profile", _no_solve)
+    cfg = _simulate_config(tmp_path, d=d, N=256, z=z, v=v)
+    cli_fails(capsys, ["simulate", "--config", cfg], InvalidConfig, "z and v differ in size")
 
 
 def test_shoot_rejects_zeta_sharp_nan(capsys, tmp_path, monkeypatch):

@@ -6,13 +6,13 @@ from scipy.integrate import simpson
 
 from twobubble import modulation_fit as mf
 from twobubble import nls_core as nc
-from twobubble.ansatz import BubbleParams
+from twobubble.ansatz import BubbleParams, ansatz_on_lattice
 from twobubble.errors import InvalidConfig, NoConvergence, OutOfBasin
 from twobubble.groundstate import GroundState, solve_profile
 
 from conftest import random_smooth_field
 from oracles import (apply_linearized, coercivity_check, lab_frame_error, lam_q, project_out,
-                     quadratic_form, reflect, renormalized_h1)
+                     quadratic_form, recentered_error, reflect, renormalized_h1, resample_scaled)
 
 COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 
@@ -20,7 +20,7 @@ COERCIVITY_FLOOR = 0.5   # observed 0.59 at N=2048, L=32, 200 samples, seed 1
 def exact_two_bubble(params, gs, grid):
     pref = np.exp(1j * params.gamma) * params.lam ** (-2.0 / (gs.p - 1.0))
     scaled = [x / params.lam for x in grid.x_mesh]
-    return nc.ComplexField(grid, pref * mf.ansatz_on_lattice(params, gs, scaled))
+    return nc.ComplexField(grid, pref * ansatz_on_lattice(params, gs, scaled))
 
 
 def soliton_carrier(gs, grid, values):
@@ -147,6 +147,31 @@ def test_unknown_fit_mode(gs1, grid_2048_64):
                      gs1, mode="track")
 
 
+def test_with_fields_names_the_oracle(gs1, grid_2048_64):
+    # decompose builds no error field: asking for one is a bad argument,
+    # raised before any Newton step, that names the test oracle building it
+    u = nc.ComplexField(grid_2048_64, np.zeros(grid_2048_64.shape, dtype=complex))
+    guess = BubbleParams(lam=1.0, z=[13.0], gamma=0.0, v=[0.0])
+    with pytest.raises(InvalidConfig, match=r"tests/oracles\.recentered_error"):
+        mf.decompose(u, guess, gs1, with_fields=True)
+
+
+@pytest.mark.parametrize("mode", ["snapshot", "tracking"])
+def test_with_fields_false_is_the_default(gs1, grid_2048_64, mode):
+    true = BubbleParams(lam=1.0, z=[14.0], gamma=0.2, v=[0.01])
+    u = exact_two_bubble(true, gs1, grid_2048_64)
+    guess = BubbleParams(lam=1.01, z=[14.05], gamma=0.22, v=[0.01])
+    default = mf.decompose(u, guess, gs1, mode=mode)
+    explicit = mf.decompose(u, guess, gs1, mode=mode, with_fields=False)
+    for a, b in ((default.params.lam, explicit.params.lam), (default.params.z, explicit.params.z),
+                 (default.params.gamma, explicit.params.gamma),
+                 (default.params.v, explicit.params.v)):
+        assert np.array_equal(a, b)
+    assert default.step_history == explicit.step_history
+    for key, value in default.projections.items():
+        assert np.array_equal(value, explicit.projections[key]), key
+
+
 def test_out_of_basin(monkeypatch, gs1, grid_2048_64):
     true = BubbleParams(lam=1.0, z=[14.0], gamma=0.0, v=[0.0])
     u = exact_two_bubble(true, gs1, grid_2048_64)
@@ -195,7 +220,7 @@ def test_resample_scaled_gaussian(grid_2048_32):
     g = grid_2048_32
     lam = 1.03
     u = nc.ComplexField(g, np.exp(-(g.axis / 3.0) ** 2) * np.exp(0.4j * g.axis))
-    out = mf.resample_scaled(u, lam)
+    out = resample_scaled(u, lam)
     expect = np.exp(-(lam * g.axis / 3.0) ** 2) * np.exp(0.4j * lam * g.axis)
     assert np.max(np.abs(out - expect)) < 1e-11
 
@@ -209,7 +234,7 @@ def test_recentered_error_is_eta1(gs1, grid_2048_64):
     off = g.axis - 7.5
     add = np.exp(0.02j * off) * 1e-3 * np.exp(-(off / 2.5) ** 2) * (1.0 + 0.5j)
     u = nc.ComplexField(g, base.values + add)
-    _, eta1 = mf.recentered_error(u, params, gs1)
+    _, eta1 = recentered_error(u, params, gs1)
     assert np.max(np.abs(eta1.values - w)) < 1e-12
 
 
